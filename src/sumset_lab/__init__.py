@@ -7,6 +7,9 @@ regimes, and exhaustive desk-scale certification with machine-readable
 certificates.
 """
 
+# set before the submodules load: verify stamps it into every certificate
+__version__ = "0.1.0"
+
 from .core import (
     MAX_ELEMENT,
     IntegerSet,
@@ -102,5 +105,3 @@ from .verify import (
     verify_low_second_max,
     verify_span_classification,
 )
-
-__version__ = "0.1.0"

@@ -1,11 +1,24 @@
 """Exhaustive desk-scale verification with machine-readable certificates.
 
 The enumerator streams every normalized set matching a query, in
-lexicographic order of element lists, under sound pruning only
-(necessary conditions: ascending room toward the span, growth caps,
+lexicographic order of element lists, skipping only values that no
+matching set can hold (ascending room toward the span, growth caps,
 membership masks).  Budget accounting counts every candidate value
 placement; exceeding the budget raises :class:`BudgetExceeded`, never a
 silent partial result.
+
+The floor checks (the conjecture sweep, theorems 2 and 3, and
+:func:`classify_extremal`) walk their exact-span cells with a private
+walker that counts the same nodes in the same order.  It places the top
+first and carries the restricted sumset of the prefix down the search,
+so placing a value costs one shift-or.  Adding an element never shrinks
+the restricted sumset, so once a prefix's restricted sumset exceeds the
+largest size a check reports, no set below it is a finding: the walker
+adds that subtree's node count and gcd-1 set count from a memo instead
+of visiting it.  The counts are exact, so certificates match plain
+enumeration byte for byte.  A subtree whose nodes would pass the budget
+is descended, not counted, so a truncated walk stops at the same node
+as the enumerator, with the same partial counts and findings.
 
 On top of the enumerator sit five certificate drivers:
 
@@ -39,11 +52,13 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Iterator, Optional, Sequence
 
+from . import __version__ as TOOL_VERSION
 from .core import (
     IntegerSet,
     NormalizedSet,
     SetDomainError,
     double_mask,
+    elements_of,
     mask_of,
     restricted_size,
 )
@@ -89,7 +104,6 @@ __all__ = [
     "sweep_structure",
 ]
 
-TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 DEFAULT_BUDGET = 10**9
 
@@ -278,6 +292,80 @@ def shard_prefixes(query: EnumerationQuery, depth: int) -> tuple[tuple[int, ...]
     return tuple(prefixes)
 
 
+def _walk_span(
+    query: EnumerationQuery, bound: int, on_leaf: Callable[[int, int], None]
+) -> tuple[int, int, bool]:
+    """Walk an exact-span, mask-free query node for node like
+    :func:`enumerate_tuples`, calling ``on_leaf(mask, n)`` in stream order
+    for each streamed set whose restricted sumset has n <= bound members.
+
+    Returns (nodes, sets, truncated); on truncation the counts are those
+    of the enumerator when it raises :class:`BudgetExceeded`.
+    """
+    k, l = query.k, query.l_max
+    l_lo, l_hi, cap = _effective_bounds(query)
+    has_leaf = l_lo <= l_hi
+    need_gcd = "gcd_one" in query.constraints
+    budget = query.budget
+    last = k - 1
+    his = [_interior_hi(query, pos, l_hi, cap) for pos in range(last)]
+    memo: dict[tuple[int, int, int], tuple[int, int]] = {}
+
+    def subtree(pos: int, prev: int, g: int) -> tuple[int, int]:
+        # (nodes, sets) strictly below the node that placed prev at pos - 1;
+        # g is the gcd of the prefix and the top
+        key = (pos, prev, g)
+        got = memo.get(key)
+        if got is None:
+            if pos == last:
+                got = (1, int(not need_gcd or g == 1)) if has_leaf else (0, 0)
+            else:
+                nodes = sets = 0
+                for v in range(prev + 1, his[pos] + 1):
+                    n, s = subtree(pos + 1, v, gcd(g, v))
+                    nodes += 1 + n
+                    sets += s
+                got = (nodes, sets)
+            memo[key] = got
+        return got
+
+    nodes = sets = 0
+
+    def walk(pos: int, prev: int, g: int, mask: int, r: int) -> None:
+        nonlocal nodes, sets
+        if pos == last:
+            if has_leaf:
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(nodes)
+                if not need_gcd or g == 1:
+                    sets += 1
+                    n = r.bit_count()
+                    if n <= bound:
+                        on_leaf(mask, n)
+            return
+        for v in range(prev + 1, his[pos] + 1):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(nodes)
+            gv = gcd(g, v)
+            rv = r | mask << v
+            if rv.bit_count() > bound:
+                # restricted sumsets only grow: nothing below can be a finding
+                n, s = subtree(pos + 1, v, gv)
+                if nodes + n <= budget:
+                    nodes += n
+                    sets += s
+                    continue
+            walk(pos + 1, v, gv, mask | 1 << v, rv)
+
+    try:
+        walk(1, 0, l, 1 | 1 << l, 1 << l)
+    except BudgetExceeded:
+        return nodes, sets, True
+    return nodes, sets, False
+
+
 def _literal(tup: Sequence[int]) -> str:
     return "{%s}" % ",".join(str(v) for v in tup)
 
@@ -364,16 +452,46 @@ def _finalize(
     )
 
 
-def _run_cells(worker: Callable[[tuple], dict], cells: list[tuple], jobs: int) -> list[dict]:
-    if jobs > 1 and len(cells) > 1:
-        chunk = max(1, len(cells) // (jobs * 4))
+def _run_cell(task: tuple[Callable[[tuple], dict], tuple]) -> dict:
+    worker, cell = task
+    return worker(cell)
+
+
+def _run_cells(tasks: list[tuple[Callable[[tuple], dict], tuple]], jobs: int) -> list[dict]:
+    """Results of (cell function, cell) tasks in task order, from a pool of
+    ``jobs`` workers when jobs > 1.  Tasks go out one at a time: a cell's
+    cost grows steeply with k, so batches of neighbouring cells would
+    leave one worker with all the heavy ones."""
+    if jobs < 1:
+        raise SetDomainError(f"jobs must be at least 1, got {jobs}")
+    if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, cells, chunksize=chunk))
-    return [worker(c) for c in cells]
+            return list(pool.map(_run_cell, tasks, chunksize=1))
+    return [_run_cell(t) for t in tasks]
 
 
 def _per_cell_budget(budget: int, n_cells: int) -> int:
     return max(1, budget // max(1, n_cells))
+
+
+def _detached_top_cells(
+    k_min: int, k_max: int, cap: Optional[int]
+) -> tuple[list[tuple[int, int]], int]:
+    """(k, l) cells with the top l in [2k-2, cap] (default cap 2k+6) for
+    every k in [k_min, k_max], and the largest top swept.  A box in which
+    some k has no top is refused: it would certify nothing."""
+    if not 3 <= k_min <= k_max:
+        raise SetDomainError(f"need 3 <= k_min <= k_max, got [{k_min}, {k_max}]")
+    if cap is not None and cap < 2 * k_max - 2:
+        raise SetDomainError(
+            f"cap {cap} leaves k={k_max} no top in [2k-2, cap]; "
+            f"need cap >= {2 * k_max - 2}"
+        )
+    cells = []
+    for k in range(k_min, k_max + 1):
+        cap_k = cap if cap is not None else 2 * k + 6
+        cells += [(k, l) for l in range(2 * k - 2, cap_k + 1)]
+    return cells, cap if cap is not None else 2 * k_max + 6
 
 
 # ---------------------------------------------------------------------------
@@ -384,25 +502,22 @@ def _conjecture_cell(args: tuple) -> dict:
     k, l, per_budget = args
     query = EnumerationQuery.exact(k, l, ("gcd_one",), budget=per_budget)
     bound = freiman_lev_bound(k, l)
-    counter = [0]
-    n_sets = tight = 0
+    tight = 0
     bad: list[tuple[str, int]] = []
-    truncated = False
-    try:
-        for tup in enumerate_tuples(query, counter=counter):
-            n_sets += 1
-            n = restricted_size(tup)
-            if n < bound:
-                bad.append((_literal(tup), n))
-            elif n == bound:
-                tight += 1
-    except BudgetExceeded:
-        truncated = True
+
+    def leaf(mask: int, n: int) -> None:
+        nonlocal tight
+        if n < bound:
+            bad.append((_literal(elements_of(mask)), n))
+        else:
+            tight += 1
+
+    nodes, n_sets, truncated = _walk_span(query, bound, leaf)
     return {
         "k": k,
         "l": l,
         "bound": bound,
-        "nodes": counter[0],
+        "nodes": nodes,
         "sets": n_sets,
         "tight": tight,
         "bad": bad,
@@ -434,7 +549,7 @@ def verify_conjecture(
         )
     cells = [(k, l) for k in range(3, k_max + 1) for l in range(k - 1, l_max + 1)]
     per = _per_cell_budget(budget, len(cells))
-    results = _run_cells(_conjecture_cell, [(k, l, per) for k, l in cells], jobs)
+    results = _run_cells([(_conjecture_cell, (k, l, per)) for k, l in cells], jobs)
     counterexamples: list[str] = []
     observations: list[str] = []
     n_sets = n_tight = n_nodes = 0
@@ -524,16 +639,9 @@ def verify_low_second_max(
     default 2k+6), and validate the split overlap identities on every
     set admitting a split position."""
     t0 = time.monotonic()
-    if not 3 <= k_min <= k_max:
-        raise SetDomainError(f"need 3 <= k_min <= k_max, got [{k_min}, {k_max}]")
-    cells = []
-    top_cap = 0
-    for k in range(k_min, k_max + 1):
-        cap_k = cap if cap is not None else 2 * k + 6
-        top_cap = max(top_cap, cap_k)
-        cells += [(k, l) for l in range(2 * k - 2, cap_k + 1)]
+    cells, top_cap = _detached_top_cells(k_min, k_max, cap)
     per = _per_cell_budget(budget, len(cells))
-    results = _run_cells(_low_second_cell, [(k, l, per) for k, l in cells], jobs)
+    results = _run_cells([(_low_second_cell, (k, l, per)) for k, l in cells], jobs)
     counterexamples: list[str] = []
     n_sets = n_tight = n_nodes = n_splits = 0
     truncated = False
@@ -575,30 +683,25 @@ def _dense_prefix_cell(args: tuple) -> dict:
         budget=per_budget,
     )
     bound = 3 * k - 7
-    counter = [0]
-    n_sets = 0
     equality: list[str] = []
     shape_failures: list[str] = []
     bad: list[str] = []
-    truncated = False
-    try:
-        for tup in enumerate_tuples(query, counter=counter):
-            n_sets += 1
-            n = restricted_size(tup)
-            if n < bound:
-                bad.append(f"{_literal(tup)}: restricted size {n} < {bound}")
-            elif n == bound:
-                lit = _literal(tup)
-                equality.append(lit)
-                ns = NormalizedSet(IntegerSet._from_trusted(tup, mask_of(tup)))
-                if not dense_extremal_shape(ns):
-                    shape_failures.append(lit)
-    except BudgetExceeded:
-        truncated = True
+
+    def leaf(mask: int, n: int) -> None:
+        tup = elements_of(mask)
+        lit = _literal(tup)
+        if n < bound:
+            bad.append(f"{lit}: restricted size {n} < {bound}")
+        else:
+            equality.append(lit)
+            if not dense_extremal_shape(NormalizedSet(IntegerSet._from_trusted(tup, mask))):
+                shape_failures.append(lit)
+
+    nodes, n_sets, truncated = _walk_span(query, bound, leaf)
     return {
         "k": k,
         "l": l,
-        "nodes": counter[0],
+        "nodes": nodes,
         "sets": n_sets,
         "equality": equality,
         "shape_failures": shape_failures,
@@ -625,16 +728,9 @@ def verify_dense_prefix(
     empirically whether equality forces the minimal top 2k-2.
     """
     t0 = time.monotonic()
-    if not 3 <= k_min <= k_max:
-        raise SetDomainError(f"need 3 <= k_min <= k_max, got [{k_min}, {k_max}]")
-    cells = []
-    top_cap = 0
-    for k in range(k_min, k_max + 1):
-        cap_k = cap if cap is not None else 2 * k + 6
-        top_cap = max(top_cap, cap_k)
-        cells += [(k, l) for l in range(2 * k - 2, cap_k + 1)]
+    cells, top_cap = _detached_top_cells(k_min, k_max, cap)
     per = _per_cell_budget(budget, len(cells))
-    results = _run_cells(_dense_prefix_cell, [(k, l, per) for k, l in cells], jobs)
+    results = _run_cells([(_dense_prefix_cell, (k, l, per)) for k, l in cells], jobs)
     counterexamples: list[str] = []
     observations: list[str] = []
     missing: list[str] = []
@@ -697,9 +793,14 @@ def classify_extremal(k: int, l: int, *, budget: int = DEFAULT_BUDGET) -> tuple[
     query = EnumerationQuery.exact(k, l, ("gcd_one",), budget=budget)
     bound = 3 * k - 7
     out = []
-    for tup in enumerate_tuples(query):
-        if restricted_size(tup) == bound:
-            out.append(NormalizedSet(IntegerSet._from_trusted(tup, mask_of(tup))))
+
+    def leaf(mask: int, n: int) -> None:
+        if n == bound:
+            out.append(NormalizedSet(IntegerSet._from_trusted(elements_of(mask), mask)))
+
+    nodes, _sets, truncated = _walk_span(query, bound, leaf)
+    if truncated:
+        raise BudgetExceeded(nodes)
     return tuple(out)
 
 
@@ -708,24 +809,20 @@ def _classification_cell(args: tuple) -> dict:
     l = 2 * k - 3
     query = EnumerationQuery.exact(k, l, ("gcd_one",), budget=per_budget)
     bound = 3 * k - 7
-    counter = [0]
-    n_sets = 0
     extremal: list[str] = []
     bad: list[str] = []
-    truncated = False
-    try:
-        for tup in enumerate_tuples(query, counter=counter):
-            n_sets += 1
-            n = restricted_size(tup)
-            if n < bound:
-                bad.append(f"{_literal(tup)}: restricted size {n} < {bound}")
-            elif n == bound:
-                extremal.append(_literal(tup))
-    except BudgetExceeded:
-        truncated = True
+
+    def leaf(mask: int, n: int) -> None:
+        lit = _literal(elements_of(mask))
+        if n < bound:
+            bad.append(f"{lit}: restricted size {n} < {bound}")
+        else:
+            extremal.append(lit)
+
+    nodes, n_sets, truncated = _walk_span(query, bound, leaf)
     return {
         "k": k,
-        "nodes": counter[0],
+        "nodes": nodes,
         "sets": n_sets,
         "extremal": extremal,
         "bad": bad,
@@ -756,7 +853,7 @@ def verify_span_classification(
         )
     cells = [(k,) for k in range(k_min, k_max + 1)]
     per = _per_cell_budget(budget, len(cells))
-    results = _run_cells(_classification_cell, [(k, per) for (k,) in cells], jobs)
+    results = _run_cells([(_classification_cell, (k, per)) for (k,) in cells], jobs)
     counterexamples: list[str] = []
     observations: list[str] = []
     missing: list[str] = []
@@ -980,39 +1077,28 @@ def sweep_structure(
     span exactly 2k-3.
     """
     t0 = time.monotonic()
-    if not 3 <= k_min <= k_max:
-        raise SetDomainError(f"need 3 <= k_min <= k_max, got [{k_min}, {k_max}]")
-    dense_cells = []
-    top_cap = 0
-    for k in range(k_min, k_max + 1):
-        cap_k = cap if cap is not None else 2 * k + 6
-        top_cap = max(top_cap, cap_k)
-        dense_cells += [(k, l) for l in range(2 * k - 2, cap_k + 1)]
+    dense_cells, top_cap = _detached_top_cells(k_min, k_max, cap)
     witness_cells = []
     for k in range(max(8, k_min), k_max + 1):
         witness_cells += [(k, l) for l in range(k - 1, 2 * k - 2)]
-    n_cells = len(dense_cells) + len(witness_cells)
-    per = _per_cell_budget(budget, n_cells)
-    dense_results = _run_cells(_structure_cell, [(k, l, per) for k, l in dense_cells], jobs)
-    witness_results = _run_cells(_witness_cell, [(k, l, per) for k, l in witness_cells], jobs)
+    per = _per_cell_budget(budget, len(dense_cells) + len(witness_cells))
+    results = _run_cells(
+        [(_structure_cell, (k, l, per)) for k, l in dense_cells]
+        + [(_witness_cell, (k, l, per)) for k, l in witness_cells],
+        jobs,
+    )
     counterexamples: list[str] = []
     observations: list[str] = []
     n_sets = n_nodes = n_extremal = n_pairs = 0
     truncated = False
-    for r in dense_results:
+    for r in results:
         n_sets += r["sets"]
         n_nodes += r["nodes"]
         n_extremal += r["extremal"]
+        n_pairs += r.get("pairs", 0)
         truncated |= r["truncated"]
         counterexamples += [f"k={r['k']} l={r['l']}: {b}" for b in r["bad"]]
-    for r in witness_results:
-        n_sets += r["sets"]
-        n_nodes += r["nodes"]
-        n_extremal += r["extremal"]
-        n_pairs += r["pairs"]
-        truncated |= r["truncated"]
-        counterexamples += [f"k={r['k']} l={r['l']}: {b}" for b in r["bad"]]
-        observations += r["notes"]
+        observations += r.get("notes", [])
     query = {
         "k_min": k_min,
         "k_max": k_max,

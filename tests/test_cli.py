@@ -269,6 +269,20 @@ def test_certify_budget_exhausted_exit_2(capsys):
     assert json.loads(out)["outcome"] == "budget_exhausted"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--theorem", "1", "--k-max", "6", "--cap", "3"),
+    ("--theorem", "2", "--k-max", "6", "--cap", "3"),
+    ("--theorem", "lemmas", "--k-max", "6", "--cap", "1"),
+    ("--theorem", "3", "--k-max", "5", "--jobs", "-3"),
+])
+def test_certify_refuses_empty_box_and_bad_jobs_exit_3(capsys, argv):
+    # a box with no cell for some k would certify nothing
+    code, out, err = run(capsys, "certify", *argv)
+    assert code == 3
+    assert out == ""
+    assert "error" in err
+
+
 # ---------------------------------------------------------------------------
 # config file
 

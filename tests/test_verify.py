@@ -236,6 +236,16 @@ def test_verify_conjecture_frozen():
     assert all("k=7" in o for o in cert.observations)
 
 
+def test_verify_conjecture_k10_frozen():
+    # counts from the plain enumerator, before subtree counting replaced it
+    cert = verify_conjecture(10, 24)
+    assert cert.outcome == "verified"
+    assert cert.counts == {
+        "enumerated": 2574850, "extremal": 3227, "nodes": 6429671, "truncated": False,
+    }
+    assert len(cert.observations) == 20
+
+
 def test_verify_conjecture_validation():
     with pytest.raises(SetDomainError):
         verify_conjecture(2)
