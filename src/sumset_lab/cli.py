@@ -390,18 +390,18 @@ def _cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
     budget = _setting(args, cfg, "budget", DEFAULT_BUDGET)
     jobs = _setting(args, cfg, "jobs", 1)
     cap = _setting(args, cfg, "cap", None)
-    k_max = args.k_max
+    k_max, k_min = args.k_max, args.k_min
     kw = {"budget": budget, "jobs": jobs}
     if args.theorem == "conjecture":
+        if k_min is not None:
+            raise SetDomainError("the conjecture sweep always starts at k=3; drop --k-min")
         cert = verify_conjecture(k_max, cap, **kw)
-    elif args.theorem == "1":
-        cert = verify_low_second_max(k_max, args.k_min or 3, cap=cap, **kw)
-    elif args.theorem == "2":
-        cert = verify_dense_prefix(k_max, args.k_min or 3, cap=cap, **kw)
     elif args.theorem == "3":
-        cert = verify_span_classification(k_max, args.k_min or 4, **kw)
+        cert = verify_span_classification(k_max, 4 if k_min is None else k_min, **kw)
     else:
-        cert = sweep_structure(k_max, args.k_min or 3, cap=cap, **kw)
+        driver = {"1": verify_low_second_max, "2": verify_dense_prefix,
+                  "lemmas": sweep_structure}[args.theorem]
+        cert = driver(k_max, 3 if k_min is None else k_min, cap=cap, **kw)
     text = cert.to_json()
     out = args.out
     if out is not None:

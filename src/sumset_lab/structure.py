@@ -21,6 +21,7 @@ grid plus geometric orbits, reconstructed here explicitly.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,8 +107,12 @@ class ExceptionalProfile:
     c_values: IntegerSet
 
 
+@functools.lru_cache(maxsize=1)
 def _context(a: NormalizedSet) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
-    """(k, head elements, restricted mask of head, exceptional values)."""
+    """(k, head elements, restricted mask of head, exceptional values).
+
+    Cached for the last set: the checkers run on one set in turn, and
+    sets compare by mask."""
     require_dense_prefix(a)
     k = a.k
     head = a.elements[:-1]

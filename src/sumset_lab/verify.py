@@ -1,26 +1,33 @@
 """Exhaustive desk-scale verification with machine-readable certificates.
 
-The enumerator streams every normalized set matching a query, in
-lexicographic order of element lists, skipping only values that no
-matching set can hold (ascending room toward the span, growth caps,
-membership masks).  Budget accounting counts every candidate value
-placement; exceeding the budget raises :class:`BudgetExceeded`, never a
-silent partial result.
+:func:`enumerate_tuples` is the public streaming API: it yields every
+normalized set matching a query (span range, named constraints, an
+optional membership mask, an optional fixed prefix) in lexicographic
+order of element lists, skipping only values that no matching set can
+hold.  Budget accounting counts every candidate value placement;
+exceeding the budget raises :class:`BudgetExceeded`, never a silent
+partial result.
 
-The floor checks (the conjecture sweep, theorems 2 and 3, and
-:func:`classify_extremal`) walk their exact-span cells with a private
-walker that counts the same nodes in the same order.  It places the top
-first and carries the restricted sumset of the prefix down the search,
-so placing a value costs one shift-or.  Adding an element never shrinks
-the restricted sumset, so once a prefix's restricted sumset exceeds the
-largest size a check reports, no set below it is a finding: the walker
-adds that subtree's node count and gcd-1 set count from a memo instead
-of visiting it.  The counts are exact, so certificates match plain
-enumeration byte for byte.  A subtree whose nodes would pass the budget
-is descended, not counted, so a truncated walk stops at the same node
-as the enumerator, with the same partial counts and findings.
+Every certificate driver splits its box into exact-span cells (k, l)
+and walks each cell with one private walker that counts the same nodes
+in the same order as the enumerator.  It places the top first and
+carries the restricted sumset of the prefix down the search, so placing
+a value costs one shift-or and a set's restricted size is one popcount.
+Each cell passes the largest restricted size it reports.  Adding an
+element never shrinks the restricted sumset, so once a prefix's
+restricted sumset exceeds that bound, no set below it is a finding: the
+walker adds that subtree's node count and gcd-1 set count from a memo
+instead of visiting it.  The floor checks prune this way; the cells that
+check every set pass 2l, which no restricted sumset inside [0, l]
+reaches.  The counts are exact, so certificates match plain enumeration
+byte for byte.  A subtree whose nodes would pass the budget is
+descended, not counted, so a truncated walk stops at the same node as
+the enumerator, with the same partial counts and findings.
 
-On top of the enumerator sit five certificate drivers:
+One driver path splits a sweep's budget evenly among its cells, walks
+them in task order (in a process pool when ``jobs > 1``) and sums their
+node, set and truncation counts.  On top of it sit five certificate
+drivers, each adding only its own merge:
 
 * :func:`verify_conjecture` — the conjectured restricted-sumset floor,
   swept over all small sets; sub-threshold cardinalities (k <= 7) are
@@ -60,7 +67,6 @@ from .core import (
     double_mask,
     elements_of,
     mask_of,
-    restricted_size,
 )
 from .bounds import freiman_lev_bound
 from .structure import (
@@ -114,6 +120,9 @@ KNOWN_CONSTRAINTS = (
     "last_eq_2k_minus_3",
     "interior_lt_2k_minus_4",
 )
+
+_LOW_SECOND = ("gcd_one", "interior_lt_2k_minus_4", "last_ge_2k_minus_2")
+_DENSE = ("gcd_one", "growth_a_i_lt_2i", "last_ge_2k_minus_2")
 
 
 class BudgetExceeded(RuntimeError):
@@ -294,13 +303,16 @@ def shard_prefixes(query: EnumerationQuery, depth: int) -> tuple[tuple[int, ...]
 
 def _walk_span(
     query: EnumerationQuery, bound: int, on_leaf: Callable[[int, int], None]
-) -> tuple[int, int, bool]:
+) -> dict:
     """Walk an exact-span, mask-free query node for node like
     :func:`enumerate_tuples`, calling ``on_leaf(mask, n)`` in stream order
     for each streamed set whose restricted sumset has n <= bound members.
+    Every restricted sum lies in [1, 2l-1], so a bound of 2l calls
+    ``on_leaf`` on every streamed set.
 
-    Returns (nodes, sets, truncated); on truncation the counts are those
-    of the enumerator when it raises :class:`BudgetExceeded`.
+    Returns the cell dict skeleton: k, l, nodes, sets, truncated; on
+    truncation the counts are those of the enumerator when it raises
+    :class:`BudgetExceeded`.
     """
     k, l = query.k, query.l_max
     l_lo, l_hi, cap = _effective_bounds(query)
@@ -361,13 +373,18 @@ def _walk_span(
 
     try:
         walk(1, 0, l, 1 | 1 << l, 1 << l)
+        truncated = False
     except BudgetExceeded:
-        return nodes, sets, True
-    return nodes, sets, False
+        truncated = True
+    return {"k": k, "l": l, "nodes": nodes, "sets": sets, "truncated": truncated}
 
 
 def _literal(tup: Sequence[int]) -> str:
     return "{%s}" % ",".join(str(v) for v in tup)
+
+
+def _normalized(tup: tuple[int, ...], mask: int) -> NormalizedSet:
+    return NormalizedSet(IntegerSet._from_trusted(tup, mask))
 
 
 @dataclass
@@ -422,21 +439,20 @@ def _finalize(
     query: dict,
     cap: Optional[int],
     counts: dict,
-    counterexamples: list[str],
-    observations: list[str],
-    missing: list[str],
-    spurious: list[str],
-    extremal_sets: list[str],
-    truncated: bool,
     t0: float,
+    *,
+    counterexamples: Sequence[str] = (),
+    observations: Sequence[str] = (),
+    missing: Sequence[str] = (),
+    spurious: Sequence[str] = (),
+    extremal_sets: Sequence[str] = (),
 ) -> Certificate:
     if counterexamples:
         outcome = "refuted"
-    elif truncated:
+    elif counts["truncated"]:
         outcome = "budget_exhausted"
     else:
         outcome = "verified"
-    counts["truncated"] = truncated
     return Certificate(
         claim=claim,
         query=query,
@@ -457,21 +473,32 @@ def _run_cell(task: tuple[Callable[[tuple], dict], tuple]) -> dict:
     return worker(cell)
 
 
-def _run_cells(tasks: list[tuple[Callable[[tuple], dict], tuple]], jobs: int) -> list[dict]:
-    """Results of (cell function, cell) tasks in task order, from a pool of
-    ``jobs`` workers when jobs > 1.  Tasks go out one at a time: a cell's
-    cost grows steeply with k, so batches of neighbouring cells would
-    leave one worker with all the heavy ones."""
+def _sweep(
+    tasks: list[tuple[Callable[[tuple], dict], int, int]], budget: int, jobs: int
+) -> tuple[list[dict], dict]:
+    """Walk (cell function, k, l) tasks, the budget split evenly among
+    them, and return the cell dicts in task order with their summed
+    counts: enumerated, nodes, truncated.
+
+    With jobs > 1 the cells run in a pool of ``jobs`` workers, sent one
+    at a time: a cell's cost grows steeply with k, so batches of
+    neighbouring cells would leave one worker with all the heavy ones.
+    """
     if jobs < 1:
         raise SetDomainError(f"jobs must be at least 1, got {jobs}")
-    if jobs > 1 and len(tasks) > 1:
+    per = max(1, budget // max(1, len(tasks)))
+    cells = [(fn, (k, l, per)) for fn, k, l in tasks]
+    if jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_cell, tasks, chunksize=1))
-    return [_run_cell(t) for t in tasks]
-
-
-def _per_cell_budget(budget: int, n_cells: int) -> int:
-    return max(1, budget // max(1, n_cells))
+            results = list(pool.map(_run_cell, cells, chunksize=1))
+    else:
+        results = [_run_cell(c) for c in cells]
+    counts = {
+        "enumerated": sum(r["sets"] for r in results),
+        "nodes": sum(r["nodes"] for r in results),
+        "truncated": any(r["truncated"] for r in results),
+    }
+    return results, counts
 
 
 def _detached_top_cells(
@@ -512,17 +539,8 @@ def _conjecture_cell(args: tuple) -> dict:
         else:
             tight += 1
 
-    nodes, n_sets, truncated = _walk_span(query, bound, leaf)
-    return {
-        "k": k,
-        "l": l,
-        "bound": bound,
-        "nodes": nodes,
-        "sets": n_sets,
-        "tight": tight,
-        "bad": bad,
-        "truncated": truncated,
-    }
+    cell = _walk_span(query, bound, leaf)
+    return {**cell, "bound": bound, "tight": tight, "bad": bad}
 
 
 def verify_conjecture(
@@ -547,18 +565,13 @@ def verify_conjecture(
         raise SetDomainError(
             f"conjecture sweep needs l_max >= 2*k_max-4 = {2 * k_max - 4}, got {l_max}"
         )
-    cells = [(k, l) for k in range(3, k_max + 1) for l in range(k - 1, l_max + 1)]
-    per = _per_cell_budget(budget, len(cells))
-    results = _run_cells([(_conjecture_cell, (k, l, per)) for k, l in cells], jobs)
+    results, counts = _sweep(
+        [(_conjecture_cell, k, l) for k in range(3, k_max + 1) for l in range(k - 1, l_max + 1)],
+        budget, jobs,
+    )
     counterexamples: list[str] = []
     observations: list[str] = []
-    n_sets = n_tight = n_nodes = 0
-    truncated = False
     for r in results:
-        n_sets += r["sets"]
-        n_tight += r["tight"]
-        n_nodes += r["nodes"]
-        truncated |= r["truncated"]
         for lit, n in r["bad"]:
             if r["k"] >= 8:
                 counterexamples.append(lit)
@@ -574,10 +587,10 @@ def verify_conjecture(
         "constraints": ["gcd_one"],
         "budget": budget,
     }
-    counts = {"enumerated": n_sets, "extremal": n_tight, "nodes": n_nodes}
+    counts["extremal"] = sum(r["tight"] for r in results)
     return _finalize(
-        "freiman_lev_bound", query, l_max, counts,
-        counterexamples, observations, [], [], [], truncated, t0,
+        "freiman_lev_bound", query, l_max, counts, t0,
+        counterexamples=counterexamples, observations=observations,
     )
 
 
@@ -587,43 +600,29 @@ def verify_conjecture(
 
 def _low_second_cell(args: tuple) -> dict:
     k, l, per_budget = args
-    query = EnumerationQuery.exact(
-        k, l, ("gcd_one", "interior_lt_2k_minus_4", "last_ge_2k_minus_2"),
-        budget=per_budget,
-    )
+    query = EnumerationQuery.exact(k, l, _LOW_SECOND, budget=per_budget)
     bound = 3 * k - 7
-    counter = [0]
-    n_sets = tight = splits = 0
+    tight = splits = 0
     bad: list[str] = []
-    truncated = False
-    try:
-        for tup in enumerate_tuples(query, counter=counter):
-            n_sets += 1
-            n = restricted_size(tup)
-            if n < bound:
-                bad.append(f"{_literal(tup)}: restricted size {n} < {bound}")
-            elif n == bound:
-                tight += 1
-            ns = NormalizedSet(IntegerSet._from_trusted(tup, mask_of(tup)))
-            s = find_admissible_split(ns)
-            if s is not None:
-                splits += 1
-                try:
-                    split_at(ns, s)
-                except RuntimeError as exc:
-                    bad.append(f"{_literal(tup)}: {exc}")
-    except BudgetExceeded:
-        truncated = True
-    return {
-        "k": k,
-        "l": l,
-        "nodes": counter[0],
-        "sets": n_sets,
-        "tight": tight,
-        "splits": splits,
-        "bad": bad,
-        "truncated": truncated,
-    }
+
+    def leaf(mask: int, n: int) -> None:
+        nonlocal tight, splits
+        tup = elements_of(mask)
+        if n < bound:
+            bad.append(f"{_literal(tup)}: restricted size {n} < {bound}")
+        elif n == bound:
+            tight += 1
+        ns = _normalized(tup, mask)
+        s = find_admissible_split(ns)
+        if s is not None:
+            splits += 1
+            try:
+                split_at(ns, s)
+            except RuntimeError as exc:
+                bad.append(f"{_literal(tup)}: {exc}")
+
+    cell = _walk_span(query, 2 * l, leaf)
+    return {**cell, "tight": tight, "splits": splits, "bad": bad}
 
 
 def verify_low_second_max(
@@ -640,35 +639,20 @@ def verify_low_second_max(
     set admitting a split position."""
     t0 = time.monotonic()
     cells, top_cap = _detached_top_cells(k_min, k_max, cap)
-    per = _per_cell_budget(budget, len(cells))
-    results = _run_cells([(_low_second_cell, (k, l, per)) for k, l in cells], jobs)
-    counterexamples: list[str] = []
-    n_sets = n_tight = n_nodes = n_splits = 0
-    truncated = False
-    for r in results:
-        n_sets += r["sets"]
-        n_tight += r["tight"]
-        n_nodes += r["nodes"]
-        n_splits += r["splits"]
-        truncated |= r["truncated"]
-        counterexamples += r["bad"]
+    results, counts = _sweep([(_low_second_cell, k, l) for k, l in cells], budget, jobs)
     query = {
         "k_min": k_min,
         "k_max": k_max,
         "l_min_rule": "2k-2",
         "cap": cap,
-        "constraints": ["gcd_one", "interior_lt_2k_minus_4", "last_ge_2k_minus_2"],
+        "constraints": list(_LOW_SECOND),
         "budget": budget,
     }
-    counts = {
-        "enumerated": n_sets,
-        "extremal": n_tight,
-        "nodes": n_nodes,
-        "splits_validated": n_splits,
-    }
+    counts["extremal"] = sum(r["tight"] for r in results)
+    counts["splits_validated"] = sum(r["splits"] for r in results)
     return _finalize(
-        "low_second_max_floor", query, top_cap, counts,
-        counterexamples, [], [], [], [], truncated, t0,
+        "low_second_max_floor", query, top_cap, counts, t0,
+        counterexamples=[b for r in results for b in r["bad"]],
     )
 
 
@@ -678,10 +662,7 @@ def verify_low_second_max(
 
 def _dense_prefix_cell(args: tuple) -> dict:
     k, l, per_budget = args
-    query = EnumerationQuery.exact(
-        k, l, ("gcd_one", "growth_a_i_lt_2i", "last_ge_2k_minus_2"),
-        budget=per_budget,
-    )
+    query = EnumerationQuery.exact(k, l, _DENSE, budget=per_budget)
     bound = 3 * k - 7
     equality: list[str] = []
     shape_failures: list[str] = []
@@ -694,20 +675,11 @@ def _dense_prefix_cell(args: tuple) -> dict:
             bad.append(f"{lit}: restricted size {n} < {bound}")
         else:
             equality.append(lit)
-            if not dense_extremal_shape(NormalizedSet(IntegerSet._from_trusted(tup, mask))):
+            if not dense_extremal_shape(_normalized(tup, mask)):
                 shape_failures.append(lit)
 
-    nodes, n_sets, truncated = _walk_span(query, bound, leaf)
-    return {
-        "k": k,
-        "l": l,
-        "nodes": nodes,
-        "sets": n_sets,
-        "equality": equality,
-        "shape_failures": shape_failures,
-        "bad": bad,
-        "truncated": truncated,
-    }
+    cell = _walk_span(query, bound, leaf)
+    return {**cell, "equality": equality, "shape_failures": shape_failures, "bad": bad}
 
 
 def verify_dense_prefix(
@@ -729,20 +701,14 @@ def verify_dense_prefix(
     """
     t0 = time.monotonic()
     cells, top_cap = _detached_top_cells(k_min, k_max, cap)
-    per = _per_cell_budget(budget, len(cells))
-    results = _run_cells([(_dense_prefix_cell, (k, l, per)) for k, l in cells], jobs)
+    results, counts = _sweep([(_dense_prefix_cell, k, l) for k, l in cells], budget, jobs)
     counterexamples: list[str] = []
     observations: list[str] = []
     missing: list[str] = []
     spurious: list[str] = []
     extremal: list[str] = []
-    n_sets = n_nodes = 0
-    truncated = False
     by_k: dict[int, list[tuple[int, str]]] = {}
     for r in results:
-        n_sets += r["sets"]
-        n_nodes += r["nodes"]
-        truncated |= r["truncated"]
         counterexamples += r["bad"]
         for lit in r["shape_failures"]:
             counterexamples.append(f"{lit}: equality without the rigid shape")
@@ -760,7 +726,7 @@ def verify_dense_prefix(
         # absence of an expected set only refutes on a complete sweep
         for lit in sorted(expected - found):
             spurious.append(lit)
-            if not truncated:
+            if not counts["truncated"]:
                 counterexamples.append(f"{lit}: expected equality set not found at k={k}")
         if found:
             tops = sorted({l for l, _lit in by_k[k]})
@@ -771,13 +737,14 @@ def verify_dense_prefix(
         "k_max": k_max,
         "l_min_rule": "2k-2",
         "cap": cap,
-        "constraints": ["gcd_one", "growth_a_i_lt_2i", "last_ge_2k_minus_2"],
+        "constraints": list(_DENSE),
         "budget": budget,
     }
-    counts = {"enumerated": n_sets, "extremal": len(extremal), "nodes": n_nodes}
+    counts["extremal"] = len(extremal)
     return _finalize(
-        "dense_prefix_equality", query, top_cap, counts,
-        counterexamples, observations, missing, spurious, extremal, truncated, t0,
+        "dense_prefix_equality", query, top_cap, counts, t0,
+        counterexamples=counterexamples, observations=observations,
+        missing=missing, spurious=spurious, extremal_sets=extremal,
     )
 
 
@@ -796,17 +763,16 @@ def classify_extremal(k: int, l: int, *, budget: int = DEFAULT_BUDGET) -> tuple[
 
     def leaf(mask: int, n: int) -> None:
         if n == bound:
-            out.append(NormalizedSet(IntegerSet._from_trusted(elements_of(mask), mask)))
+            out.append(_normalized(elements_of(mask), mask))
 
-    nodes, _sets, truncated = _walk_span(query, bound, leaf)
-    if truncated:
-        raise BudgetExceeded(nodes)
+    cell = _walk_span(query, bound, leaf)
+    if cell["truncated"]:
+        raise BudgetExceeded(cell["nodes"])
     return tuple(out)
 
 
 def _classification_cell(args: tuple) -> dict:
-    k, per_budget = args
-    l = 2 * k - 3
+    k, l, per_budget = args
     query = EnumerationQuery.exact(k, l, ("gcd_one",), budget=per_budget)
     bound = 3 * k - 7
     extremal: list[str] = []
@@ -819,15 +785,8 @@ def _classification_cell(args: tuple) -> dict:
         else:
             extremal.append(lit)
 
-    nodes, n_sets, truncated = _walk_span(query, bound, leaf)
-    return {
-        "k": k,
-        "nodes": nodes,
-        "sets": n_sets,
-        "extremal": extremal,
-        "bad": bad,
-        "truncated": truncated,
-    }
+    cell = _walk_span(query, bound, leaf)
+    return {**cell, "extremal": extremal, "bad": bad}
 
 
 def verify_span_classification(
@@ -851,26 +810,18 @@ def verify_span_classification(
         raise SetDomainError(
             f"span classification sweeps 4 <= k_min <= k_max <= 12, got [{k_min}, {k_max}]"
         )
-    cells = [(k,) for k in range(k_min, k_max + 1)]
-    per = _per_cell_budget(budget, len(cells))
-    results = _run_cells([(_classification_cell, (k, per)) for (k,) in cells], jobs)
+    results, counts = _sweep(
+        [(_classification_cell, k, 2 * k - 3) for k in range(k_min, k_max + 1)], budget, jobs
+    )
     counterexamples: list[str] = []
     observations: list[str] = []
     missing: list[str] = []
     spurious: list[str] = []
-    extremal_all: list[str] = []
-    n_sets = n_nodes = n_extremal = 0
-    truncated = False
     flagged = flagged_sporadics()
     for r in results:
         k = r["k"]
-        n_sets += r["sets"]
-        n_nodes += r["nodes"]
-        truncated |= r["truncated"]
         counterexamples += r["bad"]
         found = set(r["extremal"])
-        n_extremal += len(found)
-        extremal_all += r["extremal"]
         expected = {_literal(s.elements) for s in extremal_catalog(k)}
         miss = found - expected
         spur = expected - found
@@ -896,7 +847,7 @@ def verify_span_classification(
             spurious.append(lit)
             if not r["truncated"]:
                 counterexamples.append(f"{lit}: cataloged at k={k} but not extremal")
-    if flagged and not truncated and not any(
+    if flagged and not counts["truncated"] and not any(
         "flagged catalog entry" in o for o in observations
     ):
         for f in flagged:
@@ -911,11 +862,12 @@ def verify_span_classification(
         "constraints": ["gcd_one"],
         "budget": budget,
     }
-    counts = {"enumerated": n_sets, "extremal": n_extremal, "nodes": n_nodes}
+    extremal = [lit for r in results for lit in r["extremal"]]
+    counts["extremal"] = len(extremal)
     return _finalize(
-        "classification_matches_families", query, None, counts,
-        counterexamples, observations, missing, spurious,
-        sorted(extremal_all), truncated, t0,
+        "classification_matches_families", query, None, counts, t0,
+        counterexamples=counterexamples, observations=observations,
+        missing=missing, spurious=spurious, extremal_sets=extremal,
     )
 
 
@@ -925,138 +877,111 @@ def verify_span_classification(
 
 def _structure_cell(args: tuple) -> dict:
     k, l, per_budget = args
-    query = EnumerationQuery.exact(
-        k, l, ("gcd_one", "growth_a_i_lt_2i", "last_ge_2k_minus_2"),
-        budget=per_budget,
-    )
-    counter = [0]
-    n_sets = n_extremal = 0
+    query = EnumerationQuery.exact(k, l, _DENSE, budget=per_budget)
+    candidates = top_gap_candidates(k)
+    window = (1 << (2 * k - 3)) - 1
+    extremal = 0
     bad: list[str] = []
-    truncated = False
-    candidates = {c.name: c for c in top_gap_candidates(k)}
-    try:
-        for tup in enumerate_tuples(query, counter=counter):
-            n_sets += 1
+
+    def leaf(mask: int, n: int) -> None:
+        nonlocal extremal
+        if n == 3 * k - 7:
+            extremal += 1
+        tup = elements_of(mask)
+        head = tup[:-1]
+        ns = _normalized(tup, mask)
+        fails: list[str] = []
+        if double_mask(mask ^ 1 << l, head) & window != window:
+            fails.append("head sumset misses part of [0, 2k-4]")
+        fails += check_exceptional_points(ns)
+        if not exceptional_growth_ok(ns):
+            fails.append("exceptional values grow too slowly")
+        prof = exceptional_profile(ns)
+        for b in prof.b_values:
+            if b < k - 2:
+                for u in range(1, b + 1):
+                    if tail_pair_counts_ok(ns, b, u) is False:
+                        fails.append(f"tail pair counts fail at b={b}, u={u}")
+        if prof.m >= 2:
+            gp = gap_patterns(ns)
+            consec_exc = matches_consecutive_exception(ns)
+            diff3_case = diff3_exception_case(ns)
+            if gp.has_consecutive and not consec_exc:
+                fails.append("consecutive missing pair without the low shape")
+            if gp.has_diff2:
+                fails.append("distance-2 missing pair")
+            if gp.has_diff3 and diff3_case is None:
+                fails.append("distance-3 missing pair without a mod-3 shape")
+            if not consec_exc and diff3_case is None:
+                top_b = prof.b_values.elements[-2]
+                if len(prof.d_values) < offset_count_bound(top_b):
+                    fails.append(
+                        f"covered offsets {len(prof.d_values)} below the floor for b={top_b}"
+                    )
+            gap, case = top_gap_structure(ns)
+            if gap and case == "none":
+                fails.append("double gap above the window without a rigid shape")
+            if prof.m == 2:
+                b_pair = tuple(prof.b_values.elements)
+                for cand in candidates:
+                    if head == cand.head and b_pair == cand.b_values and not gap:
+                        fails.append(f"rigid shape {cand.name} without the double gap")
+        if fails:
             lit = _literal(tup)
-            ns = NormalizedSet(IntegerSet._from_trusted(tup, mask_of(tup)))
-            if restricted_size(tup) == 3 * k - 7:
-                n_extremal += 1
-            head = tup[:-1]
-            cover = double_mask(mask_of(head), head)
-            window = (1 << (2 * k - 3)) - 1
-            if cover & window != window:
-                bad.append(f"{lit}: head sumset misses part of [0, 2k-4]")
-            for msg in check_exceptional_points(ns):
-                bad.append(f"{lit}: {msg}")
-            if not exceptional_growth_ok(ns):
-                bad.append(f"{lit}: exceptional values grow too slowly")
-            prof = exceptional_profile(ns)
-            for b in prof.b_values:
-                if b < k - 2:
-                    for u in range(1, b + 1):
-                        if tail_pair_counts_ok(ns, b, u) is False:
-                            bad.append(f"{lit}: tail pair counts fail at b={b}, u={u}")
-            if prof.m >= 2:
-                gp = gap_patterns(ns)
-                consec_exc = matches_consecutive_exception(ns)
-                diff3_case = diff3_exception_case(ns)
-                if gp.has_consecutive and not consec_exc:
-                    bad.append(f"{lit}: consecutive missing pair without the low shape")
-                if gp.has_diff2:
-                    bad.append(f"{lit}: distance-2 missing pair")
-                if gp.has_diff3 and diff3_case is None:
-                    bad.append(f"{lit}: distance-3 missing pair without a mod-3 shape")
-                if not consec_exc and diff3_case is None:
-                    top_b = prof.b_values.elements[-2]
-                    if len(prof.d_values) < offset_count_bound(top_b):
-                        bad.append(
-                            f"{lit}: covered offsets {len(prof.d_values)} below "
-                            f"the floor for b={top_b}"
-                        )
-                gap, case = top_gap_structure(ns)
-                if gap and case == "none":
-                    bad.append(f"{lit}: double gap above the window without a rigid shape")
-                if prof.m == 2:
-                    b_pair = tuple(prof.b_values.elements)
-                    for cand in candidates.values():
-                        if head == cand.head and b_pair == cand.b_values and not gap:
-                            bad.append(
-                                f"{lit}: rigid shape {cand.name} without the double gap"
-                            )
-    except BudgetExceeded:
-        truncated = True
-    return {
-        "k": k,
-        "l": l,
-        "nodes": counter[0],
-        "sets": n_sets,
-        "extremal": n_extremal,
-        "bad": bad,
-        "truncated": truncated,
-    }
+            bad.extend(f"{lit}: {msg}" for msg in fails)
+
+    cell = _walk_span(query, 2 * l, leaf)
+    return {**cell, "extremal": extremal, "bad": bad}
 
 
 def _witness_cell(args: tuple) -> dict:
     k, l, per_budget = args
     query = EnumerationQuery.exact(k, l, ("gcd_one",), budget=per_budget)
-    counter = [0]
-    n_sets = n_extremal = n_pairs = 0
+    extremal = pairs = 0
     bad: list[str] = []
     notes: list[str] = []
-    truncated = False
-    at_top = l == 2 * k - 3
-    try:
-        for tup in enumerate_tuples(query, counter=counter):
-            n_sets += 1
-            ns = NormalizedSet(IntegerSet._from_trusted(tup, mask_of(tup)))
-            wp = witness_profile(ns)
-            lit = _literal(tup)
-            if len(wp.values) > 2:
+
+    def leaf(mask: int, n: int) -> None:
+        nonlocal extremal, pairs
+        tup = elements_of(mask)
+        ns = _normalized(tup, mask)
+        wp = witness_profile(ns)
+        if len(wp.values) > 2:
+            bad.append(
+                f"{_literal(tup)}: {len(wp.values)} witnesses {_literal(wp.values.elements)}"
+            )
+            return
+        if wp.w1 is None:
+            return
+        pairs += 1
+        if n == 3 * k - 7:
+            extremal += 1
+        try:
+            dec = decompose(ns, wp.w1, wp.w2)
+        except SetDomainError as exc:
+            notes.append(f"k={k} l={l}: {_literal(tup)} not decomposed ({exc})")
+            return
+        if not dec.reconstructed:
+            bad.append(f"{_literal(tup)}: decomposition does not rebuild the set")
+        if l == 2 * k - 3:
+            m = dec.modulus
+            u_set = set(dec.residues.elements)
+            if len(u_set) != (m - 1) // 2:
                 bad.append(
-                    f"{lit}: {len(wp.values)} witnesses {_literal(wp.values.elements)}"
+                    f"{_literal(tup)}: residue count {len(u_set)} != (m-1)/2 for m={m}"
                 )
-                continue
-            if wp.w1 is None:
-                continue
-            n_pairs += 1
-            if restricted_size(tup) == 3 * k - 7:
-                n_extremal += 1
-            try:
-                dec = decompose(ns, wp.w1, wp.w2)
-            except SetDomainError as exc:
-                notes.append(f"k={k} l={l}: {lit} not decomposed ({exc})")
-                continue
-            if not dec.reconstructed:
-                bad.append(f"{lit}: decomposition does not rebuild the set")
-            if at_top:
-                m = dec.modulus
-                u_set = set(dec.residues.elements)
-                if len(u_set) != (m - 1) // 2:
-                    bad.append(
-                        f"{lit}: residue count {len(u_set)} != (m-1)/2 for m={m}"
-                    )
-                w2 = wp.w2
-                for u1 in range(m):
-                    for u2 in range(u1 + 1, m):
-                        if (u1 + u2 - w2) % m == 0:
-                            if (u1 in u_set) + (u2 in u_set) != 1:
-                                bad.append(
-                                    f"{lit}: residue pair ({u1},{u2}) not split by "
-                                    f"the half-grid"
-                                )
-    except BudgetExceeded:
-        truncated = True
-    return {
-        "k": k,
-        "l": l,
-        "nodes": counter[0],
-        "sets": n_sets,
-        "extremal": n_extremal,
-        "pairs": n_pairs,
-        "bad": bad,
-        "notes": notes,
-        "truncated": truncated,
-    }
+            w2 = wp.w2
+            for u1 in range(m):
+                for u2 in range(u1 + 1, m):
+                    if (u1 + u2 - w2) % m == 0:
+                        if (u1 in u_set) + (u2 in u_set) != 1:
+                            bad.append(
+                                f"{_literal(tup)}: residue pair ({u1},{u2}) not split "
+                                f"by the half-grid"
+                            )
+
+    cell = _walk_span(query, 2 * l, leaf)
+    return {**cell, "extremal": extremal, "pairs": pairs, "bad": bad, "notes": notes}
 
 
 def sweep_structure(
@@ -1078,27 +1003,12 @@ def sweep_structure(
     """
     t0 = time.monotonic()
     dense_cells, top_cap = _detached_top_cells(k_min, k_max, cap)
-    witness_cells = []
-    for k in range(max(8, k_min), k_max + 1):
-        witness_cells += [(k, l) for l in range(k - 1, 2 * k - 2)]
-    per = _per_cell_budget(budget, len(dense_cells) + len(witness_cells))
-    results = _run_cells(
-        [(_structure_cell, (k, l, per)) for k, l in dense_cells]
-        + [(_witness_cell, (k, l, per)) for k, l in witness_cells],
-        jobs,
+    results, counts = _sweep(
+        [(_structure_cell, k, l) for k, l in dense_cells]
+        + [(_witness_cell, k, l) for k in range(max(8, k_min), k_max + 1)
+           for l in range(k - 1, 2 * k - 2)],
+        budget, jobs,
     )
-    counterexamples: list[str] = []
-    observations: list[str] = []
-    n_sets = n_nodes = n_extremal = n_pairs = 0
-    truncated = False
-    for r in results:
-        n_sets += r["sets"]
-        n_nodes += r["nodes"]
-        n_extremal += r["extremal"]
-        n_pairs += r.get("pairs", 0)
-        truncated |= r["truncated"]
-        counterexamples += [f"k={r['k']} l={r['l']}: {b}" for b in r["bad"]]
-        observations += r.get("notes", [])
     query = {
         "k_min": k_min,
         "k_max": k_max,
@@ -1107,13 +1017,10 @@ def sweep_structure(
         "cap": cap,
         "budget": budget,
     }
-    counts = {
-        "enumerated": n_sets,
-        "extremal": n_extremal,
-        "nodes": n_nodes,
-        "witness_pairs": n_pairs,
-    }
+    counts["extremal"] = sum(r["extremal"] for r in results)
+    counts["witness_pairs"] = sum(r.get("pairs", 0) for r in results)
     return _finalize(
-        "structure_sweep", query, top_cap, counts,
-        counterexamples, observations, [], [], [], truncated, t0,
+        "structure_sweep", query, top_cap, counts, t0,
+        counterexamples=[f"k={r['k']} l={r['l']}: {b}" for r in results for b in r["bad"]],
+        observations=[note for r in results for note in r.get("notes", [])],
     )

@@ -1,18 +1,35 @@
-"""The floor cells' pruning walker against plain enumeration.
+"""Every driver cell's walker against plain enumeration.
 
-Every cell dict of the conjecture, dense-prefix and classification
-drivers, and every classify_extremal result, must equal what a plain
-``enumerate_tuples`` loop with the naive restricted-sumset oracle
-gives: node and set counts, findings in stream order, and, under a
-budget, the node at which the budget runs out.
+Every cell dict of the five drivers (the conjecture, theorem 1,
+dense-prefix, classification, structure and witness cells), and every
+classify_extremal result, must equal what a plain ``enumerate_tuples``
+loop with the naive restricted-sumset oracle gives: node and set
+counts, findings in stream order, and, under a budget, the node at
+which the budget runs out.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumset_lab.bounds import freiman_lev_bound
-from sumset_lab.core import NormalizedSet
+from sumset_lab.core import NormalizedSet, SetDomainError
 from sumset_lab.families import dense_extremal_shape
+from sumset_lab.structure import (
+    check_exceptional_points,
+    decompose,
+    diff3_exception_case,
+    exceptional_growth_ok,
+    exceptional_profile,
+    find_admissible_split,
+    gap_patterns,
+    matches_consecutive_exception,
+    offset_count_bound,
+    split_at,
+    tail_pair_counts_ok,
+    top_gap_candidates,
+    top_gap_structure,
+    witness_profile,
+)
 from sumset_lab.verify import (
     BudgetExceeded,
     EnumerationQuery,
@@ -21,11 +38,15 @@ from sumset_lab.verify import (
     _classification_cell,
     _conjecture_cell,
     _dense_prefix_cell,
+    _low_second_cell,
+    _structure_cell,
+    _witness_cell,
 )
 
-from helpers import naive_restricted
+from helpers import naive_double, naive_restricted
 
 DENSE = ("gcd_one", "growth_a_i_lt_2i", "last_ge_2k_minus_2")
+LOW_SECOND = ("gcd_one", "interior_lt_2k_minus_4", "last_ge_2k_minus_2")
 # small budgets cut cells mid-walk; the large one lets every cell finish
 budgets = st.one_of(st.integers(min_value=1, max_value=4000), st.just(10**9))
 
@@ -34,23 +55,26 @@ def lit(tup) -> str:
     return "{" + ",".join(str(v) for v in tup) + "}"
 
 
-def plain_walk(k, l, constraints, budget, bound):
-    """(nodes, sets, truncated, [(tup, n) with n <= bound]) by plain
-    enumeration, in stream order."""
+def plain_sets(k, l, constraints, budget):
+    """(nodes, truncated, [(tup, n)]) by plain enumeration, in stream
+    order, n being the naive restricted size of tup."""
     query = EnumerationQuery.exact(k, l, constraints, budget=budget)
     counter = [0]
-    sets = 0
-    low = []
+    streamed = []
     truncated = False
     try:
         for tup in enumerate_tuples(query, counter=counter):
-            sets += 1
-            n = len(naive_restricted(tup))
-            if n <= bound:
-                low.append((tup, n))
+            streamed.append((tup, len(naive_restricted(tup))))
     except BudgetExceeded:
         truncated = True
-    return counter[0], sets, truncated, low
+    return counter[0], truncated, streamed
+
+
+def plain_walk(k, l, constraints, budget, bound):
+    """(nodes, sets, truncated, [(tup, n) with n <= bound]) by plain
+    enumeration, in stream order."""
+    nodes, truncated, streamed = plain_sets(k, l, constraints, budget)
+    return nodes, len(streamed), truncated, [(t, n) for t, n in streamed if n <= bound]
 
 
 @st.composite
@@ -109,8 +133,9 @@ def test_dense_prefix_cell_matches_plain_enumeration(cell):
 def test_classification_cell_matches_plain_enumeration(k, budget):
     bound = 3 * k - 7
     nodes, sets, truncated, low = plain_walk(k, 2 * k - 3, ("gcd_one",), budget, bound)
-    assert _classification_cell((k, budget)) == {
+    assert _classification_cell((k, 2 * k - 3, budget)) == {
         "k": k,
+        "l": 2 * k - 3,
         "nodes": nodes,
         "sets": sets,
         "extremal": [lit(t) for t, n in low if n == bound],
@@ -138,3 +163,154 @@ def test_classify_extremal_matches_plain_enumeration(args):
     else:
         assert not truncated
         assert got == [t for t, n in low if n == bound]
+
+
+# ---------------------------------------------------------------------------
+# Cells that check every set: theorem 1, structure and witness
+
+
+@st.composite
+def low_second_cells(draw):
+    k = draw(st.integers(min_value=3, max_value=9))
+    return k, draw(st.integers(min_value=2 * k - 2, max_value=2 * k + 6)), draw(budgets)
+
+
+@given(low_second_cells())
+@settings(max_examples=60, deadline=None)
+def test_low_second_cell_matches_plain_enumeration(cell):
+    k, l, budget = cell
+    bound = 3 * k - 7
+    nodes, truncated, streamed = plain_sets(k, l, LOW_SECOND, budget)
+    bad = []
+    splits = 0
+    for t, n in streamed:
+        if n < bound:
+            bad.append(f"{lit(t)}: restricted size {n} < {bound}")
+        ns = NormalizedSet(t)
+        s = find_admissible_split(ns)
+        if s is not None:
+            splits += 1
+            try:
+                split_at(ns, s)
+            except RuntimeError as exc:
+                bad.append(f"{lit(t)}: {exc}")
+    assert _low_second_cell(cell) == {
+        "k": k,
+        "l": l,
+        "nodes": nodes,
+        "sets": len(streamed),
+        "tight": sum(1 for _t, n in streamed if n == bound),
+        "splits": splits,
+        "bad": bad,
+        "truncated": truncated,
+    }
+
+
+def structure_failures(t) -> list[str]:
+    """What the structure cell reports on one detached-top set."""
+    k = len(t)
+    head = t[:-1]
+    ns = NormalizedSet(t)
+    out = []
+    if not set(range(2 * k - 3)) <= naive_double(head):
+        out.append("head sumset misses part of [0, 2k-4]")
+    out += check_exceptional_points(ns)
+    if not exceptional_growth_ok(ns):
+        out.append("exceptional values grow too slowly")
+    prof = exceptional_profile(ns)
+    for b in prof.b_values:
+        for u in range(1, b + 1):
+            if b < k - 2 and tail_pair_counts_ok(ns, b, u) is False:
+                out.append(f"tail pair counts fail at b={b}, u={u}")
+    if prof.m >= 2:
+        gp = gap_patterns(ns)
+        consec = matches_consecutive_exception(ns)
+        diff3 = diff3_exception_case(ns)
+        if gp.has_consecutive and not consec:
+            out.append("consecutive missing pair without the low shape")
+        if gp.has_diff2:
+            out.append("distance-2 missing pair")
+        if gp.has_diff3 and diff3 is None:
+            out.append("distance-3 missing pair without a mod-3 shape")
+        top_b = prof.b_values.elements[-2]
+        if not consec and diff3 is None and len(prof.d_values) < offset_count_bound(top_b):
+            out.append(f"covered offsets {len(prof.d_values)} below the floor for b={top_b}")
+        gap, case = top_gap_structure(ns)
+        if gap and case == "none":
+            out.append("double gap above the window without a rigid shape")
+        for cand in top_gap_candidates(k):
+            if (prof.m == 2 and head == cand.head
+                    and tuple(prof.b_values.elements) == cand.b_values and not gap):
+                out.append(f"rigid shape {cand.name} without the double gap")
+    return [f"{lit(t)}: {msg}" for msg in out]
+
+
+@given(dense_cells())
+@settings(max_examples=60, deadline=None)
+def test_structure_cell_matches_plain_enumeration(cell):
+    k, l, budget = cell
+    nodes, truncated, streamed = plain_sets(k, l, DENSE, budget)
+    assert _structure_cell(cell) == {
+        "k": k,
+        "l": l,
+        "nodes": nodes,
+        "sets": len(streamed),
+        "extremal": sum(1 for _t, n in streamed if n == 3 * k - 7),
+        "bad": [msg for t, _n in streamed for msg in structure_failures(t)],
+        "truncated": truncated,
+    }
+
+
+@st.composite
+def witness_cells(draw):
+    k = draw(st.integers(min_value=4, max_value=9))
+    return k, draw(st.integers(min_value=k - 1, max_value=2 * k - 3)), draw(budgets)
+
+
+@given(witness_cells())
+@settings(max_examples=60, deadline=None)
+def test_witness_cell_matches_plain_enumeration(cell):
+    k, l, budget = cell
+    nodes, truncated, streamed = plain_sets(k, l, ("gcd_one",), budget)
+    extremal = pairs = 0
+    bad = []
+    notes = []
+    for t, n in streamed:
+        ns = NormalizedSet(t)
+        wp = witness_profile(ns)
+        if len(wp.values) > 2:
+            bad.append(f"{lit(t)}: {len(wp.values)} witnesses {lit(wp.values.elements)}")
+            continue
+        if wp.w1 is None:
+            continue
+        pairs += 1
+        extremal += n == 3 * k - 7
+        try:
+            dec = decompose(ns, wp.w1, wp.w2)
+        except SetDomainError as exc:
+            notes.append(f"k={k} l={l}: {lit(t)} not decomposed ({exc})")
+            continue
+        if not dec.reconstructed:
+            bad.append(f"{lit(t)}: decomposition does not rebuild the set")
+        if l == 2 * k - 3:
+            m = dec.modulus
+            u_set = set(dec.residues.elements)
+            if len(u_set) != (m - 1) // 2:
+                bad.append(f"{lit(t)}: residue count {len(u_set)} != (m-1)/2 for m={m}")
+            for u1 in range(m):
+                for u2 in range(u1 + 1, m):
+                    if (u1 + u2 - wp.w2) % m == 0 and (u1 in u_set) + (u2 in u_set) != 1:
+                        bad.append(
+                            f"{lit(t)}: residue pair ({u1},{u2}) not split by the half-grid"
+                        )
+    assert _witness_cell(cell) == {
+        "k": k,
+        "l": l,
+        "nodes": nodes,
+        "sets": len(streamed),
+        "extremal": extremal,
+        "pairs": pairs,
+        "bad": bad,
+        "notes": notes,
+        "truncated": truncated,
+    }
