@@ -201,6 +201,18 @@ class NormalizedSet:
             raise SetDomainError(f"a normalized set has gcd 1, got gcd {g}")
         self._inner = inner
 
+    @classmethod
+    def _from_trusted(cls, elements: tuple[int, ...], mask: int) -> "NormalizedSet":
+        """Internal constructor for data already in normalized form.
+
+        The caller guarantees what ``__init__`` would check: an ascending
+        tuple of at least two elements starting at 0, with gcd 1, and the
+        mask matching it.
+        """
+        obj = cls.__new__(cls)
+        obj._inner = IntegerSet._from_trusted(elements, mask)
+        return obj
+
     @property
     def inner(self) -> IntegerSet:
         return self._inner

@@ -62,6 +62,13 @@ __all__ = [
 ]
 
 
+def _trusted_set(elems: tuple[int, ...]) -> IntegerSet:
+    """IntegerSet of an ascending tuple of distinct nonnegative values no
+    larger than the top of a validated set, so no range re-check is
+    needed."""
+    return IntegerSet._from_trusted(elems, mask_of(elems))
+
+
 def has_dense_prefix(a: NormalizedSet) -> bool:
     """Whether a_i < 2i for i = 1..k-2 and a_{k-1} >= 2k - 2."""
     elems = a.elements
@@ -140,10 +147,10 @@ def exceptional_profile(a: NormalizedSet) -> ExceptionalProfile:
         )
         c_vals = tuple(d for d in range(1, top_b + 1) if not reach >> (2 * k - 4 + d) & 1)
     return ExceptionalProfile(
-        b_values=IntegerSet(b_vals),
+        b_values=_trusted_set(b_vals),
         m=m,
-        d_values=IntegerSet(d_vals),
-        c_values=IntegerSet(c_vals),
+        d_values=_trusted_set(d_vals),
+        c_values=_trusted_set(c_vals),
     )
 
 
@@ -425,12 +432,12 @@ def witness_profile(a: NormalizedSet) -> WitnessProfile:
     amask = a.mask
     reach = restricted_mask(amask, a.elements)
     blocked = amask | reach | (reach >> top)
-    found = [w for w in range(top + 1) if not blocked >> w & 1]
+    found = tuple(w for w in range(top + 1) if not blocked >> w & 1)
     w1 = w2 = modulus = None
     if len(found) == 2:
         w1, w2 = found
         modulus = gcd(w2 - w1, top)
-    return WitnessProfile(IntegerSet(found), w1, w2, modulus)
+    return WitnessProfile(_trusted_set(found), w1, w2, modulus)
 
 
 @dataclass(frozen=True)
@@ -541,8 +548,10 @@ def split_at(a: NormalizedSet, s: int) -> SplitTriple:
         )
     left = elems[: s + 2]
     right = elems[s - 1 :]
-    left_restricted = restricted_mask(mask_of(left), left)
-    right_restricted = restricted_mask(mask_of(right), right)
+    left_mask = mask_of(left)
+    right_mask = mask_of(right)
+    left_restricted = restricted_mask(left_mask, left)
+    right_restricted = restricted_mask(right_mask, right)
     overlap = left_restricted & right_restricted
     expected = mask_of(
         (
@@ -568,9 +577,10 @@ def split_at(a: NormalizedSet, s: int) -> SplitTriple:
     shifted = tuple(v - shift for v in right)
     return SplitTriple(
         s=s,
-        left=IntegerSet(left),
-        right=IntegerSet(right),
-        right_shifted=NormalizedSet(shifted),
+        left=IntegerSet._from_trusted(left, left_mask),
+        right=IntegerSet._from_trusted(right, right_mask),
+        # starts 0, 1 by the premise a_s = a_{s-1} + 1, so it has gcd 1
+        right_shifted=NormalizedSet._from_trusted(shifted, right_mask >> shift),
         overlap=IntegerSet.from_mask(overlap),
         k1=len(left),
         k2=len(right),

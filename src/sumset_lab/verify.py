@@ -13,6 +13,8 @@ and walks each cell with one private walker that counts the same nodes
 in the same order as the enumerator.  It places the top first and
 carries the restricted sumset of the prefix down the search, so placing
 a value costs one shift-or and a set's restricted size is one popcount.
+A leaf gets its element tuple, mask and restricted mask from the walk,
+so no cell unpacks or re-validates a set the walk has already built.
 Each cell passes the largest restricted size it reports.  Adding an
 element never shrinks the restricted sumset, so once a prefix's
 restricted sumset exceeds that bound, no set below it is a finding: the
@@ -54,7 +56,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Iterator, Optional, Sequence
@@ -65,7 +66,6 @@ from .core import (
     NormalizedSet,
     SetDomainError,
     double_mask,
-    elements_of,
     mask_of,
 )
 from .bounds import freiman_lev_bound
@@ -302,13 +302,18 @@ def shard_prefixes(query: EnumerationQuery, depth: int) -> tuple[tuple[int, ...]
 
 
 def _walk_span(
-    query: EnumerationQuery, bound: int, on_leaf: Callable[[int, int], None]
+    query: EnumerationQuery,
+    bound: int,
+    on_leaf: Callable[[tuple[int, ...], int, int, int], None],
 ) -> dict:
     """Walk an exact-span, mask-free query node for node like
-    :func:`enumerate_tuples`, calling ``on_leaf(mask, n)`` in stream order
-    for each streamed set whose restricted sumset has n <= bound members.
+    :func:`enumerate_tuples`, calling ``on_leaf(tup, mask, r, n)`` in
+    stream order for each streamed set whose restricted sumset has
+    n <= bound members: ``tup`` is the set's ascending element tuple,
+    ``mask`` its bit mask and ``r`` the mask of its restricted sumset.
     Every restricted sum lies in [1, 2l-1], so a bound of 2l calls
-    ``on_leaf`` on every streamed set.
+    ``on_leaf`` on every streamed set.  With ``gcd_one`` in the query,
+    ``on_leaf`` only sees sets of gcd 1.
 
     Returns the cell dict skeleton: k, l, nodes, sets, truncated; on
     truncation the counts are those of the enumerator when it raises
@@ -321,6 +326,9 @@ def _walk_span(
     budget = query.budget
     last = k - 1
     his = [_interior_hi(query, pos, l_hi, cap) for pos in range(last)]
+    # the elements on the current root-to-node path; the leaf's tuple
+    path = [0] * k
+    path[last] = l
     memo: dict[tuple[int, int, int], tuple[int, int]] = {}
 
     def subtree(pos: int, prev: int, g: int) -> tuple[int, int]:
@@ -354,7 +362,7 @@ def _walk_span(
                     sets += 1
                     n = r.bit_count()
                     if n <= bound:
-                        on_leaf(mask, n)
+                        on_leaf(tuple(path), mask, r, n)
             return
         for v in range(prev + 1, his[pos] + 1):
             nodes += 1
@@ -369,6 +377,7 @@ def _walk_span(
                     nodes += n
                     sets += s
                     continue
+            path[pos] = v
             walk(pos + 1, v, gv, mask | 1 << v, rv)
 
     try:
@@ -384,7 +393,13 @@ def _literal(tup: Sequence[int]) -> str:
 
 
 def _normalized(tup: tuple[int, ...], mask: int) -> NormalizedSet:
-    return NormalizedSet(IntegerSet._from_trusted(tup, mask))
+    """The NormalizedSet of a leaf, built without re-validation.
+
+    Sound because every cell that calls this walks a query with
+    ``gcd_one``, and the walker calls its leaf only on sets of gcd 1;
+    each leaf set starts at 0 and has k >= 2 elements.
+    """
+    return NormalizedSet._from_trusted(tup, mask)
 
 
 @dataclass
@@ -489,6 +504,9 @@ def _sweep(
     per = max(1, budget // max(1, len(tasks)))
     cells = [(fn, (k, l, per)) for fn, k, l in tasks]
     if jobs > 1 and len(cells) > 1:
+        # imported here: the pool's modules cost a serial run's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_cell, cells, chunksize=1))
     else:
@@ -532,10 +550,10 @@ def _conjecture_cell(args: tuple) -> dict:
     tight = 0
     bad: list[tuple[str, int]] = []
 
-    def leaf(mask: int, n: int) -> None:
+    def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
         nonlocal tight
         if n < bound:
-            bad.append((_literal(elements_of(mask)), n))
+            bad.append((_literal(tup), n))
         else:
             tight += 1
 
@@ -605,9 +623,8 @@ def _low_second_cell(args: tuple) -> dict:
     tight = splits = 0
     bad: list[str] = []
 
-    def leaf(mask: int, n: int) -> None:
+    def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
         nonlocal tight, splits
-        tup = elements_of(mask)
         if n < bound:
             bad.append(f"{_literal(tup)}: restricted size {n} < {bound}")
         elif n == bound:
@@ -668,8 +685,7 @@ def _dense_prefix_cell(args: tuple) -> dict:
     shape_failures: list[str] = []
     bad: list[str] = []
 
-    def leaf(mask: int, n: int) -> None:
-        tup = elements_of(mask)
+    def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
         lit = _literal(tup)
         if n < bound:
             bad.append(f"{lit}: restricted size {n} < {bound}")
@@ -761,9 +777,9 @@ def classify_extremal(k: int, l: int, *, budget: int = DEFAULT_BUDGET) -> tuple[
     bound = 3 * k - 7
     out = []
 
-    def leaf(mask: int, n: int) -> None:
+    def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
         if n == bound:
-            out.append(_normalized(elements_of(mask), mask))
+            out.append(_normalized(tup, mask))
 
     cell = _walk_span(query, bound, leaf)
     if cell["truncated"]:
@@ -778,8 +794,8 @@ def _classification_cell(args: tuple) -> dict:
     extremal: list[str] = []
     bad: list[str] = []
 
-    def leaf(mask: int, n: int) -> None:
-        lit = _literal(elements_of(mask))
+    def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
+        lit = _literal(tup)
         if n < bound:
             bad.append(f"{lit}: restricted size {n} < {bound}")
         else:
@@ -883,11 +899,10 @@ def _structure_cell(args: tuple) -> dict:
     extremal = 0
     bad: list[str] = []
 
-    def leaf(mask: int, n: int) -> None:
+    def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
         nonlocal extremal
         if n == 3 * k - 7:
             extremal += 1
-        tup = elements_of(mask)
         head = tup[:-1]
         ns = _normalized(tup, mask)
         fails: list[str] = []
@@ -937,13 +952,17 @@ def _structure_cell(args: tuple) -> dict:
 def _witness_cell(args: tuple) -> dict:
     k, l, per_budget = args
     query = EnumerationQuery.exact(k, l, ("gcd_one",), budget=per_budget)
+    span = (1 << (l + 1)) - 1
     extremal = pairs = 0
     bad: list[str] = []
     notes: list[str] = []
 
-    def leaf(mask: int, n: int) -> None:
+    def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
         nonlocal extremal, pairs
-        tup = elements_of(mask)
+        # witness_profile's predicate on the walker's masks: with fewer
+        # than two witnesses a set gives neither a finding nor a pair
+        if (~(mask | r | r >> l) & span).bit_count() < 2:
+            return
         ns = _normalized(tup, mask)
         wp = witness_profile(ns)
         if len(wp.values) > 2:

@@ -5,14 +5,15 @@ dense-prefix, classification, structure and witness cells), and every
 classify_extremal result, must equal what a plain ``enumerate_tuples``
 loop with the naive restricted-sumset oracle gives: node and set
 counts, findings in stream order, and, under a budget, the node at
-which the budget runs out.
+which the budget runs out.  The walker itself must hand each leaf the
+element tuple and restricted mask of its set.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumset_lab.bounds import freiman_lev_bound
-from sumset_lab.core import NormalizedSet, SetDomainError
+from sumset_lab.core import NormalizedSet, SetDomainError, elements_of, restricted_mask
 from sumset_lab.families import dense_extremal_shape
 from sumset_lab.structure import (
     check_exceptional_points,
@@ -35,6 +36,7 @@ from sumset_lab.verify import (
     EnumerationQuery,
     classify_extremal,
     enumerate_tuples,
+    _walk_span,
     _classification_cell,
     _conjecture_cell,
     _dense_prefix_cell,
@@ -75,6 +77,35 @@ def plain_walk(k, l, constraints, budget, bound):
     enumeration, in stream order."""
     nodes, truncated, streamed = plain_sets(k, l, constraints, budget)
     return nodes, len(streamed), truncated, [(t, n) for t, n in streamed if n <= bound]
+
+
+@st.composite
+def walk_cases(draw):
+    """(k, l, constraints, budget, bound): bound 2l prunes nothing, a
+    smaller one prunes every subtree whose prefix already exceeds it."""
+    k = draw(st.integers(min_value=3, max_value=8))
+    l = draw(st.integers(min_value=k - 1, max_value=2 * k + 4))
+    constraints = draw(st.sampled_from([(), ("gcd_one",), DENSE, LOW_SECOND]))
+    bound = draw(st.one_of(st.just(2 * l), st.integers(min_value=0, max_value=2 * l - 1)))
+    return k, l, constraints, draw(budgets), bound
+
+
+@given(walk_cases())
+@settings(max_examples=120, deadline=None)
+def test_walker_hands_each_leaf_its_elements_and_restricted_mask(case):
+    k, l, constraints, budget, bound = case
+    leaves = []
+
+    def on_leaf(tup, mask, r, n):
+        assert tup == elements_of(mask)
+        assert r == restricted_mask(mask, tup)
+        assert n == r.bit_count()
+        leaves.append(tup)
+
+    cell = _walk_span(EnumerationQuery.exact(k, l, constraints, budget=budget), bound, on_leaf)
+    nodes, sets, truncated, low = plain_walk(k, l, constraints, budget, bound)
+    assert (cell["nodes"], cell["sets"], cell["truncated"]) == (nodes, sets, truncated)
+    assert leaves == [t for t, _n in low]
 
 
 @st.composite

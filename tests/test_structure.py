@@ -1,10 +1,13 @@
 """Structural checkers: exceptional sets, gap patterns, witnesses, splits."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sumset_lab.core import IntegerSet, NormalizedSet, SetDomainError, restricted_size
+from sumset_lab.core import IntegerSet, NormalizedSet, SetDomainError, mask_of, restricted_size
 from sumset_lab.families import gen_mod3_wide
 from sumset_lab.structure import (
     check_exceptional_points,
@@ -23,6 +26,8 @@ from sumset_lab.structure import (
     top_gap_structure,
     witness_profile,
 )
+
+from helpers import enumerate_bruteforce
 
 GEN6 = NormalizedSet((0, 1, 3, 4, 7, 10))
 # k=13 set whose window misses a distance-3 pair (found by search, frozen)
@@ -253,3 +258,71 @@ def test_split_positions_agree_with_restricted_size():
         st = split_at(a, s)
         assert st.lower_bound <= restricted_size(elems)
         assert st.lower_bound >= 3 * len(elems) - 7
+
+
+# ---------------------------------------------------------------------------
+# result sets built without re-validation equal the validating constructors
+
+
+@st.composite
+def dense_prefix_sets(draw):
+    k = draw(st.integers(min_value=3, max_value=12))
+    elems = [0]
+    for i in range(1, k - 1):
+        elems.append(draw(st.integers(min_value=elems[-1] + 1, max_value=2 * i - 1)))
+    elems.append(draw(st.integers(min_value=2 * k - 2, max_value=2 * k + 8)))
+    return tuple(elems)
+
+
+# every two-witness set with 4 <= k <= 8 and span at most 2k-3
+TWO_WITNESS = tuple(
+    t
+    for k in range(4, 9)
+    for l in range(k - 1, 2 * k - 2)
+    for t in enumerate_bruteforce(k, l, ("gcd_one",))
+    if len(witness_profile(NormalizedSet(t)).values) == 2
+)
+
+
+@st.composite
+def splittable_sets(draw):
+    k = draw(st.integers(min_value=4, max_value=10))
+    interior = draw(
+        st.lists(st.integers(min_value=1, max_value=2 * k - 5),
+                 min_size=k - 2, max_size=k - 2, unique=True)
+    )
+    t = (0, *sorted(interior), draw(st.integers(min_value=2 * k - 2, max_value=2 * k + 6)))
+    assume(gcd(*t) == 1 and find_admissible_split(NormalizedSet(t)) is not None)
+    return t
+
+
+def assert_validated(s: IntegerSet) -> None:
+    ref = IntegerSet(s.elements)
+    assert type(s) is IntegerSet
+    assert s.elements == ref.elements
+    assert s.mask == ref.mask
+    assert hash(s) == hash(ref)
+
+
+@given(st.one_of(dense_prefix_sets(), st.sampled_from(TWO_WITNESS), splittable_sets()))
+@settings(max_examples=200, deadline=None)
+def test_trusted_result_sets_match_validating_constructors(t):
+    ns = NormalizedSet(t)
+    trusted = NormalizedSet._from_trusted(t, mask_of(t))
+    assert trusted == ns and hash(trusted) == hash(ns)
+    assert trusted.elements == ns.elements and trusted.mask == ns.mask
+    assert_validated(witness_profile(ns).values)
+    if has_dense_prefix(ns):
+        prof = exceptional_profile(ns)
+        for s in (prof.b_values, prof.d_values, prof.c_values):
+            assert_validated(s)
+    if t[-2] < 2 * len(t) - 4 and t[-1] >= 2 * len(t) - 2:
+        s = find_admissible_split(ns)
+        if s is not None:
+            split = split_at(ns, s)
+            for part in (split.left, split.right, split.overlap):
+                assert_validated(part)
+            ref = NormalizedSet(split.right_shifted.elements)
+            assert split.right_shifted == ref and hash(split.right_shifted) == hash(ref)
+            assert split.right_shifted.elements == ref.elements
+            assert split.right_shifted.mask == ref.mask

@@ -1,6 +1,9 @@
 """Enumeration engine, certificates, and verification drivers."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -349,3 +352,25 @@ def test_driver_determinism_and_jobs_invariance():
     b = _strip_time(verify_dense_prefix(7).to_payload())
     c = _strip_time(verify_dense_prefix(7, jobs=2).to_payload())
     assert a == b == c
+
+
+def test_sweep_structure_jobs_invariance():
+    # k_max 8 takes in the witness cells, which start at k = 8
+    serial = _strip_time(sweep_structure(8).to_payload())
+    assert serial["counts"]["witness_pairs"] > 0
+    assert _strip_time(sweep_structure(8, jobs=2).to_payload()) == serial
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # a serial run must not pay for importing the pool's modules
+    code = (
+        "import sys, sumset_lab, sumset_lab.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
