@@ -98,7 +98,6 @@ from .verify import (
     classify_extremal,
     enumerate_sets,
     enumerate_tuples,
-    shard_prefixes,
     sweep_structure,
     verify_conjecture,
     verify_dense_prefix,

@@ -528,16 +528,19 @@ class SplitTriple:
     card_restricted: int
 
 
-def split_at(a: NormalizedSet, s: int) -> SplitTriple:
-    """Split ``a`` at position s, where a_{s-1} = 2s-2 and a_s = 2s-1.
+def _check_split(
+    elems: tuple[int, ...], mask: int, s: int, n_full: int
+) -> tuple[int, int, int, int, int]:
+    """Check the split of the set with ascending ``elems`` and bit mask
+    ``mask`` at position s against both identities, and return
+    (left mask, right mask, overlap mask, |2^left|, |2^right|).
 
-    Under that premise any restricted sum of the left part that is also
-    a restricted sum of the right part uses only the three shared
-    elements, so the overlap of the two restricted sumsets is exactly
-    their three pairwise sums.  Both identities are re-verified here
-    and a RuntimeError flags any counterexample.
+    ``n_full`` is |2^A| for the whole set, which the caller already
+    holds.  Raises SetDomainError unless a_{s-1} = 2s-2 and a_s = 2s-1,
+    and RuntimeError when the overlap of the halves' restricted sumsets
+    is not their three shared pairwise sums, or when n_full is below
+    |2^left| + |2^right| - 3.
     """
-    elems = a.elements
     k = len(elems)
     if not 1 <= s <= k - 2:
         raise SetDomainError(f"split position must satisfy 1 <= s <= k-2, got s={s}")
@@ -548,8 +551,9 @@ def split_at(a: NormalizedSet, s: int) -> SplitTriple:
         )
     left = elems[: s + 2]
     right = elems[s - 1 :]
-    left_mask = mask_of(left)
-    right_mask = mask_of(right)
+    # the left half is the elements up to a_{s+1}, the right those from a_{s-1}
+    left_mask = mask & (2 << elems[s + 1]) - 1
+    right_mask = mask >> elems[s - 1] << elems[s - 1]
     left_restricted = restricted_mask(left_mask, left)
     right_restricted = restricted_mask(right_mask, right)
     overlap = left_restricted & right_restricted
@@ -567,12 +571,28 @@ def split_at(a: NormalizedSet, s: int) -> SplitTriple:
         )
     n_left = left_restricted.bit_count()
     n_right = right_restricted.bit_count()
-    n_full = restricted_mask(a.mask, elems).bit_count()
     lower = n_left + n_right - 3
     if n_full < lower:
         raise RuntimeError(
             f"additive split bound failed at s={s} for {elems}: {n_full} < {lower}"
         )
+    return left_mask, right_mask, overlap, n_left, n_right
+
+
+def split_at(a: NormalizedSet, s: int) -> SplitTriple:
+    """Split ``a`` at position s, where a_{s-1} = 2s-2 and a_s = 2s-1.
+
+    Under that premise any restricted sum of the left part that is also
+    a restricted sum of the right part uses only the three shared
+    elements, so the overlap of the two restricted sumsets is exactly
+    their three pairwise sums.  Both identities are re-verified here
+    and a RuntimeError flags any counterexample.
+    """
+    elems = a.elements
+    n_full = restricted_mask(a.mask, elems).bit_count()
+    left_mask, right_mask, overlap, n_left, n_right = _check_split(elems, a.mask, s, n_full)
+    left = elems[: s + 2]
+    right = elems[s - 1 :]
     shift = elems[s - 1]
     shifted = tuple(v - shift for v in right)
     return SplitTriple(
@@ -586,7 +606,7 @@ def split_at(a: NormalizedSet, s: int) -> SplitTriple:
         k2=len(right),
         card_left=n_left,
         card_right=n_right,
-        lower_bound=lower,
+        lower_bound=n_left + n_right - 3,
         card_restricted=n_full,
     )
 

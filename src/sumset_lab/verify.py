@@ -2,11 +2,10 @@
 
 :func:`enumerate_tuples` is the public streaming API: it yields every
 normalized set matching a query (span range, named constraints, an
-optional membership mask, an optional fixed prefix) in lexicographic
-order of element lists, skipping only values that no matching set can
-hold.  Budget accounting counts every candidate value placement;
-exceeding the budget raises :class:`BudgetExceeded`, never a silent
-partial result.
+optional membership mask) in lexicographic order of element lists,
+skipping only values that no matching set can hold.  Budget accounting
+counts every candidate value placement; exceeding the budget raises
+:class:`BudgetExceeded`, never a silent partial result.
 
 Every certificate driver splits its box into exact-span cells (k, l)
 and walks each cell with one private walker that counts the same nodes
@@ -15,21 +14,28 @@ carries the restricted sumset of the prefix down the search, so placing
 a value costs one shift-or and a set's restricted size is one popcount.
 A leaf gets its element tuple, mask and restricted mask from the walk,
 so no cell unpacks or re-validates a set the walk has already built.
-Each cell passes the largest restricted size it reports.  Adding an
-element never shrinks the restricted sumset, so once a prefix's
-restricted sumset exceeds that bound, no set below it is a finding: the
-walker adds that subtree's node count and gcd-1 set count from a memo
-instead of visiting it.  The floor checks prune this way; the cells that
-check every set pass 2l, which no restricted sumset inside [0, l]
-reaches.  The counts are exact, so certificates match plain enumeration
-byte for byte.  A subtree whose nodes would pass the budget is
-descended, not counted, so a truncated walk stops at the same node as
-the enumerator, with the same partial counts and findings.
+Each cell passes the largest restricted size it reports, and may pass a
+prune predicate on a prefix's masks that holds only when no set below
+the prefix can give a finding.  Adding an element never shrinks the
+restricted sumset, so once a prefix's restricted sumset exceeds that
+bound, or the predicate holds, the walker adds that subtree's node count
+and gcd-1 set count from a memo instead of visiting it.  The floor
+checks prune on the bound; the witness cells prune once a prefix has
+fewer than two candidate witnesses left; the other cells that check
+every set pass 2l, which no restricted sumset inside [0, l] reaches.
+The counts are exact, so certificates match plain enumeration byte for
+byte.  A subtree whose nodes would pass the budget is descended, not
+counted, so a truncated walk stops at the same node as the enumerator,
+with the same partial counts and findings.
 
 One driver path splits a sweep's budget evenly among its cells, walks
 them in task order (in a process pool when ``jobs > 1``) and sums their
-node, set and truncation counts.  On top of it sit five certificate
-drivers, each adding only its own merge:
+node, set and truncation counts.  A task is one cell, or a row: all the
+cells of one k, walked in one call so that they share per-head work.
+The structure sweep runs its detached-top cells as rows, because every
+structural check depends only on k and the head (the set minus its
+top), and each head recurs under every top.  On top of the driver path
+sit five certificate drivers, each adding only its own merge:
 
 * :func:`verify_conjecture` — the conjectured restricted-sumset floor,
   swept over all small sets; sub-threshold cardinalities (k <= 7) are
@@ -79,11 +85,11 @@ from .structure import (
     gap_patterns,
     matches_consecutive_exception,
     offset_count_bound,
-    split_at,
     tail_pair_counts_ok,
     top_gap_candidates,
     top_gap_structure,
     witness_profile,
+    _check_split,
 )
 from .families import (
     dense_extremal_shape,
@@ -101,7 +107,6 @@ __all__ = [
     "Certificate",
     "enumerate_tuples",
     "enumerate_sets",
-    "shard_prefixes",
     "classify_extremal",
     "verify_conjecture",
     "verify_low_second_max",
@@ -205,38 +210,20 @@ def _interior_hi(query: EnumerationQuery, pos: int, l_hi: int, cap: Optional[int
     return hi
 
 
-def _check_prefix(query: EnumerationQuery, prefix: tuple[int, ...], l_hi: int, cap) -> None:
-    if len(prefix) > query.k - 2:
-        raise SetDomainError(
-            f"prefix of length {len(prefix)} exceeds the {query.k - 2} interior slots"
-        )
-    prev = 0
-    for pos, v in enumerate(prefix, start=1):
-        hi = _interior_hi(query, pos, l_hi, cap)
-        if not prev < v <= hi:
-            raise SetDomainError(f"prefix value {v} at position {pos} violates the query")
-        if query.mask is not None and not query.mask >> v & 1:
-            raise SetDomainError(f"prefix value {v} is outside the element mask")
-        prev = v
-
-
 def enumerate_tuples(
-    query: EnumerationQuery,
-    prefix: tuple[int, ...] = (),
-    counter: Optional[list[int]] = None,
+    query: EnumerationQuery, counter: Optional[list[int]] = None
 ) -> Iterator[tuple[int, ...]]:
     """Yield ascending element tuples matching the query, in lexicographic
     order of element lists, starting at 0.
 
-    ``prefix`` fixes the first interior elements (sharding support);
     ``counter`` is a shared one-cell node count, so several enumerations
-    can draw from one budget.  Raises :class:`BudgetExceeded` mid-stream
-    when the budget runs out; everything yielded before that is valid.
+    can draw from one budget, and a caller can read how many nodes a
+    stream visited (the benchmark's enumerator probe does).  Raises
+    :class:`BudgetExceeded` mid-stream when the budget runs out;
+    everything yielded before that is valid.
     """
     k = query.k
     l_lo, l_hi, cap = _effective_bounds(query)
-    prefix = tuple(prefix)
-    _check_prefix(query, prefix, l_hi, cap)
     if counter is None:
         counter = [0]
     mask = query.mask
@@ -264,47 +251,22 @@ def enumerate_tuples(
                 raise BudgetExceeded(counter[0])
             yield from rec(pos + 1, v, gcd(g, v), chosen + (v,))
 
-    base = (0,) + prefix
-    g0 = 0
-    for v in base:
-        g0 = gcd(g0, v)
-    yield from rec(len(base), base[-1], g0, base)
+    yield from rec(1, 0, 0, (0,))
 
 
 def enumerate_sets(
-    query: EnumerationQuery,
-    prefix: tuple[int, ...] = (),
-    counter: Optional[list[int]] = None,
+    query: EnumerationQuery, counter: Optional[list[int]] = None
 ) -> Iterator[IntegerSet]:
     """Like :func:`enumerate_tuples`, wrapped as IntegerSets."""
-    for tup in enumerate_tuples(query, prefix, counter):
+    for tup in enumerate_tuples(query, counter):
         yield IntegerSet._from_trusted(tup, mask_of(tup))
-
-
-def shard_prefixes(query: EnumerationQuery, depth: int) -> tuple[tuple[int, ...], ...]:
-    """All valid interior prefixes of the given depth, in lexicographic
-    order.  Enumerating each prefix and concatenating reproduces the
-    sequential stream exactly."""
-    if not 0 <= depth <= query.k - 2:
-        raise SetDomainError(f"shard depth must lie in [0, {query.k - 2}], got {depth}")
-    _lo, l_hi, cap = _effective_bounds(query)
-    prefixes: list[tuple[int, ...]] = [()]
-    for pos in range(1, depth + 1):
-        nxt = []
-        for p in prefixes:
-            prev = p[-1] if p else 0
-            for v in range(prev + 1, _interior_hi(query, pos, l_hi, cap) + 1):
-                if query.mask is not None and not query.mask >> v & 1:
-                    continue
-                nxt.append(p + (v,))
-        prefixes = nxt
-    return tuple(prefixes)
 
 
 def _walk_span(
     query: EnumerationQuery,
     bound: int,
     on_leaf: Callable[[tuple[int, ...], int, int, int], None],
+    prune: Optional[Callable[[int, int], bool]] = None,
 ) -> dict:
     """Walk an exact-span, mask-free query node for node like
     :func:`enumerate_tuples`, calling ``on_leaf(tup, mask, r, n)`` in
@@ -314,6 +276,13 @@ def _walk_span(
     Every restricted sum lies in [1, 2l-1], so a bound of 2l calls
     ``on_leaf`` on every streamed set.  With ``gcd_one`` in the query,
     ``on_leaf`` only sees sets of gcd 1.
+
+    ``prune(mask, r)``, if given, is asked about each prefix (its
+    elements with the top, and their restricted mask) that the bound
+    does not prune.  When it returns true, the leaves below the prefix
+    are not visited: the caller promises that ``on_leaf`` would do
+    nothing on any of them.  Pruned subtrees are counted like those the
+    bound prunes, so the counts and the truncation node do not change.
 
     Returns the cell dict skeleton: k, l, nodes, sets, truncated; on
     truncation the counts are those of the enumerator when it raises
@@ -370,8 +339,8 @@ def _walk_span(
                 raise BudgetExceeded(nodes)
             gv = gcd(g, v)
             rv = r | mask << v
-            if rv.bit_count() > bound:
-                # restricted sumsets only grow: nothing below can be a finding
+            # restricted sumsets only grow: nothing below can be a finding
+            if rv.bit_count() > bound or prune is not None and prune(mask | 1 << v, rv):
                 n, s = subtree(pos + 1, v, gv)
                 if nodes + n <= budget:
                     nodes += n
@@ -483,34 +452,44 @@ def _finalize(
     )
 
 
-def _run_cell(task: tuple[Callable[[tuple], dict], tuple]) -> dict:
-    worker, cell = task
-    return worker(cell)
+def _run_task(task: tuple[Callable[[tuple], object], int, object, int]) -> list[dict]:
+    fn, k, ls, per = task
+    if isinstance(ls, tuple):
+        return fn((k, ls, per))
+    return [fn((k, ls, per))]
 
 
 def _sweep(
-    tasks: list[tuple[Callable[[tuple], dict], int, int]], budget: int, jobs: int
+    tasks: list[tuple[Callable[[tuple], object], int, object]], budget: int, jobs: int
 ) -> tuple[list[dict], dict]:
-    """Walk (cell function, k, l) tasks, the budget split evenly among
-    them, and return the cell dicts in task order with their summed
+    """Walk cell and row tasks, the budget split evenly among their
+    cells, and return the cell dicts in task order with their summed
     counts: enumerated, nodes, truncated.
 
-    With jobs > 1 the cells run in a pool of ``jobs`` workers, sent one
+    A task (fn, k, l) with an int l is one cell: ``fn((k, l, per))``
+    returns its dict.  A task (fn, k, tops) with a tuple of tops is a
+    row: ``fn((k, tops, per))`` returns the dicts of the cells (k, l),
+    l in tops, in order.  Every cell gets the same share ``per`` either
+    way, so grouping cells into rows changes no count.
+
+    With jobs > 1 the tasks run in a pool of ``jobs`` workers, sent one
     at a time: a cell's cost grows steeply with k, so batches of
     neighbouring cells would leave one worker with all the heavy ones.
     """
     if jobs < 1:
         raise SetDomainError(f"jobs must be at least 1, got {jobs}")
-    per = max(1, budget // max(1, len(tasks)))
-    cells = [(fn, (k, l, per)) for fn, k, l in tasks]
-    if jobs > 1 and len(cells) > 1:
+    n_cells = sum(len(ls) if isinstance(ls, tuple) else 1 for _fn, _k, ls in tasks)
+    per = max(1, budget // max(1, n_cells))
+    sent = [(fn, k, ls, per) for fn, k, ls in tasks]
+    if jobs > 1 and len(sent) > 1:
         # imported here: the pool's modules cost a serial run's start-up
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell, cells, chunksize=1))
+            rows = list(pool.map(_run_task, sent, chunksize=1))
     else:
-        results = [_run_cell(c) for c in cells]
+        rows = [_run_task(t) for t in sent]
+    results = [cell for row in rows for cell in row]
     counts = {
         "enumerated": sum(r["sets"] for r in results),
         "nodes": sum(r["nodes"] for r in results),
@@ -629,12 +608,12 @@ def _low_second_cell(args: tuple) -> dict:
             bad.append(f"{_literal(tup)}: restricted size {n} < {bound}")
         elif n == bound:
             tight += 1
-        ns = _normalized(tup, mask)
-        s = find_admissible_split(ns)
+        s = find_admissible_split(_normalized(tup, mask))
         if s is not None:
             splits += 1
+            # split_at's identity checks, on the walker's restricted size
             try:
-                split_at(ns, s)
+                _check_split(tup, mask, s, n)
             except RuntimeError as exc:
                 bad.append(f"{_literal(tup)}: {exc}")
 
@@ -891,22 +870,32 @@ def verify_span_classification(
 # Structure sweep: every checker over its qualifying space
 
 
-def _structure_cell(args: tuple) -> dict:
+def _structure_cell(
+    args: tuple, fails_by_head: Optional[dict[int, tuple[str, ...]]] = None
+) -> dict:
+    """One detached-top cell (k, l) of the structure sweep.
+
+    Every check reads only k and the head, the set minus its top l: the
+    structure checkers see the head through ``structure._context``, and
+    the window test uses the head's mask.  So the failure messages are
+    kept in ``fails_by_head``, keyed by the head's mask; a row passes one
+    dict to every cell of its k, so each head is checked once for all of
+    its tops.  Only the extremal count and the gcd filter see the top.
+    """
     k, l, per_budget = args
+    if fails_by_head is None:
+        fails_by_head = {}
     query = EnumerationQuery.exact(k, l, _DENSE, budget=per_budget)
     candidates = top_gap_candidates(k)
     window = (1 << (2 * k - 3)) - 1
     extremal = 0
     bad: list[str] = []
 
-    def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
-        nonlocal extremal
-        if n == 3 * k - 7:
-            extremal += 1
+    def head_failures(tup: tuple[int, ...], mask: int, head_mask: int) -> tuple[str, ...]:
         head = tup[:-1]
         ns = _normalized(tup, mask)
         fails: list[str] = []
-        if double_mask(mask ^ 1 << l, head) & window != window:
+        if double_mask(head_mask, head) & window != window:
             fails.append("head sumset misses part of [0, 2k-4]")
         fails += check_exceptional_points(ns)
         if not exceptional_growth_ok(ns):
@@ -941,12 +930,31 @@ def _structure_cell(args: tuple) -> dict:
                 for cand in candidates:
                     if head == cand.head and b_pair == cand.b_values and not gap:
                         fails.append(f"rigid shape {cand.name} without the double gap")
+        return tuple(fails)
+
+    def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
+        nonlocal extremal
+        if n == 3 * k - 7:
+            extremal += 1
+        head_mask = mask ^ 1 << l
+        fails = fails_by_head.get(head_mask)
+        if fails is None:
+            fails = fails_by_head[head_mask] = head_failures(tup, mask, head_mask)
         if fails:
             lit = _literal(tup)
             bad.extend(f"{lit}: {msg}" for msg in fails)
 
     cell = _walk_span(query, 2 * l, leaf)
     return {**cell, "extremal": extremal, "bad": bad}
+
+
+def _structure_row(args: tuple) -> list[dict]:
+    """The structure cells (k, l) for l in tops, in order, sharing one
+    head-to-failures dict; it lives only as long as the row, so pool
+    workers share nothing."""
+    k, tops, per_budget = args
+    fails_by_head: dict[int, tuple[str, ...]] = {}
+    return [_structure_cell((k, l, per_budget), fails_by_head) for l in tops]
 
 
 def _witness_cell(args: tuple) -> dict:
@@ -957,11 +965,18 @@ def _witness_cell(args: tuple) -> dict:
     bad: list[str] = []
     notes: list[str] = []
 
+    def few_candidates(mask: int, r: int) -> bool:
+        # witness_profile's predicate on the walker's masks: with fewer
+        # than two witnesses a set gives neither a finding nor a pair.
+        # With the top placed, adding elements only removes candidates,
+        # so a prefix with fewer than two has no set below it with two.
+        return (~(mask | r | r >> l) & span).bit_count() < 2
+
     def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
         nonlocal extremal, pairs
-        # witness_profile's predicate on the walker's masks: with fewer
-        # than two witnesses a set gives neither a finding nor a pair
-        if (~(mask | r | r >> l) & span).bit_count() < 2:
+        # the walker still descends a pruned subtree whose count would
+        # pass the budget, so its leaves arrive here
+        if few_candidates(mask, r):
             return
         ns = _normalized(tup, mask)
         wp = witness_profile(ns)
@@ -999,7 +1014,7 @@ def _witness_cell(args: tuple) -> dict:
                                 f"by the half-grid"
                             )
 
-    cell = _walk_span(query, 2 * l, leaf)
+    cell = _walk_span(query, 2 * l, leaf, few_candidates)
     return {**cell, "extremal": extremal, "pairs": pairs, "bad": bad, "notes": notes}
 
 
@@ -1022,8 +1037,11 @@ def sweep_structure(
     """
     t0 = time.monotonic()
     dense_cells, top_cap = _detached_top_cells(k_min, k_max, cap)
+    tops_by_k: dict[int, list[int]] = {}
+    for k, l in dense_cells:
+        tops_by_k.setdefault(k, []).append(l)
     results, counts = _sweep(
-        [(_structure_cell, k, l) for k, l in dense_cells]
+        [(_structure_row, k, tuple(tops)) for k, tops in tops_by_k.items()]
         + [(_witness_cell, k, l) for k in range(max(8, k_min), k_max + 1)
            for l in range(k - 1, 2 * k - 2)],
         budget, jobs,

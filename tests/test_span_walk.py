@@ -6,16 +6,23 @@ classify_extremal result, must equal what a plain ``enumerate_tuples``
 loop with the naive restricted-sumset oracle gives: node and set
 counts, findings in stream order, and, under a budget, the node at
 which the budget runs out.  The walker itself must hand each leaf the
-element tuple and restricted mask of its set.
+element tuple and restricted mask of its set.  A structure row, which
+shares one head cache among the cells of its k, must give each cell the
+dict a lone cell gives, and theorem 1's split check must fail with the
+message ``split_at`` gives.
 """
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumset_lab.bounds import freiman_lev_bound
 from sumset_lab.core import NormalizedSet, SetDomainError, elements_of, restricted_mask
+from sumset_lab import structure
 from sumset_lab.families import dense_extremal_shape
 from sumset_lab.structure import (
+    _check_split,
     check_exceptional_points,
     decompose,
     diff3_exception_case,
@@ -40,8 +47,11 @@ from sumset_lab.verify import (
     _classification_cell,
     _conjecture_cell,
     _dense_prefix_cell,
+    _detached_top_cells,
     _low_second_cell,
     _structure_cell,
+    _structure_row,
+    _sweep,
     _witness_cell,
 )
 
@@ -293,6 +303,46 @@ def test_structure_cell_matches_plain_enumeration(cell):
 
 
 @st.composite
+def structure_rows(draw):
+    """(k, tops, budget): a run of consecutive detached tops of one k."""
+    k = draw(st.integers(min_value=3, max_value=8))
+    lo = draw(st.integers(min_value=2 * k - 2, max_value=2 * k + 6))
+    hi = draw(st.integers(min_value=lo, max_value=2 * k + 6))
+    return k, tuple(range(lo, hi + 1)), draw(budgets)
+
+
+@given(structure_rows())
+@settings(max_examples=40, deadline=None)
+def test_structure_row_matches_lone_cells_and_plain_enumeration(row):
+    k, tops, budget = row
+    got = _structure_row(row)
+    assert got == [_structure_cell((k, l, budget)) for l in tops]
+    for l, cell in zip(tops, got):
+        nodes, truncated, streamed = plain_sets(k, l, DENSE, budget)
+        assert cell == {
+            "k": k,
+            "l": l,
+            "nodes": nodes,
+            "sets": len(streamed),
+            "extremal": sum(1 for _t, n in streamed if n == 3 * k - 7),
+            "bad": [msg for t, _n in streamed for msg in structure_failures(t)],
+            "truncated": truncated,
+        }
+
+
+@given(st.integers(min_value=3, max_value=7),
+       st.one_of(st.integers(min_value=1, max_value=300_000), st.just(10**9)))
+@settings(max_examples=30, deadline=None)
+def test_sweep_gives_row_cells_the_budget_share_of_lone_cells(k_max, budget):
+    cells, _cap = _detached_top_cells(3, k_max, None)
+    rows = [(_structure_row, k, tuple(l for kk, l in cells if kk == k))
+            for k in range(3, k_max + 1)]
+    assert _sweep(rows, budget, 1) == _sweep(
+        [(_structure_cell, k, l) for k, l in cells], budget, 1
+    )
+
+
+@st.composite
 def witness_cells(draw):
     k = draw(st.integers(min_value=4, max_value=9))
     return k, draw(st.integers(min_value=k - 1, max_value=2 * k - 3)), draw(budgets)
@@ -345,3 +395,43 @@ def test_witness_cell_matches_plain_enumeration(cell):
         "notes": notes,
         "truncated": truncated,
     }
+
+
+# every set of a theorem 1 box with a split position, k <= 8
+SPLITTABLE = tuple(
+    t
+    for k in range(4, 9)
+    for l in range(2 * k - 2, 2 * k + 3)
+    for t, _n in plain_sets(k, l, LOW_SECOND, 10**9)[2]
+    if find_admissible_split(NormalizedSet(t)) is not None
+)
+
+
+@given(st.sampled_from(SPLITTABLE))
+@settings(max_examples=80, deadline=None)
+def test_split_check_fails_with_the_message_split_at_gives(t):
+    ns = NormalizedSet(t)
+    s = find_admissible_split(ns)
+    split = split_at(ns, s)
+    assert _check_split(t, ns.mask, s, split.card_restricted) == (
+        split.left.mask, split.right.mask, split.overlap.mask,
+        split.card_left, split.card_right,
+    )
+    short = split.lower_bound - 1
+    with pytest.raises(RuntimeError) as from_check:
+        _check_split(t, ns.mask, s, short)
+    message = f"additive split bound failed at s={s} for {t}: {short} < {split.lower_bound}"
+    assert str(from_check.value) == message
+    if s == len(t) - 2:
+        return  # the left half is the whole set: no way to cut only |2^A|
+    real = structure.restricted_mask
+
+    def cut_whole_set(mask, elems):
+        # the whole set's restricted sumset shrunk to lower_bound - 1 sums
+        return (1 << short) - 1 if mask == ns.mask else real(mask, elems)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "restricted_mask", cut_whole_set)
+        with pytest.raises(RuntimeError) as from_split:
+            split_at(ns, s)
+    assert str(from_split.value) == message

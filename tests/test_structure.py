@@ -7,7 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sumset_lab.core import IntegerSet, NormalizedSet, SetDomainError, mask_of, restricted_size
+from sumset_lab.core import (
+    IntegerSet,
+    NormalizedSet,
+    SetDomainError,
+    double_mask,
+    mask_of,
+    restricted_size,
+)
 from sumset_lab.families import gen_mod3_wide
 from sumset_lab.structure import (
     check_exceptional_points,
@@ -326,3 +333,81 @@ def test_trusted_result_sets_match_validating_constructors(t):
             assert split.right_shifted == ref and hash(split.right_shifted) == hash(ref)
             assert split.right_shifted.elements == ref.elements
             assert split.right_shifted.mask == ref.mask
+
+
+# ---------------------------------------------------------------------------
+# the detached-top checks read only the head, never the top
+
+
+def _is_dense_head(head) -> bool:
+    return head[0] == 0 and all(head[i - 1] < head[i] < 2 * i for i in range(1, len(head)))
+
+
+# heads that reach the rarer branches: two or more exceptional values,
+# the top-gap shapes, the distance-3 and consecutive exceptions
+KNOWN_HEADS = tuple(
+    h
+    for h in (
+        GEN6.elements[:-1],
+        DIFF3_13.elements[:-1],
+        CONSEC_8.elements[:-1],
+        *(c.head for k in range(4, 14) for c in top_gap_candidates(k)),
+        *(gen_mod3_wide(k).elements[:-1] for k in range(6, 14) if k % 3 in (0, 1)),
+    )
+    if len(h) >= 2 and _is_dense_head(h)
+)
+
+
+@st.composite
+def dense_heads_and_two_tops(draw):
+    """A dense head (a_i < 2i) and two distinct detached tops for it."""
+    if draw(st.booleans()):
+        head = draw(st.sampled_from(KNOWN_HEADS))
+    else:
+        k = draw(st.integers(min_value=3, max_value=12))
+        head = [0]
+        for i in range(1, k - 1):
+            head.append(draw(st.integers(min_value=head[-1] + 1, max_value=2 * i - 1)))
+        head = tuple(head)
+    k = len(head) + 1
+    tops = st.integers(min_value=2 * k - 2, max_value=2 * k + 8)
+    l1, l2 = draw(st.lists(tops, min_size=2, max_size=2, unique=True))
+    return head, l1, l2
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SetDomainError as exc:
+        return ("SetDomainError", str(exc))
+
+
+def head_checks(t) -> dict:
+    """Every detached-top check the structure sweep runs, on one set."""
+    ns = NormalizedSet(t)
+    k = len(t)
+    window = (1 << (2 * k - 3)) - 1
+    prof = exceptional_profile(ns)
+    return {
+        "dense": has_dense_prefix(ns),
+        "window": double_mask(ns.mask ^ 1 << t[-1], t[:-1]) & window == window,
+        "profile": (prof.b_values.elements, prof.m, prof.d_values.elements,
+                    prof.c_values.elements),
+        "points": check_exceptional_points(ns),
+        "growth": exceptional_growth_ok(ns),
+        "tail": [tail_pair_counts_ok(ns, b, u) for b in range(2 * k - 3) for u in range(b + 2)],
+        "gaps": _outcome(gap_patterns, ns),
+        "consecutive": matches_consecutive_exception(ns),
+        "diff3": diff3_exception_case(ns),
+        "top_gap": _outcome(top_gap_structure, ns),
+    }
+
+
+@given(dense_heads_and_two_tops())
+@settings(max_examples=200, deadline=None)
+def test_structure_checks_depend_only_on_the_head(case):
+    # the structure sweep checks each head once for all of its tops
+    head, l1, l2 = case
+    first = head_checks(head + (l1,))
+    assert first["dense"]
+    assert first == head_checks(head + (l2,))

@@ -20,7 +20,6 @@ from sumset_lab.verify import (
     classify_extremal,
     enumerate_sets,
     enumerate_tuples,
-    shard_prefixes,
     sweep_structure,
     verify_conjecture,
     verify_dense_prefix,
@@ -143,36 +142,6 @@ def test_enumerate_range_is_union_of_exact_spans():
 def test_enumeration_counts_match_raw_combinations(k, l):
     q = EnumerationQuery.exact(k, l, ("gcd_one",))
     assert sum(1 for _ in enumerate_tuples(q)) == count_normalized_sets(k, l)
-
-
-# ---------------------------------------------------------------------------
-# sharding
-
-
-@pytest.mark.parametrize("depth", [0, 1, 2])
-def test_shards_concatenate_to_sequential_stream(depth):
-    q = EnumerationQuery(6, 9, 11, ("gcd_one",))
-    sequential = list(enumerate_tuples(q))
-    sharded = []
-    for p in shard_prefixes(q, depth):
-        sharded += list(enumerate_tuples(q, prefix=p))
-    assert sharded == sequential
-
-
-def test_shard_depth_validation():
-    q = EnumerationQuery(4, 5, 6)
-    with pytest.raises(SetDomainError):
-        shard_prefixes(q, 3)  # only k-2 = 2 interior slots
-    with pytest.raises(SetDomainError):
-        shard_prefixes(q, -1)
-
-
-def test_bad_prefix_rejected():
-    q = EnumerationQuery(5, 7, 7, ("growth_a_i_lt_2i",))
-    with pytest.raises(SetDomainError):
-        list(enumerate_tuples(q, prefix=(2,)))  # a_1 must stay below 2
-    with pytest.raises(SetDomainError):
-        list(enumerate_tuples(q, prefix=(1, 2, 3, 4)))  # too long
 
 
 # ---------------------------------------------------------------------------
