@@ -16,17 +16,28 @@ A leaf gets its element tuple, mask and restricted mask from the walk,
 so no cell unpacks or re-validates a set the walk has already built.
 Each cell passes the largest restricted size it reports, and may pass a
 prune predicate on a prefix's masks that holds only when no set below
-the prefix can give a finding.  Adding an element never shrinks the
-restricted sumset, so once a prefix's restricted sumset exceeds that
-bound, or the predicate holds, the walker adds that subtree's node count
-and gcd-1 set count from a memo instead of visiting it.  The floor
-checks prune on the bound; the witness cells prune once a prefix has
-fewer than two candidate witnesses left; the other cells that check
-every set pass 2l, which no restricted sumset inside [0, l] reaches.
-The counts are exact, so certificates match plain enumeration byte for
-byte.  A subtree whose nodes would pass the budget is descended, not
-counted, so a truncated walk stops at the same node as the enumerator,
-with the same partial counts and findings.
+the prefix can give a finding.  Each element still to be placed adds a
+sum with the top above every sum already present, so once a prefix's
+restricted size plus the number of elements still to come exceeds that
+bound, or the predicate holds, no set below the prefix is a finding.
+The floor checks prune on the bound; the witness cells prune once a
+prefix has fewer than two candidate witnesses left; the other cells
+that check every set pass 2l, which no restricted sumset inside [0, l]
+reaches.
+
+The walker plans a cell before walking it: a memo keyed by (position,
+previous value, gcd) gives the cell's node and gcd-1 set counts.  When
+they fit the cell's budget, the walk takes its counts from the plan and
+only looks for findings, skipping pruned subtrees outright; a cell with
+no constraint but ``gcd_one`` and no prune predicate walks only the sets
+with a_1 + a_{k-2} <= l and adds the mirror l - A of each finding, then
+hands the findings to the cell sorted into stream order.  When the
+counts do not fit, the walk goes node for node in stream order, adds a
+pruned subtree's counts from the memo, and descends a subtree whose
+nodes would pass the budget, so a truncated walk stops at the same node
+as the enumerator, with the same partial counts and findings.  Either
+way the counts are exact, so certificates match plain enumeration byte
+for byte.
 
 One driver path splits a sweep's budget evenly among its cells, walks
 them in task order (in a process pool when ``jobs > 1``) and sums their
@@ -73,6 +84,7 @@ from .core import (
     SetDomainError,
     double_mask,
     mask_of,
+    restricted_mask,
 )
 from .bounds import freiman_lev_bound
 from .structure import (
@@ -268,7 +280,7 @@ def _walk_span(
     on_leaf: Callable[[tuple[int, ...], int, int, int], None],
     prune: Optional[Callable[[int, int], bool]] = None,
 ) -> dict:
-    """Walk an exact-span, mask-free query node for node like
+    """Walk an exact-span, mask-free query with the counts of
     :func:`enumerate_tuples`, calling ``on_leaf(tup, mask, r, n)`` in
     stream order for each streamed set whose restricted sumset has
     n <= bound members: ``tup`` is the set's ascending element tuple,
@@ -287,6 +299,27 @@ def _walk_span(
     Returns the cell dict skeleton: k, l, nodes, sets, truncated; on
     truncation the counts are those of the enumerator when it raises
     :class:`BudgetExceeded`.
+
+    The walk is planned first: the memo gives the cell's node and set
+    totals.  If the nodes fit the budget, the cell cannot truncate, so
+    the totals are returned as they are and the walk only looks for
+    leaves: it counts no node and skips pruned subtrees outright.
+    Otherwise the walk goes node for node in stream order, so that it
+    stops where the enumerator does.
+
+    Both walks prune on a lookahead bound.  The top is placed first, so
+    each element still to be placed adds a sum with the top that is
+    larger than every sum already present: a set's restricted size is at
+    least the prefix's plus the number of elements still to come.
+
+    A planned walk whose query has no constraint but ``gcd_one`` and no
+    ``prune`` walks only half the cell.  The mirror A -> l - A keeps gcd
+    1, the span and the restricted size, so only the sets with
+    a_1 + a_{k-2} <= l are walked, and each leaf found brings its mirror
+    too, unless a_1 + a_{k-2} = l, when the mirror is walked as well.
+    The leaves are held, sorted and then handed to ``on_leaf``, so it
+    still sees them in stream order; only leaves with n <= bound are
+    held, which in the cells that halve are the few findings.
     """
     k, l = query.k, query.l_max
     l_lo, l_hi, cap = _effective_bounds(query)
@@ -295,6 +328,9 @@ def _walk_span(
     budget = query.budget
     last = k - 1
     his = [_interior_hi(query, pos, l_hi, cap) for pos in range(last)]
+    # a prefix ending at pos is pruned once its restricted size passes
+    # lims[pos]: each of the last - 1 - pos elements still to come adds one
+    lims = [bound - (last - 1 - pos) for pos in range(last)]
     # the elements on the current root-to-node path; the leaf's tuple
     path = [0] * k
     path[last] = l
@@ -318,6 +354,45 @@ def _walk_span(
             memo[key] = got
         return got
 
+    planned_nodes, planned_sets = subtree(1, 0, l)
+    if planned_nodes <= budget:
+        halve = set(query.constraints) <= {"gcd_one"} and prune is None
+        held: list[tuple[tuple[int, ...], int, int, int]] = []
+
+        def find(pos: int, prev: int, g: int, mask: int, r: int) -> None:
+            if pos == last:
+                n = r.bit_count()
+                if has_leaf and (not need_gcd or g == 1) and n <= bound:
+                    tup = tuple(path)
+                    if not halve:
+                        on_leaf(tup, mask, r, n)
+                        return
+                    held.append((tup, mask, r, n))
+                    if tup[1] + tup[-2] != l:
+                        mirror = tuple(l - v for v in reversed(tup))
+                        m = mask_of(mirror)
+                        held.append((mirror, m, restricted_mask(m, mirror), n))
+                return
+            hi = his[pos]
+            if halve and pos == last - 1:
+                # a_{k-2} <= l - a_1; for k = 3, a_{k-2} is a_1 itself
+                hi = min(hi, l - path[1] if pos > 1 else l // 2)
+            lim = lims[pos]
+            for v in range(prev + 1, hi + 1):
+                rv = r | mask << v
+                if rv.bit_count() > lim or prune is not None and prune(mask | 1 << v, rv):
+                    continue
+                path[pos] = v
+                find(pos + 1, v, gcd(g, v), mask | 1 << v, rv)
+
+        find(1, 0, l, 1 | 1 << l, 1 << l)
+        # tuples are distinct, so this is the stream order
+        held.sort()
+        for leaf in held:
+            on_leaf(*leaf)
+        return {"k": k, "l": l, "nodes": planned_nodes, "sets": planned_sets,
+                "truncated": False}
+
     nodes = sets = 0
 
     def walk(pos: int, prev: int, g: int, mask: int, r: int) -> None:
@@ -333,14 +408,15 @@ def _walk_span(
                     if n <= bound:
                         on_leaf(tuple(path), mask, r, n)
             return
+        lim = lims[pos]
         for v in range(prev + 1, his[pos] + 1):
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(nodes)
             gv = gcd(g, v)
             rv = r | mask << v
-            # restricted sumsets only grow: nothing below can be a finding
-            if rv.bit_count() > bound or prune is not None and prune(mask | 1 << v, rv):
+            # with the elements still to come, nothing below can be a finding
+            if rv.bit_count() > lim or prune is not None and prune(mask | 1 << v, rv):
                 n, s = subtree(pos + 1, v, gv)
                 if nodes + n <= budget:
                     nodes += n

@@ -6,15 +6,20 @@ classify_extremal result, must equal what a plain ``enumerate_tuples``
 loop with the naive restricted-sumset oracle gives: node and set
 counts, findings in stream order, and, under a budget, the node at
 which the budget runs out.  The walker itself must hand each leaf the
-element tuple and restricted mask of its set.  A structure row, which
-shares one head cache among the cells of its k, must give each cell the
-dict a lone cell gives, and theorem 1's split check must fail with the
-message ``split_at`` gives.
+element tuple and restricted mask of its set, and its lookahead prune
+must hold on every prefix of a set.  Each cell must also match at the
+budgets around its planned node count, where the walker switches
+between taking its counts from the plan and walking in stream order.
+A structure row, which shares one head cache among the cells of its k,
+must give each cell the dict a lone cell gives, and theorem 1's split
+check must fail with the message ``split_at`` gives.
 """
+
+from math import gcd
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sumset_lab.bounds import freiman_lev_bound
@@ -119,6 +124,28 @@ def test_walker_hands_each_leaf_its_elements_and_restricted_mask(case):
 
 
 @st.composite
+def gcd_one_sets(draw):
+    k = draw(st.integers(min_value=3, max_value=12))
+    l = draw(st.integers(min_value=k - 1, max_value=3 * k))
+    interior = draw(st.lists(st.integers(min_value=1, max_value=l - 1),
+                             min_size=k - 2, max_size=k - 2, unique=True))
+    t = (0, *sorted(interior), l)
+    assume(gcd(*t) == 1)
+    return t
+
+
+@given(gcd_one_sets())
+@settings(max_examples=200, deadline=None)
+def test_lookahead_bound_holds_on_every_prefix(t):
+    # the walker's prune: each interior element still to come adds its sum
+    # with the top, above every sum of the prefix and the top
+    n = len(naive_restricted(t))
+    for pos in range(len(t) - 1):
+        prefix = t[:pos + 1] + (t[-1],)
+        assert n >= len(naive_restricted(prefix)) + (len(t) - 2 - pos)
+
+
+@st.composite
 def conjecture_cells(draw):
     k = draw(st.integers(min_value=3, max_value=7))
     return k, draw(st.integers(min_value=k - 1, max_value=2 * k + 2)), draw(budgets)
@@ -130,13 +157,10 @@ def dense_cells(draw):
     return k, draw(st.integers(min_value=2 * k - 2, max_value=2 * k + 6)), draw(budgets)
 
 
-@given(conjecture_cells())
-@settings(max_examples=80, deadline=None)
-def test_conjecture_cell_matches_plain_enumeration(cell):
-    k, l, budget = cell
+def conjecture_reference(k, l, budget):
     bound = freiman_lev_bound(k, l)
     nodes, sets, truncated, low = plain_walk(k, l, ("gcd_one",), budget, bound)
-    assert _conjecture_cell(cell) == {
+    return {
         "k": k,
         "l": l,
         "bound": bound,
@@ -148,14 +172,17 @@ def test_conjecture_cell_matches_plain_enumeration(cell):
     }
 
 
-@given(dense_cells())
+@given(conjecture_cells())
 @settings(max_examples=80, deadline=None)
-def test_dense_prefix_cell_matches_plain_enumeration(cell):
-    k, l, budget = cell
+def test_conjecture_cell_matches_plain_enumeration(cell):
+    assert _conjecture_cell(cell) == conjecture_reference(*cell)
+
+
+def dense_prefix_reference(k, l, budget):
     bound = 3 * k - 7
     nodes, sets, truncated, low = plain_walk(k, l, DENSE, budget, bound)
     equality = [t for t, n in low if n == bound]
-    assert _dense_prefix_cell(cell) == {
+    return {
         "k": k,
         "l": l,
         "nodes": nodes,
@@ -169,14 +196,18 @@ def test_dense_prefix_cell_matches_plain_enumeration(cell):
     }
 
 
-@given(st.integers(min_value=4, max_value=9), budgets)
-@settings(max_examples=60, deadline=None)
-def test_classification_cell_matches_plain_enumeration(k, budget):
+@given(dense_cells())
+@settings(max_examples=80, deadline=None)
+def test_dense_prefix_cell_matches_plain_enumeration(cell):
+    assert _dense_prefix_cell(cell) == dense_prefix_reference(*cell)
+
+
+def classification_reference(k, l, budget):
     bound = 3 * k - 7
-    nodes, sets, truncated, low = plain_walk(k, 2 * k - 3, ("gcd_one",), budget, bound)
-    assert _classification_cell((k, 2 * k - 3, budget)) == {
+    nodes, sets, truncated, low = plain_walk(k, l, ("gcd_one",), budget, bound)
+    return {
         "k": k,
-        "l": 2 * k - 3,
+        "l": l,
         "nodes": nodes,
         "sets": sets,
         "extremal": [lit(t) for t, n in low if n == bound],
@@ -185,25 +216,38 @@ def test_classification_cell_matches_plain_enumeration(k, budget):
     }
 
 
+@given(st.integers(min_value=4, max_value=9), budgets)
+@settings(max_examples=60, deadline=None)
+def test_classification_cell_matches_plain_enumeration(k, budget):
+    cell = (k, 2 * k - 3, budget)
+    assert _classification_cell(cell) == classification_reference(*cell)
+
+
 @st.composite
 def classify_args(draw):
     k = draw(st.integers(min_value=4, max_value=7))
     return k, draw(st.integers(min_value=k - 1, max_value=2 * k + 2)), draw(budgets)
 
 
+def classify_cell(args):
+    """classify_extremal's tuples, or the node count it raised at."""
+    k, l, budget = args
+    try:
+        return [s.elements for s in classify_extremal(k, l, budget=budget)]
+    except BudgetExceeded as exc:
+        return exc.nodes
+
+
+def classify_reference(k, l, budget):
+    bound = 3 * k - 7
+    nodes, _sets, truncated, low = plain_walk(k, l, ("gcd_one",), budget, bound)
+    return nodes if truncated else [t for t, n in low if n == bound]
+
+
 @given(classify_args())
 @settings(max_examples=60, deadline=None)
 def test_classify_extremal_matches_plain_enumeration(args):
-    k, l, budget = args
-    bound = 3 * k - 7
-    nodes, _sets, truncated, low = plain_walk(k, l, ("gcd_one",), budget, bound)
-    try:
-        got = [s.elements for s in classify_extremal(k, l, budget=budget)]
-    except BudgetExceeded as exc:
-        assert truncated and exc.nodes == nodes
-    else:
-        assert not truncated
-        assert got == [t for t, n in low if n == bound]
+    assert classify_cell(args) == classify_reference(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +260,7 @@ def low_second_cells(draw):
     return k, draw(st.integers(min_value=2 * k - 2, max_value=2 * k + 6)), draw(budgets)
 
 
-@given(low_second_cells())
-@settings(max_examples=60, deadline=None)
-def test_low_second_cell_matches_plain_enumeration(cell):
-    k, l, budget = cell
+def low_second_reference(k, l, budget):
     bound = 3 * k - 7
     nodes, truncated, streamed = plain_sets(k, l, LOW_SECOND, budget)
     bad = []
@@ -235,7 +276,7 @@ def test_low_second_cell_matches_plain_enumeration(cell):
                 split_at(ns, s)
             except RuntimeError as exc:
                 bad.append(f"{lit(t)}: {exc}")
-    assert _low_second_cell(cell) == {
+    return {
         "k": k,
         "l": l,
         "nodes": nodes,
@@ -245,6 +286,12 @@ def test_low_second_cell_matches_plain_enumeration(cell):
         "bad": bad,
         "truncated": truncated,
     }
+
+
+@given(low_second_cells())
+@settings(max_examples=60, deadline=None)
+def test_low_second_cell_matches_plain_enumeration(cell):
+    assert _low_second_cell(cell) == low_second_reference(*cell)
 
 
 def structure_failures(t) -> list[str]:
@@ -286,12 +333,9 @@ def structure_failures(t) -> list[str]:
     return [f"{lit(t)}: {msg}" for msg in out]
 
 
-@given(dense_cells())
-@settings(max_examples=60, deadline=None)
-def test_structure_cell_matches_plain_enumeration(cell):
-    k, l, budget = cell
+def structure_reference(k, l, budget):
     nodes, truncated, streamed = plain_sets(k, l, DENSE, budget)
-    assert _structure_cell(cell) == {
+    return {
         "k": k,
         "l": l,
         "nodes": nodes,
@@ -300,6 +344,12 @@ def test_structure_cell_matches_plain_enumeration(cell):
         "bad": [msg for t, _n in streamed for msg in structure_failures(t)],
         "truncated": truncated,
     }
+
+
+@given(dense_cells())
+@settings(max_examples=60, deadline=None)
+def test_structure_cell_matches_plain_enumeration(cell):
+    assert _structure_cell(cell) == structure_reference(*cell)
 
 
 @st.composite
@@ -317,17 +367,7 @@ def test_structure_row_matches_lone_cells_and_plain_enumeration(row):
     k, tops, budget = row
     got = _structure_row(row)
     assert got == [_structure_cell((k, l, budget)) for l in tops]
-    for l, cell in zip(tops, got):
-        nodes, truncated, streamed = plain_sets(k, l, DENSE, budget)
-        assert cell == {
-            "k": k,
-            "l": l,
-            "nodes": nodes,
-            "sets": len(streamed),
-            "extremal": sum(1 for _t, n in streamed if n == 3 * k - 7),
-            "bad": [msg for t, _n in streamed for msg in structure_failures(t)],
-            "truncated": truncated,
-        }
+    assert got == [structure_reference(k, l, budget) for l in tops]
 
 
 @given(st.integers(min_value=3, max_value=7),
@@ -348,10 +388,7 @@ def witness_cells(draw):
     return k, draw(st.integers(min_value=k - 1, max_value=2 * k - 3)), draw(budgets)
 
 
-@given(witness_cells())
-@settings(max_examples=60, deadline=None)
-def test_witness_cell_matches_plain_enumeration(cell):
-    k, l, budget = cell
+def witness_reference(k, l, budget):
     nodes, truncated, streamed = plain_sets(k, l, ("gcd_one",), budget)
     extremal = pairs = 0
     bad = []
@@ -384,7 +421,7 @@ def test_witness_cell_matches_plain_enumeration(cell):
                         bad.append(
                             f"{lit(t)}: residue pair ({u1},{u2}) not split by the half-grid"
                         )
-    assert _witness_cell(cell) == {
+    return {
         "k": k,
         "l": l,
         "nodes": nodes,
@@ -395,6 +432,38 @@ def test_witness_cell_matches_plain_enumeration(cell):
         "notes": notes,
         "truncated": truncated,
     }
+
+
+@given(witness_cells())
+@settings(max_examples=60, deadline=None)
+def test_witness_cell_matches_plain_enumeration(cell):
+    assert _witness_cell(cell) == witness_reference(*cell)
+
+
+# each driver cell with its plain-enumeration reference, its constraints
+# and a strategy for its (k, l), whose drawn budget is not used
+DRIVER_CELLS = [
+    (_conjecture_cell, conjecture_reference, ("gcd_one",), conjecture_cells()),
+    (_dense_prefix_cell, dense_prefix_reference, DENSE, dense_cells()),
+    (_classification_cell, classification_reference, ("gcd_one",),
+     st.integers(min_value=4, max_value=9).map(lambda k: (k, 2 * k - 3, None))),
+    (classify_cell, classify_reference, ("gcd_one",), classify_args()),
+    (_low_second_cell, low_second_reference, LOW_SECOND, low_second_cells()),
+    (_structure_cell, structure_reference, DENSE, dense_cells()),
+    (_witness_cell, witness_reference, ("gcd_one",), witness_cells()),
+]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_cells_match_plain_enumeration_on_both_sides_of_the_plan(data):
+    # a cell whose planned nodes fit its budget takes its counts from the
+    # plan; one node less and it walks in stream order and truncates
+    fn, reference, constraints, cells = data.draw(st.sampled_from(DRIVER_CELLS))
+    k, l, _budget = data.draw(cells)
+    planned = plain_sets(k, l, constraints, 10**9)[0]
+    for budget in (planned - 1, planned, planned + 1):
+        assert fn((k, l, budget)) == reference(k, l, budget)
 
 
 # every set of a theorem 1 box with a split position, k <= 8

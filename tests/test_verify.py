@@ -218,6 +218,24 @@ def test_verify_conjecture_k10_frozen():
     assert len(cert.observations) == 20
 
 
+def test_verify_conjecture_k12_frozen():
+    # counts from the stream-order walker, before cells took them from a plan
+    cert = verify_conjecture(12, 28, budget=10**11)
+    assert cert.outcome == "verified"
+    assert cert.counts == {
+        "enumerated": 46278693, "extremal": 9373, "nodes": 117412065, "truncated": False,
+    }
+    assert len(cert.observations) == 29
+    # the default budget gives each of the 225 cells 1/225 of 10^9 nodes:
+    # most cells fit their share, and the largest run out of it part way
+    cert = verify_conjecture(12, 28)
+    assert cert.outcome == "budget_exhausted"
+    assert cert.counts == {
+        "enumerated": 29550204, "extremal": 9290, "nodes": 73948902, "truncated": True,
+    }
+    assert len(cert.observations) == 29
+
+
 def test_verify_conjecture_validation():
     with pytest.raises(SetDomainError):
         verify_conjecture(2)
