@@ -528,45 +528,62 @@ class SplitTriple:
     card_restricted: int
 
 
-def _check_split(
-    elems: tuple[int, ...], mask: int, s: int, n_full: int
-) -> tuple[int, int, int, int, int]:
-    """Check the split of the set with ascending ``elems`` and bit mask
-    ``mask`` at position s against both identities, and return
-    (left mask, right mask, overlap mask, |2^left|, |2^right|).
+def _split_head(head: tuple[int, ...], head_mask: int, s: int) -> tuple:
+    """The part of the split check at position s that reads only the head.
 
-    ``n_full`` is |2^A| for the whole set, which the caller already
-    holds.  Raises SetDomainError unless a_{s-1} = 2s-2 and a_s = 2s-1,
-    and RuntimeError when the overlap of the halves' restricted sumsets
-    is not their three shared pairwise sums, or when n_full is below
-    |2^left| + |2^right| - 3.
+    ``head`` is the k-set minus its top, ascending, and ``head_mask``
+    its bit mask.  Raises SetDomainError unless 1 <= s <= k-2,
+    a_{s-1} = 2s-2 and a_s = 2s-1.  Returns what :func:`_split_top`
+    needs for every top: the head, s, the left half's mask and
+    restricted mask, the right half's mask and restricted mask without
+    the top, and the expected overlap as a fixed part and a part shifted
+    by the top.  When s = k-2 the left half is the whole set, and its
+    third element a_{s+1} is the top: then the left half's mask lacks
+    the top, its restricted mask is None, and two of the three shared
+    pairwise sums move with the top.
     """
-    k = len(elems)
+    k = len(head) + 1
     if not 1 <= s <= k - 2:
         raise SetDomainError(f"split position must satisfy 1 <= s <= k-2, got s={s}")
-    if elems[s - 1] != 2 * s - 2 or elems[s] != 2 * s - 1:
+    a, b = head[s - 1], head[s]
+    if a != 2 * s - 2 or b != 2 * s - 1:
         raise SetDomainError(
-            f"split needs a_{s - 1}={2 * s - 2} and a_{s}={2 * s - 1}, "
-            f"got {elems[s - 1]} and {elems[s]}"
+            f"split needs a_{s - 1}={2 * s - 2} and a_{s}={2 * s - 1}, got {a} and {b}"
         )
-    left = elems[: s + 2]
-    right = elems[s - 1 :]
-    # the left half is the elements up to a_{s+1}, the right those from a_{s-1}
-    left_mask = mask & (2 << elems[s + 1]) - 1
-    right_mask = mask >> elems[s - 1] << elems[s - 1]
-    left_restricted = restricted_mask(left_mask, left)
-    right_restricted = restricted_mask(right_mask, right)
+    # the right half is the elements from a_{s-1}, up to the top
+    right_mask = head_mask >> a << a
+    right_restricted = restricted_mask(right_mask, head[s - 1 :])
+    pair = 1 << a | 1 << b
+    if s == k - 2:
+        return head, s, head_mask, None, right_mask, right_restricted, 1 << a + b, pair
+    # the left half is the elements up to a_{s+1}
+    c = head[s + 1]
+    left_mask = head_mask & (2 << c) - 1
+    left_restricted = restricted_mask(left_mask, head[: s + 2])
+    return (head, s, left_mask, left_restricted, right_mask, right_restricted,
+            1 << a + b | pair << c, 0)
+
+
+def _split_top(part: tuple, l: int, r: int, n_full: int) -> tuple[int, int, int, int, int]:
+    """Check the split whose head part is ``part`` (from :func:`_split_head`)
+    on the set with top l, restricted mask r and |2^A| = n_full, and
+    return (left mask, right mask, overlap mask, |2^left|, |2^right|).
+
+    Raises RuntimeError when the overlap of the halves' restricted
+    sumsets is not their three shared pairwise sums, or when n_full is
+    below |2^left| + |2^right| - 3.
+    """
+    head, s, left_mask, left_restricted, right_mask, right_restricted, fixed, moving = part
+    right_restricted |= right_mask << l
+    right_mask |= 1 << l
+    if left_restricted is None:
+        # s = k-2: the left half is the whole set
+        left_mask |= 1 << l
+        left_restricted = r
     overlap = left_restricted & right_restricted
-    expected = mask_of(
-        (
-            elems[s - 1] + elems[s],
-            elems[s - 1] + elems[s + 1],
-            elems[s] + elems[s + 1],
-        )
-    )
-    if overlap != expected:
+    if overlap != fixed | moving << l:
         raise RuntimeError(
-            f"overlap identity failed at s={s} for {elems}: "
+            f"overlap identity failed at s={s} for {head + (l,)}: "
             f"the restricted overlaps are not the three shared pairwise sums"
         )
     n_left = left_restricted.bit_count()
@@ -574,7 +591,7 @@ def _check_split(
     lower = n_left + n_right - 3
     if n_full < lower:
         raise RuntimeError(
-            f"additive split bound failed at s={s} for {elems}: {n_full} < {lower}"
+            f"additive split bound failed at s={s} for {head + (l,)}: {n_full} < {lower}"
         )
     return left_mask, right_mask, overlap, n_left, n_right
 
@@ -589,8 +606,11 @@ def split_at(a: NormalizedSet, s: int) -> SplitTriple:
     and a RuntimeError flags any counterexample.
     """
     elems = a.elements
-    n_full = restricted_mask(a.mask, elems).bit_count()
-    left_mask, right_mask, overlap, n_left, n_right = _check_split(elems, a.mask, s, n_full)
+    top = elems[-1]
+    r = restricted_mask(a.mask, elems)
+    n_full = r.bit_count()
+    part = _split_head(elems[:-1], a.mask ^ 1 << top, s)
+    left_mask, right_mask, overlap, n_left, n_right = _split_top(part, top, r, n_full)
     left = elems[: s + 2]
     right = elems[s - 1 :]
     shift = elems[s - 1]

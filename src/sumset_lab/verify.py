@@ -42,11 +42,16 @@ for byte.
 One driver path splits a sweep's budget evenly among its cells, walks
 them in task order (in a process pool when ``jobs > 1``) and sums their
 node, set and truncation counts.  A task is one cell, or a row: all the
-cells of one k, walked in one call so that they share per-head work.
-The structure sweep runs its detached-top cells as rows, because every
-structural check depends only on k and the head (the set minus its
-top), and each head recurs under every top.  On top of the driver path
-sit five certificate drivers, each adding only its own merge:
+detached-top cells of one k, walked in one call by a row walker.  Every
+cell of a row streams the same heads (the set minus its top), so the
+row walker plans each cell, and the cells whose counts fit their budget
+share one walk over the heads: at each head's leaf the per-head work
+runs once, and each top costs a gcd, one shift-or and one popcount.  A
+cell whose plan does not fit walks alone in stream order, as above.
+Theorem 1 and the structure sweep run their cells as rows: the split
+position and the halves of the split, and every structural check,
+depend only on k and the head.  On top of the driver path sit five
+certificate drivers, each adding only its own merge:
 
 * :func:`verify_conjecture` — the conjectured restricted-sumset floor,
   swept over all small sets; sub-threshold cardinalities (k <= 7) are
@@ -75,7 +80,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
 from .core import (
@@ -101,7 +106,8 @@ from .structure import (
     top_gap_candidates,
     top_gap_structure,
     witness_profile,
-    _check_split,
+    _split_head,
+    _split_top,
 )
 from .families import (
     dense_extremal_shape,
@@ -274,11 +280,54 @@ def enumerate_sets(
         yield IntegerSet._from_trusted(tup, mask_of(tup))
 
 
+class _Plan(NamedTuple):
+    """A cell's node and gcd-1 set totals, its interior caps, and the
+    memo that counts any subtree: ``subtree(pos, prev, g)`` is the
+    (nodes, sets) strictly below the node that placed prev at pos - 1,
+    g being the gcd of that prefix and the top."""
+
+    nodes: int
+    sets: int
+    his: list[int]
+    subtree: Callable[[int, int, int], tuple[int, int]]
+
+
+def _plan(query: EnumerationQuery) -> _Plan:
+    """Plan an exact-span, mask-free query: its totals come from a memo
+    keyed by (position, previous value, gcd), with the top placed first."""
+    k, l = query.k, query.l_max
+    l_lo, l_hi, cap = _effective_bounds(query)
+    has_leaf = l_lo <= l_hi
+    need_gcd = "gcd_one" in query.constraints
+    last = k - 1
+    his = [_interior_hi(query, pos, l_hi, cap) for pos in range(last)]
+    memo: dict[tuple[int, int, int], tuple[int, int]] = {}
+
+    def subtree(pos: int, prev: int, g: int) -> tuple[int, int]:
+        key = (pos, prev, g)
+        got = memo.get(key)
+        if got is None:
+            if pos == last:
+                got = (1, int(not need_gcd or g == 1)) if has_leaf else (0, 0)
+            else:
+                nodes = sets = 0
+                for v in range(prev + 1, his[pos] + 1):
+                    n, s = subtree(pos + 1, v, gcd(g, v))
+                    nodes += 1 + n
+                    sets += s
+                got = (nodes, sets)
+            memo[key] = got
+        return got
+
+    return _Plan(*subtree(1, 0, l), his, subtree)
+
+
 def _walk_span(
     query: EnumerationQuery,
     bound: int,
     on_leaf: Callable[[tuple[int, ...], int, int, int], None],
     prune: Optional[Callable[[int, int], bool]] = None,
+    plan: Optional[_Plan] = None,
 ) -> dict:
     """Walk an exact-span, mask-free query with the counts of
     :func:`enumerate_tuples`, calling ``on_leaf(tup, mask, r, n)`` in
@@ -300,12 +349,13 @@ def _walk_span(
     truncation the counts are those of the enumerator when it raises
     :class:`BudgetExceeded`.
 
-    The walk is planned first: the memo gives the cell's node and set
-    totals.  If the nodes fit the budget, the cell cannot truncate, so
-    the totals are returned as they are and the walk only looks for
-    leaves: it counts no node and skips pruned subtrees outright.
-    Otherwise the walk goes node for node in stream order, so that it
-    stops where the enumerator does.
+    The walk is planned first (:func:`_plan`; a row walker that has
+    already planned the cell passes its ``plan``): the memo gives the
+    cell's node and set totals.  If the nodes fit the budget, the cell
+    cannot truncate, so the totals are returned as they are and the walk
+    only looks for leaves: it counts no node and skips pruned subtrees
+    outright.  Otherwise the walk goes node for node in stream order, so
+    that it stops where the enumerator does.
 
     Both walks prune on a lookahead bound.  The top is placed first, so
     each element still to be placed adds a sum with the top that is
@@ -322,40 +372,22 @@ def _walk_span(
     held, which in the cells that halve are the few findings.
     """
     k, l = query.k, query.l_max
-    l_lo, l_hi, cap = _effective_bounds(query)
+    l_lo, l_hi, _cap = _effective_bounds(query)
     has_leaf = l_lo <= l_hi
     need_gcd = "gcd_one" in query.constraints
     budget = query.budget
     last = k - 1
-    his = [_interior_hi(query, pos, l_hi, cap) for pos in range(last)]
+    if plan is None:
+        plan = _plan(query)
+    his, subtree = plan.his, plan.subtree
     # a prefix ending at pos is pruned once its restricted size passes
     # lims[pos]: each of the last - 1 - pos elements still to come adds one
     lims = [bound - (last - 1 - pos) for pos in range(last)]
     # the elements on the current root-to-node path; the leaf's tuple
     path = [0] * k
     path[last] = l
-    memo: dict[tuple[int, int, int], tuple[int, int]] = {}
 
-    def subtree(pos: int, prev: int, g: int) -> tuple[int, int]:
-        # (nodes, sets) strictly below the node that placed prev at pos - 1;
-        # g is the gcd of the prefix and the top
-        key = (pos, prev, g)
-        got = memo.get(key)
-        if got is None:
-            if pos == last:
-                got = (1, int(not need_gcd or g == 1)) if has_leaf else (0, 0)
-            else:
-                nodes = sets = 0
-                for v in range(prev + 1, his[pos] + 1):
-                    n, s = subtree(pos + 1, v, gcd(g, v))
-                    nodes += 1 + n
-                    sets += s
-                got = (nodes, sets)
-            memo[key] = got
-        return got
-
-    planned_nodes, planned_sets = subtree(1, 0, l)
-    if planned_nodes <= budget:
+    if plan.nodes <= budget:
         halve = set(query.constraints) <= {"gcd_one"} and prune is None
         held: list[tuple[tuple[int, ...], int, int, int]] = []
 
@@ -390,8 +422,7 @@ def _walk_span(
         held.sort()
         for leaf in held:
             on_leaf(*leaf)
-        return {"k": k, "l": l, "nodes": planned_nodes, "sets": planned_sets,
-                "truncated": False}
+        return {"k": k, "l": l, "nodes": plan.nodes, "sets": plan.sets, "truncated": False}
 
     nodes = sets = 0
 
@@ -431,6 +462,111 @@ def _walk_span(
     except BudgetExceeded:
         truncated = True
     return {"k": k, "l": l, "nodes": nodes, "sets": sets, "truncated": truncated}
+
+
+def _walk_row(
+    k: int,
+    tops: Sequence[int],
+    constraints: tuple[str, ...],
+    per_budget: int,
+    on_head: Callable[[tuple[int, ...], int], object],
+    on_set: Callable[[tuple[int, ...], int, int, int, object], None],
+) -> list[dict]:
+    """Walk the detached-top cells (k, l), l in ``tops``, each with the
+    budget ``per_budget``, and return their cell dicts in order: each is
+    the dict :func:`_walk_span` returns for the cell alone with bound 2l.
+
+    Every set a cell streams is handed to ``on_set(head, l, r, n,
+    state)``: ``head`` is the set minus its top l, ``r`` the set's
+    restricted mask and n its popcount.  ``state`` is what
+    ``on_head(tup, mask)`` returned on a set with that head (its element
+    tuple and mask), so it may depend on the head only.  Each cell sees
+    its sets in stream order.
+
+    Every cell is planned first (:func:`_plan`).  The cells whose planned
+    nodes fit the budget take their counts from the plan and share one
+    walk over the heads, in lexicographic order.  At each head's leaf
+    ``on_head`` runs once, and each top costs a gcd, one shift-or
+    (r = r_head | head_mask << l) and one popcount.  A cell whose plan
+    does not fit walks alone through :func:`_walk_span` in stream order,
+    so it stops at the node where the enumerator does; its sets take the
+    state of a head already seen, and ``on_head`` runs on the others.
+
+    Sharing the walk needs every cell to stream the same heads.  The
+    head walk cuts each interior cap to one below the next position's
+    (the values rise strictly), so it visits only prefixes of complete
+    heads.  Under the detached-top constraints the cut caps do not
+    depend on the top.  With l >= 2k-2 the span cap l - (k-1-pos) is at
+    least k-1+pos: above the growth cap 2pos-1, and above k-3+pos, which
+    the cut makes of the cap 2k-5 of ``interior_lt_2k_minus_4``.  Under
+    that constraint the uncut caps do differ between tops, at the low
+    positions where the span cap is below 2k-5, but only on prefixes
+    that no head completes.  A row whose cut caps differ between its
+    walked tops is refused.
+    """
+    need_gcd = "gcd_one" in constraints
+    last = k - 1
+    cells: list[Optional[dict]] = []
+    walked: list[int] = []
+    alone: list[tuple[int, int, EnumerationQuery, _Plan]] = []
+    caps: Optional[list[int]] = None
+    for l in tops:
+        query = EnumerationQuery.exact(k, l, constraints, budget=per_budget)
+        plan = _plan(query)
+        if plan.nodes > per_budget:
+            alone.append((len(cells), l, query, plan))
+            cells.append(None)
+            continue
+        cells.append({"k": k, "l": l, "nodes": plan.nodes, "sets": plan.sets,
+                      "truncated": False})
+        if not plan.sets:
+            continue
+        # position 0 always holds 0, so its cap is unused
+        cut = [0] + plan.his[1:]
+        for pos in range(last - 2, 0, -1):
+            cut[pos] = min(cut[pos], cut[pos + 1] - 1)
+        if caps is None:
+            caps = cut
+        elif cut != caps:
+            raise SetDomainError(f"the cells of row k={k} stream different heads")
+        walked.append(l)
+
+    # when some cell walks alone, each head's state is kept by the head's
+    # mask, so that the lone cells do not compute it again
+    states: dict[int, object] = {}
+    if walked:
+        path = [0] * last
+
+        def heads(pos: int, prev: int, g: int, mask: int, r: int) -> None:
+            if pos == last:
+                head = tuple(path)
+                first = True
+                for l in walked:
+                    if need_gcd and gcd(g, l) != 1:
+                        continue
+                    if first:
+                        state = on_head(head + (l,), mask | 1 << l)
+                        if alone:
+                            states[mask] = state
+                        first = False
+                    rl = r | mask << l
+                    on_set(head, l, rl, rl.bit_count(), state)
+                return
+            for v in range(prev + 1, caps[pos] + 1):
+                path[pos] = v
+                heads(pos + 1, v, gcd(g, v), mask | 1 << v, r | mask << v)
+
+        heads(1, 0, 0, 1, 0)
+
+    for i, l, query, plan in alone:
+        def leaf(tup: tuple[int, ...], mask: int, r: int, n: int, l: int = l) -> None:
+            head_mask = mask ^ 1 << l
+            if head_mask not in states:
+                states[head_mask] = on_head(tup, mask)
+            on_set(tup[:-1], l, r, n, states[head_mask])
+
+        cells[i] = _walk_span(query, 2 * l, leaf, plan=plan)
+    return cells
 
 
 def _literal(tup: Sequence[int]) -> str:
@@ -594,6 +730,14 @@ def _detached_top_cells(
     return cells, cap if cap is not None else 2 * k_max + 6
 
 
+def _top_rows(cells: list[tuple[int, int]]) -> list[tuple[int, tuple[int, ...]]]:
+    """The (k, l) cells grouped into one (k, tops) row per k, in order."""
+    tops_by_k: dict[int, list[int]] = {}
+    for k, l in cells:
+        tops_by_k.setdefault(k, []).append(l)
+    return [(k, tuple(tops)) for k, tops in tops_by_k.items()]
+
+
 # ---------------------------------------------------------------------------
 # Conjectured floor sweep
 
@@ -671,30 +815,38 @@ def verify_conjecture(
 # Low second-largest element: the 3k-7 floor plus split identities
 
 
-def _low_second_cell(args: tuple) -> dict:
-    k, l, per_budget = args
-    query = EnumerationQuery.exact(k, l, _LOW_SECOND, budget=per_budget)
+def _low_second_row(args: tuple) -> list[dict]:
+    """The theorem 1 cells (k, l), l in tops, in order: the 3k-7 floor on
+    every set, and split_at's two identities on every set with a split
+    position.  The split position and the halves' head parts read only
+    the head, so the row finds them once per head
+    (``structure._split_head``) and checks each top on the walker's
+    restricted mask (``structure._split_top``)."""
+    k, tops, per_budget = args
     bound = 3 * k - 7
-    tight = splits = 0
-    bad: list[str] = []
+    tight = dict.fromkeys(tops, 0)
+    splits = dict.fromkeys(tops, 0)
+    bad: dict[int, list[str]] = {l: [] for l in tops}
 
-    def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
-        nonlocal tight, splits
-        if n < bound:
-            bad.append(f"{_literal(tup)}: restricted size {n} < {bound}")
-        elif n == bound:
-            tight += 1
+    def split_part(tup: tuple[int, ...], mask: int) -> Optional[tuple]:
         s = find_admissible_split(_normalized(tup, mask))
-        if s is not None:
-            splits += 1
-            # split_at's identity checks, on the walker's restricted size
-            try:
-                _check_split(tup, mask, s, n)
-            except RuntimeError as exc:
-                bad.append(f"{_literal(tup)}: {exc}")
+        return None if s is None else _split_head(tup[:-1], mask ^ 1 << tup[-1], s)
 
-    cell = _walk_span(query, 2 * l, leaf)
-    return {**cell, "tight": tight, "splits": splits, "bad": bad}
+    def on_set(head: tuple[int, ...], l: int, r: int, n: int, part: Optional[tuple]) -> None:
+        if n < bound:
+            bad[l].append(f"{_literal(head + (l,))}: restricted size {n} < {bound}")
+        elif n == bound:
+            tight[l] += 1
+        if part is not None:
+            splits[l] += 1
+            try:
+                _split_top(part, l, r, n)
+            except RuntimeError as exc:
+                bad[l].append(f"{_literal(head + (l,))}: {exc}")
+
+    cells = _walk_row(k, tops, _LOW_SECOND, per_budget, split_part, on_set)
+    return [{**c, "tight": tight[c["l"]], "splits": splits[c["l"]], "bad": bad[c["l"]]}
+            for c in cells]
 
 
 def verify_low_second_max(
@@ -711,7 +863,9 @@ def verify_low_second_max(
     set admitting a split position."""
     t0 = time.monotonic()
     cells, top_cap = _detached_top_cells(k_min, k_max, cap)
-    results, counts = _sweep([(_low_second_cell, k, l) for k, l in cells], budget, jobs)
+    results, counts = _sweep(
+        [(_low_second_row, k, tops) for k, tops in _top_rows(cells)], budget, jobs
+    )
     query = {
         "k_min": k_min,
         "k_max": k_max,
@@ -946,29 +1100,24 @@ def verify_span_classification(
 # Structure sweep: every checker over its qualifying space
 
 
-def _structure_cell(
-    args: tuple, fails_by_head: Optional[dict[int, tuple[str, ...]]] = None
-) -> dict:
-    """One detached-top cell (k, l) of the structure sweep.
+def _structure_row(args: tuple) -> list[dict]:
+    """The structure cells (k, l), l in tops, in order.
 
     Every check reads only k and the head, the set minus its top l: the
     structure checkers see the head through ``structure._context``, and
-    the window test uses the head's mask.  So the failure messages are
-    kept in ``fails_by_head``, keyed by the head's mask; a row passes one
-    dict to every cell of its k, so each head is checked once for all of
-    its tops.  Only the extremal count and the gcd filter see the top.
+    the window test uses the head's mask.  So the row walker checks each
+    head once, on its first set, and only the extremal count and the gcd
+    filter see the top.
     """
-    k, l, per_budget = args
-    if fails_by_head is None:
-        fails_by_head = {}
-    query = EnumerationQuery.exact(k, l, _DENSE, budget=per_budget)
+    k, tops, per_budget = args
     candidates = top_gap_candidates(k)
     window = (1 << (2 * k - 3)) - 1
-    extremal = 0
-    bad: list[str] = []
+    extremal = dict.fromkeys(tops, 0)
+    bad: dict[int, list[str]] = {l: [] for l in tops}
 
-    def head_failures(tup: tuple[int, ...], mask: int, head_mask: int) -> tuple[str, ...]:
+    def head_failures(tup: tuple[int, ...], mask: int) -> tuple[str, ...]:
         head = tup[:-1]
+        head_mask = mask ^ 1 << tup[-1]
         ns = _normalized(tup, mask)
         fails: list[str] = []
         if double_mask(head_mask, head) & window != window:
@@ -1008,29 +1157,15 @@ def _structure_cell(
                         fails.append(f"rigid shape {cand.name} without the double gap")
         return tuple(fails)
 
-    def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
-        nonlocal extremal
+    def on_set(head: tuple[int, ...], l: int, r: int, n: int, fails: tuple[str, ...]) -> None:
         if n == 3 * k - 7:
-            extremal += 1
-        head_mask = mask ^ 1 << l
-        fails = fails_by_head.get(head_mask)
-        if fails is None:
-            fails = fails_by_head[head_mask] = head_failures(tup, mask, head_mask)
+            extremal[l] += 1
         if fails:
-            lit = _literal(tup)
-            bad.extend(f"{lit}: {msg}" for msg in fails)
+            lit = _literal(head + (l,))
+            bad[l].extend(f"{lit}: {msg}" for msg in fails)
 
-    cell = _walk_span(query, 2 * l, leaf)
-    return {**cell, "extremal": extremal, "bad": bad}
-
-
-def _structure_row(args: tuple) -> list[dict]:
-    """The structure cells (k, l) for l in tops, in order, sharing one
-    head-to-failures dict; it lives only as long as the row, so pool
-    workers share nothing."""
-    k, tops, per_budget = args
-    fails_by_head: dict[int, tuple[str, ...]] = {}
-    return [_structure_cell((k, l, per_budget), fails_by_head) for l in tops]
+    cells = _walk_row(k, tops, _DENSE, per_budget, head_failures, on_set)
+    return [{**c, "extremal": extremal[c["l"]], "bad": bad[c["l"]]} for c in cells]
 
 
 def _witness_cell(args: tuple) -> dict:
@@ -1113,11 +1248,8 @@ def sweep_structure(
     """
     t0 = time.monotonic()
     dense_cells, top_cap = _detached_top_cells(k_min, k_max, cap)
-    tops_by_k: dict[int, list[int]] = {}
-    for k, l in dense_cells:
-        tops_by_k.setdefault(k, []).append(l)
     results, counts = _sweep(
-        [(_structure_row, k, tuple(tops)) for k, tops in tops_by_k.items()]
+        [(_structure_row, k, tops) for k, tops in _top_rows(dense_cells)]
         + [(_witness_cell, k, l) for k in range(max(8, k_min), k_max + 1)
            for l in range(k - 1, 2 * k - 2)],
         budget, jobs,

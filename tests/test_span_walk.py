@@ -10,9 +10,11 @@ element tuple and restricted mask of its set, and its lookahead prune
 must hold on every prefix of a set.  Each cell must also match at the
 budgets around its planned node count, where the walker switches
 between taking its counts from the plan and walking in stream order.
-A structure row, which shares one head cache among the cells of its k,
+A theorem 1 or structure row, whose cells share one walk over their
+heads when their plans fit the budget and walk alone when they do not,
 must give each cell the dict a lone cell gives, and theorem 1's split
-check must fail with the message ``split_at`` gives.
+check, made once per head and once per top, must give the halves and
+the messages ``split_at`` gives.
 """
 
 from math import gcd
@@ -23,11 +25,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sumset_lab.bounds import freiman_lev_bound
-from sumset_lab.core import NormalizedSet, SetDomainError, elements_of, restricted_mask
+from sumset_lab.core import (
+    NormalizedSet, SetDomainError, elements_of, mask_of, restricted_mask,
+)
 from sumset_lab import structure
 from sumset_lab.families import dense_extremal_shape
 from sumset_lab.structure import (
-    _check_split,
+    _split_head,
+    _split_top,
     check_exceptional_points,
     decompose,
     diff3_exception_case,
@@ -53,10 +58,10 @@ from sumset_lab.verify import (
     _conjecture_cell,
     _dense_prefix_cell,
     _detached_top_cells,
-    _low_second_cell,
-    _structure_cell,
+    _low_second_row,
     _structure_row,
     _sweep,
+    _walk_row,
     _witness_cell,
 )
 
@@ -254,6 +259,18 @@ def test_classify_extremal_matches_plain_enumeration(args):
 # Cells that check every set: theorem 1, structure and witness
 
 
+def low_second_cell(args):
+    """One theorem 1 cell (k, l, budget) alone: a row with the one top l."""
+    k, l, budget = args
+    return _low_second_row((k, (l,), budget))[0]
+
+
+def structure_cell(args):
+    """One structure cell (k, l, budget) alone: a row with the one top l."""
+    k, l, budget = args
+    return _structure_row((k, (l,), budget))[0]
+
+
 @st.composite
 def low_second_cells(draw):
     k = draw(st.integers(min_value=3, max_value=9))
@@ -291,7 +308,7 @@ def low_second_reference(k, l, budget):
 @given(low_second_cells())
 @settings(max_examples=60, deadline=None)
 def test_low_second_cell_matches_plain_enumeration(cell):
-    assert _low_second_cell(cell) == low_second_reference(*cell)
+    assert low_second_cell(cell) == low_second_reference(*cell)
 
 
 def structure_failures(t) -> list[str]:
@@ -349,25 +366,80 @@ def structure_reference(k, l, budget):
 @given(dense_cells())
 @settings(max_examples=60, deadline=None)
 def test_structure_cell_matches_plain_enumeration(cell):
-    assert _structure_cell(cell) == structure_reference(*cell)
+    assert structure_cell(cell) == structure_reference(*cell)
 
 
 @st.composite
-def structure_rows(draw):
-    """(k, tops, budget): a run of consecutive detached tops of one k."""
+def detached_rows(draw):
+    """(k, tops): a run of consecutive detached tops of one k."""
     k = draw(st.integers(min_value=3, max_value=8))
     lo = draw(st.integers(min_value=2 * k - 2, max_value=2 * k + 6))
     hi = draw(st.integers(min_value=lo, max_value=2 * k + 6))
-    return k, tuple(range(lo, hi + 1)), draw(budgets)
+    return k, tuple(range(lo, hi + 1))
 
 
-@given(structure_rows())
+# each row function with its lone cell, its reference and its constraints
+ROWS = [
+    (_structure_row, structure_cell, structure_reference, DENSE),
+    (_low_second_row, low_second_cell, low_second_reference, LOW_SECOND),
+]
+
+
+@given(detached_rows(), budgets)
 @settings(max_examples=40, deadline=None)
-def test_structure_row_matches_lone_cells_and_plain_enumeration(row):
-    k, tops, budget = row
-    got = _structure_row(row)
-    assert got == [_structure_cell((k, l, budget)) for l in tops]
+def test_structure_row_matches_lone_cells_and_plain_enumeration(row, budget):
+    k, tops = row
+    got = _structure_row((k, tops, budget))
+    assert got == [structure_cell((k, l, budget)) for l in tops]
     assert got == [structure_reference(k, l, budget) for l in tops]
+
+
+@given(detached_rows(), budgets)
+@settings(max_examples=40, deadline=None)
+def test_low_second_row_matches_lone_cells_and_plain_enumeration(row, budget):
+    k, tops = row
+    got = _low_second_row((k, tops, budget))
+    assert got == [low_second_cell((k, l, budget)) for l in tops]
+    assert got == [low_second_reference(k, l, budget) for l in tops]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_rows_mixing_head_walked_and_lone_cells_match_plain_enumeration(data):
+    # the budget is one top's planned node total -1, +0 or +1: the cells
+    # with smaller plans share the head walk, the larger ones walk alone
+    # in stream order and run out, and the pivot sits on either side
+    row_fn, cell_fn, reference, constraints = data.draw(st.sampled_from(ROWS))
+    k, tops = data.draw(detached_rows())
+    pivot = data.draw(st.sampled_from(tops))
+    planned = plain_sets(k, pivot, constraints, 10**9)[0]
+    for budget in (planned - 1, planned, planned + 1):
+        got = row_fn((k, tops, budget))
+        assert got == [cell_fn((k, l, budget)) for l in tops]
+        assert got == [reference(k, l, budget) for l in tops]
+
+
+@pytest.mark.parametrize("constraints", [DENSE, LOW_SECOND], ids=["dense", "low_second"])
+@pytest.mark.parametrize("k", range(3, 10))
+def test_detached_tops_share_their_heads(k, constraints):
+    # the row walks one set of heads for all its tops: under both
+    # detached-top constraints every top >= 2k-2 streams the same heads
+    # (gcd aside), though under interior_lt_2k_minus_4 the caps at low
+    # positions differ between tops
+    no_gcd = tuple(c for c in constraints if c != "gcd_one")
+    heads = [
+        {t[:-1] for t in enumerate_tuples(EnumerationQuery.exact(k, l, no_gcd))}
+        for l in range(2 * k - 2, 2 * k + 7)
+    ]
+    assert heads[0] and all(h == heads[0] for h in heads)
+
+
+def test_row_walker_refuses_tops_with_different_heads():
+    # without a detached top the heads depend on the top: (0, 3) is a
+    # head at l = 5 and not at l = 3
+    with pytest.raises(SetDomainError):
+        _walk_row(3, (3, 5), ("gcd_one",), 10**9, lambda tup, mask: None,
+                  lambda head, l, r, n, state: None)
 
 
 @given(st.integers(min_value=3, max_value=7),
@@ -375,11 +447,12 @@ def test_structure_row_matches_lone_cells_and_plain_enumeration(row):
 @settings(max_examples=30, deadline=None)
 def test_sweep_gives_row_cells_the_budget_share_of_lone_cells(k_max, budget):
     cells, _cap = _detached_top_cells(3, k_max, None)
-    rows = [(_structure_row, k, tuple(l for kk, l in cells if kk == k))
-            for k in range(3, k_max + 1)]
-    assert _sweep(rows, budget, 1) == _sweep(
-        [(_structure_cell, k, l) for k, l in cells], budget, 1
-    )
+    for row_fn, cell_fn, _reference, _constraints in ROWS:
+        rows = [(row_fn, k, tuple(l for kk, l in cells if kk == k))
+                for k in range(3, k_max + 1)]
+        assert _sweep(rows, budget, 1) == _sweep(
+            [(cell_fn, k, l) for k, l in cells], budget, 1
+        )
 
 
 @st.composite
@@ -448,8 +521,8 @@ DRIVER_CELLS = [
     (_classification_cell, classification_reference, ("gcd_one",),
      st.integers(min_value=4, max_value=9).map(lambda k: (k, 2 * k - 3, None))),
     (classify_cell, classify_reference, ("gcd_one",), classify_args()),
-    (_low_second_cell, low_second_reference, LOW_SECOND, low_second_cells()),
-    (_structure_cell, structure_reference, DENSE, dense_cells()),
+    (low_second_cell, low_second_reference, LOW_SECOND, low_second_cells()),
+    (structure_cell, structure_reference, DENSE, dense_cells()),
     (_witness_cell, witness_reference, ("gcd_one",), witness_cells()),
 ]
 
@@ -464,6 +537,15 @@ def test_cells_match_plain_enumeration_on_both_sides_of_the_plan(data):
     planned = plain_sets(k, l, constraints, 10**9)[0]
     for budget in (planned - 1, planned, planned + 1):
         assert fn((k, l, budget)) == reference(k, l, budget)
+
+
+def split_parts(t, s, n):
+    """The per-head, then per-top split check of the set t at s, with
+    |2^A| given as n."""
+    l = t[-1]
+    head_mask = NormalizedSet(t).mask ^ 1 << l
+    r = restricted_mask(NormalizedSet(t).mask, t)
+    return _split_top(_split_head(t[:-1], head_mask, s), l, r, n)
 
 
 # every set of a theorem 1 box with a split position, k <= 8
@@ -482,13 +564,13 @@ def test_split_check_fails_with_the_message_split_at_gives(t):
     ns = NormalizedSet(t)
     s = find_admissible_split(ns)
     split = split_at(ns, s)
-    assert _check_split(t, ns.mask, s, split.card_restricted) == (
+    assert split_parts(t, s, split.card_restricted) == (
         split.left.mask, split.right.mask, split.overlap.mask,
         split.card_left, split.card_right,
     )
     short = split.lower_bound - 1
     with pytest.raises(RuntimeError) as from_check:
-        _check_split(t, ns.mask, s, short)
+        split_parts(t, s, short)
     message = f"additive split bound failed at s={s} for {t}: {short} < {split.lower_bound}"
     assert str(from_check.value) == message
     if s == len(t) - 2:
@@ -504,3 +586,46 @@ def test_split_check_fails_with_the_message_split_at_gives(t):
         with pytest.raises(RuntimeError) as from_split:
             split_at(ns, s)
     assert str(from_split.value) == message
+
+
+def test_split_parts_match_split_at_and_the_oracle_on_every_theorem1_set():
+    # every set with a split position in the theorem 1 boxes k <= 9 (tops
+    # up to 2k+6): the per-head part, then the per-top part on the set's
+    # own restricted size, give split_at's halves, overlap and sizes, and
+    # the naive ones; with |2^A| cut to lower_bound - 1 they raise the
+    # bound's message.  At s = k-2 the left half is the whole set, whose
+    # third shared element is the top.
+    by_s = {"s = k-2": 0, "s < k-2": 0}
+    for k in range(4, 10):
+        for l in range(2 * k - 2, 2 * k + 7):
+            for t in enumerate_tuples(EnumerationQuery.exact(k, l, LOW_SECOND)):
+                ns = NormalizedSet(t)
+                s = find_admissible_split(ns)
+                if s is None:
+                    continue
+                n = len(naive_restricted(t))
+                left, right = t[:s + 2], t[s - 1:]
+                two_left, two_right = naive_restricted(left), naive_restricted(right)
+                split = split_at(ns, s)
+                got = split_parts(t, s, n)
+                assert got == (
+                    split.left.mask, split.right.mask, split.overlap.mask,
+                    split.card_left, split.card_right,
+                )
+                assert got[:2] == (mask_of(left), mask_of(right))
+                assert got[3:] == (len(two_left), len(two_right))
+                assert elements_of(got[2]) == tuple(sorted(two_left & two_right))
+                if s == k - 2:
+                    by_s["s = k-2"] += 1
+                    assert left == t and got[0] == ns.mask
+                    assert elements_of(got[2]) == (t[-3] + t[-2], t[-3] + l, t[-2] + l)
+                else:
+                    by_s["s < k-2"] += 1
+                short = split.lower_bound - 1
+                with pytest.raises(RuntimeError) as exc:
+                    split_parts(t, s, short)
+                assert str(exc.value) == (
+                    f"additive split bound failed at s={s} for {t}: "
+                    f"{short} < {split.lower_bound}"
+                )
+    assert by_s["s = k-2"] > 0 and by_s["s < k-2"] > 0

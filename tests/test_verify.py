@@ -254,6 +254,19 @@ def test_verify_low_second_max_frozen():
     assert cert.claim == "low_second_max_floor"
 
 
+def test_verify_low_second_max_k10_frozen():
+    # counts from the cell-by-cell walk, before the cells of a k shared
+    # one walk over their heads
+    cert = verify_low_second_max(10)
+    assert cert.outcome == "verified"
+    assert cert.counterexamples == []
+    assert cert.counts == {
+        "enumerated": 79092, "extremal": 45, "nodes": 351485,
+        "splits_validated": 60597, "truncated": False,
+    }
+    assert cert.cap == 26
+
+
 def test_verify_dense_prefix_frozen():
     cert = verify_dense_prefix(7)
     assert cert.outcome == "verified"
