@@ -42,8 +42,8 @@ __all__ = [
     "format_set_literal",
 ]
 
-# Largest element accepted from external input.  Internal results (sumsets)
-# may exceed it.  Reassign before constructing sets if you need more room.
+# Largest element accepted from external input, a fixed constant.  Internal
+# results (sumsets) may exceed it.
 MAX_ELEMENT = 4096
 
 

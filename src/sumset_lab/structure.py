@@ -32,6 +32,7 @@ from .core import (
     IntegerSet,
     NormalizedSet,
     SetDomainError,
+    elements_of,
     mask_of,
     restricted_mask,
 )
@@ -125,13 +126,7 @@ def _context(a: NormalizedSet) -> tuple[int, tuple[int, ...], int, tuple[int, ..
     head = a.elements[:-1]
     reach = restricted_mask(mask_of(head), head)
     window = ((1 << (2 * k - 3)) - 1) ^ 1
-    b_vals = []
-    miss = window & ~reach
-    while miss:
-        low = miss & -miss
-        b_vals.append(low.bit_length() - 1)
-        miss ^= low
-    return k, head, reach, tuple(b_vals)
+    return k, head, reach, elements_of(window & ~reach)
 
 
 def exceptional_profile(a: NormalizedSet) -> ExceptionalProfile:

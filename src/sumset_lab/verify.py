@@ -50,8 +50,12 @@ runs once, and each top costs a gcd, one shift-or and one popcount.  A
 cell whose plan does not fit walks alone in stream order, as above.
 Theorem 1 and the structure sweep run their cells as rows: the split
 position and the halves of the split, and every structural check,
-depend only on k and the head.  On top of the driver path sit five
-certificate drivers, each adding only its own merge:
+depend only on k and the head.  The conjecture and theorems 2 and 3
+share one cell, which walks with the Freiman-Lev floor
+``freiman_lev_bound(k, l)`` and returns the sets below and on it; each
+of the three drivers judges those sets in its merge.  On top of the
+driver path sit five certificate drivers, each adding only its own
+merge:
 
 * :func:`verify_conjecture` — the conjectured restricted-sumset floor,
   swept over all small sets; sub-threshold cardinalities (k <= 7) are
@@ -76,6 +80,7 @@ byte-identical except for ``wall_time_ms``.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -574,11 +579,11 @@ def _literal(tup: Sequence[int]) -> str:
 
 
 def _normalized(tup: tuple[int, ...], mask: int) -> NormalizedSet:
-    """The NormalizedSet of a leaf, built without re-validation.
+    """The NormalizedSet of a walked set, built without re-validation.
 
-    Sound because every cell that calls this walks a query with
-    ``gcd_one``, and the walker calls its leaf only on sets of gcd 1;
-    each leaf set starts at 0 and has k >= 2 elements.
+    Sound because every set passed here comes from a walk of a query
+    with ``gcd_one``, and the walker calls its leaf only on sets of gcd
+    1; each leaf set starts at 0 and has k >= 2 elements.
     """
     return NormalizedSet._from_trusted(tup, mask)
 
@@ -690,6 +695,8 @@ def _sweep(
     """
     if jobs < 1:
         raise SetDomainError(f"jobs must be at least 1, got {jobs}")
+    if budget < 1:
+        raise SetDomainError(f"budget must be at least 1, got {budget}")
     n_cells = sum(len(ls) if isinstance(ls, tuple) else 1 for _fn, _k, ls in tasks)
     per = max(1, budget // max(1, n_cells))
     sent = [(fn, k, ls, per) for fn, k, ls in tasks]
@@ -710,12 +717,12 @@ def _sweep(
     return results, counts
 
 
-def _detached_top_cells(
+def _detached_top_rows(
     k_min: int, k_max: int, cap: Optional[int]
-) -> tuple[list[tuple[int, int]], int]:
-    """(k, l) cells with the top l in [2k-2, cap] (default cap 2k+6) for
-    every k in [k_min, k_max], and the largest top swept.  A box in which
-    some k has no top is refused: it would certify nothing."""
+) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
+    """One (k, tops) row per k in [k_min, k_max], the tops being every l
+    in [2k-2, cap] (default cap 2k+6), and the largest top swept.  A box
+    in which some k has no top is refused: it would certify nothing."""
     if not 3 <= k_min <= k_max:
         raise SetDomainError(f"need 3 <= k_min <= k_max, got [{k_min}, {k_max}]")
     if cap is not None and cap < 2 * k_max - 2:
@@ -723,41 +730,41 @@ def _detached_top_cells(
             f"cap {cap} leaves k={k_max} no top in [2k-2, cap]; "
             f"need cap >= {2 * k_max - 2}"
         )
-    cells = []
+    rows = []
     for k in range(k_min, k_max + 1):
         cap_k = cap if cap is not None else 2 * k + 6
-        cells += [(k, l) for l in range(2 * k - 2, cap_k + 1)]
-    return cells, cap if cap is not None else 2 * k_max + 6
-
-
-def _top_rows(cells: list[tuple[int, int]]) -> list[tuple[int, tuple[int, ...]]]:
-    """The (k, l) cells grouped into one (k, tops) row per k, in order."""
-    tops_by_k: dict[int, list[int]] = {}
-    for k, l in cells:
-        tops_by_k.setdefault(k, []).append(l)
-    return [(k, tuple(tops)) for k, tops in tops_by_k.items()]
+        rows.append((k, tuple(range(2 * k - 2, cap_k + 1))))
+    return rows, cap if cap is not None else 2 * k_max + 6
 
 
 # ---------------------------------------------------------------------------
-# Conjectured floor sweep
+# The Freiman-Lev floor: one cell for the conjecture and theorems 2 and 3
 
 
-def _conjecture_cell(args: tuple) -> dict:
+def _floor_cell(constraints: tuple[str, ...], args: tuple) -> dict:
+    """The cell (k, l) of a floor sweep under ``constraints``, walked with
+    the bound ``freiman_lev_bound(k, l)``: the walker's cell dict plus
+    ``bound``, ``below``, the (tuple, restricted size) pairs of the sets
+    under the bound, and ``at``, the tuples of the sets on it, both in
+    stream order.  The drivers judge these sets in their merge."""
     k, l, per_budget = args
-    query = EnumerationQuery.exact(k, l, ("gcd_one",), budget=per_budget)
+    query = EnumerationQuery.exact(k, l, constraints, budget=per_budget)
     bound = freiman_lev_bound(k, l)
-    tight = 0
-    bad: list[tuple[str, int]] = []
+    below: list[tuple[tuple[int, ...], int]] = []
+    at: list[tuple[int, ...]] = []
 
     def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
-        nonlocal tight
         if n < bound:
-            bad.append((_literal(tup), n))
+            below.append((tup, n))
         else:
-            tight += 1
+            at.append(tup)
 
     cell = _walk_span(query, bound, leaf)
-    return {**cell, "bound": bound, "tight": tight, "bad": bad}
+    return {**cell, "bound": bound, "below": below, "at": at}
+
+
+def _below_floor(tup: Sequence[int], n: int, bound: int) -> str:
+    return f"{_literal(tup)}: restricted size {n} < {bound}"
 
 
 def verify_conjecture(
@@ -782,19 +789,20 @@ def verify_conjecture(
         raise SetDomainError(
             f"conjecture sweep needs l_max >= 2*k_max-4 = {2 * k_max - 4}, got {l_max}"
         )
+    cell = functools.partial(_floor_cell, ("gcd_one",))
     results, counts = _sweep(
-        [(_conjecture_cell, k, l) for k in range(3, k_max + 1) for l in range(k - 1, l_max + 1)],
+        [(cell, k, l) for k in range(3, k_max + 1) for l in range(k - 1, l_max + 1)],
         budget, jobs,
     )
     counterexamples: list[str] = []
     observations: list[str] = []
     for r in results:
-        for lit, n in r["bad"]:
+        for tup, n in r["below"]:
             if r["k"] >= 8:
-                counterexamples.append(lit)
+                counterexamples.append(_literal(tup))
             else:
                 observations.append(
-                    f"below-threshold k={r['k']} l={r['l']}: {lit} has "
+                    f"below-threshold k={r['k']} l={r['l']}: {_literal(tup)} has "
                     f"restricted size {n} < {r['bound']}"
                 )
     query = {
@@ -804,7 +812,7 @@ def verify_conjecture(
         "constraints": ["gcd_one"],
         "budget": budget,
     }
-    counts["extremal"] = sum(r["tight"] for r in results)
+    counts["extremal"] = sum(len(r["at"]) for r in results)
     return _finalize(
         "freiman_lev_bound", query, l_max, counts, t0,
         counterexamples=counterexamples, observations=observations,
@@ -834,7 +842,7 @@ def _low_second_row(args: tuple) -> list[dict]:
 
     def on_set(head: tuple[int, ...], l: int, r: int, n: int, part: Optional[tuple]) -> None:
         if n < bound:
-            bad[l].append(f"{_literal(head + (l,))}: restricted size {n} < {bound}")
+            bad[l].append(_below_floor(head + (l,), n, bound))
         elif n == bound:
             tight[l] += 1
         if part is not None:
@@ -862,10 +870,8 @@ def verify_low_second_max(
     default 2k+6), and validate the split overlap identities on every
     set admitting a split position."""
     t0 = time.monotonic()
-    cells, top_cap = _detached_top_cells(k_min, k_max, cap)
-    results, counts = _sweep(
-        [(_low_second_row, k, tops) for k, tops in _top_rows(cells)], budget, jobs
-    )
+    rows, top_cap = _detached_top_rows(k_min, k_max, cap)
+    results, counts = _sweep([(_low_second_row, k, tops) for k, tops in rows], budget, jobs)
     query = {
         "k_min": k_min,
         "k_max": k_max,
@@ -886,27 +892,6 @@ def verify_low_second_max(
 # Slow interior growth: floor, equality classification, rigid shape
 
 
-def _dense_prefix_cell(args: tuple) -> dict:
-    k, l, per_budget = args
-    query = EnumerationQuery.exact(k, l, _DENSE, budget=per_budget)
-    bound = 3 * k - 7
-    equality: list[str] = []
-    shape_failures: list[str] = []
-    bad: list[str] = []
-
-    def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
-        lit = _literal(tup)
-        if n < bound:
-            bad.append(f"{lit}: restricted size {n} < {bound}")
-        else:
-            equality.append(lit)
-            if not dense_extremal_shape(_normalized(tup, mask)):
-                shape_failures.append(lit)
-
-    cell = _walk_span(query, bound, leaf)
-    return {**cell, "equality": equality, "shape_failures": shape_failures, "bad": bad}
-
-
 def verify_dense_prefix(
     k_max: int = 9,
     k_min: int = 3,
@@ -925,8 +910,9 @@ def verify_dense_prefix(
     empirically whether equality forces the minimal top 2k-2.
     """
     t0 = time.monotonic()
-    cells, top_cap = _detached_top_cells(k_min, k_max, cap)
-    results, counts = _sweep([(_dense_prefix_cell, k, l) for k, l in cells], budget, jobs)
+    rows, top_cap = _detached_top_rows(k_min, k_max, cap)
+    cell = functools.partial(_floor_cell, _DENSE)
+    results, counts = _sweep([(cell, k, l) for k, tops in rows for l in tops], budget, jobs)
     counterexamples: list[str] = []
     observations: list[str] = []
     missing: list[str] = []
@@ -934,11 +920,12 @@ def verify_dense_prefix(
     extremal: list[str] = []
     by_k: dict[int, list[tuple[int, str]]] = {}
     for r in results:
-        counterexamples += r["bad"]
-        for lit in r["shape_failures"]:
-            counterexamples.append(f"{lit}: equality without the rigid shape")
-            observations.append(f"shape mismatch on equality set {lit}")
-        for lit in r["equality"]:
+        counterexamples += [_below_floor(tup, n, r["bound"]) for tup, n in r["below"]]
+        for tup in r["at"]:
+            lit = _literal(tup)
+            if not dense_extremal_shape(_normalized(tup, mask_of(tup))):
+                counterexamples.append(f"{lit}: equality without the rigid shape")
+                observations.append(f"shape mismatch on equality set {lit}")
             by_k.setdefault(r["k"], []).append((r["l"], lit))
     for k in range(k_min, k_max + 1):
         found = {lit for _l, lit in by_k.get(k, [])}
@@ -983,6 +970,7 @@ def classify_extremal(k: int, l: int, *, budget: int = DEFAULT_BUDGET) -> tuple[
     if k < 4:
         raise SetDomainError(f"classification needs k >= 4, got k={k}")
     query = EnumerationQuery.exact(k, l, ("gcd_one",), budget=budget)
+    # 3k-7 at every span: for l <= 2k-5 the floor cell's bound is lower
     bound = 3 * k - 7
     out = []
 
@@ -994,24 +982,6 @@ def classify_extremal(k: int, l: int, *, budget: int = DEFAULT_BUDGET) -> tuple[
     if cell["truncated"]:
         raise BudgetExceeded(cell["nodes"])
     return tuple(out)
-
-
-def _classification_cell(args: tuple) -> dict:
-    k, l, per_budget = args
-    query = EnumerationQuery.exact(k, l, ("gcd_one",), budget=per_budget)
-    bound = 3 * k - 7
-    extremal: list[str] = []
-    bad: list[str] = []
-
-    def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
-        lit = _literal(tup)
-        if n < bound:
-            bad.append(f"{lit}: restricted size {n} < {bound}")
-        else:
-            extremal.append(lit)
-
-    cell = _walk_span(query, bound, leaf)
-    return {**cell, "extremal": extremal, "bad": bad}
 
 
 def verify_span_classification(
@@ -1035,8 +1005,9 @@ def verify_span_classification(
         raise SetDomainError(
             f"span classification sweeps 4 <= k_min <= k_max <= 12, got [{k_min}, {k_max}]"
         )
+    cell = functools.partial(_floor_cell, ("gcd_one",))
     results, counts = _sweep(
-        [(_classification_cell, k, 2 * k - 3) for k in range(k_min, k_max + 1)], budget, jobs
+        [(cell, k, 2 * k - 3) for k in range(k_min, k_max + 1)], budget, jobs
     )
     counterexamples: list[str] = []
     observations: list[str] = []
@@ -1045,33 +1016,29 @@ def verify_span_classification(
     flagged = flagged_sporadics()
     for r in results:
         k = r["k"]
-        counterexamples += r["bad"]
-        found = set(r["extremal"])
-        expected = {_literal(s.elements) for s in extremal_catalog(k)}
+        counterexamples += [_below_floor(tup, n, r["bound"]) for tup, n in r["below"]]
+        found = set(r["at"])
+        expected = {s.elements for s in extremal_catalog(k)}
         miss = found - expected
         spur = expected - found
         for f in flagged:
-            f_lit = _literal(f.elements)
-            explained = set()
-            for lit in miss:
-                elems = tuple(int(v) for v in lit.strip("{}").split(","))
-                if len(elems) == k and set(f.elements) <= set(elems):
-                    observations.append(
-                        f"flagged catalog entry {f_lit} is a subset of enumerated "
-                        f"extremal set {lit} at k={k}; treating the entry as that "
-                        f"set with one element dropped"
-                    )
-                    explained.add(lit)
+            explained = {tup for tup in miss if set(f.elements) <= set(tup)}
+            for tup in explained:
+                observations.append(
+                    f"flagged catalog entry {_literal(f.elements)} is a subset of "
+                    f"enumerated extremal set {_literal(tup)} at k={k}; treating the "
+                    f"entry as that set with one element dropped"
+                )
             miss -= explained
-        for lit in sorted(miss):
-            missing.append(lit)
-            counterexamples.append(f"{lit}: extremal at k={k} but not in the catalog")
+        for tup in sorted(miss):
+            missing.append(_literal(tup))
+            counterexamples.append(f"{_literal(tup)}: extremal at k={k} but not in the catalog")
         # a catalog entry can only be declared non-extremal if its cell was
         # fully enumerated; a truncated cell may simply not have reached it
-        for lit in sorted(spur):
-            spurious.append(lit)
+        for tup in sorted(spur):
+            spurious.append(_literal(tup))
             if not r["truncated"]:
-                counterexamples.append(f"{lit}: cataloged at k={k} but not extremal")
+                counterexamples.append(f"{_literal(tup)}: cataloged at k={k} but not extremal")
     if flagged and not counts["truncated"] and not any(
         "flagged catalog entry" in o for o in observations
     ):
@@ -1087,7 +1054,7 @@ def verify_span_classification(
         "constraints": ["gcd_one"],
         "budget": budget,
     }
-    extremal = [lit for r in results for lit in r["extremal"]]
+    extremal = [_literal(tup) for r in results for tup in r["at"]]
     counts["extremal"] = len(extremal)
     return _finalize(
         "classification_matches_families", query, None, counts, t0,
@@ -1247,9 +1214,9 @@ def sweep_structure(
     span exactly 2k-3.
     """
     t0 = time.monotonic()
-    dense_cells, top_cap = _detached_top_cells(k_min, k_max, cap)
+    rows, top_cap = _detached_top_rows(k_min, k_max, cap)
     results, counts = _sweep(
-        [(_structure_row, k, tops) for k, tops in _top_rows(dense_cells)]
+        [(_structure_row, k, tops) for k, tops in rows]
         + [(_witness_cell, k, l) for k in range(max(8, k_min), k_max + 1)
            for l in range(k - 1, 2 * k - 2)],
         budget, jobs,

@@ -1,9 +1,10 @@
 """Every driver cell's walker against plain enumeration.
 
-Every cell dict of the five drivers (the conjecture, theorem 1,
-dense-prefix, classification, structure and witness cells), and every
-classify_extremal result, must equal what a plain ``enumerate_tuples``
-loop with the naive restricted-sumset oracle gives: node and set
+Every cell dict of the five drivers (the floor cell shared by the
+conjecture, dense-prefix and classification sweeps, and the theorem 1,
+structure and witness cells), and every classify_extremal result, must
+equal what a plain ``enumerate_tuples`` loop with the naive
+restricted-sumset oracle gives: node and set
 counts, findings in stream order, and, under a budget, the node at
 which the budget runs out.  The walker itself must hand each leaf the
 element tuple and restricted mask of its set, and its lookahead prune
@@ -17,6 +18,7 @@ check, made once per head and once per top, must give the halves and
 the messages ``split_at`` gives.
 """
 
+from functools import partial
 from math import gcd
 
 import pytest
@@ -29,7 +31,6 @@ from sumset_lab.core import (
     NormalizedSet, SetDomainError, elements_of, mask_of, restricted_mask,
 )
 from sumset_lab import structure
-from sumset_lab.families import dense_extremal_shape
 from sumset_lab.structure import (
     _split_head,
     _split_top,
@@ -54,10 +55,8 @@ from sumset_lab.verify import (
     classify_extremal,
     enumerate_tuples,
     _walk_span,
-    _classification_cell,
-    _conjecture_cell,
-    _dense_prefix_cell,
-    _detached_top_cells,
+    _detached_top_rows,
+    _floor_cell,
     _low_second_row,
     _structure_row,
     _sweep,
@@ -162,70 +161,57 @@ def dense_cells(draw):
     return k, draw(st.integers(min_value=2 * k - 2, max_value=2 * k + 6)), draw(budgets)
 
 
-def conjecture_reference(k, l, budget):
-    bound = freiman_lev_bound(k, l)
-    nodes, sets, truncated, low = plain_walk(k, l, ("gcd_one",), budget, bound)
-    return {
-        "k": k,
-        "l": l,
-        "bound": bound,
-        "nodes": nodes,
-        "sets": sets,
-        "tight": sum(1 for _t, n in low if n == bound),
-        "bad": [(lit(t), n) for t, n in low if n < bound],
-        "truncated": truncated,
-    }
+# theorem 3's cells: span 2k-3
+classification_cells = st.builds(
+    lambda k, budget: (k, 2 * k - 3, budget), st.integers(min_value=4, max_value=9), budgets
+)
+
+
+def floor_reference(constraints):
+    """The floor cell under ``constraints`` by plain enumeration, as a
+    function of (k, l, budget)."""
+
+    def reference(k, l, budget):
+        bound = freiman_lev_bound(k, l)
+        nodes, sets, truncated, low = plain_walk(k, l, constraints, budget, bound)
+        return {
+            "k": k,
+            "l": l,
+            "bound": bound,
+            "nodes": nodes,
+            "sets": sets,
+            "below": [(t, n) for t, n in low if n < bound],
+            "at": [t for t, n in low if n == bound],
+            "truncated": truncated,
+        }
+
+    return reference
+
+
+# the floor cell's constraints in each floor sweep, with that sweep's cells
+FLOOR_SWEEPS = [
+    (("gcd_one",), conjecture_cells()),
+    (DENSE, dense_cells()),
+    (("gcd_one",), classification_cells),
+]
 
 
 @given(conjecture_cells())
 @settings(max_examples=80, deadline=None)
 def test_conjecture_cell_matches_plain_enumeration(cell):
-    assert _conjecture_cell(cell) == conjecture_reference(*cell)
-
-
-def dense_prefix_reference(k, l, budget):
-    bound = 3 * k - 7
-    nodes, sets, truncated, low = plain_walk(k, l, DENSE, budget, bound)
-    equality = [t for t, n in low if n == bound]
-    return {
-        "k": k,
-        "l": l,
-        "nodes": nodes,
-        "sets": sets,
-        "equality": [lit(t) for t in equality],
-        "shape_failures": [
-            lit(t) for t in equality if not dense_extremal_shape(NormalizedSet(t))
-        ],
-        "bad": [f"{lit(t)}: restricted size {n} < {bound}" for t, n in low if n < bound],
-        "truncated": truncated,
-    }
+    assert _floor_cell(("gcd_one",), cell) == floor_reference(("gcd_one",))(*cell)
 
 
 @given(dense_cells())
 @settings(max_examples=80, deadline=None)
 def test_dense_prefix_cell_matches_plain_enumeration(cell):
-    assert _dense_prefix_cell(cell) == dense_prefix_reference(*cell)
+    assert _floor_cell(DENSE, cell) == floor_reference(DENSE)(*cell)
 
 
-def classification_reference(k, l, budget):
-    bound = 3 * k - 7
-    nodes, sets, truncated, low = plain_walk(k, l, ("gcd_one",), budget, bound)
-    return {
-        "k": k,
-        "l": l,
-        "nodes": nodes,
-        "sets": sets,
-        "extremal": [lit(t) for t, n in low if n == bound],
-        "bad": [f"{lit(t)}: restricted size {n} < {bound}" for t, n in low if n < bound],
-        "truncated": truncated,
-    }
-
-
-@given(st.integers(min_value=4, max_value=9), budgets)
+@given(classification_cells)
 @settings(max_examples=60, deadline=None)
-def test_classification_cell_matches_plain_enumeration(k, budget):
-    cell = (k, 2 * k - 3, budget)
-    assert _classification_cell(cell) == classification_reference(*cell)
+def test_classification_cell_matches_plain_enumeration(cell):
+    assert _floor_cell(("gcd_one",), cell) == floor_reference(("gcd_one",))(*cell)
 
 
 @st.composite
@@ -446,12 +432,10 @@ def test_row_walker_refuses_tops_with_different_heads():
        st.one_of(st.integers(min_value=1, max_value=300_000), st.just(10**9)))
 @settings(max_examples=30, deadline=None)
 def test_sweep_gives_row_cells_the_budget_share_of_lone_cells(k_max, budget):
-    cells, _cap = _detached_top_cells(3, k_max, None)
+    rows, _cap = _detached_top_rows(3, k_max, None)
     for row_fn, cell_fn, _reference, _constraints in ROWS:
-        rows = [(row_fn, k, tuple(l for kk, l in cells if kk == k))
-                for k in range(3, k_max + 1)]
-        assert _sweep(rows, budget, 1) == _sweep(
-            [(cell_fn, k, l) for k, l in cells], budget, 1
+        assert _sweep([(row_fn, k, tops) for k, tops in rows], budget, 1) == _sweep(
+            [(cell_fn, k, l) for k, tops in rows for l in tops], budget, 1
         )
 
 
@@ -516,10 +500,8 @@ def test_witness_cell_matches_plain_enumeration(cell):
 # each driver cell with its plain-enumeration reference, its constraints
 # and a strategy for its (k, l), whose drawn budget is not used
 DRIVER_CELLS = [
-    (_conjecture_cell, conjecture_reference, ("gcd_one",), conjecture_cells()),
-    (_dense_prefix_cell, dense_prefix_reference, DENSE, dense_cells()),
-    (_classification_cell, classification_reference, ("gcd_one",),
-     st.integers(min_value=4, max_value=9).map(lambda k: (k, 2 * k - 3, None))),
+    *((partial(_floor_cell, constraints), floor_reference(constraints), constraints, cells)
+      for constraints, cells in FLOOR_SWEEPS),
     (classify_cell, classify_reference, ("gcd_one",), classify_args()),
     (low_second_cell, low_second_reference, LOW_SECOND, low_second_cells()),
     (structure_cell, structure_reference, DENSE, dense_cells()),

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from sumset_lab import verify
 from sumset_lab.core import SetDomainError
 from sumset_lab.families import extremal_catalog
 from sumset_lab.verify import (
@@ -281,6 +282,18 @@ def test_verify_dense_prefix_frozen():
     assert cert.missing == [] and cert.spurious == []
 
 
+def test_dense_prefix_equality_without_the_rigid_shape_is_refuted(monkeypatch):
+    # the shape check judges each equality set in the driver's merge
+    monkeypatch.setattr(verify, "dense_extremal_shape", lambda ns: False)
+    cert = verify_dense_prefix(7)
+    assert cert.outcome == "refuted"
+    equality = ["{0,1,3,4,6,9,12}", "{0,1,3,4,7,10}"]
+    assert cert.counterexamples == [f"{lit}: equality without the rigid shape" for lit in equality]
+    assert [o for o in cert.observations if o.startswith("shape mismatch")] == [
+        f"shape mismatch on equality set {lit}" for lit in equality
+    ]
+
+
 def test_verify_span_classification_frozen():
     cert = verify_span_classification(6)
     assert cert.outcome == "verified"
@@ -326,6 +339,17 @@ def test_driver_budget_exhaustion():
     assert cert.outcome == "budget_exhausted"
     assert cert.counts["truncated"] is True
     assert cert.counterexamples == []
+
+
+def test_drivers_refuse_a_budget_below_one():
+    # a share clamped up to one node per cell would walk cells on a budget
+    # that was never given
+    drivers = [verify_conjecture, verify_low_second_max, verify_dense_prefix,
+               verify_span_classification, sweep_structure]
+    for driver in drivers:
+        for budget in (0, -5):
+            with pytest.raises(SetDomainError, match="budget"):
+                driver(5, budget=budget)
 
 
 def test_dense_prefix_truncation_is_not_refutation():
