@@ -26,28 +26,29 @@ that check every set pass 2l, which no restricted sumset inside [0, l]
 reaches.
 
 The walker plans a cell before walking it: a memo keyed by (position,
-previous value, gcd) gives the cell's node and gcd-1 set counts.  When
-they fit the cell's budget, the walk takes its counts from the plan and
-only looks for findings, skipping pruned subtrees outright; a cell with
-no constraint but ``gcd_one`` and no prune predicate walks only the sets
-with a_1 + a_{k-2} <= l and adds the mirror l - A of each finding, then
-hands the findings to the cell sorted into stream order.  When the
-counts do not fit, the walk goes node for node in stream order, adds a
-pruned subtree's counts from the memo, and descends a subtree whose
-nodes would pass the budget, so a truncated walk stops at the same node
-as the enumerator, with the same partial counts and findings.  Either
-way the counts are exact, so certificates match plain enumeration byte
-for byte.
+previous value, gcd) gives the cell's node and gcd-1 set counts, so the
+walk counts no node, only looks for findings and skips pruned subtrees
+outright.  When the counts fit the cell's budget they are the cell's; a
+cell with no constraint but ``gcd_one`` and no prune predicate then
+walks only the sets with a_1 + a_{k-2} <= l and adds the mirror l - A
+of each finding, then hands the findings to the cell sorted into stream
+order.  When they do not fit, descending the memo from the top finds
+the cut, the node at which the enumerator raises, with the counts
+streamed before it; the walk covers the subtrees left of the cut's path
+and steps down that path to the cut.  Either way the counts are exact,
+and a truncated cell has the enumerator's partial counts and findings,
+so certificates match plain enumeration byte for byte.
 
 One driver path splits a sweep's budget evenly among its cells, walks
 them in task order (in a process pool when ``jobs > 1``) and sums their
-node, set and truncation counts.  A task is one cell, or a row: all the
-detached-top cells of one k, walked in one call by a row walker.  Every
-cell of a row streams the same heads (the set minus its top), so the
-row walker plans each cell, and the cells whose counts fit their budget
-share one walk over the heads: at each head's leaf the per-head work
-runs once, and each top costs a gcd, one shift-or and one popcount.  A
-cell whose plan does not fit walks alone in stream order, as above.
+node, set and truncation counts; a budget below the number of cells is
+refused.  A task is one cell, or a row: all the detached-top cells of
+one k, walked in one call by a row walker.  Every cell of a row streams
+the same heads (the set minus its top), so the row walker plans each
+cell and all of them share one walk over the heads: at each head's leaf
+the per-head work runs once, and each top costs a gcd, one shift-or and
+one popcount.  A cut cell skips the heads from its cut on, and the walk
+ends once every cell is past its cut.
 Theorem 1 and the structure sweep run their cells as rows: the split
 position and the halves of the split, and every structural check,
 depend only on k and the head.  The conjecture and theorems 2 and 3
@@ -327,12 +328,46 @@ def _plan(query: EnumerationQuery) -> _Plan:
     return _Plan(*subtree(1, 0, l), his, subtree)
 
 
+def _cut(plan: _Plan, k: int, l: int, budget: int) -> tuple[dict, Optional[tuple[int, ...]]]:
+    """The cell dict of the cell (k, l) under ``budget``, and its cut.
+
+    When the planned nodes fit, the dict has the plan's counts and the
+    cut is None.  Otherwise the dict has the counts of the enumerator
+    when it raises :class:`BudgetExceeded`: nodes = budget + 1 and the
+    gcd-1 sets streamed before that node.  The cut is the tuple prefix
+    (0, a_1, ..., a_d) whose last placement is node budget + 1, the
+    whole set when that node is a leaf: the sets streamed are exactly
+    those that sort before it.  It is found by descending the memo from
+    the top, skipping each subtree that ends before the cut.
+    """
+    if plan.nodes <= budget:
+        return {"k": k, "l": l, "nodes": plan.nodes, "sets": plan.sets, "truncated": False}, None
+    cell = {"k": k, "l": l, "nodes": budget + 1, "sets": 0, "truncated": True}
+    # the cut is the left-th node from here on in stream order
+    left = budget + 1
+    cut = [0]
+    g = l
+    for pos in range(1, k - 1):
+        for v in range(cut[-1] + 1, plan.his[pos] + 1):
+            left -= 1
+            if not left:
+                return cell, (*cut, v)
+            n, s = plan.subtree(pos + 1, v, gcd(g, v))
+            if n >= left:
+                break
+            left -= n
+            cell["sets"] += s
+        cut.append(v)
+        g = gcd(g, v)
+    # the cut is the leaf below the prefix
+    return cell, (*cut, l)
+
+
 def _walk_span(
     query: EnumerationQuery,
     bound: int,
     on_leaf: Callable[[tuple[int, ...], int, int, int], None],
     prune: Optional[Callable[[int, int], bool]] = None,
-    plan: Optional[_Plan] = None,
 ) -> dict:
     """Walk an exact-span, mask-free query with the counts of
     :func:`enumerate_tuples`, calling ``on_leaf(tup, mask, r, n)`` in
@@ -347,27 +382,21 @@ def _walk_span(
     elements with the top, and their restricted mask) that the bound
     does not prune.  When it returns true, the leaves below the prefix
     are not visited: the caller promises that ``on_leaf`` would do
-    nothing on any of them.  Pruned subtrees are counted like those the
-    bound prunes, so the counts and the truncation node do not change.
+    nothing on any of them.
 
-    Returns the cell dict skeleton: k, l, nodes, sets, truncated; on
-    truncation the counts are those of the enumerator when it raises
-    :class:`BudgetExceeded`.
+    Returns the cell dict skeleton of :func:`_cut`: k, l, nodes, sets,
+    truncated.  The counts come from the plan (:func:`_plan`), so the
+    walk only looks for leaves: it counts no node and skips pruned
+    subtrees outright.  A cell the budget cuts walks the subtrees left
+    of the cut's path and steps down that path, so it stops at the node
+    where the enumerator raises.
 
-    The walk is planned first (:func:`_plan`; a row walker that has
-    already planned the cell passes its ``plan``): the memo gives the
-    cell's node and set totals.  If the nodes fit the budget, the cell
-    cannot truncate, so the totals are returned as they are and the walk
-    only looks for leaves: it counts no node and skips pruned subtrees
-    outright.  Otherwise the walk goes node for node in stream order, so
-    that it stops where the enumerator does.
-
-    Both walks prune on a lookahead bound.  The top is placed first, so
+    The walk prunes on a lookahead bound.  The top is placed first, so
     each element still to be placed adds a sum with the top that is
     larger than every sum already present: a set's restricted size is at
     least the prefix's plus the number of elements still to come.
 
-    A planned walk whose query has no constraint but ``gcd_one`` and no
+    An uncut cell whose query has no constraint but ``gcd_one`` and no
     ``prune`` walks only half the cell.  The mirror A -> l - A keeps gcd
     1, the span and the restricted size, so only the sets with
     a_1 + a_{k-2} <= l are walked, and each leaf found brings its mirror
@@ -380,93 +409,65 @@ def _walk_span(
     l_lo, l_hi, _cap = _effective_bounds(query)
     has_leaf = l_lo <= l_hi
     need_gcd = "gcd_one" in query.constraints
-    budget = query.budget
     last = k - 1
-    if plan is None:
-        plan = _plan(query)
-    his, subtree = plan.his, plan.subtree
+    plan = _plan(query)
+    cell, cut = _cut(plan, k, l, query.budget)
+    # a cut cell's walk lowers each cap to the value left of its path
+    his = list(plan.his)
     # a prefix ending at pos is pruned once its restricted size passes
     # lims[pos]: each of the last - 1 - pos elements still to come adds one
     lims = [bound - (last - 1 - pos) for pos in range(last)]
     # the elements on the current root-to-node path; the leaf's tuple
     path = [0] * k
     path[last] = l
+    halve = cut is None and set(query.constraints) <= {"gcd_one"} and prune is None
+    held: list[tuple[tuple[int, ...], int, int, int]] = []
 
-    if plan.nodes <= budget:
-        halve = set(query.constraints) <= {"gcd_one"} and prune is None
-        held: list[tuple[tuple[int, ...], int, int, int]] = []
-
-        def find(pos: int, prev: int, g: int, mask: int, r: int) -> None:
-            if pos == last:
-                n = r.bit_count()
-                if has_leaf and (not need_gcd or g == 1) and n <= bound:
-                    tup = tuple(path)
-                    if not halve:
-                        on_leaf(tup, mask, r, n)
-                        return
-                    held.append((tup, mask, r, n))
-                    if tup[1] + tup[-2] != l:
-                        mirror = tuple(l - v for v in reversed(tup))
-                        m = mask_of(mirror)
-                        held.append((mirror, m, restricted_mask(m, mirror), n))
-                return
-            hi = his[pos]
-            if halve and pos == last - 1:
-                # a_{k-2} <= l - a_1; for k = 3, a_{k-2} is a_1 itself
-                hi = min(hi, l - path[1] if pos > 1 else l // 2)
-            lim = lims[pos]
-            for v in range(prev + 1, hi + 1):
-                rv = r | mask << v
-                if rv.bit_count() > lim or prune is not None and prune(mask | 1 << v, rv):
-                    continue
-                path[pos] = v
-                find(pos + 1, v, gcd(g, v), mask | 1 << v, rv)
-
-        find(1, 0, l, 1 | 1 << l, 1 << l)
-        # tuples are distinct, so this is the stream order
-        held.sort()
-        for leaf in held:
-            on_leaf(*leaf)
-        return {"k": k, "l": l, "nodes": plan.nodes, "sets": plan.sets, "truncated": False}
-
-    nodes = sets = 0
-
-    def walk(pos: int, prev: int, g: int, mask: int, r: int) -> None:
-        nonlocal nodes, sets
+    def find(pos: int, prev: int, g: int, mask: int, r: int) -> None:
         if pos == last:
-            if has_leaf:
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceeded(nodes)
-                if not need_gcd or g == 1:
-                    sets += 1
-                    n = r.bit_count()
-                    if n <= bound:
-                        on_leaf(tuple(path), mask, r, n)
+            n = r.bit_count()
+            if has_leaf and (not need_gcd or g == 1) and n <= bound:
+                tup = tuple(path)
+                if not halve:
+                    on_leaf(tup, mask, r, n)
+                    return
+                held.append((tup, mask, r, n))
+                if tup[1] + tup[-2] != l:
+                    mirror = tuple(l - v for v in reversed(tup))
+                    m = mask_of(mirror)
+                    held.append((mirror, m, restricted_mask(m, mirror), n))
             return
+        hi = his[pos]
+        if halve and pos == last - 1:
+            # a_{k-2} <= l - a_1; for k = 3, a_{k-2} is a_1 itself
+            hi = min(hi, l - path[1] if pos > 1 else l // 2)
         lim = lims[pos]
-        for v in range(prev + 1, his[pos] + 1):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(nodes)
-            gv = gcd(g, v)
+        for v in range(prev + 1, hi + 1):
             rv = r | mask << v
-            # with the elements still to come, nothing below can be a finding
             if rv.bit_count() > lim or prune is not None and prune(mask | 1 << v, rv):
-                n, s = subtree(pos + 1, v, gv)
-                if nodes + n <= budget:
-                    nodes += n
-                    sets += s
-                    continue
+                continue
             path[pos] = v
-            walk(pos + 1, v, gv, mask | 1 << v, rv)
+            find(pos + 1, v, gcd(g, v), mask | 1 << v, rv)
 
-    try:
-        walk(1, 0, l, 1 | 1 << l, 1 << l)
-        truncated = False
-    except BudgetExceeded:
-        truncated = True
-    return {"k": k, "l": l, "nodes": nodes, "sets": sets, "truncated": truncated}
+    prev, g, mask, r = 0, l, 1 | 1 << l, 1 << l
+    if cut is None:
+        find(1, prev, g, mask, r)
+    else:
+        # at each interior node of the cut's path, walk the subtrees left
+        # of it, then step down to it; the cut itself is not walked.  A
+        # path node that a prune would skip is stepped into as well: no
+        # leaf below it is a finding, and the prunes of the bound and of
+        # the witness cells only grow down a path, so they skip its children.
+        for pos, v in enumerate(cut[1:last], 1):
+            his[pos] = v - 1
+            find(pos, prev, g, mask, r)
+            path[pos] = v
+            prev, g, mask, r = v, gcd(g, v), mask | 1 << v, r | mask << v
+    # tuples are distinct, so this is the stream order
+    held.sort()
+    for leaf in held:
+        on_leaf(*leaf)
+    return cell
 
 
 def _walk_row(
@@ -488,89 +489,79 @@ def _walk_row(
     tuple and mask), so it may depend on the head only.  Each cell sees
     its sets in stream order.
 
-    Every cell is planned first (:func:`_plan`).  The cells whose planned
-    nodes fit the budget take their counts from the plan and share one
-    walk over the heads, in lexicographic order.  At each head's leaf
-    ``on_head`` runs once, and each top costs a gcd, one shift-or
-    (r = r_head | head_mask << l) and one popcount.  A cell whose plan
-    does not fit walks alone through :func:`_walk_span` in stream order,
-    so it stops at the node where the enumerator does; its sets take the
-    state of a head already seen, and ``on_head`` runs on the others.
+    Every cell takes its counts and its cut from :func:`_cut`, and all
+    cells share one walk over the heads, in lexicographic order.  At
+    each head's leaf ``on_head`` runs once, and each top costs a gcd, one
+    shift-or (r = r_head | head_mask << l) and one popcount.  A cut cell
+    skips the heads at or past its cut, and the walk ends once every
+    cell is past its cut.
 
     Sharing the walk needs every cell to stream the same heads.  The
-    head walk cuts each interior cap to one below the next position's
+    head walk lowers each interior cap to one below the next position's
     (the values rise strictly), so it visits only prefixes of complete
-    heads.  Under the detached-top constraints the cut caps do not
+    heads.  Under the detached-top constraints the lowered caps do not
     depend on the top.  With l >= 2k-2 the span cap l - (k-1-pos) is at
     least k-1+pos: above the growth cap 2pos-1, and above k-3+pos, which
-    the cut makes of the cap 2k-5 of ``interior_lt_2k_minus_4``.  Under
-    that constraint the uncut caps do differ between tops, at the low
+    lowering makes of the cap 2k-5 of ``interior_lt_2k_minus_4``.  Under
+    that constraint the plan's caps do differ between tops, at the low
     positions where the span cap is below 2k-5, but only on prefixes
-    that no head completes.  A row whose cut caps differ between its
+    that no head completes.  A row whose lowered caps differ between its
     walked tops is refused.
     """
     need_gcd = "gcd_one" in constraints
     last = k - 1
-    cells: list[Optional[dict]] = []
-    walked: list[int] = []
-    alone: list[tuple[int, int, EnumerationQuery, _Plan]] = []
+    cells: list[dict] = []
+    # (top, cut without the top or None): a cell streams the heads that
+    # sort before its cut
+    walked: list[tuple[int, Optional[tuple[int, ...]]]] = []
     caps: Optional[list[int]] = None
     for l in tops:
-        query = EnumerationQuery.exact(k, l, constraints, budget=per_budget)
-        plan = _plan(query)
-        if plan.nodes > per_budget:
-            alone.append((len(cells), l, query, plan))
-            cells.append(None)
-            continue
-        cells.append({"k": k, "l": l, "nodes": plan.nodes, "sets": plan.sets,
-                      "truncated": False})
-        if not plan.sets:
+        plan = _plan(EnumerationQuery.exact(k, l, constraints))
+        cell, cut = _cut(plan, k, l, per_budget)
+        cells.append(cell)
+        if not cell["sets"]:
             continue
         # position 0 always holds 0, so its cap is unused
-        cut = [0] + plan.his[1:]
+        lowered = [0] + plan.his[1:]
         for pos in range(last - 2, 0, -1):
-            cut[pos] = min(cut[pos], cut[pos + 1] - 1)
+            lowered[pos] = min(lowered[pos], lowered[pos + 1] - 1)
         if caps is None:
-            caps = cut
-        elif cut != caps:
+            caps = lowered
+        elif lowered != caps:
             raise SetDomainError(f"the cells of row k={k} stream different heads")
-        walked.append(l)
+        walked.append((l, None if cut is None else cut[:last]))
 
-    # when some cell walks alone, each head's state is kept by the head's
-    # mask, so that the lone cells do not compute it again
-    states: dict[int, object] = {}
     if walked:
         path = [0] * last
+        some_cut = any(stop is not None for _l, stop in walked)
 
-        def heads(pos: int, prev: int, g: int, mask: int, r: int) -> None:
+        def heads(pos: int, prev: int, g: int, mask: int, r: int) -> bool:
+            """Walk the heads below a prefix; true once every cell is past
+            its cut."""
+            nonlocal walked
             if pos == last:
                 head = tuple(path)
+                if some_cut:
+                    walked = [(l, stop) for l, stop in walked if stop is None or head < stop]
+                    if not walked:
+                        return True
                 first = True
-                for l in walked:
+                for l, _stop in walked:
                     if need_gcd and gcd(g, l) != 1:
                         continue
                     if first:
                         state = on_head(head + (l,), mask | 1 << l)
-                        if alone:
-                            states[mask] = state
                         first = False
                     rl = r | mask << l
                     on_set(head, l, rl, rl.bit_count(), state)
-                return
+                return False
             for v in range(prev + 1, caps[pos] + 1):
                 path[pos] = v
-                heads(pos + 1, v, gcd(g, v), mask | 1 << v, r | mask << v)
+                if heads(pos + 1, v, gcd(g, v), mask | 1 << v, r | mask << v):
+                    return True
+            return False
 
         heads(1, 0, 0, 1, 0)
-
-    for i, l, query, plan in alone:
-        def leaf(tup: tuple[int, ...], mask: int, r: int, n: int, l: int = l) -> None:
-            head_mask = mask ^ 1 << l
-            if head_mask not in states:
-                states[head_mask] = on_head(tup, mask)
-            on_set(tup[:-1], l, r, n, states[head_mask])
-
-        cells[i] = _walk_span(query, 2 * l, leaf, plan=plan)
     return cells
 
 
@@ -681,7 +672,8 @@ def _sweep(
 ) -> tuple[list[dict], dict]:
     """Walk cell and row tasks, the budget split evenly among their
     cells, and return the cell dicts in task order with their summed
-    counts: enumerated, nodes, truncated.
+    counts: enumerated, nodes, truncated.  A budget below the number of
+    cells is refused: it cannot give every cell a node.
 
     A task (fn, k, l) with an int l is one cell: ``fn((k, l, per))``
     returns its dict.  A task (fn, k, tops) with a tuple of tops is a
@@ -695,10 +687,12 @@ def _sweep(
     """
     if jobs < 1:
         raise SetDomainError(f"jobs must be at least 1, got {jobs}")
-    if budget < 1:
-        raise SetDomainError(f"budget must be at least 1, got {budget}")
     n_cells = sum(len(ls) if isinstance(ls, tuple) else 1 for _fn, _k, ls in tasks)
-    per = max(1, budget // max(1, n_cells))
+    if budget < n_cells:
+        raise SetDomainError(
+            f"budget {budget} is below the box's {n_cells} cells; each cell needs a node"
+        )
+    per = budget // n_cells
     sent = [(fn, k, ls, per) for fn, k, ls in tasks]
     if jobs > 1 and len(sent) > 1:
         # imported here: the pool's modules cost a serial run's start-up
@@ -1152,10 +1146,6 @@ def _witness_cell(args: tuple) -> dict:
 
     def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
         nonlocal extremal, pairs
-        # the walker still descends a pruned subtree whose count would
-        # pass the budget, so its leaves arrive here
-        if few_candidates(mask, r):
-            return
         ns = _normalized(tup, mask)
         wp = witness_profile(ns)
         if len(wp.values) > 2:

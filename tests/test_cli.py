@@ -279,11 +279,13 @@ def test_certify_budget_exhausted_exit_2(capsys):
     ("--theorem", "conjecture", "--k-max", "6", "--k-min", "5"),
     ("--theorem", "3", "--k-max", "5", "--budget", "0"),
     ("--theorem", "3", "--k-max", "5", "--budget", "-5"),
+    ("--theorem", "3", "--k-max", "5", "--budget", "1"),
 ])
 def test_certify_refuses_empty_box_and_bad_jobs_exit_3(capsys, argv):
     # a box with no cell for some k, or a k_min the driver does not take,
     # would certify nothing or a box other than the one asked for; a
-    # budget below 1 would walk cells on a budget that was never given
+    # budget below the box's cell count (two cells here) would walk cells
+    # on a budget that was never given
     code, out, err = run(capsys, "certify", *argv)
     assert code == 3
     assert out == ""

@@ -8,14 +8,16 @@ restricted-sumset oracle gives: node and set
 counts, findings in stream order, and, under a budget, the node at
 which the budget runs out.  The walker itself must hand each leaf the
 element tuple and restricted mask of its set, and its lookahead prune
-must hold on every prefix of a set.  Each cell must also match at the
-budgets around its planned node count, where the walker switches
-between taking its counts from the plan and walking in stream order.
-A theorem 1 or structure row, whose cells share one walk over their
-heads when their plans fit the budget and walk alone when they do not,
-must give each cell the dict a lone cell gives, and theorem 1's split
-check, made once per head and once per top, must give the halves and
-the messages ``split_at`` gives.
+must hold on every prefix of a set.  The cut that a budget puts in a
+cell's plan must be the node at which the enumerator raises, with the
+sets streamed before it.  Each cell must also match at the budgets
+around its planned node count, where the walker switches between taking
+its counts from the plan and walking up to its cut.  A theorem 1 or
+structure row, whose cells share one walk over their heads, a cut cell
+skipping the heads from its cut on, must give each cell the dict a lone
+cell (a row with one top) gives, and theorem 1's split check, made once
+per head and once per top, must give the halves and the messages
+``split_at`` gives.
 """
 
 from functools import partial
@@ -54,6 +56,8 @@ from sumset_lab.verify import (
     EnumerationQuery,
     classify_extremal,
     enumerate_tuples,
+    _cut,
+    _plan,
     _walk_span,
     _detached_top_rows,
     _floor_cell,
@@ -125,6 +129,24 @@ def test_walker_hands_each_leaf_its_elements_and_restricted_mask(case):
     nodes, sets, truncated, low = plain_walk(k, l, constraints, budget, bound)
     assert (cell["nodes"], cell["sets"], cell["truncated"]) == (nodes, sets, truncated)
     assert leaves == [t for t, _n in low]
+
+
+@given(walk_cases(), st.integers(min_value=1, max_value=4000))
+@settings(max_examples=120, deadline=None)
+def test_cut_is_the_node_where_the_enumerator_raises(case, budget):
+    k, l, constraints, _budget, _bound = case
+    cell, cut = _cut(_plan(EnumerationQuery.exact(k, l, constraints)), k, l, budget)
+    nodes, truncated, streamed = plain_sets(k, l, constraints, budget)
+    assert (cut is None) == (not truncated)
+    assert cell == {"k": k, "l": l, "nodes": nodes, "sets": len(streamed),
+                    "truncated": truncated}
+    if cut is None:
+        return
+    # the sets streamed before the cut are those whose heads sort before it
+    whole = [t for t, _n in plain_sets(k, l, constraints, 10**9)[2]]
+    assert [t for t, _n in streamed] == [t for t in whole if t[:-1] < cut[:k - 1]]
+    assert nodes == budget + 1
+    assert cut[0] == 0 and 2 <= len(cut) <= k and (len(cut) < k or cut[-1] == l)
 
 
 @st.composite
@@ -393,8 +415,8 @@ def test_low_second_row_matches_lone_cells_and_plain_enumeration(row, budget):
 @settings(max_examples=40, deadline=None)
 def test_rows_mixing_head_walked_and_lone_cells_match_plain_enumeration(data):
     # the budget is one top's planned node total -1, +0 or +1: the cells
-    # with smaller plans share the head walk, the larger ones walk alone
-    # in stream order and run out, and the pivot sits on either side
+    # with smaller plans walk every head, the larger ones are cut and stop
+    # taking heads at their cut, and the pivot sits on either side
     row_fn, cell_fn, reference, constraints = data.draw(st.sampled_from(ROWS))
     k, tops = data.draw(detached_rows())
     pivot = data.draw(st.sampled_from(tops))
@@ -433,10 +455,17 @@ def test_row_walker_refuses_tops_with_different_heads():
 @settings(max_examples=30, deadline=None)
 def test_sweep_gives_row_cells_the_budget_share_of_lone_cells(k_max, budget):
     rows, _cap = _detached_top_rows(3, k_max, None)
+    n_cells = sum(len(tops) for _k, tops in rows)
     for row_fn, cell_fn, _reference, _constraints in ROWS:
-        assert _sweep([(row_fn, k, tops) for k, tops in rows], budget, 1) == _sweep(
-            [(cell_fn, k, l) for k, tops in rows for l in tops], budget, 1
-        )
+        row_tasks = [(row_fn, k, tops) for k, tops in rows]
+        cell_tasks = [(cell_fn, k, l) for k, tops in rows for l in tops]
+        if budget < n_cells:
+            # too small to give each cell a node: both sides refuse it
+            for tasks in (row_tasks, cell_tasks):
+                with pytest.raises(SetDomainError, match="budget"):
+                    _sweep(tasks, budget, 1)
+        else:
+            assert _sweep(row_tasks, budget, 1) == _sweep(cell_tasks, budget, 1)
 
 
 @st.composite
@@ -513,7 +542,7 @@ DRIVER_CELLS = [
 @settings(max_examples=80, deadline=None)
 def test_cells_match_plain_enumeration_on_both_sides_of_the_plan(data):
     # a cell whose planned nodes fit its budget takes its counts from the
-    # plan; one node less and it walks in stream order and truncates
+    # plan; one node less and it is cut at its last node and truncates
     fn, reference, constraints, cells = data.draw(st.sampled_from(DRIVER_CELLS))
     k, l, _budget = data.draw(cells)
     planned = plain_sets(k, l, constraints, 10**9)[0]

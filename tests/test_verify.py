@@ -343,11 +343,12 @@ def test_driver_budget_exhaustion():
 
 def test_drivers_refuse_a_budget_below_one():
     # a share clamped up to one node per cell would walk cells on a budget
-    # that was never given
+    # that was never given; a budget of 1 is below every box's cell count
+    # here, so it cannot give each cell a node either
     drivers = [verify_conjecture, verify_low_second_max, verify_dense_prefix,
                verify_span_classification, sweep_structure]
     for driver in drivers:
-        for budget in (0, -5):
+        for budget in (0, -5, 1):
             with pytest.raises(SetDomainError, match="budget"):
                 driver(5, budget=budget)
 
