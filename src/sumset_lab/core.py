@@ -322,12 +322,11 @@ class SumsetProfile:
     exceptional: Optional[IntegerSet]
 
 
-def exceptional_mask(elements: Sequence[int], k: int) -> int:
-    """Mask of [1, 2k-4] minus the restricted sumset of elements[:-1]."""
-    head = elements[:-1]
-    reach = restricted_mask(mask_of(head), head)
+def exceptional_mask(head_reach: int, k: int) -> int:
+    """Mask of [1, 2k-4] minus the restricted sumset of a k-set's head
+    (the set minus its top), given that sumset's mask ``head_reach``."""
     window = ((1 << (2 * k - 3)) - 1) ^ 1
-    return window & ~reach
+    return window & ~head_reach
 
 
 def profile(a: NormalizedSet) -> SumsetProfile:
@@ -336,7 +335,8 @@ def profile(a: NormalizedSet) -> SumsetProfile:
     restricted = restricted_sumset(a)
     exceptional = None
     if a.k >= 3:
-        exceptional = IntegerSet.from_mask(exceptional_mask(a.elements, a.k))
+        head_reach = restricted_mask(a.mask ^ 1 << a.l, a.elements[:-1])
+        exceptional = IntegerSet.from_mask(exceptional_mask(head_reach, a.k))
     return SumsetProfile(a, double, restricted, exceptional)
 
 

@@ -7,11 +7,13 @@ below the top grow slowly (``a_i < 2i`` for every interior index) while
 the top is detached (``a_{k-1} >= 2k - 2``).  Write A' for A minus its
 top.  The central object is the exceptional set B: the values in
 ``[1, 2k-4]`` that the restricted sumset of A' misses.  Its members are
-written ``b_1 < ... < b_m``.  The checkers below verify, set by set,
-the rigid structure that ties A' to B: parity and membership of each b,
-prefix pair counts, doubling growth of B, forbidden small gaps above
+written ``b_1 < ... < b_m``.  The checkers below verify the rigid
+structure that ties A' to B: parity and membership of each b, prefix
+pair counts, doubling growth of B, forbidden small gaps above
 ``2k - 4``, density of covered offsets, and the exact shapes forced
 when the two values just above the covered window are both missing.
+They read only A', through one head context that each public checker
+builds for its set, and the sweep once per head (``_head_failures``).
 
 The *witness* regime concerns any normalized set: a witness is a value
 ``w <= a_{k-1}`` outside A such that neither ``w`` nor ``w + a_{k-1}``
@@ -21,18 +23,19 @@ grid plus geometric orbits, reconstructed here explicitly.
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     IntegerSet,
     NormalizedSet,
     SetDomainError,
+    double_mask,
     elements_of,
+    exceptional_mask,
     mask_of,
     restricted_mask,
 )
@@ -115,31 +118,44 @@ class ExceptionalProfile:
     c_values: IntegerSet
 
 
-@functools.lru_cache(maxsize=1)
-def _context(a: NormalizedSet) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
-    """(k, head elements, restricted mask of head, exceptional values).
+class _Head(NamedTuple):
+    """The head A' of a detached-top k-set (the set minus its top) with
+    what the checkers read of it: its members, its restricted mask and
+    the exceptional values B, ascending."""
 
-    Cached for the last set: the checkers run on one set in turn, and
-    sets compare by mask."""
+    k: int
+    head: tuple[int, ...]
+    members: frozenset[int]
+    reach: int
+    b_vals: tuple[int, ...]
+
+
+def _head(head: tuple[int, ...], head_mask: int) -> _Head:
+    """The context of ``head`` (mask ``head_mask``), trusted to be in the regime."""
+    k = len(head) + 1
+    reach = restricted_mask(head_mask, head)
+    return _Head(k, head, frozenset(head), reach, elements_of(exceptional_mask(reach, k)))
+
+
+def _context(a: NormalizedSet) -> _Head:
+    """The head context of ``a``, once ``a`` is checked to be in the regime."""
     require_dense_prefix(a)
-    k = a.k
-    head = a.elements[:-1]
-    reach = restricted_mask(mask_of(head), head)
-    window = ((1 << (2 * k - 3)) - 1) ^ 1
-    return k, head, reach, elements_of(window & ~reach)
+    return _head(a.elements[:-1], a.mask ^ 1 << a.l)
 
 
 def exceptional_profile(a: NormalizedSet) -> ExceptionalProfile:
     """Compute B and, when |B| >= 2, the covered/missed offset split."""
-    k, _head, reach, b_vals = _context(a)
+    return _profile(_context(a))
+
+
+def _profile(h: _Head) -> ExceptionalProfile:
+    k, reach, b_vals = h.k, h.reach, h.b_vals
     m = len(b_vals)
     d_vals: tuple[int, ...] = ()
     c_vals: tuple[int, ...] = ()
     if m >= 2:
         top_b = b_vals[-2]
-        d_vals = tuple(
-            d for d in range(1, top_b + 1) if reach >> (2 * k - 4 + d) & 1
-        )
+        d_vals = tuple(d for d in range(1, top_b + 1) if reach >> (2 * k - 4 + d) & 1)
         c_vals = tuple(d for d in range(1, top_b + 1) if not reach >> (2 * k - 4 + d) & 1)
     return ExceptionalProfile(
         b_values=_trusted_set(b_vals),
@@ -158,8 +174,11 @@ def check_exceptional_points(a: NormalizedSet) -> list[str]:
     sits at position b/2 + 1.  Returns a list of violation strings,
     empty when the structure holds.
     """
-    k, head, _reach, b_vals = _context(a)
-    head_set = set(head)
+    return _points(_context(a))
+
+
+def _points(h: _Head) -> list[str]:
+    k, head, head_set, _reach, b_vals = h
     out: list[str] = []
     for b in b_vals:
         if b % 2:
@@ -188,8 +207,11 @@ def exceptional_growth_ok(a: NormalizedSet) -> bool:
     The check runs over (0, b_1, ..., b_m), so it also enforces
     b_1 >= 2 for the first member.
     """
-    _k, _head, _reach, b_vals = _context(a)
-    seq = (0,) + b_vals
+    return _growth_ok(_context(a))
+
+
+def _growth_ok(h: _Head) -> bool:
+    seq = (0,) + h.b_vals
     return all(nxt >= 2 * prev + 2 for prev, nxt in zip(seq, seq[1:]))
 
 
@@ -202,12 +224,15 @@ def tail_pair_counts_ok(a: NormalizedSet, b: int, u: int) -> Optional[bool]:
     Returns None when (b, u) is outside those hypotheses, True/False
     for the verdict otherwise (vacuously True when 2k-4+u is covered).
     """
-    k, head, reach, b_vals = _context(a)
+    return _tail_ok(_context(a), b, u)
+
+
+def _tail_ok(h: _Head, b: int, u: int) -> Optional[bool]:
+    k, head, head_set, reach, b_vals = h
     if b not in b_vals or not b < k - 2 or not 1 <= u <= b:
         return None
     if reach >> (2 * k - 4 + u) & 1:
         return True
-    head_set = set(head)
     lo, hi = b + 1, 2 * k - 5 + u - b
     count = sum(1 for v in head if lo <= v <= hi)
     if count != k - 2 + u // 2 - b:
@@ -236,7 +261,11 @@ class GapPatterns:
 
 def gap_patterns(a: NormalizedSet) -> GapPatterns:
     """Scan the window above 2k-4 for close pairs of missing values."""
-    k, _head, reach, b_vals = _context(a)
+    return _gaps(_context(a))
+
+
+def _gaps(h: _Head) -> GapPatterns:
+    k, reach, b_vals = h.k, h.reach, h.b_vals
     if len(b_vals) < 2:
         raise SetDomainError("gap patterns need at least two exceptional values")
     lo = 2 * k - 3
@@ -260,14 +289,17 @@ def matches_consecutive_exception(a: NormalizedSet) -> bool:
     Requires exactly two exceptional values b_1 < b_2 with the prefix
     of A' up to b_2 equal to [0, b_1/2] followed by [b_1+1, 3b_1/2+1].
     """
-    _k, head, _reach, b_vals = _context(a)
-    if len(b_vals) != 2:
+    return _consecutive(_context(a))
+
+
+def _consecutive(h: _Head) -> bool:
+    if len(h.b_vals) != 2:
         return False
-    b1, b2 = b_vals
+    b1, b2 = h.b_vals
     if b1 % 2:
         return False
     target = set(range(0, b1 // 2 + 1)) | set(range(b1 + 1, 3 * b1 // 2 + 2))
-    actual = {v for v in head if v <= b2}
+    actual = {v for v in h.head if v <= b2}
     return actual == target
 
 
@@ -287,7 +319,11 @@ def diff3_exception_case(a: NormalizedSet) -> Optional[int]:
     parameterized by t = b_2.  Returns the 1-based index of the first
     matching shape, or None.
     """
-    _k, head, _reach, b_vals = _context(a)
+    return _diff3_case(_context(a))
+
+
+def _diff3_case(h: _Head) -> Optional[int]:
+    b_vals = h.b_vals
     if len(b_vals) != 3 or b_vals[0] != 2:
         return None
     t = b_vals[1]
@@ -331,7 +367,7 @@ def diff3_exception_case(a: NormalizedSet) -> Optional[int]:
             | _mod_class(2, F(t + 1, 3), F(t, 2)),
         ),
     ]
-    actual = {v for v in head if v <= b3}
+    actual = {v for v in h.head if v <= b3}
     for idx, (applies, build) in enumerate(shapes, start=1):
         if applies and build() == actual:
             return idx
@@ -391,18 +427,65 @@ def top_gap_structure(a: NormalizedSet) -> tuple[bool, str]:
     with the matching candidate's name, or ``(True, "none")`` when no
     candidate matches (a violation of the characterization).
     """
-    k, head, reach, b_vals = _context(a)
+    gap, shape = _top_gap(_context(a))
+    return gap, (shape if gap and shape else "none")
+
+
+def _top_gap(h: _Head) -> tuple[bool, Optional[str]]:
+    """(both values above the covered window missing, the name of the
+    candidate the head and B match or None).  At most one matches: their
+    b-pairs differ for k >= 4, and at k = 3 start at 0, never in B."""
+    k, head, _members, reach, b_vals = h
     if len(b_vals) < 2:
         raise SetDomainError("top-gap analysis needs at least two exceptional values")
     top_b = b_vals[-2]
     gap = not (reach >> (2 * k - 3 + top_b) & 1) and not (reach >> (2 * k - 2 + top_b) & 1)
-    if not gap:
-        return False, "none"
-    b_pair = (b_vals[0], b_vals[1]) if len(b_vals) == 2 else None
-    for cand in top_gap_candidates(k):
-        if head == cand.head and b_pair == cand.b_values:
-            return True, cand.name
-    return True, "none"
+    if len(b_vals) != 2:
+        return gap, None
+    shape = next((c.name for c in top_gap_candidates(k)
+                  if head == c.head and b_vals == c.b_values), None)
+    return gap, shape
+
+
+def _head_failures(head: tuple[int, ...], head_mask: int) -> tuple[str, ...]:
+    """Every detached-top check on a head (mask ``head_mask``) in the
+    regime: the violations, empty when the head has the structure.  The
+    checks read only the head, so this holds for every top it takes."""
+    h = _head(head, head_mask)
+    k, b_vals = h.k, h.b_vals
+    window = (1 << (2 * k - 3)) - 1
+    fails: list[str] = []
+    if double_mask(head_mask, head) & window != window:
+        fails.append("head sumset misses part of [0, 2k-4]")
+    fails += _points(h)
+    if not _growth_ok(h):
+        fails.append("exceptional values grow too slowly")
+    for b in b_vals:
+        if b < k - 2:
+            for u in range(1, b + 1):
+                if _tail_ok(h, b, u) is False:
+                    fails.append(f"tail pair counts fail at b={b}, u={u}")
+    if len(b_vals) >= 2:
+        gp = _gaps(h)
+        consec_exc = _consecutive(h)
+        diff3_case = _diff3_case(h)
+        if gp.has_consecutive and not consec_exc:
+            fails.append("consecutive missing pair without the low shape")
+        if gp.has_diff2:
+            fails.append("distance-2 missing pair")
+        if gp.has_diff3 and diff3_case is None:
+            fails.append("distance-3 missing pair without a mod-3 shape")
+        if not consec_exc and diff3_case is None:
+            top_b = b_vals[-2]
+            covered = len(_profile(h).d_values)
+            if covered < offset_count_bound(top_b):
+                fails.append(f"covered offsets {covered} below the floor for b={top_b}")
+        gap, shape = _top_gap(h)
+        if gap and shape is None:
+            fails.append("double gap above the window without a rigid shape")
+        if shape is not None and not gap:
+            fails.append(f"rigid shape {shape} without the double gap")
+    return tuple(fails)
 
 
 @dataclass(frozen=True)

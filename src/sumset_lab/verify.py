@@ -93,25 +93,15 @@ from .core import (
     IntegerSet,
     NormalizedSet,
     SetDomainError,
-    double_mask,
     mask_of,
     restricted_mask,
 )
 from .bounds import freiman_lev_bound
 from .structure import (
-    check_exceptional_points,
     decompose,
-    diff3_exception_case,
-    exceptional_growth_ok,
-    exceptional_profile,
     find_admissible_split,
-    gap_patterns,
-    matches_consecutive_exception,
-    offset_count_bound,
-    tail_pair_counts_ok,
-    top_gap_candidates,
-    top_gap_structure,
     witness_profile,
+    _head_failures,
     _split_head,
     _split_top,
 )
@@ -485,9 +475,9 @@ def _walk_row(
     Every set a cell streams is handed to ``on_set(head, l, r, n,
     state)``: ``head`` is the set minus its top l, ``r`` the set's
     restricted mask and n its popcount.  ``state`` is what
-    ``on_head(tup, mask)`` returned on a set with that head (its element
-    tuple and mask), so it may depend on the head only.  Each cell sees
-    its sets in stream order.
+    ``on_head(head, head_mask)`` returned on that head and its mask, so
+    it depends on the head only.  Each cell sees its sets in stream
+    order.
 
     Every cell takes its counts and its cut from :func:`_cut`, and all
     cells share one walk over the heads, in lexicographic order.  At
@@ -550,7 +540,7 @@ def _walk_row(
                     if need_gcd and gcd(g, l) != 1:
                         continue
                     if first:
-                        state = on_head(head + (l,), mask | 1 << l)
+                        state = on_head(head, mask)
                         first = False
                     rl = r | mask << l
                     on_set(head, l, rl, rl.bit_count(), state)
@@ -679,7 +669,9 @@ def _sweep(
     returns its dict.  A task (fn, k, tops) with a tuple of tops is a
     row: ``fn((k, tops, per))`` returns the dicts of the cells (k, l),
     l in tops, in order.  Every cell gets the same share ``per`` either
-    way, so grouping cells into rows changes no count.
+    way, so grouping cells into rows changes no count.  A truncated cell
+    counts the node at which its share ran out, so the summed nodes can
+    exceed the budget by up to the number of truncated cells.
 
     With jobs > 1 the tasks run in a pool of ``jobs`` workers, sent one
     at a time: a cell's cost grows steeply with k, so batches of
@@ -830,9 +822,11 @@ def _low_second_row(args: tuple) -> list[dict]:
     splits = dict.fromkeys(tops, 0)
     bad: dict[int, list[str]] = {l: [] for l in tops}
 
-    def split_part(tup: tuple[int, ...], mask: int) -> Optional[tuple]:
-        s = find_admissible_split(_normalized(tup, mask))
-        return None if s is None else _split_head(tup[:-1], mask ^ 1 << tup[-1], s)
+    def split_part(head: tuple[int, ...], head_mask: int) -> Optional[tuple]:
+        # s reads only the head; its k-2 values in [1, 2k-5] share no
+        # divisor, so any detached top makes a set of gcd 1
+        s = find_admissible_split(_normalized(head + (2 * k,), head_mask | 1 << 2 * k))
+        return None if s is None else _split_head(head, head_mask, s)
 
     def on_set(head: tuple[int, ...], l: int, r: int, n: int, part: Optional[tuple]) -> None:
         if n < bound:
@@ -1064,59 +1058,14 @@ def verify_span_classification(
 def _structure_row(args: tuple) -> list[dict]:
     """The structure cells (k, l), l in tops, in order.
 
-    Every check reads only k and the head, the set minus its top l: the
-    structure checkers see the head through ``structure._context``, and
-    the window test uses the head's mask.  So the row walker checks each
-    head once, on its first set, and only the extremal count and the gcd
-    filter see the top.
+    Every check reads only k and the head, the set minus its top l, so
+    the row walker builds each head's context and runs its checks once
+    (``structure._head_failures``), and only the extremal count and the
+    gcd filter see the top.
     """
     k, tops, per_budget = args
-    candidates = top_gap_candidates(k)
-    window = (1 << (2 * k - 3)) - 1
     extremal = dict.fromkeys(tops, 0)
     bad: dict[int, list[str]] = {l: [] for l in tops}
-
-    def head_failures(tup: tuple[int, ...], mask: int) -> tuple[str, ...]:
-        head = tup[:-1]
-        head_mask = mask ^ 1 << tup[-1]
-        ns = _normalized(tup, mask)
-        fails: list[str] = []
-        if double_mask(head_mask, head) & window != window:
-            fails.append("head sumset misses part of [0, 2k-4]")
-        fails += check_exceptional_points(ns)
-        if not exceptional_growth_ok(ns):
-            fails.append("exceptional values grow too slowly")
-        prof = exceptional_profile(ns)
-        for b in prof.b_values:
-            if b < k - 2:
-                for u in range(1, b + 1):
-                    if tail_pair_counts_ok(ns, b, u) is False:
-                        fails.append(f"tail pair counts fail at b={b}, u={u}")
-        if prof.m >= 2:
-            gp = gap_patterns(ns)
-            consec_exc = matches_consecutive_exception(ns)
-            diff3_case = diff3_exception_case(ns)
-            if gp.has_consecutive and not consec_exc:
-                fails.append("consecutive missing pair without the low shape")
-            if gp.has_diff2:
-                fails.append("distance-2 missing pair")
-            if gp.has_diff3 and diff3_case is None:
-                fails.append("distance-3 missing pair without a mod-3 shape")
-            if not consec_exc and diff3_case is None:
-                top_b = prof.b_values.elements[-2]
-                if len(prof.d_values) < offset_count_bound(top_b):
-                    fails.append(
-                        f"covered offsets {len(prof.d_values)} below the floor for b={top_b}"
-                    )
-            gap, case = top_gap_structure(ns)
-            if gap and case == "none":
-                fails.append("double gap above the window without a rigid shape")
-            if prof.m == 2:
-                b_pair = tuple(prof.b_values.elements)
-                for cand in candidates:
-                    if head == cand.head and b_pair == cand.b_values and not gap:
-                        fails.append(f"rigid shape {cand.name} without the double gap")
-        return tuple(fails)
 
     def on_set(head: tuple[int, ...], l: int, r: int, n: int, fails: tuple[str, ...]) -> None:
         if n == 3 * k - 7:
@@ -1125,7 +1074,7 @@ def _structure_row(args: tuple) -> list[dict]:
             lit = _literal(head + (l,))
             bad[l].extend(f"{lit}: {msg}" for msg in fails)
 
-    cells = _walk_row(k, tops, _DENSE, per_budget, head_failures, on_set)
+    cells = _walk_row(k, tops, _DENSE, per_budget, _head_failures, on_set)
     return [{**c, "extremal": extremal[c["l"]], "bad": bad[c["l"]]} for c in cells]
 
 

@@ -377,6 +377,24 @@ def test_structure_cell_matches_plain_enumeration(cell):
     assert structure_cell(cell) == structure_reference(*cell)
 
 
+# every dense head with k <= 10, from its cell at top 2k-2: a dense head
+# has a_1 = 1, so it has gcd 1 and streams at every top
+DENSE_HEADS = tuple(
+    t[:-1]
+    for k in range(3, 11)
+    for t in enumerate_tuples(EnumerationQuery.exact(k, 2 * k - 2, DENSE))
+)
+
+
+def test_head_failures_match_the_public_checkers_on_every_dense_head():
+    assert len(DENSE_HEADS) == 2055
+    for head in DENSE_HEADS:
+        t = head + (2 * len(head),)
+        prefix = f"{lit(t)}: "
+        want = [msg.removeprefix(prefix) for msg in structure_failures(t)]
+        assert list(structure._head_failures(head, mask_of(head))) == want
+
+
 @st.composite
 def detached_rows(draw):
     """(k, tops): a run of consecutive detached tops of one k."""
@@ -446,7 +464,7 @@ def test_row_walker_refuses_tops_with_different_heads():
     # without a detached top the heads depend on the top: (0, 3) is a
     # head at l = 5 and not at l = 3
     with pytest.raises(SetDomainError):
-        _walk_row(3, (3, 5), ("gcd_one",), 10**9, lambda tup, mask: None,
+        _walk_row(3, (3, 5), ("gcd_one",), 10**9, lambda head, head_mask: None,
                   lambda head, l, r, n, state: None)
 
 

@@ -58,6 +58,27 @@ def test_checkers_reject_out_of_regime():
         exceptional_profile(NormalizedSet((0, 1, 4, 5, 6, 9)))
 
 
+DETACHED_TOP_CHECKERS = {
+    "exceptional_profile": exceptional_profile,
+    "check_exceptional_points": check_exceptional_points,
+    "exceptional_growth_ok": exceptional_growth_ok,
+    "tail_pair_counts_ok": lambda a: tail_pair_counts_ok(a, 2, 1),
+    "gap_patterns": gap_patterns,
+    "matches_consecutive_exception": matches_consecutive_exception,
+    "diff3_exception_case": diff3_exception_case,
+    "top_gap_structure": top_gap_structure,
+}
+
+
+@pytest.mark.parametrize(
+    "elems", [(0, 1, 4, 5, 6, 9), (0, 2, 3, 10)], ids=["top_below_2k-2", "a1_breaks_growth"]
+)
+@pytest.mark.parametrize("name", DETACHED_TOP_CHECKERS)
+def test_every_detached_top_checker_rejects_out_of_regime(name, elems):
+    with pytest.raises(SetDomainError):
+        DETACHED_TOP_CHECKERS[name](NormalizedSet(elems))
+
+
 # ---------------------------------------------------------------------------
 # exceptional profile and pointwise laws
 

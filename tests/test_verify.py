@@ -341,6 +341,16 @@ def test_driver_budget_exhaustion():
     assert cert.counterexamples == []
 
 
+def test_truncated_cells_count_the_node_their_share_ran_out_at():
+    # as the enumerator does, each truncated cell counts the node past its
+    # share, so nodes can exceed the budget by up to the truncated cells
+    assert verify_conjecture(9, 22, budget=777).counts["nodes"] == 863
+    # 21 cells with a one-node share each: every one is cut, at its second
+    cert = verify_conjecture(4, budget=21)
+    assert cert.counts["truncated"] is True
+    assert cert.counts["nodes"] == 42
+
+
 def test_drivers_refuse_a_budget_below_one():
     # a share clamped up to one node per cell would walk cells on a budget
     # that was never given; a budget of 1 is below every box's cell count
