@@ -20,8 +20,7 @@ from .core import (
     IntegerSet,
     NormalizedSet,
     SetDomainError,
-    restricted_sumset,
-    sumset,
+    _sumset_masks,
 )
 
 __all__ = [
@@ -137,7 +136,13 @@ def golden_ratio_bound(k: int, l: int) -> Bound:
 
 def narrow_window_bound(k: int, l: int) -> int:
     """Proven floor 3k - 7 for the restricted sumset when k >= 5 and
-    2k - 4 <= l <= 2k - 3."""
+    2k - 4 <= l <= 2k - 3.
+
+    Under this hypothesis the floor is broken: {0,1,4,5,6,9,10} (k = 7,
+    l = 10 = 2k - 4) has |2^A| = 13 < 14, so the bound report lists it as
+    unmet.  Whether the hypothesis or the label is wrong is open
+    (ROADMAP item 3); until then the bound keeps its stated form.
+    """
     _require_dimensions(k, l, k_floor=5)
     if not 2 * k - 4 <= l <= 2 * k - 3:
         raise SetDomainError(f"narrow window needs 2k-4 <= l <= 2k-3, got k={k}, l={l}")
@@ -205,15 +210,17 @@ class BoundReport:
 
 def _entry(target: str, bound: Bound, n: int) -> BoundEntry:
     if isinstance(bound, GoldenValue):
-        bound_x2 = None
-        approx = float(bound)
-    elif isinstance(bound, Fraction):
-        bound_x2 = int(bound * 2)
-        approx = float(bound)
+        return BoundEntry(target, None, float(bound), bound.leq_int(n), bound.eq_int(n))
+    if isinstance(bound, Fraction):
+        # halved_span_bound's denominator is 1 or 2, so twice the bound is
+        # an integer; num / den is exactly what Fraction.__float__ returns
+        num, den = bound.numerator, bound.denominator
+        bound_x2 = 2 * num // den
+        approx = num / den
     else:
         bound_x2 = 2 * bound
         approx = float(bound)
-    return BoundEntry(target, bound_x2, approx, bound_satisfied(bound, n), bound_attained(bound, n))
+    return BoundEntry(target, bound_x2, approx, 2 * n >= bound_x2, 2 * n == bound_x2)
 
 
 def evaluate_bounds(a: NormalizedSet) -> BoundReport:
@@ -225,8 +232,8 @@ def evaluate_bounds(a: NormalizedSet) -> BoundReport:
     k, l = a.k, a.l
     if k < 3:
         raise SetDomainError(f"bound report needs k >= 3, got k={k}")
-    nd = len(sumset(a, a))
-    nr = len(restricted_sumset(a))
+    double, restricted = _sumset_masks(a.mask, a.elements)
+    nd, nr = double.bit_count(), restricted.bit_count()
     entries = {
         "doubling": _entry("double", doubling_bound(k), nd),
         "freiman": _entry("double", freiman_bound(k, l), nd),
@@ -274,7 +281,8 @@ def is_union_two_aps_same_diff(
     common difference, and the smallest workable difference.
 
     For a fixed difference d, decompose ``a`` into maximal d-runs (an
-    element starts a run exactly when ``v - d`` is absent).  Any
+    element starts a run exactly when ``v - d`` is absent, so the run
+    starts are the bits of ``mask & ~(mask << d)``).  Any
     progression with step d inside ``a`` lies within a single maximal
     run, and each maximal run is itself such a progression, so a
     two-progression split exists iff there are at most two runs.
@@ -285,10 +293,9 @@ def is_union_two_aps_same_diff(
         raise SetDomainError("two-progression test needs at least two elements")
     if len(elems) == 2:
         return True, 1
-    have = set(elems)
+    mask = a.mask
     span = elems[-1] - elems[0]
     for d in range(1, span + 1):
-        runs = sum(1 for v in elems if v - d not in have)
-        if runs <= 2:
+        if (mask & ~(mask << d)).bit_count() <= 2:
             return True, d
     return False, None

@@ -13,6 +13,11 @@ Why the overlap plane is exactly the restricted sumset: a value
 plane and the shift-by-``a'`` plane, so it lands in the overlap; a
 doubled value ``2a`` with no other representation is produced by the
 single shift-by-``a`` plane only, so it stays out.
+
+One sweep thus gives both masks: when it ends, its accumulator is the
+``A + A`` mask and its overlap plane the restricted one.  Callers that
+need only the two cardinalities take the popcounts of these masks and
+build no set.
 """
 
 from __future__ import annotations
@@ -77,15 +82,21 @@ def double_mask(mask: int, elements: Iterable[int]) -> int:
     return acc
 
 
-def restricted_mask(mask: int, elements: Iterable[int]) -> int:
-    """Mask of sums of two distinct elements (elements must match mask)."""
+def _sumset_masks(mask: int, elements: Iterable[int]) -> tuple[int, int]:
+    """Masks of A + A and of the restricted sumset, from one shift sweep
+    (elements must match mask)."""
     acc = 0
     twice = 0
     for v in elements:
         sh = mask << v
         twice |= acc & sh
         acc |= sh
-    return twice
+    return acc, twice
+
+
+def restricted_mask(mask: int, elements: Iterable[int]) -> int:
+    """Mask of sums of two distinct elements (elements must match mask)."""
+    return _sumset_masks(mask, elements)[1]
 
 
 def double_size(elements: Sequence[int]) -> int:
@@ -293,7 +304,9 @@ def normalize(a: "IntegerSet | NormalizedSet") -> tuple[NormalizedSet, int, int]
     for v in shifted:
         scale = gcd(scale, v)
     elems = tuple(v // scale for v in shifted)
-    norm = NormalizedSet(IntegerSet._from_trusted(elems, mask_of(elems)))
+    # ascending, at least two elements, starting at 0, gcd 1 once the gcd
+    # is divided out: everything the validating constructor would check
+    norm = NormalizedSet._from_trusted(elems, mask_of(elems))
     return norm, offset, scale
 
 
@@ -331,13 +344,14 @@ def exceptional_mask(head_reach: int, k: int) -> int:
 
 def profile(a: NormalizedSet) -> SumsetProfile:
     """Compute both sumsets and the low missing-sum window of ``a``."""
-    double = sumset(a, a)
-    restricted = restricted_sumset(a)
+    double, restricted = _sumset_masks(a.mask, a.elements)
     exceptional = None
     if a.k >= 3:
         head_reach = restricted_mask(a.mask ^ 1 << a.l, a.elements[:-1])
         exceptional = IntegerSet.from_mask(exceptional_mask(head_reach, a.k))
-    return SumsetProfile(a, double, restricted, exceptional)
+    return SumsetProfile(
+        a, IntegerSet.from_mask(double), IntegerSet.from_mask(restricted), exceptional
+    )
 
 
 def parse_set_literal(text: str) -> IntegerSet:

@@ -46,8 +46,8 @@ refused.  A task is one cell, or a row: all the detached-top cells of
 one k, walked in one call by a row walker.  Every cell of a row streams
 the same heads (the set minus its top), so the row walker plans each
 cell and all of them share one walk over the heads: at each head's leaf
-the per-head work runs once, and each top costs a gcd, one shift-or and
-one popcount.  A cut cell skips the heads from its cut on, and the walk
+the per-head work runs once, and each top costs one shift-or and one
+popcount.  A cut cell skips the heads from its cut on, and the walk
 ends once every cell is past its cut.
 Theorem 1 and the structure sweep run their cells as rows: the split
 position and the halves of the split, and every structural check,
@@ -481,10 +481,16 @@ def _walk_row(
 
     Every cell takes its counts and its cut from :func:`_cut`, and all
     cells share one walk over the heads, in lexicographic order.  At
-    each head's leaf ``on_head`` runs once, and each top costs a gcd, one
+    each head's leaf ``on_head`` runs once, and each top costs one
     shift-or (r = r_head | head_mask << l) and one popcount.  A cut cell
     skips the heads at or past its cut, and the walk ends once every
     cell is past its cut.
+
+    The walk takes no gcd: under both detached-top constraints every
+    head already has gcd 1, so every top streams it.  A dense head has
+    a_1 = 1.  A theorem 1 head has k-2 distinct interior values in
+    [1, 2k-5], and for d >= 2 that range holds at most (2k-5)/d < k-2
+    multiples of d, so no d divides them all.
 
     Sharing the walk needs every cell to stream the same heads.  The
     head walk lowers each interior cap to one below the next position's
@@ -498,7 +504,6 @@ def _walk_row(
     that no head completes.  A row whose lowered caps differ between its
     walked tops is refused.
     """
-    need_gcd = "gcd_one" in constraints
     last = k - 1
     cells: list[dict] = []
     # (top, cut without the top or None): a cell streams the heads that
@@ -525,7 +530,7 @@ def _walk_row(
         path = [0] * last
         some_cut = any(stop is not None for _l, stop in walked)
 
-        def heads(pos: int, prev: int, g: int, mask: int, r: int) -> bool:
+        def heads(pos: int, prev: int, mask: int, r: int) -> bool:
             """Walk the heads below a prefix; true once every cell is past
             its cut."""
             nonlocal walked
@@ -535,23 +540,18 @@ def _walk_row(
                     walked = [(l, stop) for l, stop in walked if stop is None or head < stop]
                     if not walked:
                         return True
-                first = True
+                state = on_head(head, mask)
                 for l, _stop in walked:
-                    if need_gcd and gcd(g, l) != 1:
-                        continue
-                    if first:
-                        state = on_head(head, mask)
-                        first = False
                     rl = r | mask << l
                     on_set(head, l, rl, rl.bit_count(), state)
                 return False
             for v in range(prev + 1, caps[pos] + 1):
                 path[pos] = v
-                if heads(pos + 1, v, gcd(g, v), mask | 1 << v, r | mask << v):
+                if heads(pos + 1, v, mask | 1 << v, r | mask << v):
                     return True
             return False
 
-        heads(1, 0, 0, 1, 0)
+        heads(1, 0, 1, 0)
     return cells
 
 
@@ -1060,8 +1060,8 @@ def _structure_row(args: tuple) -> list[dict]:
 
     Every check reads only k and the head, the set minus its top l, so
     the row walker builds each head's context and runs its checks once
-    (``structure._head_failures``), and only the extremal count and the
-    gcd filter see the top.
+    (``structure._head_failures``), and only the extremal count sees the
+    top.
     """
     k, tops, per_budget = args
     extremal = dict.fromkeys(tops, 0)

@@ -1,6 +1,7 @@
 """Lower bounds, exact golden-ratio arithmetic, progression predicates."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,21 @@ from sumset_lab.bounds import (
 )
 from sumset_lab.core import IntegerSet, NormalizedSet, SetDomainError
 
-from helpers import brute_two_ap, golden_leq_oracle
+from helpers import brute_two_ap, golden_leq_oracle, naive_double, naive_restricted
+
+
+@st.composite
+def normalized_sets(draw):
+    """Normalized sets with k in [3, 12] and span l <= 40."""
+    k = draw(st.integers(min_value=3, max_value=12))
+    l = draw(st.integers(min_value=k - 1, max_value=40))
+    interior = draw(st.sets(st.integers(min_value=1, max_value=l - 1),
+                            min_size=k - 2, max_size=k - 2))
+    elems = (0, *sorted(interior), l)
+    g = 0
+    for v in elems:
+        g = gcd(g, v)
+    return NormalizedSet(v // g for v in elems)
 
 # ---------------------------------------------------------------------------
 # frozen bound values
@@ -114,6 +129,14 @@ def test_evaluate_bounds_frozen():
     assert not d["doubling"]["tight"]
 
 
+@given(normalized_sets())
+@settings(max_examples=300, deadline=None)
+def test_evaluate_bounds_cardinalities_match_naive(ns):
+    report = evaluate_bounds(ns)
+    assert report.card_double == len(naive_double(ns.elements))
+    assert report.card_restricted == len(naive_restricted(ns.elements))
+
+
 def test_evaluate_bounds_narrow_window_conditional():
     report = evaluate_bounds(NormalizedSet((0, 1, 2, 3, 4)))  # l = k - 1
     assert "narrow_window" not in report.entries
@@ -144,6 +167,21 @@ def test_two_ap_frozen_probes():
     assert is_union_two_aps_same_diff(IntegerSet((0, 3, 4, 7, 8, 10, 11, 14, 15)))[0] is False
     ok, d = is_union_two_aps_same_diff(IntegerSet((0, 1, 3, 4, 7, 10)))
     assert ok and d == 3  # {1,4,7,10} and {0,3} share difference 3
+
+
+def _runs(elems, d):
+    """Maximal d-runs of elems: an element starts one when v - d is absent."""
+    have = set(elems)
+    return sum(1 for v in elems if v - d not in have)
+
+
+@given(st.sets(st.integers(min_value=1, max_value=201), min_size=2, max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_two_ap_counts_runs_on_sets_without_zero(values):
+    elems = sorted(values)
+    want = next(((True, d) for d in range(1, elems[-1] - elems[0] + 1)
+                 if _runs(elems, d) <= 2), (False, None))
+    assert is_union_two_aps_same_diff(IntegerSet(elems)) == want
 
 
 @given(st.sets(st.integers(min_value=0, max_value=28), min_size=2, max_size=9))

@@ -1,6 +1,7 @@
 """Command-line interface, exercised in-process via main(argv)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +101,24 @@ def test_analyze_ap(capsys):
     assert payload["is_arithmetic_progression"] is True
     assert payload["ap_step"] == 1
     assert payload["is_union_two_aps"] is True
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: compute --json and analyze --json, byte for byte
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("command", ["compute", "analyze"])
+@pytest.mark.parametrize("literal", [
+    "7,13,19,31,37",  # denormalized: offset 7, scale 6
+    "0,1,3,6,7",  # halved_span (l + 3k - 7) / 2 = 15/2, an odd bound_x2
+    "0,1,4,5,6,9,10",  # k = 7, l = 10, |2^A| = 13 < 3k - 7
+])
+def test_json_output_matches_golden_file(capsys, command, literal):
+    code, out, _ = run(capsys, command, "--json", "{%s}" % literal)
+    assert code == 0
+    assert out == (GOLDEN / f"{command}_{literal.replace(',', '_')}.json").read_text()
 
 
 # ---------------------------------------------------------------------------

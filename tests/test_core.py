@@ -22,6 +22,7 @@ from sumset_lab.core import (
     restricted_size,
     restricted_sumset,
     sumset,
+    _sumset_masks,
 )
 
 from helpers import naive_double, naive_restricted
@@ -149,6 +150,16 @@ def test_restricted_mask_matches_naive(values):
     elems = tuple(sorted(values))
     got = set(elements_of(restricted_mask(mask_of(elems), elems)))
     assert got == naive_restricted(elems)
+
+
+@given(small_sets)
+@settings(max_examples=300, deadline=None)
+def test_sumset_masks_match_naive(values):
+    # one sweep gives both masks
+    elems = tuple(sorted(values))
+    double, restricted = _sumset_masks(mask_of(elems), elems)
+    assert set(elements_of(double)) == naive_double(elems)
+    assert set(elements_of(restricted)) == naive_restricted(elems)
 
 
 @given(small_sets)

@@ -460,6 +460,25 @@ def test_detached_tops_share_their_heads(k, constraints):
     assert heads[0] and all(h == heads[0] for h in heads)
 
 
+@pytest.mark.parametrize("constraints", [DENSE, LOW_SECOND], ids=["dense", "low_second"])
+@pytest.mark.parametrize("k", range(3, 11))
+def test_every_row_head_has_gcd_one(k, constraints):
+    # the row walker takes no gcd: every head it walks, which is every
+    # head of the constraints without gcd_one, has gcd 1 already
+    no_gcd = tuple(c for c in constraints if c != "gcd_one")
+    want = [t[:-1] for t in enumerate_tuples(EnumerationQuery.exact(k, 2 * k - 2, no_gcd))]
+    walked = []
+    _walk_row(k, (2 * k - 2, 2 * k + 1), constraints, 10**9,
+              lambda head, head_mask: walked.append(head),
+              lambda head, l, r, n, state: None)
+    assert walked == want
+    for head in walked:
+        g = 0
+        for v in head:
+            g = gcd(g, v)
+        assert g == 1
+
+
 def test_row_walker_refuses_tops_with_different_heads():
     # without a detached top the heads depend on the top: (0, 3) is a
     # head at l = 5 and not at l = 3
