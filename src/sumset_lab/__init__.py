@@ -81,6 +81,7 @@ from .families import (
     flagged_sporadics,
     gen_even_odd,
     gen_four_step,
+    gen_k7_below_floor,
     gen_mod3_pair,
     gen_mod3_shift,
     gen_mod3_wide,

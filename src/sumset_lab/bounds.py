@@ -11,10 +11,9 @@ largest element, so ``l >= k - 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import (
     IntegerSet,
@@ -50,16 +49,23 @@ def _require_dimensions(k: int, l: int, k_floor: int = 3) -> None:
         raise SetDomainError(f"a k-set spanning [0, l] needs l >= k-1, got k={k}, l={l}")
 
 
-@dataclass(frozen=True)
-class GoldenValue:
-    """The exact number (p + q*sqrt(5)) / 2 with integers p and q >= 0."""
-
+class _GoldenFields(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self) -> None:
-        if self.q < 0:
+
+class GoldenValue(_GoldenFields):
+    """The exact number (p + q*sqrt(5)) / 2 with integers p and q >= 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int) -> GoldenValue:
+        if q < 0:
             raise SetDomainError("GoldenValue needs q >= 0")
+        return super().__new__(cls, p, q)
+
+    # _replace builds through _make: keep it validating
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def leq_int(self, n: int) -> bool:
         """Whether self <= n, decided by the defining quadratic."""
@@ -163,8 +169,7 @@ def bound_attained(bound: Bound, n: int) -> bool:
     return n == bound
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     """One bound evaluated against one set.
 
     ``bound_x2`` is the exact bound scaled by 2 (half-integral bounds
@@ -188,8 +193,7 @@ class BoundEntry:
         }
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All applicable bounds evaluated against one normalized set."""
 
     k: int

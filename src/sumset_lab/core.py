@@ -22,9 +22,8 @@ build no set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "MAX_ELEMENT",
@@ -320,8 +319,7 @@ def reflect(a: NormalizedSet) -> NormalizedSet:
     return normalize(mirrored)[0]
 
 
-@dataclass(frozen=True)
-class SumsetProfile:
+class SumsetProfile(NamedTuple):
     """Sumset data of one normalized set.
 
     ``exceptional`` lists the values in ``[1, 2k-4]`` that the

@@ -16,8 +16,8 @@ produced set's cardinality and span, failing loudly on any mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from math import gcd
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     IntegerSet,
@@ -43,6 +43,7 @@ __all__ = [
     "family_members",
     "top_pair_family",
     "top_pair_catalog",
+    "gen_k7_below_floor",
     "has_locked_fourth",
     "dense_extremal_shape",
 ]
@@ -198,8 +199,7 @@ def flagged_sporadics() -> tuple[IntegerSet, ...]:
     return tuple(IntegerSet(e) for e in _SPORADIC_FLAGGED)
 
 
-@dataclass(frozen=True)
-class FamilyKind:
+class FamilyKind(NamedTuple):
     """One parametric family: its builder and valid parameter values."""
 
     name: str
@@ -255,39 +255,46 @@ FAMILY_KINDS: dict[str, FamilyKind] = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A validated pointer to one family member."""
-
+class _FamilySpecFields(NamedTuple):
     kind: str
     k: int
-    theta: Optional[int] = None
-    sporadic_index: Optional[int] = None
+    theta: Optional[int]
+    sporadic_index: Optional[int]
 
-    def __post_init__(self) -> None:
-        if self.kind == "sporadic":
-            catalog = [s for s in sporadic_catalog() if s.k == self.k]
+
+class FamilySpec(_FamilySpecFields):
+    """A validated pointer to one family member."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, kind: str, k: int, theta: Optional[int] = None, sporadic_index: Optional[int] = None
+    ) -> FamilySpec:
+        if kind == "sporadic":
+            catalog = [s for s in sporadic_catalog() if s.k == k]
             if not catalog:
-                raise SetDomainError(f"no sporadic sets with k={self.k}")
-            idx = self.sporadic_index or 0
+                raise SetDomainError(f"no sporadic sets with k={k}")
+            idx = sporadic_index or 0
             if not 0 <= idx < len(catalog):
                 raise SetDomainError(
-                    f"sporadic index {idx} out of range for k={self.k} "
+                    f"sporadic index {idx} out of range for k={k} "
                     f"({len(catalog)} entries)"
                 )
-            return
-        if self.kind not in FAMILY_KINDS:
-            raise SetDomainError(f"unknown family kind {self.kind!r}")
-        kind = FAMILY_KINDS[self.kind]
-        if not kind.applicable(self.k):
-            raise SetDomainError(f"family kind {self.kind!r} does not exist at k={self.k}")
-        if kind.needs_theta:
-            if self.theta is None:
-                raise SetDomainError(f"family kind {self.kind!r} needs a theta")
-            if self.theta not in kind.thetas(self.k):
-                raise SetDomainError(
-                    f"theta={self.theta} invalid for kind {self.kind!r} at k={self.k}"
-                )
+            return super().__new__(cls, kind, k, theta, sporadic_index)
+        if kind not in FAMILY_KINDS:
+            raise SetDomainError(f"unknown family kind {kind!r}")
+        family = FAMILY_KINDS[kind]
+        if not family.applicable(k):
+            raise SetDomainError(f"family kind {kind!r} does not exist at k={k}")
+        if family.needs_theta:
+            if theta is None:
+                raise SetDomainError(f"family kind {kind!r} needs a theta")
+            if theta not in family.thetas(k):
+                raise SetDomainError(f"theta={theta} invalid for kind {kind!r} at k={k}")
+        return super().__new__(cls, kind, k, theta, sporadic_index)
+
+    # _replace builds through _make: keep it validating
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def member(self) -> NormalizedSet:
         if self.kind == "sporadic":
@@ -357,6 +364,20 @@ def top_pair_catalog(k: int) -> tuple[NormalizedSet, ...]:
     members = [top_pair_family(k)]
     members += [NormalizedSet(IntegerSet(e)) for e in _TOP_PAIR_SPORADIC if len(e) == k]
     return tuple(sorted(members, key=lambda s: s.elements))
+
+
+def gen_k7_below_floor(c: int, a: int) -> NormalizedSet:
+    """{0, a, c-a, c, c+a, 2c-a, 2c} = ({0, c, 2c} + {-a, 0, a}) within
+    [0, 2c], for c >= 4, 1 <= a < c/2 and gcd(a, c) = 1: k = 7, |2^A| = 13.
+    From c = 5 on, the top 2c reaches 2k - 4 and the set is one below the
+    Freiman-Lev floor 3k - 7; the conjecture sweep's k = 7 sets below that
+    floor (tops up to 30) are exactly these."""
+    if c < 4:
+        raise SetDomainError(f"k = 7 family needs c >= 4, got c={c}")
+    if not 1 <= a < c / 2 or gcd(a, c) != 1:
+        raise SetDomainError(f"k = 7 family needs 1 <= a < c/2 and gcd(a, c) = 1, got a={a}")
+    elems = (0, a, c - a, c, c + a, 2 * c - a, 2 * c)
+    return _build(elems, 7, 2 * c, f"gen_k7_below_floor({c},{a})")
 
 
 def has_locked_fourth(a: NormalizedSet) -> bool:

@@ -24,7 +24,6 @@ grid plus geometric orbits, reconstructed here explicitly.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import NamedTuple, Optional
@@ -101,8 +100,7 @@ def require_dense_prefix(a: NormalizedSet) -> None:
             )
 
 
-@dataclass(frozen=True)
-class ExceptionalProfile:
+class ExceptionalProfile(NamedTuple):
     """The exceptional set B of a detached-top set, with its companions.
 
     ``b_values`` lists the values in [1, 2k-4] missed by the restricted
@@ -243,8 +241,7 @@ def _tail_ok(h: _Head, b: int, u: int) -> Optional[bool]:
     return True
 
 
-@dataclass(frozen=True)
-class GapPatterns:
+class GapPatterns(NamedTuple):
     """Small gaps among the missing values just above the covered window.
 
     ``missing`` holds the values in ``window = [2k-3, 2k-4+b_{m-1}]``
@@ -379,8 +376,7 @@ def offset_count_bound(top_b: int) -> Fraction:
     return Fraction(top_b, 2) + top_b // 4
 
 
-@dataclass(frozen=True)
-class TopGapCandidate:
+class TopGapCandidate(NamedTuple):
     """One rigid shape admitting a double gap just above the covered window."""
 
     name: str
@@ -488,8 +484,7 @@ def _head_failures(head: tuple[int, ...], head_mask: int) -> tuple[str, ...]:
     return tuple(fails)
 
 
-@dataclass(frozen=True)
-class WitnessProfile:
+class WitnessProfile(NamedTuple):
     """The witnesses of a normalized set.
 
     A witness is a value w in [0, a_{k-1}] outside A such that neither
@@ -518,8 +513,7 @@ def witness_profile(a: NormalizedSet) -> WitnessProfile:
     return WitnessProfile(_trusted_set(found), w1, w2, modulus)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Grid-plus-orbit decomposition of a two-witness set.
 
     With witnesses w1 < w2, top l and modulus m = gcd(w2 - w1, l):
@@ -583,8 +577,7 @@ def decompose(a: NormalizedSet, w1: int, w2: int) -> Decomposition:
     )
 
 
-@dataclass(frozen=True)
-class SplitTriple:
+class SplitTriple(NamedTuple):
     """A set split at a doubled pair into overlapping halves.
 
     ``left`` holds the first s+2 elements, ``right`` the elements from

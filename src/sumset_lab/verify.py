@@ -84,7 +84,6 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -152,54 +151,60 @@ class BudgetExceeded(RuntimeError):
         self.nodes = nodes
 
 
-@dataclass(frozen=True)
-class EnumerationQuery:
+class _QueryFields(NamedTuple):
+    k: int
+    l_min: int
+    l_max: int
+    constraints: tuple[str, ...]
+    mask: Optional[int]
+    budget: int
+
+
+class EnumerationQuery(_QueryFields):
     """One enumeration task: cardinality, span range, named constraints.
 
     Sets are streamed with minimum 0 and maximum in [l_min, l_max].
     ``mask`` restricts every element to the mask's bits.  ``budget``
     caps the number of candidate value placements visited.
+    ``constraints`` is stored sorted and without repeats.
     """
 
-    k: int
-    l_min: int
-    l_max: int
-    constraints: tuple[str, ...] = ()
-    mask: Optional[int] = None
-    budget: int = DEFAULT_BUDGET
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise SetDomainError(f"enumeration needs k >= 2, got k={self.k}")
-        if self.l_min < self.k - 1:
-            raise SetDomainError(
-                f"a {self.k}-set spans at least [0, {self.k - 1}], got l_min={self.l_min}"
-            )
-        if self.l_max < self.l_min:
-            raise SetDomainError(f"empty span range [{self.l_min}, {self.l_max}]")
-        if self.budget < 1:
+    def __new__(
+        cls,
+        k: int,
+        l_min: int,
+        l_max: int,
+        constraints: Sequence[str] = (),
+        mask: Optional[int] = None,
+        budget: int = DEFAULT_BUDGET,
+    ) -> EnumerationQuery:
+        if k < 2:
+            raise SetDomainError(f"enumeration needs k >= 2, got k={k}")
+        if l_min < k - 1:
+            raise SetDomainError(f"a {k}-set spans at least [0, {k - 1}], got l_min={l_min}")
+        if l_max < l_min:
+            raise SetDomainError(f"empty span range [{l_min}, {l_max}]")
+        if budget < 1:
             raise SetDomainError("budget must be positive")
-        if self.mask is not None and self.mask < 0:
+        if mask is not None and mask < 0:
             raise SetDomainError("mask must be nonnegative")
-        normalized = tuple(sorted(set(self.constraints)))
+        normalized = tuple(sorted(set(constraints)))
         for name in normalized:
             if name not in KNOWN_CONSTRAINTS:
                 raise SetDomainError(f"unknown constraint {name!r}")
-        object.__setattr__(self, "constraints", normalized)
+        return super().__new__(cls, k, l_min, l_max, normalized, mask, budget)
+
+    # _replace builds through _make: keep it validating
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def exact(cls, k: int, l: int, constraints: Sequence[str] = (), **kw) -> "EnumerationQuery":
-        return cls(k, l, l, tuple(constraints), **kw)
+        return cls(k, l, l, constraints, **kw)
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "l_min": self.l_min,
-            "l_max": self.l_max,
-            "constraints": list(self.constraints),
-            "mask": self.mask,
-            "budget": self.budget,
-        }
+        return {**self._asdict(), "constraints": list(self.constraints)}
 
 
 def _effective_bounds(query: EnumerationQuery) -> tuple[int, int, Optional[int]]:
@@ -569,7 +574,6 @@ def _normalized(tup: tuple[int, ...], mask: int) -> NormalizedSet:
     return NormalizedSet._from_trusted(tup, mask)
 
 
-@dataclass
 class Certificate:
     """Outcome of one verification run, serializable to canonical JSON.
 
@@ -579,21 +583,38 @@ class Certificate:
     refutations; ``missing``/``spurious`` detail classification deltas
     (also folded into ``counterexamples``); ``extremal_sets`` lists
     equality/classification results when the claim tracks them.
+    Each list and ``counts`` left out is a fresh empty one.
     """
 
-    claim: str
-    query: dict
-    outcome: str
-    counterexamples: list[str] = field(default_factory=list)
-    observations: list[str] = field(default_factory=list)
-    missing: list[str] = field(default_factory=list)
-    spurious: list[str] = field(default_factory=list)
-    extremal_sets: list[str] = field(default_factory=list)
-    counts: dict = field(default_factory=dict)
-    cap: Optional[int] = None
-    tool_version: str = TOOL_VERSION
-    schema_version: int = SCHEMA_VERSION
-    wall_time_ms: int = 0
+    def __init__(
+        self,
+        claim: str,
+        query: dict,
+        outcome: str,
+        counterexamples: Optional[list[str]] = None,
+        observations: Optional[list[str]] = None,
+        missing: Optional[list[str]] = None,
+        spurious: Optional[list[str]] = None,
+        extremal_sets: Optional[list[str]] = None,
+        counts: Optional[dict] = None,
+        cap: Optional[int] = None,
+        tool_version: str = TOOL_VERSION,
+        schema_version: int = SCHEMA_VERSION,
+        wall_time_ms: int = 0,
+    ) -> None:
+        self.claim = claim
+        self.query = query
+        self.outcome = outcome
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.observations = [] if observations is None else observations
+        self.missing = [] if missing is None else missing
+        self.spurious = [] if spurious is None else spurious
+        self.extremal_sets = [] if extremal_sets is None else extremal_sets
+        self.counts = {} if counts is None else counts
+        self.cap = cap
+        self.tool_version = tool_version
+        self.schema_version = schema_version
+        self.wall_time_ms = wall_time_ms
 
     def to_payload(self) -> dict:
         return {

@@ -1,6 +1,9 @@
 """Command-line interface, exercised in-process via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -378,3 +381,25 @@ def test_missing_required_flag_exits_3():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--k", "6"])
     assert exc.value.code == 3
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+def _loaded_modules(code: str) -> set[str]:
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code + "; import sys; print(*sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return set(out.stdout.split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every sumset-lab process pays for what the CLI imports; these two
+    # cost over 10 ms and the package uses nothing from them
+    added = _loaded_modules("import sumset_lab.cli") - _loaded_modules("pass")
+    assert "sumset_lab.cli" in added
+    assert not {"dataclasses", "inspect"} & added

@@ -1,11 +1,15 @@
 """Extremal family generators and catalogs."""
 
+import re
+from math import gcd
+
 import pytest
 
 from sumset_lab.core import (
     IntegerSet,
     NormalizedSet,
     SetDomainError,
+    parse_set_literal,
     restricted_size,
     restricted_sumset,
 )
@@ -18,6 +22,7 @@ from sumset_lab.families import (
     flagged_sporadics,
     gen_even_odd,
     gen_four_step,
+    gen_k7_below_floor,
     gen_mod3_pair,
     gen_mod3_shift,
     gen_mod3_wide,
@@ -239,3 +244,35 @@ def test_dense_extremal_shape():
     assert restricted_sumset(g6).elements == expected.elements
     with pytest.raises(SetDomainError):
         dense_extremal_shape(NormalizedSet((0, 1, 3, 4, 8)))  # not extremal
+
+
+def test_k7_family_below_the_floor():
+    from sumset_lab.bounds import freiman_lev_bound
+    from sumset_lab.verify import verify_conjecture
+
+    members = {}
+    for c in range(4, 301):
+        for a in range(1, (c + 1) // 2):
+            if gcd(a, c) != 1:
+                continue
+            s = gen_k7_below_floor(c, a)
+            assert s.k == 7 and gcd(*s.elements) == 1, (c, a)
+            assert restricted_size(s.elements) == 13, (c, a)
+            # one below 3k - 7 once the top 2c reaches 2k - 4; at c = 4
+            # the floor is l + k - 2 = 13 and the set attains it
+            assert (13 < freiman_lev_bound(7, 2 * c)) == (c >= 5), (c, a)
+            members[s.elements] = c
+    assert len(members) == 13697
+    # c = 3 would give the interval [0, 6], with |2^A| = 11
+    with pytest.raises(SetDomainError):
+        gen_k7_below_floor(3, 1)
+    with pytest.raises(SetDomainError):
+        gen_k7_below_floor(10, 5)
+    with pytest.raises(SetDomainError):
+        gen_k7_below_floor(10, 4)
+
+    observed = set()
+    for line in verify_conjecture(9, 22).observations:
+        observed.add(parse_set_literal(re.search(r"\{[\d,]*\}", line).group()).elements)
+    assert len(observed) == 18
+    assert observed == {e for e, c in members.items() if 2 * c <= 22 and c >= 5}
