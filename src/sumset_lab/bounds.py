@@ -250,7 +250,7 @@ def evaluate_bounds(a: NormalizedSet) -> BoundReport:
     return BoundReport(k, l, nd, nr, entries)
 
 
-def is_arithmetic_progression(a: "IntegerSet | NormalizedSet") -> tuple[bool, Optional[int]]:
+def is_arithmetic_progression(a: IntegerSet) -> tuple[bool, Optional[int]]:
     """Whether the elements form an arithmetic progression.
 
     Returns ``(True, step)`` for k >= 2, ``(True, None)`` for k == 1,
@@ -278,9 +278,7 @@ def ap_cover_length(a: NormalizedSet) -> int:
     return a.l + 1
 
 
-def is_union_two_aps_same_diff(
-    a: "IntegerSet | NormalizedSet",
-) -> tuple[bool, Optional[int]]:
+def is_union_two_aps_same_diff(a: IntegerSet) -> tuple[bool, Optional[int]]:
     """Whether ``a`` splits into two arithmetic progressions sharing one
     common difference, and the smallest workable difference.
 

@@ -176,9 +176,7 @@ def _cmd_analyze(args: argparse.Namespace, cfg: dict) -> int:
     ns, offset, scale = normalize(a)
     prof = profile(ns)
     is_ap, step = is_arithmetic_progression(ns)
-    two_ap, two_ap_diff = (
-        is_union_two_aps_same_diff(ns) if ns.k >= 2 else (True, None)
-    )
+    two_ap, two_ap_diff = is_union_two_aps_same_diff(ns)
     payload: dict = {
         "input": format_set_literal(a),
         "normalized": format_set_literal(ns),
@@ -194,7 +192,7 @@ def _cmd_analyze(args: argparse.Namespace, cfg: dict) -> int:
         "is_union_two_aps": two_ap,
         "two_ap_difference": two_ap_diff,
         "exceptional": list(prof.exceptional.elements) if prof.exceptional else [],
-        "dense_prefix": ns.k >= 3 and has_dense_prefix(ns),
+        "dense_prefix": has_dense_prefix(ns),
     }
     lines = [
         f"input          {payload['input']}",
@@ -228,30 +226,29 @@ def _cmd_analyze(args: argparse.Namespace, cfg: dict) -> int:
             )
     else:
         lines.append("dense prefix   False")
-    wp = witness_profile(ns) if ns.k >= 2 else None
-    if wp is not None:
-        payload["witnesses"] = list(wp.values.elements)
-        payload["witness_modulus"] = wp.modulus
-        lines.append(f"witnesses      {payload['witnesses']}"
-                     + (f" (modulus {wp.modulus})" if wp.modulus else ""))
-        if wp.w1 is not None:
-            try:
-                dec = decompose(ns, wp.w1, wp.w2)
-                payload["decomposition"] = {
-                    "modulus": dec.modulus,
-                    "seeds": list(dec.seeds),
-                    "x_max": dec.x_max,
-                    "residues": list(dec.residues.elements),
-                    "orbits": {str(v): list(o.elements) for v, o in dec.orbits.items()},
-                    "reconstructed": dec.reconstructed,
-                }
-                lines.append(
-                    f"decomposition  modulus {dec.modulus}, seeds {list(dec.seeds)}, "
-                    f"reconstructed {dec.reconstructed}"
-                )
-            except SetDomainError as exc:
-                payload["decomposition"] = None
-                lines.append(f"decomposition  unavailable ({exc})")
+    wp = witness_profile(ns)
+    payload["witnesses"] = list(wp.values.elements)
+    payload["witness_modulus"] = wp.modulus
+    lines.append(f"witnesses      {payload['witnesses']}"
+                 + (f" (modulus {wp.modulus})" if wp.modulus else ""))
+    if wp.w1 is not None:
+        try:
+            dec = decompose(ns, wp.w1, wp.w2)
+            payload["decomposition"] = {
+                "modulus": dec.modulus,
+                "seeds": list(dec.seeds),
+                "x_max": dec.x_max,
+                "residues": list(dec.residues.elements),
+                "orbits": {str(v): list(o.elements) for v, o in dec.orbits.items()},
+                "reconstructed": dec.reconstructed,
+            }
+            lines.append(
+                f"decomposition  modulus {dec.modulus}, seeds {list(dec.seeds)}, "
+                f"reconstructed {dec.reconstructed}"
+            )
+        except SetDomainError as exc:
+            payload["decomposition"] = None
+            lines.append(f"decomposition  unavailable ({exc})")
     split_pos: Optional[int] = None
     try:
         split_pos = find_admissible_split(ns)
@@ -288,6 +285,8 @@ def _cmd_families(args: argparse.Namespace, cfg: dict) -> int:
         return EXIT_USAGE
     members: list[tuple[str, Optional[int], str]] = []
     if args.all:
+        if args.theta is not None:
+            raise SetDomainError("--all lists every extremal set; drop --theta")
         for s in extremal_catalog(args.k):
             members.append(("extremal", None, format_set_literal(s)))
     elif args.theta is not None:
@@ -295,18 +294,11 @@ def _cmd_families(args: argparse.Namespace, cfg: dict) -> int:
         members.append((args.kind, args.theta, format_set_literal(spec.member())))
     else:
         kind = FAMILY_KINDS.get(args.kind)
-        thetas: tuple[Optional[int], ...]
-        if kind is not None and kind.needs_theta:
-            thetas = kind.thetas(args.k)
-        else:
-            thetas = (None,)
         sets = family_members(args.kind, args.k)
-        if kind is not None and kind.needs_theta:
-            members += [
-                (args.kind, t, format_set_literal(s)) for t, s in zip(thetas, sets)
-            ]
-        else:
-            members += [(args.kind, None, format_set_literal(s)) for s in sets]
+        thetas: tuple[Optional[int], ...] = (
+            kind.thetas(args.k) if kind is not None and kind.needs_theta else (None,) * len(sets)
+        )
+        members += [(args.kind, t, format_set_literal(s)) for t, s in zip(thetas, sets)]
     payload = {
         "k": args.k,
         "members": [
@@ -338,7 +330,7 @@ def _cmd_enumerate(args: argparse.Namespace, cfg: dict) -> int:
     truncated_after: Optional[int] = None
     try:
         for tup in enumerate_tuples(query):
-            lit = "{%s}" % ",".join(str(v) for v in tup)
+            lit = format_set_literal(tup)
             if args.json:
                 sets.append(lit)
             else:
@@ -397,6 +389,8 @@ def _cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
             raise SetDomainError("the conjecture sweep always starts at k=3; drop --k-min")
         cert = verify_conjecture(k_max, cap, **kw)
     elif args.theorem == "3":
+        if args.cap is not None:
+            raise SetDomainError("theorem 3 sweeps the span 2k-3 only; drop --cap")
         cert = verify_span_classification(k_max, 4 if k_min is None else k_min, **kw)
     else:
         driver = {"1": verify_low_second_max, "2": verify_dense_prefix,

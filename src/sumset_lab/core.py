@@ -134,7 +134,11 @@ class IntegerSet:
 
     @classmethod
     def _from_trusted(cls, elements: tuple[int, ...], mask: int) -> "IntegerSet":
-        """Internal constructor for data already in canonical form."""
+        """Internal constructor for data already in canonical form.
+
+        On NormalizedSet the caller also guarantees what its ``__init__``
+        checks: at least two elements, starting at 0, with gcd 1.
+        """
         obj = cls.__new__(cls)
         obj._elements = elements
         obj._mask = mask
@@ -142,10 +146,11 @@ class IntegerSet:
 
     @classmethod
     def from_mask(cls, mask: int) -> "IntegerSet":
-        """Build from a bit mask.  Trusted path: no range re-check."""
+        """Build from a bit mask.  Trusted path: no range re-check, and
+        always a plain IntegerSet, also when called on a subclass."""
         if mask < 0:
             raise SetDomainError("mask must be nonnegative")
-        return cls._from_trusted(elements_of(mask), mask)
+        return IntegerSet._from_trusted(elements_of(mask), mask)
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -177,7 +182,7 @@ class IntegerSet:
         return isinstance(value, int) and 0 <= value and bool(self._mask >> value & 1)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, IntegerSet):
+        if type(other) is type(self):
             return self._mask == other._mask
         return NotImplemented
 
@@ -185,92 +190,48 @@ class IntegerSet:
         return hash(self._mask)
 
     def __repr__(self) -> str:
-        return f"IntegerSet({format_set_literal(self)})"
+        return f"{type(self).__name__}({format_set_literal(self._elements)})"
 
 
-class NormalizedSet:
+class NormalizedSet(IntegerSet):
     """An IntegerSet in hypothesis form: smallest element 0 and gcd 1.
 
     ``k`` is the cardinality and ``l`` the largest element, so the set
     spans ``[0, l]`` and every covering arithmetic progression has
-    difference 1.
+    difference 1.  It never compares equal to a plain IntegerSet.
     """
 
-    __slots__ = ("_inner",)
+    __slots__ = ()
 
-    def __init__(self, elements: "Iterable[int] | IntegerSet"):
-        inner = elements if isinstance(elements, IntegerSet) else IntegerSet(elements)
-        if len(inner) < 2:
+    def __init__(self, elements: Iterable[int]):
+        if isinstance(elements, IntegerSet):
+            # already canonical, and range-checked unless it came from a
+            # trusted mask: take its carrier as it is
+            self._elements, self._mask = elements._elements, elements._mask
+        else:
+            super().__init__(elements)
+        elems = self._elements
+        if len(elems) < 2:
             raise SetDomainError("a normalized set needs at least two elements")
-        if inner.min != 0:
-            raise SetDomainError(f"a normalized set starts at 0, got min {inner.min}")
+        if elems[0] != 0:
+            raise SetDomainError(f"a normalized set starts at 0, got min {elems[0]}")
         g = 0
-        for v in inner.elements:
+        for v in elems:
             g = gcd(g, v)
         if g != 1:
             raise SetDomainError(f"a normalized set has gcd 1, got gcd {g}")
-        self._inner = inner
-
-    @classmethod
-    def _from_trusted(cls, elements: tuple[int, ...], mask: int) -> "NormalizedSet":
-        """Internal constructor for data already in normalized form.
-
-        The caller guarantees what ``__init__`` would check: an ascending
-        tuple of at least two elements starting at 0, with gcd 1, and the
-        mask matching it.
-        """
-        obj = cls.__new__(cls)
-        obj._inner = IntegerSet._from_trusted(elements, mask)
-        return obj
-
-    @property
-    def inner(self) -> IntegerSet:
-        return self._inner
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return self._inner.elements
-
-    @property
-    def mask(self) -> int:
-        return self._inner.mask
 
     @property
     def k(self) -> int:
-        return len(self._inner)
+        return len(self._elements)
 
     @property
     def l(self) -> int:
-        return self._inner.max
-
-    def __len__(self) -> int:
-        return len(self._inner)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._inner)
-
-    def __contains__(self, value: object) -> bool:
-        return value in self._inner
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, NormalizedSet):
-            return self._inner == other._inner
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._inner)
-
-    def __repr__(self) -> str:
-        return f"NormalizedSet({format_set_literal(self)})"
+        return self._elements[-1]
 
 
-def _carrier(a: "IntegerSet | NormalizedSet") -> IntegerSet:
-    return a.inner if isinstance(a, NormalizedSet) else a
-
-
-def sumset(a: "IntegerSet | NormalizedSet", b: "IntegerSet | NormalizedSet") -> IntegerSet:
+def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:
     """Full pair sumset {x + y : x in a, y in b}."""
-    a, b = _carrier(a), _carrier(b)
     if not len(a) or not len(b):
         raise SetDomainError("sumset of an empty set is undefined")
     if len(a) < len(b):
@@ -278,15 +239,14 @@ def sumset(a: "IntegerSet | NormalizedSet", b: "IntegerSet | NormalizedSet") -> 
     return IntegerSet.from_mask(double_mask(a.mask, b.elements))
 
 
-def restricted_sumset(a: "IntegerSet | NormalizedSet") -> IntegerSet:
+def restricted_sumset(a: IntegerSet) -> IntegerSet:
     """Sums of two distinct elements of a."""
-    a = _carrier(a)
     if len(a) < 2:
         raise SetDomainError("restricted sumset needs at least two elements")
     return IntegerSet.from_mask(restricted_mask(a.mask, a.elements))
 
 
-def normalize(a: "IntegerSet | NormalizedSet") -> tuple[NormalizedSet, int, int]:
+def normalize(a: IntegerSet) -> tuple[NormalizedSet, int, int]:
     """Translate the minimum to 0 and divide out the gcd of the rest.
 
     Returns ``(normalized, offset, scale)`` with
@@ -294,7 +254,6 @@ def normalize(a: "IntegerSet | NormalizedSet") -> tuple[NormalizedSet, int, int]
     sumsets are invariant under this affine change, so every bound and
     classification can be computed on the normalized form.
     """
-    a = _carrier(a)
     if len(a) < 2:
         raise SetDomainError("normalization needs at least two elements")
     offset = a.min
@@ -367,6 +326,7 @@ def parse_set_literal(text: str) -> IntegerSet:
     return IntegerSet(values)
 
 
-def format_set_literal(a: "IntegerSet | NormalizedSet") -> str:
-    """Render as a canonical brace literal, ascending, no spaces."""
-    return "{%s}" % ",".join(str(v) for v in _carrier(a).elements)
+def format_set_literal(a: Iterable[int]) -> str:
+    """Render ascending ints (a tuple, or any IntegerSet) as a canonical
+    brace literal, no spaces."""
+    return "{%s}" % ",".join(map(str, a))

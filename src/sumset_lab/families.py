@@ -50,7 +50,7 @@ __all__ = [
 
 
 def _build(elements, k: int, span: int, what: str) -> NormalizedSet:
-    out = NormalizedSet(IntegerSet(elements))
+    out = NormalizedSet(elements)
     if out.k != k or out.l != span:
         raise RuntimeError(
             f"{what} produced a malformed set {out!r}: "
@@ -191,7 +191,7 @@ def sporadic_catalog() -> tuple[NormalizedSet, ...]:
     for elems in list(_SPORADIC_FIXED) + _five_step_rows():
         seen.setdefault(elems, None)
     ordered = sorted(seen, key=lambda e: (len(e), e))
-    return tuple(NormalizedSet(IntegerSet(e)) for e in ordered)
+    return tuple(NormalizedSet(e) for e in ordered)
 
 
 def flagged_sporadics() -> tuple[IntegerSet, ...]:
@@ -271,6 +271,8 @@ class FamilySpec(_FamilySpecFields):
         cls, kind: str, k: int, theta: Optional[int] = None, sporadic_index: Optional[int] = None
     ) -> FamilySpec:
         if kind == "sporadic":
+            if theta is not None:
+                raise SetDomainError("family kind 'sporadic' takes no theta")
             catalog = [s for s in sporadic_catalog() if s.k == k]
             if not catalog:
                 raise SetDomainError(f"no sporadic sets with k={k}")
@@ -291,6 +293,8 @@ class FamilySpec(_FamilySpecFields):
                 raise SetDomainError(f"family kind {kind!r} needs a theta")
             if theta not in family.thetas(k):
                 raise SetDomainError(f"theta={theta} invalid for kind {kind!r} at k={k}")
+        elif theta is not None:
+            raise SetDomainError(f"family kind {kind!r} takes no theta")
         return super().__new__(cls, kind, k, theta, sporadic_index)
 
     # _replace builds through _make: keep it validating
@@ -362,7 +366,7 @@ def top_pair_catalog(k: int) -> tuple[NormalizedSet, ...]:
     second-largest element is 2k-4 while a_{k-3} stays below 2k-6:
     the top-pair interval family plus the listed sporadics at k."""
     members = [top_pair_family(k)]
-    members += [NormalizedSet(IntegerSet(e)) for e in _TOP_PAIR_SPORADIC if len(e) == k]
+    members += [NormalizedSet(e) for e in _TOP_PAIR_SPORADIC if len(e) == k]
     return tuple(sorted(members, key=lambda s: s.elements))
 
 

@@ -716,7 +716,7 @@ def find_admissible_split(a: NormalizedSet) -> Optional[int]:
     k = len(elems)
     if k < 3:
         raise SetDomainError(f"split search needs k >= 3, got k={k}")
-    if elems[-1] < 2 * k - 2 or (k >= 2 and elems[-2] >= 2 * k - 4):
+    if elems[-1] < 2 * k - 2 or elems[-2] >= 2 * k - 4:
         raise SetDomainError(
             "split search needs a_{k-2} < 2k-4 and a_{k-1} >= 2k-2"
         )

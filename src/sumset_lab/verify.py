@@ -92,6 +92,7 @@ from .core import (
     IntegerSet,
     NormalizedSet,
     SetDomainError,
+    format_set_literal,
     mask_of,
     restricted_mask,
 )
@@ -560,20 +561,6 @@ def _walk_row(
     return cells
 
 
-def _literal(tup: Sequence[int]) -> str:
-    return "{%s}" % ",".join(str(v) for v in tup)
-
-
-def _normalized(tup: tuple[int, ...], mask: int) -> NormalizedSet:
-    """The NormalizedSet of a walked set, built without re-validation.
-
-    Sound because every set passed here comes from a walk of a query
-    with ``gcd_one``, and the walker calls its leaf only on sets of gcd
-    1; each leaf set starts at 0 and has k >= 2 elements.
-    """
-    return NormalizedSet._from_trusted(tup, mask)
-
-
 class Certificate:
     """Outcome of one verification run, serializable to canonical JSON.
 
@@ -771,7 +758,7 @@ def _floor_cell(constraints: tuple[str, ...], args: tuple) -> dict:
 
 
 def _below_floor(tup: Sequence[int], n: int, bound: int) -> str:
-    return f"{_literal(tup)}: restricted size {n} < {bound}"
+    return f"{format_set_literal(tup)}: restricted size {n} < {bound}"
 
 
 def verify_conjecture(
@@ -806,10 +793,10 @@ def verify_conjecture(
     for r in results:
         for tup, n in r["below"]:
             if r["k"] >= 8:
-                counterexamples.append(_literal(tup))
+                counterexamples.append(format_set_literal(tup))
             else:
                 observations.append(
-                    f"below-threshold k={r['k']} l={r['l']}: {_literal(tup)} has "
+                    f"below-threshold k={r['k']} l={r['l']}: {format_set_literal(tup)} has "
                     f"restricted size {n} < {r['bound']}"
                 )
     query = {
@@ -845,8 +832,10 @@ def _low_second_row(args: tuple) -> list[dict]:
 
     def split_part(head: tuple[int, ...], head_mask: int) -> Optional[tuple]:
         # s reads only the head; its k-2 values in [1, 2k-5] share no
-        # divisor, so any detached top makes a set of gcd 1
-        s = find_admissible_split(_normalized(head + (2 * k,), head_mask | 1 << 2 * k))
+        # divisor, so any detached top makes a normalized set (0 first,
+        # gcd 1) that needs no re-validation
+        top = 2 * k
+        s = find_admissible_split(NormalizedSet._from_trusted(head + (top,), head_mask | 1 << top))
         return None if s is None else _split_head(head, head_mask, s)
 
     def on_set(head: tuple[int, ...], l: int, r: int, n: int, part: Optional[tuple]) -> None:
@@ -859,7 +848,7 @@ def _low_second_row(args: tuple) -> list[dict]:
             try:
                 _split_top(part, l, r, n)
             except RuntimeError as exc:
-                bad[l].append(f"{_literal(head + (l,))}: {exc}")
+                bad[l].append(f"{format_set_literal(head + (l,))}: {exc}")
 
     cells = _walk_row(k, tops, _LOW_SECOND, per_budget, split_part, on_set)
     return [{**c, "tight": tight[c["l"]], "splits": splits[c["l"]], "bad": bad[c["l"]]}
@@ -931,8 +920,10 @@ def verify_dense_prefix(
     for r in results:
         counterexamples += [_below_floor(tup, n, r["bound"]) for tup, n in r["below"]]
         for tup in r["at"]:
-            lit = _literal(tup)
-            if not dense_extremal_shape(_normalized(tup, mask_of(tup))):
+            lit = format_set_literal(tup)
+            # a leaf set of a gcd_one walk starts at 0, has k >= 2
+            # elements and gcd 1: normalized without re-validation
+            if not dense_extremal_shape(NormalizedSet._from_trusted(tup, mask_of(tup))):
                 counterexamples.append(f"{lit}: equality without the rigid shape")
                 observations.append(f"shape mismatch on equality set {lit}")
             by_k.setdefault(r["k"], []).append((r["l"], lit))
@@ -940,7 +931,7 @@ def verify_dense_prefix(
         found = {lit for _l, lit in by_k.get(k, [])}
         expected: set[str] = set()
         if k >= 6 and k % 3 in (0, 1):
-            expected = {_literal(gen_mod3_wide(k).elements)}
+            expected = {format_set_literal(gen_mod3_wide(k))}
         for lit in sorted(found - expected):
             missing.append(lit)
             counterexamples.append(f"{lit}: unexpected equality set at k={k}")
@@ -985,7 +976,8 @@ def classify_extremal(k: int, l: int, *, budget: int = DEFAULT_BUDGET) -> tuple[
 
     def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
         if n == bound:
-            out.append(_normalized(tup, mask))
+            # a leaf of a gcd_one walk: normalized without re-validation
+            out.append(NormalizedSet._from_trusted(tup, mask))
 
     cell = _walk_span(query, bound, leaf)
     if cell["truncated"]:
@@ -1023,6 +1015,7 @@ def verify_span_classification(
     missing: list[str] = []
     spurious: list[str] = []
     flagged = flagged_sporadics()
+    flagged_explained = False
     for r in results:
         k = r["k"]
         counterexamples += [_below_floor(tup, n, r["bound"]) for tup, n in r["below"]]
@@ -1033,27 +1026,28 @@ def verify_span_classification(
         for f in flagged:
             explained = {tup for tup in miss if set(f.elements) <= set(tup)}
             for tup in explained:
+                flagged_explained = True
                 observations.append(
-                    f"flagged catalog entry {_literal(f.elements)} is a subset of "
-                    f"enumerated extremal set {_literal(tup)} at k={k}; treating the "
+                    f"flagged catalog entry {format_set_literal(f)} is a subset of "
+                    f"enumerated extremal set {format_set_literal(tup)} at k={k}; treating the "
                     f"entry as that set with one element dropped"
                 )
             miss -= explained
         for tup in sorted(miss):
-            missing.append(_literal(tup))
-            counterexamples.append(f"{_literal(tup)}: extremal at k={k} but not in the catalog")
+            lit = format_set_literal(tup)
+            missing.append(lit)
+            counterexamples.append(f"{lit}: extremal at k={k} but not in the catalog")
         # a catalog entry can only be declared non-extremal if its cell was
         # fully enumerated; a truncated cell may simply not have reached it
         for tup in sorted(spur):
-            spurious.append(_literal(tup))
+            lit = format_set_literal(tup)
+            spurious.append(lit)
             if not r["truncated"]:
-                counterexamples.append(f"{_literal(tup)}: cataloged at k={k} but not extremal")
-    if flagged and not counts["truncated"] and not any(
-        "flagged catalog entry" in o for o in observations
-    ):
+                counterexamples.append(f"{lit}: cataloged at k={k} but not extremal")
+    if flagged and not counts["truncated"] and not flagged_explained:
         for f in flagged:
             observations.append(
-                f"flagged catalog entry {_literal(f.elements)} matches no enumerated "
+                f"flagged catalog entry {format_set_literal(f)} matches no enumerated "
                 f"extremal set; recorded as a catalog typo"
             )
     query = {
@@ -1063,7 +1057,7 @@ def verify_span_classification(
         "constraints": ["gcd_one"],
         "budget": budget,
     }
-    extremal = [_literal(tup) for r in results for tup in r["at"]]
+    extremal = [format_set_literal(tup) for r in results for tup in r["at"]]
     counts["extremal"] = len(extremal)
     return _finalize(
         "classification_matches_families", query, None, counts, t0,
@@ -1092,7 +1086,7 @@ def _structure_row(args: tuple) -> list[dict]:
         if n == 3 * k - 7:
             extremal[l] += 1
         if fails:
-            lit = _literal(head + (l,))
+            lit = format_set_literal(head + (l,))
             bad[l].extend(f"{lit}: {msg}" for msg in fails)
 
     cells = _walk_row(k, tops, _DENSE, per_budget, _head_failures, on_set)
@@ -1116,11 +1110,13 @@ def _witness_cell(args: tuple) -> dict:
 
     def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
         nonlocal extremal, pairs
-        ns = _normalized(tup, mask)
+        # a leaf of a gcd_one walk: normalized without re-validation
+        ns = NormalizedSet._from_trusted(tup, mask)
         wp = witness_profile(ns)
         if len(wp.values) > 2:
             bad.append(
-                f"{_literal(tup)}: {len(wp.values)} witnesses {_literal(wp.values.elements)}"
+                f"{format_set_literal(tup)}: {len(wp.values)} witnesses "
+                f"{format_set_literal(wp.values)}"
             )
             return
         if wp.w1 is None:
@@ -1131,16 +1127,16 @@ def _witness_cell(args: tuple) -> dict:
         try:
             dec = decompose(ns, wp.w1, wp.w2)
         except SetDomainError as exc:
-            notes.append(f"k={k} l={l}: {_literal(tup)} not decomposed ({exc})")
+            notes.append(f"k={k} l={l}: {format_set_literal(tup)} not decomposed ({exc})")
             return
         if not dec.reconstructed:
-            bad.append(f"{_literal(tup)}: decomposition does not rebuild the set")
+            bad.append(f"{format_set_literal(tup)}: decomposition does not rebuild the set")
         if l == 2 * k - 3:
             m = dec.modulus
             u_set = set(dec.residues.elements)
             if len(u_set) != (m - 1) // 2:
                 bad.append(
-                    f"{_literal(tup)}: residue count {len(u_set)} != (m-1)/2 for m={m}"
+                    f"{format_set_literal(tup)}: residue count {len(u_set)} != (m-1)/2 for m={m}"
                 )
             w2 = wp.w2
             for u1 in range(m):
@@ -1148,7 +1144,7 @@ def _witness_cell(args: tuple) -> dict:
                     if (u1 + u2 - w2) % m == 0:
                         if (u1 in u_set) + (u2 in u_set) != 1:
                             bad.append(
-                                f"{_literal(tup)}: residue pair ({u1},{u2}) not split "
+                                f"{format_set_literal(tup)}: residue pair ({u1},{u2}) not split "
                                 f"by the half-grid"
                             )
 

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from sumset_lab.core import double_size, restricted_size
+from sumset_lab.core import format_set_literal as _literal
 from sumset_lab.families import extremal_catalog, gen_mod3_wide
 from sumset_lab.verify import (
     EnumerationQuery,
@@ -20,7 +21,6 @@ from sumset_lab.verify import (
     verify_dense_prefix,
     verify_low_second_max,
     verify_span_classification,
-    _literal,
 )
 
 from helpers import is_ap

@@ -168,6 +168,19 @@ def test_families_usage_errors(capsys):
     assert code == 3 and "theta" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--kind", "mod3_wide", "--k", "6", "--theta", "5"),
+    ("--kind", "four_step", "--k", "6", "--theta", "1"),
+    ("--kind", "sporadic", "--k", "6", "--theta", "1"),
+    ("--all", "--k", "6", "--theta", "2"),
+])
+def test_families_refuse_an_ignored_theta_exit_3(capsys, argv):
+    code, out, err = run(capsys, "families", *argv)
+    assert code == 3
+    assert out == ""
+    assert "theta" in err
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 
@@ -302,9 +315,10 @@ def test_certify_budget_exhausted_exit_2(capsys):
     ("--theorem", "3", "--k-max", "5", "--budget", "0"),
     ("--theorem", "3", "--k-max", "5", "--budget", "-5"),
     ("--theorem", "3", "--k-max", "5", "--budget", "1"),
+    ("--theorem", "3", "--k-max", "5", "--cap", "9"),
 ])
 def test_certify_refuses_empty_box_and_bad_jobs_exit_3(capsys, argv):
-    # a box with no cell for some k, or a k_min the driver does not take,
+    # a box with no cell for some k, or a k_min or cap the driver does not take,
     # would certify nothing or a box other than the one asked for; a
     # budget below the box's cell count (two cells here) would walk cells
     # on a budget that was never given
@@ -312,6 +326,17 @@ def test_certify_refuses_empty_box_and_bad_jobs_exit_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert "error" in err
+
+
+def test_certify_theorem_3_ignores_a_config_cap(capsys, tmp_path):
+    # theorem 3 sweeps the span 2k-3 only: it refuses an explicit --cap,
+    # but a cap from the config file stays a default that it ignores
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("cap = 9\n")
+    code, out, _ = run(capsys, "certify", "--config", str(cfg), "--theorem", "3",
+                       "--k-max", "5")
+    assert code == 0
+    assert json.loads(out)["cap"] is None
 
 
 # ---------------------------------------------------------------------------

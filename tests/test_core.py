@@ -1,5 +1,7 @@
 """Core kernel: set types, sumsets, normalization, parsing."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,6 +107,57 @@ def test_normalized_set_requirements():
         NormalizedSet((0, 2, 4))  # gcd 2
     with pytest.raises(SetDomainError):
         NormalizedSet((0,))  # too small
+
+
+def test_normalized_set_is_an_integer_set():
+    ns = NormalizedSet((0, 1, 3))
+    plain = IntegerSet((0, 1, 3))
+    assert isinstance(ns, IntegerSet)
+    assert ns.elements == plain.elements and ns.mask == plain.mask
+    # one set type, two kinds: never equal across them, hashed alike
+    assert ns != plain and plain != ns
+    assert hash(ns) == hash(plain)
+    assert ns == NormalizedSet(plain) and len({ns, NormalizedSet((0, 1, 3))}) == 1
+    assert repr(ns) == "NormalizedSet({0,1,3})"
+    assert repr(plain) == "IntegerSet({0,1,3})"
+    with pytest.raises(SetDomainError):
+        NormalizedSet(IntegerSet((0, 2, 4)))  # gcd 2, also from an IntegerSet
+    with pytest.raises(AttributeError):
+        ns.extra = 1
+    with pytest.raises(AttributeError):
+        ns.k = 5
+
+
+def test_normalized_set_pickles_as_itself():
+    ns = NormalizedSet((0, 1, 3, 4, 7, 10))
+    back = pickle.loads(pickle.dumps(ns))
+    assert type(back) is NormalizedSet
+    assert back == ns and back.k == 6 and back.l == 10
+
+
+def test_from_mask_and_range_rules_of_normalized_set():
+    # from_mask never skips the normalized checks: it builds a plain set
+    built = NormalizedSet.from_mask(0b110)
+    assert type(built) is IntegerSet and built.elements == (1, 2)
+    # an IntegerSet from a trusted mask carries no range check, so a
+    # NormalizedSet built from it keeps its elements past MAX_ELEMENT
+    wide = IntegerSet.from_mask(1 | 2 | 1 << 5000)
+    ns = NormalizedSet(wide)
+    assert ns.elements == (0, 1, 5000) and ns.l == 5000
+    # literal input is still range-checked
+    with pytest.raises(SetDomainError):
+        NormalizedSet((0, 1, MAX_ELEMENT + 1))
+
+
+def test_format_set_literal_takes_any_ascending_ints():
+    elems = (0, 1, 3, 4, 7, 10)
+    assert (
+        format_set_literal(elems)
+        == format_set_literal(IntegerSet(elems))
+        == format_set_literal(NormalizedSet(elems))
+        == "{0,1,3,4,7,10}"
+    )
+    assert format_set_literal(()) == "{}"
 
 
 def test_normalize_frozen():

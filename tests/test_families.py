@@ -164,6 +164,17 @@ def test_family_spec_validation():
         FamilySpec("sporadic", 6, sporadic_index=2)
 
 
+def test_family_spec_refuses_an_ignored_theta():
+    # a kind without a theta parameter would drop it and still label the
+    # member with it
+    for kind, k in (("mod3_wide", 6), ("four_step", 6), ("sporadic", 6)):
+        with pytest.raises(SetDomainError, match="takes no theta"):
+            FamilySpec(kind, k, 5)
+        FamilySpec(kind, k)
+    with pytest.raises(SetDomainError, match="takes no theta"):
+        FamilySpec("sporadic", 6, 0, sporadic_index=1)
+
+
 def test_family_kinds_registry():
     assert set(FAMILY_KINDS) == {
         "mod3_wide", "two_intervals", "even_odd", "mod3_pair", "four_step",
