@@ -24,7 +24,9 @@ from typing import Optional
 
 from .core import (
     IntegerSet,
+    NormalizedSet,
     SetDomainError,
+    SumsetProfile,
     format_set_literal,
     normalize,
     parse_set_literal,
@@ -128,8 +130,10 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
 # compute
 
 
-def _cmd_compute(args: argparse.Namespace, cfg: dict) -> int:
-    a = _parse_cli_set(args.set)
+def _report_head(text: str) -> tuple[NormalizedSet, SumsetProfile, dict, list[str]]:
+    """Parse, normalize and profile a CLI set; the payload and text lines
+    that open both the compute and the analyze report."""
+    a = _parse_cli_set(text)
     ns, offset, scale = normalize(a)
     prof = profile(ns)
     payload = {
@@ -141,12 +145,7 @@ def _cmd_compute(args: argparse.Namespace, cfg: dict) -> int:
         "l": ns.l,
         "card_double": len(prof.double),
         "card_restricted": len(prof.restricted),
-        "double": list(prof.double.elements),
-        "restricted": list(prof.restricted.elements),
-        "bounds": {},
     }
-    if ns.k >= 3:
-        payload["bounds"] = evaluate_bounds(ns).to_dict()["bounds"]
     lines = [
         f"input          {payload['input']}",
         f"normalized     {payload['normalized']}  (offset {offset}, scale {scale})",
@@ -155,6 +154,14 @@ def _cmd_compute(args: argparse.Namespace, cfg: dict) -> int:
         f"|2A|           {payload['card_double']}",
         f"|2^A|          {payload['card_restricted']}",
     ]
+    return ns, prof, payload, lines
+
+
+def _cmd_compute(args: argparse.Namespace, cfg: dict) -> int:
+    ns, prof, payload, lines = _report_head(args.set)
+    payload["double"] = list(prof.double.elements)
+    payload["restricted"] = list(prof.restricted.elements)
+    payload["bounds"] = evaluate_bounds(ns).to_dict()["bounds"] if ns.k >= 3 else {}
     if payload["bounds"]:
         lines.append("bounds (target, value, satisfied, tight):")
         for name, entry in payload["bounds"].items():
@@ -172,35 +179,19 @@ def _cmd_compute(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace, cfg: dict) -> int:
-    a = _parse_cli_set(args.set)
-    ns, offset, scale = normalize(a)
-    prof = profile(ns)
+    ns, prof, payload, lines = _report_head(args.set)
     is_ap, step = is_arithmetic_progression(ns)
     two_ap, two_ap_diff = is_union_two_aps_same_diff(ns)
-    payload: dict = {
-        "input": format_set_literal(a),
-        "normalized": format_set_literal(ns),
-        "offset": offset,
-        "scale": scale,
-        "k": ns.k,
-        "l": ns.l,
-        "card_double": len(prof.double),
-        "card_restricted": len(prof.restricted),
-        "is_arithmetic_progression": is_ap,
-        "ap_step": step,
-        "ap_cover_length": ap_cover_length(ns),
-        "is_union_two_aps": two_ap,
-        "two_ap_difference": two_ap_diff,
-        "exceptional": list(prof.exceptional.elements) if prof.exceptional else [],
-        "dense_prefix": has_dense_prefix(ns),
-    }
-    lines = [
-        f"input          {payload['input']}",
-        f"normalized     {payload['normalized']}  (offset {offset}, scale {scale})",
-        f"k              {ns.k}",
-        f"span           {ns.l}",
-        f"|2A|           {payload['card_double']}",
-        f"|2^A|          {payload['card_restricted']}",
+    payload.update(
+        is_arithmetic_progression=is_ap,
+        ap_step=step,
+        ap_cover_length=ap_cover_length(ns),
+        is_union_two_aps=two_ap,
+        two_ap_difference=two_ap_diff,
+        exceptional=list(prof.exceptional.elements) if prof.exceptional else [],
+        dense_prefix=has_dense_prefix(ns),
+    )
+    lines += [
         f"AP             {is_ap}" + (f" (step {step})" if is_ap and step else ""),
         f"two-AP union   {two_ap}"
         + (f" (difference {two_ap_diff})" if two_ap else ""),

@@ -23,6 +23,7 @@ build no set.
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -121,7 +122,12 @@ class IntegerSet:
     __slots__ = ("_elements", "_mask")
 
     def __init__(self, elements: Iterable[int] = ()):
-        elems = tuple(sorted({int(v) for v in elements}))
+        # index, not int: a float or a numeric string is refused, not
+        # truncated or parsed; a bool is the int it subclasses
+        try:
+            elems = tuple(sorted(set(map(index, elements))))
+        except TypeError as exc:
+            raise SetDomainError(f"set elements must be integers: {exc}") from None
         if elems:
             if elems[0] < 0:
                 raise SetDomainError(f"elements must be nonnegative, got {elems[0]}")

@@ -28,16 +28,15 @@ reaches.
 The walker plans a cell before walking it: a memo keyed by (position,
 previous value, gcd) gives the cell's node and gcd-1 set counts, so the
 walk counts no node, only looks for findings and skips pruned subtrees
-outright.  When the counts fit the cell's budget they are the cell's; a
-cell with no constraint but ``gcd_one`` and no prune predicate then
-walks only the sets with a_1 + a_{k-2} <= l and adds the mirror l - A
-of each finding, then hands the findings to the cell sorted into stream
-order.  When they do not fit, descending the memo from the top finds
-the cut, the node at which the enumerator raises, with the counts
-streamed before it; the walk covers the subtrees left of the cut's path
-and steps down that path to the cut.  Either way the counts are exact,
-and a truncated cell has the enumerator's partial counts and findings,
-so certificates match plain enumeration byte for byte.
+outright.  When the counts fit the cell's budget they are the cell's,
+and the cell is walked whole.  When they do not fit, descending the
+memo from the top finds the cut, the node at which the enumerator
+raises, with the counts streamed before it; the walk covers the
+subtrees left of the cut's path and steps down that path to the cut.
+Either way the walk hands each finding to the cell as it reaches it,
+in stream order, the counts are exact, and a truncated cell has the
+enumerator's partial counts and findings, so certificates match plain
+enumeration byte for byte.
 
 One driver path splits a sweep's budget evenly among its cells, walks
 them in task order (in a process pool when ``jobs > 1``) and sums their
@@ -94,7 +93,6 @@ from .core import (
     SetDomainError,
     format_set_literal,
     mask_of,
-    restricted_mask,
 )
 from .bounds import freiman_lev_bound
 from .structure import (
@@ -208,26 +206,22 @@ class EnumerationQuery(_QueryFields):
         return {**self._asdict(), "constraints": list(self.constraints)}
 
 
-def _effective_bounds(query: EnumerationQuery) -> tuple[int, int, Optional[int]]:
-    """(last_lo, last_hi, interior_cap) after folding named constraints."""
-    k = query.k
+def _caps(query: EnumerationQuery) -> tuple[int, int, list[int]]:
+    """The query's named constraints, read once: (last_lo, last_hi, his).
+    The top ranges over [last_lo, last_hi], and his[pos] caps the value
+    at position pos < k-1 (position 0, which holds 0, included)."""
+    k, constraints = query.k, query.constraints
     lo, hi = query.l_min, query.l_max
-    if "last_ge_2k_minus_2" in query.constraints:
+    if "last_ge_2k_minus_2" in constraints:
         lo = max(lo, 2 * k - 2)
-    if "last_eq_2k_minus_3" in query.constraints:
-        lo = max(lo, 2 * k - 3)
-        hi = min(hi, 2 * k - 3)
-    cap = 2 * k - 5 if "interior_lt_2k_minus_4" in query.constraints else None
-    return lo, hi, cap
-
-
-def _interior_hi(query: EnumerationQuery, pos: int, l_hi: int, cap: Optional[int]) -> int:
-    hi = l_hi - (query.k - 1 - pos)
-    if "growth_a_i_lt_2i" in query.constraints:
-        hi = min(hi, 2 * pos - 1)
-    if cap is not None:
-        hi = min(hi, cap)
-    return hi
+    if "last_eq_2k_minus_3" in constraints:
+        lo, hi = max(lo, 2 * k - 3), min(hi, 2 * k - 3)
+    his = [hi - (k - 1 - pos) for pos in range(k - 1)]
+    if "growth_a_i_lt_2i" in constraints:
+        his = [min(h, 2 * pos - 1) for pos, h in enumerate(his)]
+    if "interior_lt_2k_minus_4" in constraints:
+        his = [min(h, 2 * k - 5) for h in his]
+    return lo, hi, his
 
 
 def enumerate_tuples(
@@ -243,7 +237,7 @@ def enumerate_tuples(
     everything yielded before that is valid.
     """
     k = query.k
-    l_lo, l_hi, cap = _effective_bounds(query)
+    l_lo, l_hi, his = _caps(query)
     if counter is None:
         counter = [0]
     mask = query.mask
@@ -262,8 +256,7 @@ def enumerate_tuples(
                     continue
                 yield chosen + (last,)
             return
-        hi = _interior_hi(query, pos, l_hi, cap)
-        for v in range(prev + 1, hi + 1):
+        for v in range(prev + 1, his[pos] + 1):
             if mask is not None and not mask >> v & 1:
                 continue
             counter[0] += 1
@@ -298,11 +291,10 @@ def _plan(query: EnumerationQuery) -> _Plan:
     """Plan an exact-span, mask-free query: its totals come from a memo
     keyed by (position, previous value, gcd), with the top placed first."""
     k, l = query.k, query.l_max
-    l_lo, l_hi, cap = _effective_bounds(query)
+    l_lo, l_hi, his = _caps(query)
     has_leaf = l_lo <= l_hi
     need_gcd = "gcd_one" in query.constraints
     last = k - 1
-    his = [_interior_hi(query, pos, l_hi, cap) for pos in range(last)]
     memo: dict[tuple[int, int, int], tuple[int, int]] = {}
 
     def subtree(pos: int, prev: int, g: int) -> tuple[int, int]:
@@ -366,9 +358,11 @@ def _walk_span(
     prune: Optional[Callable[[int, int], bool]] = None,
 ) -> dict:
     """Walk an exact-span, mask-free query with the counts of
-    :func:`enumerate_tuples`, calling ``on_leaf(tup, mask, r, n)`` in
-    stream order for each streamed set whose restricted sumset has
-    n <= bound members: ``tup`` is the set's ascending element tuple,
+    :func:`enumerate_tuples`, calling ``on_leaf(tup, mask, r, n)`` for
+    each streamed set whose restricted sumset has n <= bound members, as
+    the walk reaches it.  The walk takes the cell whole, or up to its
+    cut, in stream order, so ``on_leaf`` sees the sets in stream order.
+    ``tup`` is the set's ascending element tuple,
     ``mask`` its bit mask and ``r`` the mask of its restricted sumset.
     Every restricted sum lies in [1, 2l-1], so a bound of 2l calls
     ``on_leaf`` on every streamed set.  With ``gcd_one`` in the query,
@@ -391,23 +385,15 @@ def _walk_span(
     each element still to be placed adds a sum with the top that is
     larger than every sum already present: a set's restricted size is at
     least the prefix's plus the number of elements still to come.
-
-    An uncut cell whose query has no constraint but ``gcd_one`` and no
-    ``prune`` walks only half the cell.  The mirror A -> l - A keeps gcd
-    1, the span and the restricted size, so only the sets with
-    a_1 + a_{k-2} <= l are walked, and each leaf found brings its mirror
-    too, unless a_1 + a_{k-2} = l, when the mirror is walked as well.
-    The leaves are held, sorted and then handed to ``on_leaf``, so it
-    still sees them in stream order; only leaves with n <= bound are
-    held, which in the cells that halve are the few findings.
     """
     k, l = query.k, query.l_max
-    l_lo, l_hi, _cap = _effective_bounds(query)
-    has_leaf = l_lo <= l_hi
     need_gcd = "gcd_one" in query.constraints
     last = k - 1
     plan = _plan(query)
     cell, cut = _cut(plan, k, l, query.budget)
+    if not plan.sets:
+        # no set streams, so none is a finding
+        return cell
     # a cut cell's walk lowers each cap to the value left of its path
     his = list(plan.his)
     # a prefix ending at pos is pruned once its restricted size passes
@@ -416,29 +402,15 @@ def _walk_span(
     # the elements on the current root-to-node path; the leaf's tuple
     path = [0] * k
     path[last] = l
-    halve = cut is None and set(query.constraints) <= {"gcd_one"} and prune is None
-    held: list[tuple[tuple[int, ...], int, int, int]] = []
 
     def find(pos: int, prev: int, g: int, mask: int, r: int) -> None:
         if pos == last:
             n = r.bit_count()
-            if has_leaf and (not need_gcd or g == 1) and n <= bound:
-                tup = tuple(path)
-                if not halve:
-                    on_leaf(tup, mask, r, n)
-                    return
-                held.append((tup, mask, r, n))
-                if tup[1] + tup[-2] != l:
-                    mirror = tuple(l - v for v in reversed(tup))
-                    m = mask_of(mirror)
-                    held.append((mirror, m, restricted_mask(m, mirror), n))
+            if (not need_gcd or g == 1) and n <= bound:
+                on_leaf(tuple(path), mask, r, n)
             return
-        hi = his[pos]
-        if halve and pos == last - 1:
-            # a_{k-2} <= l - a_1; for k = 3, a_{k-2} is a_1 itself
-            hi = min(hi, l - path[1] if pos > 1 else l // 2)
         lim = lims[pos]
-        for v in range(prev + 1, hi + 1):
+        for v in range(prev + 1, his[pos] + 1):
             rv = r | mask << v
             if rv.bit_count() > lim or prune is not None and prune(mask | 1 << v, rv):
                 continue
@@ -459,10 +431,6 @@ def _walk_span(
             find(pos, prev, g, mask, r)
             path[pos] = v
             prev, g, mask, r = v, gcd(g, v), mask | 1 << v, r | mask << v
-    # tuples are distinct, so this is the stream order
-    held.sort()
-    for leaf in held:
-        on_leaf(*leaf)
     return cell
 
 

@@ -93,6 +93,25 @@ def test_integer_set_rejects_out_of_range():
         IntegerSet((0, MAX_ELEMENT + 1))
 
 
+@pytest.mark.parametrize("elements", [
+    (0, 1.5, 2.9),      # truncated by int() to {0,1,2}
+    (0, 2.0),           # integral, but still a float
+    ("3", 0),           # parsed by int() to {0,3}
+    (0, None),
+])
+@pytest.mark.parametrize("cls", [IntegerSet, NormalizedSet])
+def test_integer_set_refuses_non_integer_elements(cls, elements):
+    with pytest.raises(SetDomainError, match="must be integers"):
+        cls(elements)
+
+
+def test_integer_set_takes_bool_as_the_int_it_is():
+    assert IntegerSet((True, 3)).elements == (1, 3)
+    assert NormalizedSet((0, True, False, 3)) == NormalizedSet((0, 1, 3))
+    with pytest.raises(SetDomainError):
+        NormalizedSet((0, 1.7, True))  # truncated by int() to {0,1}
+
+
 def test_from_mask_bypasses_range_check():
     # sumset outputs legitimately exceed MAX_ELEMENT
     big = IntegerSet.from_mask(1 << (2 * MAX_ELEMENT))

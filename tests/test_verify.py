@@ -129,14 +129,16 @@ def test_enumerate_matches_bruteforce(k, l, cons):
 
 
 def test_enumerate_range_is_union_of_exact_spans():
-    q = EnumerationQuery(5, 6, 9, ("gcd_one",))
-    got = list(enumerate_tuples(q))
-    expected = []
-    for l in range(6, 10):
-        expected += enumerate_bruteforce(5, l, ("gcd_one",))
-    # range streams interleave by interior prefix, so compare as sets
-    assert sorted(got) == sorted(expected)
-    assert len(got) == len(expected)
+    # the interior caps depend on l_max, so check every constraint tuple;
+    # [6, 9] holds 2k-3 = 7 and 2k-2 = 8 at k = 5
+    for cons in dict.fromkeys(cons for _k, _l, cons in BRUTE_GRID):
+        got = list(enumerate_tuples(EnumerationQuery(5, 6, 9, cons)))
+        expected = []
+        for l in range(6, 10):
+            expected += enumerate_bruteforce(5, l, cons)
+        # range streams interleave by interior prefix, so compare as sets
+        assert sorted(got) == sorted(expected), cons
+        assert len(got) == len(expected), cons
 
 
 @pytest.mark.parametrize("k,l", [(4, 9), (5, 9), (6, 11)])
