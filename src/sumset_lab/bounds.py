@@ -19,7 +19,9 @@ from .core import (
     IntegerSet,
     NormalizedSet,
     SetDomainError,
+    _require_dimensions,
     _sumset_masks,
+    freiman_lev_bound,
 )
 
 __all__ = [
@@ -40,13 +42,6 @@ __all__ = [
     "ap_cover_length",
     "is_union_two_aps_same_diff",
 ]
-
-
-def _require_dimensions(k: int, l: int, k_floor: int = 3) -> None:
-    if k < k_floor:
-        raise SetDomainError(f"bound needs k >= {k_floor}, got k={k}")
-    if l < k - 1:
-        raise SetDomainError(f"a k-set spanning [0, l] needs l >= k-1, got k={k}, l={l}")
 
 
 class _GoldenFields(NamedTuple):
@@ -105,15 +100,8 @@ def freiman_bound(k: int, l: int) -> int:
     return l + k if l <= 2 * k - 3 else 3 * k - 3
 
 
-def freiman_lev_bound(k: int, l: int) -> int:
-    """Conjectured floor for the restricted sumset.
-
-    l + k - 2 when l <= 2k - 5, else 3k - 7.  Stated for k > 7; the
-    formula itself is defined for all k >= 3 so desk sweeps can probe
-    the small cases too.
-    """
-    _require_dimensions(k, l)
-    return l + k - 2 if l <= 2 * k - 5 else 3 * k - 7
+# freiman_lev_bound, the conjectured restricted floor, is defined in core,
+# so that the floor sweeps need not load this module, and re-exported here
 
 
 def halved_span_bound(k: int, l: int) -> Fraction:

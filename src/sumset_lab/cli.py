@@ -32,23 +32,8 @@ from .core import (
     parse_set_literal,
     profile,
 )
-from .bounds import (
-    ap_cover_length,
-    evaluate_bounds,
-    is_arithmetic_progression,
-    is_union_two_aps_same_diff,
-)
-from .structure import (
-    check_exceptional_points,
-    decompose,
-    exceptional_growth_ok,
-    exceptional_profile,
-    find_admissible_split,
-    gap_patterns,
-    has_dense_prefix,
-    split_at,
-    witness_profile,
-)
+# bounds and structure load in the handlers that call them; the parser
+# reads FAMILY_KINDS and KNOWN_CONSTRAINTS when it is built
 from .families import FAMILY_KINDS, FamilySpec, extremal_catalog, family_members
 from .verify import (
     DEFAULT_BUDGET,
@@ -158,6 +143,8 @@ def _report_head(text: str) -> tuple[NormalizedSet, SumsetProfile, dict, list[st
 
 
 def _cmd_compute(args: argparse.Namespace, cfg: dict) -> int:
+    from .bounds import evaluate_bounds
+
     ns, prof, payload, lines = _report_head(args.set)
     payload["double"] = list(prof.double.elements)
     payload["restricted"] = list(prof.restricted.elements)
@@ -179,6 +166,19 @@ def _cmd_compute(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace, cfg: dict) -> int:
+    from .bounds import ap_cover_length, is_arithmetic_progression, is_union_two_aps_same_diff
+    from .structure import (
+        check_exceptional_points,
+        decompose,
+        exceptional_growth_ok,
+        exceptional_profile,
+        find_admissible_split,
+        gap_patterns,
+        has_dense_prefix,
+        split_at,
+        witness_profile,
+    )
+
     ns, prof, payload, lines = _report_head(args.set)
     is_ap, step = is_arithmetic_progression(ns)
     two_ap, two_ap_diff = is_union_two_aps_same_diff(ns)

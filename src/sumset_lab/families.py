@@ -25,7 +25,6 @@ from .core import (
     SetDomainError,
     restricted_sumset,
 )
-from .structure import require_dense_prefix
 
 __all__ = [
     "FamilySpec",
@@ -406,6 +405,9 @@ def dense_extremal_shape(a: NormalizedSet) -> bool:
 
     Requires the detached-top regime and |2^A| = 3k-7.
     """
+    # imported here: nothing else in this module reads structure
+    from .structure import require_dense_prefix
+
     require_dense_prefix(a)
     k = a.k
     if k < 4:

@@ -149,17 +149,17 @@ def exceptional_profile(a: NormalizedSet) -> ExceptionalProfile:
 def _profile(h: _Head) -> ExceptionalProfile:
     k, reach, b_vals = h.k, h.reach, h.b_vals
     m = len(b_vals)
-    d_vals: tuple[int, ...] = ()
-    c_vals: tuple[int, ...] = ()
+    d_mask = c_mask = 0
     if m >= 2:
-        top_b = b_vals[-2]
-        d_vals = tuple(d for d in range(1, top_b + 1) if reach >> (2 * k - 4 + d) & 1)
-        c_vals = tuple(d for d in range(1, top_b + 1) if not reach >> (2 * k - 4 + d) & 1)
+        # offsets d in [1, b_{m-1}], bit d standing for the sum 2k-4+d
+        offsets = (1 << b_vals[-2] + 1) - 2
+        above = reach >> (2 * k - 4)
+        d_mask, c_mask = above & offsets, ~above & offsets
     return ExceptionalProfile(
         b_values=_trusted_set(b_vals),
         m=m,
-        d_values=_trusted_set(d_vals),
-        c_values=_trusted_set(c_vals),
+        d_values=IntegerSet.from_mask(d_mask),
+        c_values=IntegerSet.from_mask(c_mask),
     )
 
 
@@ -505,12 +505,12 @@ def witness_profile(a: NormalizedSet) -> WitnessProfile:
     amask = a.mask
     reach = restricted_mask(amask, a.elements)
     blocked = amask | reach | (reach >> top)
-    found = tuple(w for w in range(top + 1) if not blocked >> w & 1)
+    found = IntegerSet.from_mask(~blocked & (1 << top + 1) - 1)
     w1 = w2 = modulus = None
     if len(found) == 2:
-        w1, w2 = found
+        w1, w2 = found.elements
         modulus = gcd(w2 - w1, top)
-    return WitnessProfile(_trusted_set(found), w1, w2, modulus)
+    return WitnessProfile(found, w1, w2, modulus)
 
 
 class Decomposition(NamedTuple):

@@ -92,23 +92,14 @@ from .core import (
     NormalizedSet,
     SetDomainError,
     format_set_literal,
+    freiman_lev_bound,
     mask_of,
 )
-from .bounds import freiman_lev_bound
-from .structure import (
-    decompose,
-    find_admissible_split,
-    witness_profile,
-    _head_failures,
-    _split_head,
-    _split_top,
-)
-from .families import (
-    dense_extremal_shape,
-    extremal_catalog,
-    flagged_sporadics,
-    gen_mod3_wide,
-)
+
+# structure and families load in the functions that use them, so a
+# process loads only what its sweep runs.  The row and cell functions
+# run in pool workers too: each imports what it uses itself, as a worker
+# started fresh has loaded nothing else.
 
 __all__ = [
     "TOOL_VERSION",
@@ -792,6 +783,8 @@ def _low_second_row(args: tuple) -> list[dict]:
     the head, so the row finds them once per head
     (``structure._split_head``) and checks each top on the walker's
     restricted mask (``structure._split_top``)."""
+    from .structure import _split_head, _split_top, find_admissible_split
+
     k, tops, per_budget = args
     bound = 3 * k - 7
     tight = dict.fromkeys(tops, 0)
@@ -875,6 +868,8 @@ def verify_dense_prefix(
     Observations record at which top values equality occurs, settling
     empirically whether equality forces the minimal top 2k-2.
     """
+    from .families import dense_extremal_shape, gen_mod3_wide
+
     t0 = time.monotonic()
     rows, top_cap = _detached_top_rows(k_min, k_max, cap)
     cell = functools.partial(_floor_cell, _DENSE)
@@ -969,6 +964,8 @@ def verify_span_classification(
     relates to it (as a subset of an enumerated extremal set, or not at
     all) in ``observations``.
     """
+    from .families import extremal_catalog, flagged_sporadics
+
     t0 = time.monotonic()
     if not 4 <= k_min <= k_max <= 12:
         raise SetDomainError(
@@ -1046,6 +1043,8 @@ def _structure_row(args: tuple) -> list[dict]:
     (``structure._head_failures``), and only the extremal count sees the
     top.
     """
+    from .structure import _head_failures
+
     k, tops, per_budget = args
     extremal = dict.fromkeys(tops, 0)
     bad: dict[int, list[str]] = {l: [] for l in tops}
@@ -1062,6 +1061,8 @@ def _structure_row(args: tuple) -> list[dict]:
 
 
 def _witness_cell(args: tuple) -> dict:
+    from .structure import decompose, witness_profile
+
     k, l, per_budget = args
     query = EnumerationQuery.exact(k, l, ("gcd_one",), budget=per_budget)
     span = (1 << (l + 1)) - 1

@@ -428,3 +428,30 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     added = _loaded_modules("import sumset_lab.cli") - _loaded_modules("pass")
     assert "sumset_lab.cli" in added
     assert not {"dataclasses", "inspect"} & added
+
+
+_CERTIFY = "import os; from sumset_lab.cli import main; main({!r} + ['--out', os.devnull])"
+
+
+@pytest.mark.parametrize("code, absent", [
+    # the package itself loads no submodule: each export loads on first use
+    ("import sumset_lab",
+     {"sumset_lab.core", "sumset_lab.bounds", "sumset_lab.structure",
+      "sumset_lab.families", "sumset_lab.verify", "sumset_lab.cli"}),
+    # the floor sweeps read only core's floor; theorem 3 reads families
+    # but not the structure check that only theorem 2's merge calls
+    (_CERTIFY.format(["certify", "--theorem", "conjecture", "--k-max", "6"]),
+     {"sumset_lab.structure", "sumset_lab.bounds"}),
+    (_CERTIFY.format(["certify", "--theorem", "3", "--k-max", "6"]),
+     {"sumset_lab.structure", "sumset_lab.bounds"}),
+    (_CERTIFY.format(["certify", "--theorem", "2", "--k-max", "6"]), {"sumset_lab.bounds"}),
+    (_CERTIFY.format(["certify", "--theorem", "1", "--k-max", "6"]), {"sumset_lab.bounds"}),
+    (_CERTIFY.format(["certify", "--theorem", "lemmas", "--k-max", "8"]),
+     {"sumset_lab.bounds"}),
+], ids=["import", "conjecture", "theorem3", "theorem2", "theorem1", "lemmas"])
+def test_each_command_loads_only_the_modules_it_calls(code, absent):
+    loaded = {m for m in _loaded_modules(code) if m.startswith("sumset_lab")}
+    assert "sumset_lab" in loaded
+    assert not absent & loaded, sorted(absent & loaded)
+    if "certify" in code:
+        assert {"sumset_lab.cli", "sumset_lab.verify"} <= loaded

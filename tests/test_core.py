@@ -205,6 +205,26 @@ def test_mask_helpers_roundtrip():
     assert elements_of(mask_of(elems)) == elems
 
 
+def _elements_bit_by_bit(mask: int) -> tuple[int, ...]:
+    # the lowest-bit loop that elements_of replaced
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+@given(st.one_of(
+    st.just(0),
+    st.integers(min_value=0, max_value=2**8193),
+    st.sets(st.integers(min_value=0, max_value=8193)).map(mask_of),
+))
+@settings(max_examples=300, deadline=None)
+def test_elements_of_matches_the_bit_loop(mask):
+    assert elements_of(mask) == _elements_bit_by_bit(mask)
+
+
 # ---------------------------------------------------------------------------
 # cross-checks against the naive oracles
 

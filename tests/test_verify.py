@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from sumset_lab import verify
+from sumset_lab import families
 from sumset_lab.core import SetDomainError
 from sumset_lab.families import extremal_catalog
 from sumset_lab.verify import (
@@ -285,8 +285,9 @@ def test_verify_dense_prefix_frozen():
 
 
 def test_dense_prefix_equality_without_the_rigid_shape_is_refuted(monkeypatch):
-    # the shape check judges each equality set in the driver's merge
-    monkeypatch.setattr(verify, "dense_extremal_shape", lambda ns: False)
+    # the shape check judges each equality set in the driver's merge,
+    # which reads it from families when it runs
+    monkeypatch.setattr(families, "dense_extremal_shape", lambda ns: False)
     cert = verify_dense_prefix(7)
     assert cert.outcome == "refuted"
     equality = ["{0,1,3,4,6,9,12}", "{0,1,3,4,7,10}"]
