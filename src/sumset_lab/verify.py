@@ -28,26 +28,25 @@ reaches.
 The walker plans a cell before walking it: a memo keyed by (position,
 previous value, gcd) gives the cell's node and gcd-1 set counts, so the
 walk counts no node, only looks for findings and skips pruned subtrees
-outright.  When the counts fit the cell's budget they are the cell's,
-and the cell is walked whole.  When they do not fit, descending the
-memo from the top finds the cut, the node at which the enumerator
-raises, with the counts streamed before it; the walk covers the
-subtrees left of the cut's path and steps down that path to the cut.
-Either way the walk hands each finding to the cell as it reaches it,
-in stream order, the counts are exact, and a truncated cell has the
-enumerator's partial counts and findings, so certificates match plain
-enumeration byte for byte.
+outright.  Whether a cell fits its budget is decided once, from the
+plan, before any walk.  A cell whose planned nodes fit is walked whole,
+hands each finding to the cell as it reaches it, in stream order, and
+has the counts of plain enumeration, so a full certificate matches
+plain enumeration byte for byte.  A cell over its budget is skipped: it
+walks no node, counts no node and no set, finds nothing, is marked
+truncated and records its planned nodes.  No cell is walked in part.
 
 One driver path splits a sweep's budget evenly among its cells, walks
 them in task order (in a process pool when ``jobs > 1``) and sums their
 node, set and truncation counts; a budget below the number of cells is
-refused.  A task is one cell, or a row: all the detached-top cells of
-one k, walked in one call by a row walker.  Every cell of a row streams
-the same heads (the set minus its top), so the row walker plans each
-cell and all of them share one walk over the heads: at each head's leaf
-the per-head work runs once, and each top costs one shift-or and one
-popcount.  A cut cell skips the heads from its cut on, and the walk
-ends once every cell is past its cut.
+refused.  Every walked cell fits its share, so a sweep's nodes never
+exceed its budget, and the sweep names each skipped cell and the budget
+that walks every cell in its observations.  A task is one cell, or a
+row: all the detached-top cells of one k, walked in one call by a row
+walker.  Every cell of a row streams the same heads (the set minus its
+top), so the row walker plans each cell and the cells it walks share
+one walk over the heads: at each head's leaf the per-head work runs
+once, and each top costs one shift-or and one popcount.
 Theorem 1 and the structure sweep run their cells as rows: the split
 position and the halves of the split, and every structural check,
 depend only on k and the head.  The conjecture and theorems 2 and 3
@@ -266,26 +265,15 @@ def enumerate_sets(
         yield IntegerSet._from_trusted(tup, mask_of(tup))
 
 
-class _Plan(NamedTuple):
-    """A cell's node and gcd-1 set totals, its interior caps, and the
-    memo that counts any subtree: ``subtree(pos, prev, g)`` is the
-    (nodes, sets) strictly below the node that placed prev at pos - 1,
-    g being the gcd of that prefix and the top."""
-
-    nodes: int
-    sets: int
-    his: list[int]
-    subtree: Callable[[int, int, int], tuple[int, int]]
-
-
-def _plan(query: EnumerationQuery) -> _Plan:
-    """Plan an exact-span, mask-free query: its totals come from a memo
-    keyed by (position, previous value, gcd), with the top placed first."""
-    k, l = query.k, query.l_max
+def _plan(query: EnumerationQuery) -> tuple[int, int]:
+    """The (nodes, gcd-1 sets) that :func:`enumerate_tuples` streams on
+    an exact-span, mask-free query with no budget, from a memo keyed by
+    (position, previous value, gcd), with the top placed first."""
+    l = query.l_max
     l_lo, l_hi, his = _caps(query)
     has_leaf = l_lo <= l_hi
     need_gcd = "gcd_one" in query.constraints
-    last = k - 1
+    last = query.k - 1
     memo: dict[tuple[int, int, int], tuple[int, int]] = {}
 
     def subtree(pos: int, prev: int, g: int) -> tuple[int, int]:
@@ -304,42 +292,18 @@ def _plan(query: EnumerationQuery) -> _Plan:
             memo[key] = got
         return got
 
-    return _Plan(*subtree(1, 0, l), his, subtree)
+    return subtree(1, 0, l)
 
 
-def _cut(plan: _Plan, k: int, l: int, budget: int) -> tuple[dict, Optional[tuple[int, ...]]]:
-    """The cell dict of the cell (k, l) under ``budget``, and its cut.
-
-    When the planned nodes fit, the dict has the plan's counts and the
-    cut is None.  Otherwise the dict has the counts of the enumerator
-    when it raises :class:`BudgetExceeded`: nodes = budget + 1 and the
-    gcd-1 sets streamed before that node.  The cut is the tuple prefix
-    (0, a_1, ..., a_d) whose last placement is node budget + 1, the
-    whole set when that node is a leaf: the sets streamed are exactly
-    those that sort before it.  It is found by descending the memo from
-    the top, skipping each subtree that ends before the cut.
-    """
-    if plan.nodes <= budget:
-        return {"k": k, "l": l, "nodes": plan.nodes, "sets": plan.sets, "truncated": False}, None
-    cell = {"k": k, "l": l, "nodes": budget + 1, "sets": 0, "truncated": True}
-    # the cut is the left-th node from here on in stream order
-    left = budget + 1
-    cut = [0]
-    g = l
-    for pos in range(1, k - 1):
-        for v in range(cut[-1] + 1, plan.his[pos] + 1):
-            left -= 1
-            if not left:
-                return cell, (*cut, v)
-            n, s = plan.subtree(pos + 1, v, gcd(g, v))
-            if n >= left:
-                break
-            left -= n
-            cell["sets"] += s
-        cut.append(v)
-        g = gcd(g, v)
-    # the cut is the leaf below the prefix
-    return cell, (*cut, l)
+def _cell(query: EnumerationQuery) -> dict:
+    """The cell dict of an exact-span, mask-free query: k, l, planned,
+    nodes, sets, truncated.  A cell whose planned nodes fit the query's
+    budget is walked whole and has the plan's counts; one over it is
+    skipped, so it counts nothing and is truncated."""
+    planned, sets = _plan(query)
+    fits = planned <= query.budget
+    return {"k": query.k, "l": query.l_max, "planned": planned, "nodes": planned if fits else 0,
+            "sets": sets if fits else 0, "truncated": not fits}
 
 
 def _walk_span(
@@ -350,10 +314,8 @@ def _walk_span(
 ) -> dict:
     """Walk an exact-span, mask-free query with the counts of
     :func:`enumerate_tuples`, calling ``on_leaf(tup, mask, r, n)`` for
-    each streamed set whose restricted sumset has n <= bound members, as
-    the walk reaches it.  The walk takes the cell whole, or up to its
-    cut, in stream order, so ``on_leaf`` sees the sets in stream order.
-    ``tup`` is the set's ascending element tuple,
+    each streamed set whose restricted sumset has n <= bound members, in
+    stream order.  ``tup`` is the set's ascending element tuple,
     ``mask`` its bit mask and ``r`` the mask of its restricted sumset.
     Every restricted sum lies in [1, 2l-1], so a bound of 2l calls
     ``on_leaf`` on every streamed set.  With ``gcd_one`` in the query,
@@ -365,12 +327,10 @@ def _walk_span(
     are not visited: the caller promises that ``on_leaf`` would do
     nothing on any of them.
 
-    Returns the cell dict skeleton of :func:`_cut`: k, l, nodes, sets,
-    truncated.  The counts come from the plan (:func:`_plan`), so the
-    walk only looks for leaves: it counts no node and skips pruned
-    subtrees outright.  A cell the budget cuts walks the subtrees left
-    of the cut's path and steps down that path, so it stops at the node
-    where the enumerator raises.
+    Returns the cell dict of :func:`_cell`.  The counts come from the
+    plan (:func:`_plan`), so the walk only looks for leaves: it counts
+    no node and skips pruned subtrees outright.  A cell over the query's
+    budget is not walked at all.
 
     The walk prunes on a lookahead bound.  The top is placed first, so
     each element still to be placed adds a sum with the top that is
@@ -380,13 +340,11 @@ def _walk_span(
     k, l = query.k, query.l_max
     need_gcd = "gcd_one" in query.constraints
     last = k - 1
-    plan = _plan(query)
-    cell, cut = _cut(plan, k, l, query.budget)
-    if not plan.sets:
-        # no set streams, so none is a finding
+    cell = _cell(query)
+    if not cell["sets"]:
+        # no set streams, or the cell is skipped: none is a finding
         return cell
-    # a cut cell's walk lowers each cap to the value left of its path
-    his = list(plan.his)
+    his = _caps(query)[2]
     # a prefix ending at pos is pruned once its restricted size passes
     # lims[pos]: each of the last - 1 - pos elements still to come adds one
     lims = [bound - (last - 1 - pos) for pos in range(last)]
@@ -408,20 +366,7 @@ def _walk_span(
             path[pos] = v
             find(pos + 1, v, gcd(g, v), mask | 1 << v, rv)
 
-    prev, g, mask, r = 0, l, 1 | 1 << l, 1 << l
-    if cut is None:
-        find(1, prev, g, mask, r)
-    else:
-        # at each interior node of the cut's path, walk the subtrees left
-        # of it, then step down to it; the cut itself is not walked.  A
-        # path node that a prune would skip is stepped into as well: no
-        # leaf below it is a finding, and the prunes of the bound and of
-        # the witness cells only grow down a path, so they skip its children.
-        for pos, v in enumerate(cut[1:last], 1):
-            his[pos] = v - 1
-            find(pos, prev, g, mask, r)
-            path[pos] = v
-            prev, g, mask, r = v, gcd(g, v), mask | 1 << v, r | mask << v
+    find(1, 0, l, 1 | 1 << l, 1 << l)
     return cell
 
 
@@ -437,19 +382,18 @@ def _walk_row(
     budget ``per_budget``, and return their cell dicts in order: each is
     the dict :func:`_walk_span` returns for the cell alone with bound 2l.
 
-    Every set a cell streams is handed to ``on_set(head, l, r, n,
+    Every set a walked cell streams is handed to ``on_set(head, l, r, n,
     state)``: ``head`` is the set minus its top l, ``r`` the set's
     restricted mask and n its popcount.  ``state`` is what
     ``on_head(head, head_mask)`` returned on that head and its mask, so
     it depends on the head only.  Each cell sees its sets in stream
     order.
 
-    Every cell takes its counts and its cut from :func:`_cut`, and all
-    cells share one walk over the heads, in lexicographic order.  At
-    each head's leaf ``on_head`` runs once, and each top costs one
-    shift-or (r = r_head | head_mask << l) and one popcount.  A cut cell
-    skips the heads at or past its cut, and the walk ends once every
-    cell is past its cut.
+    Every cell takes its counts from :func:`_cell`, and the cells that
+    fit their budget share one walk over the heads, in lexicographic
+    order; a skipped cell sees no set.  At each head's leaf ``on_head``
+    runs once, and each walked top costs one shift-or (r = r_head |
+    head_mask << l) and one popcount.
 
     The walk takes no gcd: under both detached-top constraints every
     head already has gcd 1, so every top streams it.  A dense head has
@@ -464,57 +408,45 @@ def _walk_row(
     depend on the top.  With l >= 2k-2 the span cap l - (k-1-pos) is at
     least k-1+pos: above the growth cap 2pos-1, and above k-3+pos, which
     lowering makes of the cap 2k-5 of ``interior_lt_2k_minus_4``.  Under
-    that constraint the plan's caps do differ between tops, at the low
+    that constraint the query's caps do differ between tops, at the low
     positions where the span cap is below 2k-5, but only on prefixes
     that no head completes.  A row whose lowered caps differ between its
     walked tops is refused.
     """
     last = k - 1
     cells: list[dict] = []
-    # (top, cut without the top or None): a cell streams the heads that
-    # sort before its cut
-    walked: list[tuple[int, Optional[tuple[int, ...]]]] = []
+    walked: list[int] = []
     caps: Optional[list[int]] = None
     for l in tops:
-        plan = _plan(EnumerationQuery.exact(k, l, constraints))
-        cell, cut = _cut(plan, k, l, per_budget)
+        query = EnumerationQuery.exact(k, l, constraints, budget=per_budget)
+        cell = _cell(query)
         cells.append(cell)
         if not cell["sets"]:
             continue
         # position 0 always holds 0, so its cap is unused
-        lowered = [0] + plan.his[1:]
+        lowered = [0] + _caps(query)[2][1:]
         for pos in range(last - 2, 0, -1):
             lowered[pos] = min(lowered[pos], lowered[pos + 1] - 1)
         if caps is None:
             caps = lowered
         elif lowered != caps:
             raise SetDomainError(f"the cells of row k={k} stream different heads")
-        walked.append((l, None if cut is None else cut[:last]))
+        walked.append(l)
 
     if walked:
         path = [0] * last
-        some_cut = any(stop is not None for _l, stop in walked)
 
-        def heads(pos: int, prev: int, mask: int, r: int) -> bool:
-            """Walk the heads below a prefix; true once every cell is past
-            its cut."""
-            nonlocal walked
+        def heads(pos: int, prev: int, mask: int, r: int) -> None:
             if pos == last:
                 head = tuple(path)
-                if some_cut:
-                    walked = [(l, stop) for l, stop in walked if stop is None or head < stop]
-                    if not walked:
-                        return True
                 state = on_head(head, mask)
-                for l, _stop in walked:
+                for l in walked:
                     rl = r | mask << l
                     on_set(head, l, rl, rl.bit_count(), state)
-                return False
+                return
             for v in range(prev + 1, caps[pos] + 1):
                 path[pos] = v
-                if heads(pos + 1, v, mask | 1 << v, r | mask << v):
-                    return True
-            return False
+                heads(pos + 1, v, mask | 1 << v, r | mask << v)
 
         heads(1, 0, 1, 0)
     return cells
@@ -626,19 +558,22 @@ def _run_task(task: tuple[Callable[[tuple], object], int, object, int]) -> list[
 
 def _sweep(
     tasks: list[tuple[Callable[[tuple], object], int, object]], budget: int, jobs: int
-) -> tuple[list[dict], dict]:
+) -> tuple[list[dict], dict, list[str]]:
     """Walk cell and row tasks, the budget split evenly among their
-    cells, and return the cell dicts in task order with their summed
-    counts: enumerated, nodes, truncated.  A budget below the number of
-    cells is refused: it cannot give every cell a node.
+    cells, and return the cell dicts in task order, their summed counts
+    (enumerated, nodes, truncated) and the budget notes for the
+    certificate's observations.  A budget below the number of cells is
+    refused: it cannot give every cell a node.
 
     A task (fn, k, l) with an int l is one cell: ``fn((k, l, per))``
     returns its dict.  A task (fn, k, tops) with a tuple of tops is a
     row: ``fn((k, tops, per))`` returns the dicts of the cells (k, l),
     l in tops, in order.  Every cell gets the same share ``per`` either
-    way, so grouping cells into rows changes no count.  A truncated cell
-    counts the node at which its share ran out, so the summed nodes can
-    exceed the budget by up to the number of truncated cells.
+    way, so grouping cells into rows changes no count.  A cell whose
+    plan exceeds its share is skipped, so the summed nodes never exceed
+    the budget.  The notes name each skipped cell, and the smallest
+    budget whose share fits every cell: the largest plan times the
+    number of cells.  A sweep that skips no cell has no notes.
 
     With jobs > 1 the tasks run in a pool of ``jobs`` workers, sent one
     at a time: a cell's cost grows steeply with k, so batches of
@@ -662,12 +597,23 @@ def _sweep(
     else:
         rows = [_run_task(t) for t in sent]
     results = [cell for row in rows for cell in row]
+    skipped = [r for r in results if r["truncated"]]
     counts = {
         "enumerated": sum(r["sets"] for r in results),
         "nodes": sum(r["nodes"] for r in results),
-        "truncated": any(r["truncated"] for r in results),
+        "truncated": bool(skipped),
     }
-    return results, counts
+    notes = [
+        f"budget: cell k={r['k']} l={r['l']} skipped, {r['planned']} planned nodes "
+        f"over its share {per}"
+        for r in skipped
+    ]
+    if skipped:
+        notes.append(
+            f"budget: {len(skipped)} of {n_cells} cells skipped; "
+            f"--budget {max(r['planned'] for r in results) * n_cells} walks every cell"
+        )
+    return results, counts, notes
 
 
 def _detached_top_rows(
@@ -743,12 +689,11 @@ def verify_conjecture(
             f"conjecture sweep needs l_max >= 2*k_max-4 = {2 * k_max - 4}, got {l_max}"
         )
     cell = functools.partial(_floor_cell, ("gcd_one",))
-    results, counts = _sweep(
+    results, counts, observations = _sweep(
         [(cell, k, l) for k in range(3, k_max + 1) for l in range(k - 1, l_max + 1)],
         budget, jobs,
     )
     counterexamples: list[str] = []
-    observations: list[str] = []
     for r in results:
         for tup, n in r["below"]:
             if r["k"] >= 8:
@@ -830,7 +775,9 @@ def verify_low_second_max(
     set admitting a split position."""
     t0 = time.monotonic()
     rows, top_cap = _detached_top_rows(k_min, k_max, cap)
-    results, counts = _sweep([(_low_second_row, k, tops) for k, tops in rows], budget, jobs)
+    results, counts, notes = _sweep(
+        [(_low_second_row, k, tops) for k, tops in rows], budget, jobs
+    )
     query = {
         "k_min": k_min,
         "k_max": k_max,
@@ -843,7 +790,7 @@ def verify_low_second_max(
     counts["splits_validated"] = sum(r["splits"] for r in results)
     return _finalize(
         "low_second_max_floor", query, top_cap, counts, t0,
-        counterexamples=[b for r in results for b in r["bad"]],
+        counterexamples=[b for r in results for b in r["bad"]], observations=notes,
     )
 
 
@@ -873,9 +820,10 @@ def verify_dense_prefix(
     t0 = time.monotonic()
     rows, top_cap = _detached_top_rows(k_min, k_max, cap)
     cell = functools.partial(_floor_cell, _DENSE)
-    results, counts = _sweep([(cell, k, l) for k, tops in rows for l in tops], budget, jobs)
+    results, counts, observations = _sweep(
+        [(cell, k, l) for k, tops in rows for l in tops], budget, jobs
+    )
     counterexamples: list[str] = []
-    observations: list[str] = []
     missing: list[str] = []
     spurious: list[str] = []
     extremal: list[str] = []
@@ -942,9 +890,9 @@ def classify_extremal(k: int, l: int, *, budget: int = DEFAULT_BUDGET) -> tuple[
             # a leaf of a gcd_one walk: normalized without re-validation
             out.append(NormalizedSet._from_trusted(tup, mask))
 
-    cell = _walk_span(query, bound, leaf)
-    if cell["truncated"]:
-        raise BudgetExceeded(cell["nodes"])
+    if _walk_span(query, bound, leaf)["truncated"]:
+        # skipped whole: the enumerator raises at the node past the budget
+        raise BudgetExceeded(budget + 1)
     return tuple(out)
 
 
@@ -972,11 +920,10 @@ def verify_span_classification(
             f"span classification sweeps 4 <= k_min <= k_max <= 12, got [{k_min}, {k_max}]"
         )
     cell = functools.partial(_floor_cell, ("gcd_one",))
-    results, counts = _sweep(
+    results, counts, observations = _sweep(
         [(cell, k, 2 * k - 3) for k in range(k_min, k_max + 1)], budget, jobs
     )
     counterexamples: list[str] = []
-    observations: list[str] = []
     missing: list[str] = []
     spurious: list[str] = []
     flagged = flagged_sporadics()
@@ -1140,7 +1087,7 @@ def sweep_structure(
     """
     t0 = time.monotonic()
     rows, top_cap = _detached_top_rows(k_min, k_max, cap)
-    results, counts = _sweep(
+    results, counts, notes = _sweep(
         [(_structure_row, k, tops) for k, tops in rows]
         + [(_witness_cell, k, l) for k in range(max(8, k_min), k_max + 1)
            for l in range(k - 1, 2 * k - 2)],
@@ -1159,5 +1106,5 @@ def sweep_structure(
     return _finalize(
         "structure_sweep", query, top_cap, counts, t0,
         counterexamples=[f"k={r['k']} l={r['l']}: {b}" for r in results for b in r["bad"]],
-        observations=[note for r in results for note in r.get("notes", [])],
+        observations=notes + [note for r in results for note in r.get("notes", [])],
     )

@@ -5,19 +5,18 @@ conjecture, dense-prefix and classification sweeps, and the theorem 1,
 structure and witness cells), and every classify_extremal result, must
 equal what a plain ``enumerate_tuples`` loop with the naive
 restricted-sumset oracle gives: node and set
-counts, findings in stream order, and, under a budget, the node at
-which the budget runs out.  The walker itself must hand each leaf the
-element tuple and restricted mask of its set, and its lookahead prune
-must hold on every prefix of a set.  The cut that a budget puts in a
-cell's plan must be the node at which the enumerator raises, with the
-sets streamed before it.  Each cell must also match at the budgets
-around its planned node count, where the walker switches between taking
-its counts from the plan and walking up to its cut.  A theorem 1 or
-structure row, whose cells share one walk over their heads, a cut cell
-skipping the heads from its cut on, must give each cell the dict a lone
-cell (a row with one top) gives, and theorem 1's split check, made once
-per head and once per top, must give the halves and the messages
-``split_at`` gives.
+counts and findings in stream order.  A cell whose stream the budget
+cuts short (the enumerator raises) is skipped: it counts no node and no
+set, finds nothing, records its planned nodes, and classify_extremal
+raises at the node past its budget.  The walker itself must hand each
+leaf the element tuple and restricted mask of its set, and its
+lookahead prune must hold on every prefix of a set.  Each cell must
+also match at the budgets around its planned node count, where the
+walker switches between walking the cell whole and skipping it.  A
+theorem 1 or structure row, whose walked cells share one walk over
+their heads, must give each cell the dict a lone cell (a row with one
+top) gives, and theorem 1's split check, made once per head and once
+per top, must give the halves and the messages ``split_at`` gives.
 """
 
 from functools import partial
@@ -56,8 +55,6 @@ from sumset_lab.verify import (
     EnumerationQuery,
     classify_extremal,
     enumerate_tuples,
-    _cut,
-    _plan,
     _walk_span,
     _detached_top_rows,
     _floor_cell,
@@ -72,7 +69,7 @@ from helpers import naive_double, naive_restricted
 
 DENSE = ("gcd_one", "growth_a_i_lt_2i", "last_ge_2k_minus_2")
 LOW_SECOND = ("gcd_one", "interior_lt_2k_minus_4", "last_ge_2k_minus_2")
-# small budgets cut cells mid-walk; the large one lets every cell finish
+# small budgets skip cells; the large one walks every cell
 budgets = st.one_of(st.integers(min_value=1, max_value=4000), st.just(10**9))
 
 
@@ -81,25 +78,34 @@ def lit(tup) -> str:
 
 
 def plain_sets(k, l, constraints, budget):
-    """(nodes, truncated, [(tup, n)]) by plain enumeration, in stream
-    order, n being the naive restricted size of tup."""
-    query = EnumerationQuery.exact(k, l, constraints, budget=budget)
+    """(counts, [(tup, n)]) by plain enumeration, in stream order, n
+    being the naive restricted size of tup.  ``counts`` holds the cell
+    dict's planned, nodes, sets and truncated.  A cell whose stream the
+    budget cuts short is skipped: it counts no node and no set and
+    streams nothing; planned is its node count with no budget."""
     counter = [0]
-    streamed = []
-    truncated = False
     try:
-        for tup in enumerate_tuples(query, counter=counter):
-            streamed.append((tup, len(naive_restricted(tup))))
+        streamed = [
+            (tup, len(naive_restricted(tup)))
+            for tup in enumerate_tuples(
+                EnumerationQuery.exact(k, l, constraints, budget=budget), counter=counter
+            )
+        ]
     except BudgetExceeded:
-        truncated = True
-    return counter[0], truncated, streamed
+        planned = [0]
+        for _tup in enumerate_tuples(EnumerationQuery.exact(k, l, constraints), planned):
+            pass
+        return {"planned": planned[0], "nodes": 0, "sets": 0, "truncated": True}, []
+    counts = {"planned": counter[0], "nodes": counter[0], "sets": len(streamed),
+              "truncated": False}
+    return counts, streamed
 
 
 def plain_walk(k, l, constraints, budget, bound):
-    """(nodes, sets, truncated, [(tup, n) with n <= bound]) by plain
-    enumeration, in stream order."""
-    nodes, truncated, streamed = plain_sets(k, l, constraints, budget)
-    return nodes, len(streamed), truncated, [(t, n) for t, n in streamed if n <= bound]
+    """(counts, [(tup, n) with n <= bound]) by plain enumeration, in
+    stream order."""
+    counts, streamed = plain_sets(k, l, constraints, budget)
+    return counts, [(t, n) for t, n in streamed if n <= bound]
 
 
 @st.composite
@@ -126,27 +132,9 @@ def test_walker_hands_each_leaf_its_elements_and_restricted_mask(case):
         leaves.append(tup)
 
     cell = _walk_span(EnumerationQuery.exact(k, l, constraints, budget=budget), bound, on_leaf)
-    nodes, sets, truncated, low = plain_walk(k, l, constraints, budget, bound)
-    assert (cell["nodes"], cell["sets"], cell["truncated"]) == (nodes, sets, truncated)
+    counts, low = plain_walk(k, l, constraints, budget, bound)
+    assert cell == {"k": k, "l": l, **counts}
     assert leaves == [t for t, _n in low]
-
-
-@given(walk_cases(), st.integers(min_value=1, max_value=4000))
-@settings(max_examples=120, deadline=None)
-def test_cut_is_the_node_where_the_enumerator_raises(case, budget):
-    k, l, constraints, _budget, _bound = case
-    cell, cut = _cut(_plan(EnumerationQuery.exact(k, l, constraints)), k, l, budget)
-    nodes, truncated, streamed = plain_sets(k, l, constraints, budget)
-    assert (cut is None) == (not truncated)
-    assert cell == {"k": k, "l": l, "nodes": nodes, "sets": len(streamed),
-                    "truncated": truncated}
-    if cut is None:
-        return
-    # the sets streamed before the cut are those whose heads sort before it
-    whole = [t for t, _n in plain_sets(k, l, constraints, 10**9)[2]]
-    assert [t for t, _n in streamed] == [t for t in whole if t[:-1] < cut[:k - 1]]
-    assert nodes == budget + 1
-    assert cut[0] == 0 and 2 <= len(cut) <= k and (len(cut) < k or cut[-1] == l)
 
 
 @st.composite
@@ -195,16 +183,14 @@ def floor_reference(constraints):
 
     def reference(k, l, budget):
         bound = freiman_lev_bound(k, l)
-        nodes, sets, truncated, low = plain_walk(k, l, constraints, budget, bound)
+        counts, low = plain_walk(k, l, constraints, budget, bound)
         return {
             "k": k,
             "l": l,
+            **counts,
             "bound": bound,
-            "nodes": nodes,
-            "sets": sets,
             "below": [(t, n) for t, n in low if n < bound],
             "at": [t for t, n in low if n == bound],
-            "truncated": truncated,
         }
 
     return reference
@@ -252,9 +238,10 @@ def classify_cell(args):
 
 
 def classify_reference(k, l, budget):
+    # a skipped cell raises at the node past the budget, as the enumerator does
     bound = 3 * k - 7
-    nodes, _sets, truncated, low = plain_walk(k, l, ("gcd_one",), budget, bound)
-    return nodes if truncated else [t for t, n in low if n == bound]
+    counts, low = plain_walk(k, l, ("gcd_one",), budget, bound)
+    return budget + 1 if counts["truncated"] else [t for t, n in low if n == bound]
 
 
 @given(classify_args())
@@ -287,7 +274,7 @@ def low_second_cells(draw):
 
 def low_second_reference(k, l, budget):
     bound = 3 * k - 7
-    nodes, truncated, streamed = plain_sets(k, l, LOW_SECOND, budget)
+    counts, streamed = plain_sets(k, l, LOW_SECOND, budget)
     bad = []
     splits = 0
     for t, n in streamed:
@@ -304,12 +291,10 @@ def low_second_reference(k, l, budget):
     return {
         "k": k,
         "l": l,
-        "nodes": nodes,
-        "sets": len(streamed),
+        **counts,
         "tight": sum(1 for _t, n in streamed if n == bound),
         "splits": splits,
         "bad": bad,
-        "truncated": truncated,
     }
 
 
@@ -359,15 +344,13 @@ def structure_failures(t) -> list[str]:
 
 
 def structure_reference(k, l, budget):
-    nodes, truncated, streamed = plain_sets(k, l, DENSE, budget)
+    counts, streamed = plain_sets(k, l, DENSE, budget)
     return {
         "k": k,
         "l": l,
-        "nodes": nodes,
-        "sets": len(streamed),
+        **counts,
         "extremal": sum(1 for _t, n in streamed if n == 3 * k - 7),
         "bad": [msg for t, _n in streamed for msg in structure_failures(t)],
-        "truncated": truncated,
     }
 
 
@@ -433,12 +416,12 @@ def test_low_second_row_matches_lone_cells_and_plain_enumeration(row, budget):
 @settings(max_examples=40, deadline=None)
 def test_rows_mixing_head_walked_and_lone_cells_match_plain_enumeration(data):
     # the budget is one top's planned node total -1, +0 or +1: the cells
-    # with smaller plans walk every head, the larger ones are cut and stop
-    # taking heads at their cut, and the pivot sits on either side
+    # with smaller plans walk every head, the larger ones are skipped and
+    # take no head, and the pivot sits on either side
     row_fn, cell_fn, reference, constraints = data.draw(st.sampled_from(ROWS))
     k, tops = data.draw(detached_rows())
     pivot = data.draw(st.sampled_from(tops))
-    planned = plain_sets(k, pivot, constraints, 10**9)[0]
+    planned = plain_sets(k, pivot, constraints, 10**9)[0]["planned"]
     for budget in (planned - 1, planned, planned + 1):
         got = row_fn((k, tops, budget))
         assert got == [cell_fn((k, l, budget)) for l in tops]
@@ -512,7 +495,7 @@ def witness_cells(draw):
 
 
 def witness_reference(k, l, budget):
-    nodes, truncated, streamed = plain_sets(k, l, ("gcd_one",), budget)
+    counts, streamed = plain_sets(k, l, ("gcd_one",), budget)
     extremal = pairs = 0
     bad = []
     notes = []
@@ -547,13 +530,11 @@ def witness_reference(k, l, budget):
     return {
         "k": k,
         "l": l,
-        "nodes": nodes,
-        "sets": len(streamed),
+        **counts,
         "extremal": extremal,
         "pairs": pairs,
         "bad": bad,
         "notes": notes,
-        "truncated": truncated,
     }
 
 
@@ -578,11 +559,11 @@ DRIVER_CELLS = [
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_cells_match_plain_enumeration_on_both_sides_of_the_plan(data):
-    # a cell whose planned nodes fit its budget takes its counts from the
-    # plan; one node less and it is cut at its last node and truncates
+    # a cell whose planned nodes fit its budget is walked whole; one node
+    # less and the enumerator raises at its last node, so it is skipped
     fn, reference, constraints, cells = data.draw(st.sampled_from(DRIVER_CELLS))
     k, l, _budget = data.draw(cells)
-    planned = plain_sets(k, l, constraints, 10**9)[0]
+    planned = plain_sets(k, l, constraints, 10**9)[0]["planned"]
     for budget in (planned - 1, planned, planned + 1):
         assert fn((k, l, budget)) == reference(k, l, budget)
 
@@ -601,7 +582,7 @@ SPLITTABLE = tuple(
     t
     for k in range(4, 9)
     for l in range(2 * k - 2, 2 * k + 3)
-    for t, _n in plain_sets(k, l, LOW_SECOND, 10**9)[2]
+    for t, _n in plain_sets(k, l, LOW_SECOND, 10**9)[1]
     if find_admissible_split(NormalizedSet(t)) is not None
 )
 

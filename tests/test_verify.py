@@ -2,10 +2,13 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumset_lab import families
 from sumset_lab.core import SetDomainError
@@ -230,13 +233,22 @@ def test_verify_conjecture_k12_frozen():
     }
     assert len(cert.observations) == 29
     # the default budget gives each of the 225 cells 1/225 of 10^9 nodes:
-    # most cells fit their share, and the largest run out of it part way
+    # most cells fit their share and are walked whole, and the 8 largest
+    # are skipped and named with the budget that walks every cell
     cert = verify_conjecture(12, 28)
     assert cert.outcome == "budget_exhausted"
     assert cert.counts == {
-        "enumerated": 29550204, "extremal": 9290, "nodes": 73948902, "truncated": True,
+        "enumerated": 15228806, "extremal": 9150, "nodes": 38393342, "truncated": True,
     }
-    assert len(cert.observations) == 29
+    assert len(cert.observations) == 38
+    budget_notes = [o for o in cert.observations if o.startswith("budget: ")]
+    assert budget_notes[0] == (
+        "budget: 8 of 225 cells skipped; --budget 4850863650 walks every cell"
+    )
+    assert budget_notes[-1] == (
+        "budget: cell k=12 l=28 skipped, 21559394 planned nodes over its share 4444444"
+    )
+    assert len(budget_notes) == 9
 
 
 def test_verify_conjecture_validation():
@@ -344,14 +356,81 @@ def test_driver_budget_exhaustion():
     assert cert.counterexamples == []
 
 
-def test_truncated_cells_count_the_node_their_share_ran_out_at():
-    # as the enumerator does, each truncated cell counts the node past its
-    # share, so nodes can exceed the budget by up to the truncated cells
-    assert verify_conjecture(9, 22, budget=777).counts["nodes"] == 863
-    # 21 cells with a one-node share each: every one is cut, at its second
+def test_truncated_sweeps_count_only_the_cells_that_fit_their_share():
+    # a cell over its share is skipped whole, so a truncated sweep's nodes
+    # are those of the cells whose stream fits the share: here the 126
+    # cells get 6 nodes each, and the enumerator finishes 9 of them
+    cert = verify_conjecture(9, 22, budget=777)
+    fit = 0
+    for k in range(3, 10):
+        for l in range(k - 1, 23):
+            counter = [0]
+            try:
+                for _tup in enumerate_tuples(
+                    EnumerationQuery.exact(k, l, ("gcd_one",), budget=6), counter
+                ):
+                    pass
+            except BudgetExceeded:
+                continue
+            fit += counter[0]
+    assert cert.counts["nodes"] == fit == 30
+    # 21 cells with a one-node share each: every one is skipped
     cert = verify_conjecture(4, budget=21)
-    assert cert.counts["truncated"] is True
-    assert cert.counts["nodes"] == 42
+    assert cert.counts == {"enumerated": 0, "extremal": 0, "nodes": 0, "truncated": True}
+    assert "budget: 21 of 21 cells skipped; --budget 2520 walks every cell" in cert.observations
+
+
+SUMMARY = re.compile(r"budget: (\d+) of (\d+) cells skipped; --budget (\d+) walks every cell")
+
+
+@st.composite
+def small_sweeps(draw):
+    """(driver, args): one of the five drivers on a small box."""
+    driver = draw(st.sampled_from([
+        verify_conjecture, verify_low_second_max, verify_dense_prefix,
+        verify_span_classification, sweep_structure,
+    ]))
+    if driver is verify_conjecture:
+        k_max = draw(st.integers(min_value=3, max_value=6))
+        l_max = draw(st.integers(min_value=2 * k_max - 4, max_value=2 * k_max + 2))
+        return driver, (k_max, l_max)
+    if driver is verify_span_classification:
+        return driver, (draw(st.integers(min_value=4, max_value=7)),)
+    # structure's witness cells start at k = 8
+    k_max = draw(st.integers(min_value=3, max_value=8 if driver is sweep_structure else 7))
+    return driver, (k_max,)
+
+
+@given(small_sweeps(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sweeps_walk_within_their_budget_and_name_the_budget_that_walks_every_cell(sweep, data):
+    driver, args = sweep
+    full = driver(*args)
+    assert full.outcome == "verified"
+    # a one-node budget is refused with the box's cell count, unless the
+    # box has one cell
+    try:
+        driver(*args, budget=1)
+        n_cells = 1
+    except SetDomainError as exc:
+        n_cells = int(re.search(r"the box's (\d+) cells", str(exc)).group(1))
+    nodes = full.counts["nodes"]
+    budget = data.draw(st.one_of(st.integers(min_value=n_cells, max_value=n_cells + 10 * nodes),
+                                 st.integers(min_value=n_cells, max_value=n_cells * (nodes + 1))))
+    cert = driver(*args, budget=budget)
+    assert cert.counts["nodes"] <= budget
+    summary = [m for m in map(SUMMARY.fullmatch, cert.observations) if m]
+    assert cert.counts["truncated"] == bool(summary)
+    if not summary:
+        assert cert.outcome == "verified" and cert.counts == full.counts
+        return
+    (line,) = summary
+    skipped, cells, need = map(int, line.groups())
+    assert cells == n_cells
+    assert skipped == sum(o.startswith("budget: cell ") for o in cert.observations) >= 1
+    enough = driver(*args, budget=need)
+    assert enough.outcome == "verified" and enough.counts == full.counts
+    assert driver(*args, budget=need - 1).outcome == "budget_exhausted"
 
 
 def test_drivers_refuse_a_budget_below_one():
