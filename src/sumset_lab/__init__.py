@@ -23,8 +23,9 @@ _EXPORTS = {
     "core": (
         "MAX_ELEMENT", "IntegerSet", "NormalizedSet", "SetDomainError", "SumsetProfile",
         "double_mask", "double_size", "elements_of", "format_set_literal",
-        "freiman_lev_bound", "mask_of", "normalize", "parse_set_literal", "profile",
-        "reflect", "restricted_mask", "restricted_size", "restricted_sumset", "sumset",
+        "freiman_lev_bound", "has_dense_prefix", "mask_of", "normalize",
+        "parse_set_literal", "profile", "reflect", "restricted_mask", "restricted_size",
+        "restricted_sumset", "sumset",
     ),
     "bounds": (
         "Bound", "BoundEntry", "BoundReport", "GoldenValue", "ap_cover_length",
@@ -37,10 +38,9 @@ _EXPORTS = {
         "Decomposition", "ExceptionalProfile", "GapPatterns", "SplitTriple",
         "TopGapCandidate", "WitnessProfile", "check_exceptional_points", "decompose",
         "diff3_exception_case", "exceptional_growth_ok", "exceptional_profile",
-        "find_admissible_split", "gap_patterns", "has_dense_prefix",
-        "matches_consecutive_exception", "offset_count_bound", "split_at",
-        "tail_pair_counts_ok", "top_gap_candidates", "top_gap_structure",
-        "witness_profile",
+        "find_admissible_split", "gap_patterns", "matches_consecutive_exception",
+        "offset_count_bound", "split_at", "tail_pair_counts_ok", "top_gap_candidates",
+        "top_gap_structure", "witness_profile",
     ),
     "families": (
         "FAMILY_KINDS", "FamilyKind", "FamilySpec", "dense_extremal_shape",

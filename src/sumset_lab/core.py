@@ -45,6 +45,8 @@ __all__ = [
     "reflect",
     "profile",
     "freiman_lev_bound",
+    "has_dense_prefix",
+    "require_dense_prefix",
     "parse_set_literal",
     "format_set_literal",
 ]
@@ -344,6 +346,39 @@ def freiman_lev_bound(k: int, l: int) -> int:
     """
     _require_dimensions(k, l)
     return l + k - 2 if l <= 2 * k - 5 else 3 * k - 7
+
+
+# The detached-top regime's test lives here, with the kernels, because
+# families' shape check needs it and nothing else of structure;
+# structure re-exports both functions beside its checkers.
+
+
+def has_dense_prefix(a: NormalizedSet) -> bool:
+    """Whether a_i < 2i for i = 1..k-2 and a_{k-1} >= 2k - 2."""
+    elems = a.elements
+    k = len(elems)
+    if k < 3:
+        return False
+    if elems[-1] < 2 * k - 2:
+        return False
+    return all(elems[i] < 2 * i for i in range(1, k - 1))
+
+
+def require_dense_prefix(a: NormalizedSet) -> None:
+    """Raise unless ``a`` is in the detached-top regime."""
+    elems = a.elements
+    k = len(elems)
+    if k < 3:
+        raise SetDomainError(f"detached-top analysis needs k >= 3, got k={k}")
+    if elems[-1] < 2 * k - 2:
+        raise SetDomainError(
+            f"top element {elems[-1]} is not detached (needs >= {2 * k - 2})"
+        )
+    for i in range(1, k - 1):
+        if elems[i] >= 2 * i:
+            raise SetDomainError(
+                f"interior element a_{i}={elems[i]} breaks the growth bound < {2 * i}"
+            )
 
 
 def parse_set_literal(text: str) -> IntegerSet:

@@ -23,6 +23,7 @@ from .core import (
     IntegerSet,
     NormalizedSet,
     SetDomainError,
+    require_dense_prefix,
     restricted_sumset,
 )
 
@@ -405,9 +406,6 @@ def dense_extremal_shape(a: NormalizedSet) -> bool:
 
     Requires the detached-top regime and |2^A| = 3k-7.
     """
-    # imported here: nothing else in this module reads structure
-    from .structure import require_dense_prefix
-
     require_dense_prefix(a)
     k = a.k
     if k < 4:

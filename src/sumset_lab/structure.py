@@ -35,7 +35,9 @@ from .core import (
     double_mask,
     elements_of,
     exceptional_mask,
+    has_dense_prefix,
     mask_of,
+    require_dense_prefix,
     restricted_mask,
 )
 
@@ -70,34 +72,6 @@ def _trusted_set(elems: tuple[int, ...]) -> IntegerSet:
     larger than the top of a validated set, so no range re-check is
     needed."""
     return IntegerSet._from_trusted(elems, mask_of(elems))
-
-
-def has_dense_prefix(a: NormalizedSet) -> bool:
-    """Whether a_i < 2i for i = 1..k-2 and a_{k-1} >= 2k - 2."""
-    elems = a.elements
-    k = len(elems)
-    if k < 3:
-        return False
-    if elems[-1] < 2 * k - 2:
-        return False
-    return all(elems[i] < 2 * i for i in range(1, k - 1))
-
-
-def require_dense_prefix(a: NormalizedSet) -> None:
-    """Raise unless ``a`` is in the detached-top regime."""
-    elems = a.elements
-    k = len(elems)
-    if k < 3:
-        raise SetDomainError(f"detached-top analysis needs k >= 3, got k={k}")
-    if elems[-1] < 2 * k - 2:
-        raise SetDomainError(
-            f"top element {elems[-1]} is not detached (needs >= {2 * k - 2})"
-        )
-    for i in range(1, k - 1):
-        if elems[i] >= 2 * i:
-            raise SetDomainError(
-                f"interior element a_{i}={elems[i]} breaks the growth bound < {2 * i}"
-            )
 
 
 class ExceptionalProfile(NamedTuple):
@@ -499,13 +473,18 @@ class WitnessProfile(NamedTuple):
     modulus: Optional[int]
 
 
+def _witness_mask(mask: int, r: int, l: int) -> int:
+    """The mask of the witnesses of a set with top l, bit mask ``mask``
+    and restricted mask ``r``: the values in [0, l] that are neither in
+    the set nor a restricted sum, and whose sum with l is none either."""
+    return ~(mask | r | r >> l) & (2 << l) - 1
+
+
 def witness_profile(a: NormalizedSet) -> WitnessProfile:
     """Collect all witnesses of ``a``."""
     top = a.l
-    amask = a.mask
-    reach = restricted_mask(amask, a.elements)
-    blocked = amask | reach | (reach >> top)
-    found = IntegerSet.from_mask(~blocked & (1 << top + 1) - 1)
+    reach = restricted_mask(a.mask, a.elements)
+    found = IntegerSet.from_mask(_witness_mask(a.mask, reach, top))
     w1 = w2 = modulus = None
     if len(found) == 2:
         w1, w2 = found.elements
@@ -720,6 +699,14 @@ def find_admissible_split(a: NormalizedSet) -> Optional[int]:
         raise SetDomainError(
             "split search needs a_{k-2} < 2k-4 and a_{k-1} >= 2k-2"
         )
+    return _split_position(elems, k)
+
+
+def _split_position(elems: tuple[int, ...], k: int) -> Optional[int]:
+    """One more than the largest i in [1, k-3] with a_i >= 2i, or None:
+    the split position of :func:`find_admissible_split`, read from
+    a_1..a_{k-3} of ``elems`` alone, so a head (the set minus its top)
+    gives it too."""
     for i in range(k - 3, 0, -1):
         if elems[i] >= 2 * i:
             return i + 1

@@ -8,8 +8,8 @@ counts every candidate value placement; exceeding the budget raises
 :class:`BudgetExceeded`, never a silent partial result.
 
 Every certificate driver splits its box into exact-span cells (k, l)
-and walks each cell with one private walker that counts the same nodes
-in the same order as the enumerator.  It places the top first and
+and walks each cell with one private walker that reaches the sets the
+enumerator streams, in the same order.  It places the top first and
 carries the restricted sumset of the prefix down the search, so placing
 a value costs one shift-or and a set's restricted size is one popcount.
 A leaf gets its element tuple, mask and restricted mask from the walk,
@@ -25,32 +25,34 @@ prefix has fewer than two candidate witnesses left; the other cells
 that check every set pass 2l, which no restricted sumset inside [0, l]
 reaches.
 
-The walker plans a cell before walking it: a memo keyed by (position,
-previous value, gcd) gives the cell's node and gcd-1 set counts, so the
-walk counts no node, only looks for findings and skips pruned subtrees
-outright.  Whether a cell fits its budget is decided once, from the
-plan, before any walk.  A cell whose planned nodes fit is walked whole,
-hands each finding to the cell as it reaches it, in stream order, and
-has the counts of plain enumeration, so a full certificate matches
+A sweep plans a cell before walking it: a memo keyed by (position,
+previous value, gcd) gives the cell's node and gcd-1 set counts.  Only
+the task runner counts cells and decides, from the plan, which are
+walked; the walkers count no node, only look for findings and skip
+pruned subtrees outright.  A cell whose planned nodes fit is walked
+whole, hands each finding to the cell as it reaches it, in stream order,
+and has the counts of plain enumeration, so a full certificate matches
 plain enumeration byte for byte.  A cell over its budget is skipped: it
 walks no node, counts no node and no set, finds nothing, is marked
 truncated and records its planned nodes.  No cell is walked in part.
 
-One driver path splits a sweep's budget evenly among its cells, walks
-them in task order (in a process pool when ``jobs > 1``) and sums their
+One driver path splits a sweep's budget evenly among its cells, runs
+its tasks in order (in a process pool when ``jobs > 1``) and sums their
 node, set and truncation counts; a budget below the number of cells is
 refused.  Every walked cell fits its share, so a sweep's nodes never
 exceed its budget, and the sweep names each skipped cell and the budget
-that walks every cell in its observations.  A task is one cell, or a
-row: all the detached-top cells of one k, walked in one call by a row
-walker.  Every cell of a row streams the same heads (the set minus its
-top), so the row walker plans each cell and the cells it walks share
-one walk over the heads: at each head's leaf the per-head work runs
-once, and each top costs one shift-or and one popcount.
+that walks every cell in its observations.  A task is a function, its
+constraints, k and a tuple of tops: one top for a floor or witness
+cell, or every detached top of one k for a row.  The function walks the
+tops it is handed and returns only findings, one entry per top.  A
+row's cells stream the same heads (the set minus its top), so its
+walked cells share one walk over the heads: at each head's leaf the
+per-head work runs once, and each top costs one shift-or and one
+popcount.
 Theorem 1 and the structure sweep run their cells as rows: the split
 position and the halves of the split, and every structural check,
 depend only on k and the head.  The conjecture and theorems 2 and 3
-share one cell, which walks with the Freiman-Lev floor
+share one cell function, which walks with the Freiman-Lev floor
 ``freiman_lev_bound(k, l)`` and returns the sets below and on it; each
 of the three drivers judges those sets in its merge.  On top of the
 driver path sit five certificate drivers, each adding only its own
@@ -79,7 +81,6 @@ byte-identical except for ``wall_time_ms``.
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 from math import gcd
@@ -231,6 +232,8 @@ def enumerate_tuples(
     if counter is None:
         counter = [0]
     mask = query.mask
+    if mask is not None and not mask & 1:
+        return  # every normalized set holds 0: the mask admits none
     budget = query.budget
     need_gcd = "gcd_one" in query.constraints
 
@@ -295,31 +298,20 @@ def _plan(query: EnumerationQuery) -> tuple[int, int]:
     return subtree(1, 0, l)
 
 
-def _cell(query: EnumerationQuery) -> dict:
-    """The cell dict of an exact-span, mask-free query: k, l, planned,
-    nodes, sets, truncated.  A cell whose planned nodes fit the query's
-    budget is walked whole and has the plan's counts; one over it is
-    skipped, so it counts nothing and is truncated."""
-    planned, sets = _plan(query)
-    fits = planned <= query.budget
-    return {"k": query.k, "l": query.l_max, "planned": planned, "nodes": planned if fits else 0,
-            "sets": sets if fits else 0, "truncated": not fits}
-
-
 def _walk_span(
     query: EnumerationQuery,
     bound: int,
     on_leaf: Callable[[tuple[int, ...], int, int, int], None],
     prune: Optional[Callable[[int, int], bool]] = None,
-) -> dict:
-    """Walk an exact-span, mask-free query with the counts of
-    :func:`enumerate_tuples`, calling ``on_leaf(tup, mask, r, n)`` for
-    each streamed set whose restricted sumset has n <= bound members, in
-    stream order.  ``tup`` is the set's ascending element tuple,
-    ``mask`` its bit mask and ``r`` the mask of its restricted sumset.
-    Every restricted sum lies in [1, 2l-1], so a bound of 2l calls
-    ``on_leaf`` on every streamed set.  With ``gcd_one`` in the query,
-    ``on_leaf`` only sees sets of gcd 1.
+) -> None:
+    """Walk an exact-span, mask-free query, calling ``on_leaf(tup, mask,
+    r, n)`` for each set :func:`enumerate_tuples` streams whose
+    restricted sumset has n <= bound members, in stream order.  ``tup``
+    is the set's ascending element tuple, ``mask`` its bit mask and
+    ``r`` the mask of its restricted sumset.  Every restricted sum lies
+    in [1, 2l-1], so a bound of 2l calls ``on_leaf`` on every streamed
+    set.  With ``gcd_one`` in the query, ``on_leaf`` only sees sets of
+    gcd 1.
 
     ``prune(mask, r)``, if given, is asked about each prefix (its
     elements with the top, and their restricted mask) that the bound
@@ -327,10 +319,8 @@ def _walk_span(
     are not visited: the caller promises that ``on_leaf`` would do
     nothing on any of them.
 
-    Returns the cell dict of :func:`_cell`.  The counts come from the
-    plan (:func:`_plan`), so the walk only looks for leaves: it counts
-    no node and skips pruned subtrees outright.  A cell over the query's
-    budget is not walked at all.
+    The walk counts no node and takes no budget: :func:`_run_task`
+    counts the cell from its plan and decides whether it is walked.
 
     The walk prunes on a lookahead bound.  The top is placed first, so
     each element still to be placed adds a sum with the top that is
@@ -338,13 +328,11 @@ def _walk_span(
     least the prefix's plus the number of elements still to come.
     """
     k, l = query.k, query.l_max
+    lo, hi, his = _caps(query)
+    if lo > hi:
+        return  # the constraints rule the top out: no set streams
     need_gcd = "gcd_one" in query.constraints
     last = k - 1
-    cell = _cell(query)
-    if not cell["sets"]:
-        # no set streams, or the cell is skipped: none is a finding
-        return cell
-    his = _caps(query)[2]
     # a prefix ending at pos is pruned once its restricted size passes
     # lims[pos]: each of the last - 1 - pos elements still to come adds one
     lims = [bound - (last - 1 - pos) for pos in range(last)]
@@ -367,33 +355,27 @@ def _walk_span(
             find(pos + 1, v, gcd(g, v), mask | 1 << v, rv)
 
     find(1, 0, l, 1 | 1 << l, 1 << l)
-    return cell
 
 
 def _walk_row(
     k: int,
     tops: Sequence[int],
     constraints: tuple[str, ...],
-    per_budget: int,
     on_head: Callable[[tuple[int, ...], int], object],
     on_set: Callable[[tuple[int, ...], int, int, int, object], None],
-) -> list[dict]:
-    """Walk the detached-top cells (k, l), l in ``tops``, each with the
-    budget ``per_budget``, and return their cell dicts in order: each is
-    the dict :func:`_walk_span` returns for the cell alone with bound 2l.
+) -> None:
+    """Walk the detached-top cells (k, l), l in ``tops``, in one walk
+    over their heads, in lexicographic order.
 
-    Every set a walked cell streams is handed to ``on_set(head, l, r, n,
+    Every set a cell streams is handed to ``on_set(head, l, r, n,
     state)``: ``head`` is the set minus its top l, ``r`` the set's
     restricted mask and n its popcount.  ``state`` is what
     ``on_head(head, head_mask)`` returned on that head and its mask, so
     it depends on the head only.  Each cell sees its sets in stream
-    order.
-
-    Every cell takes its counts from :func:`_cell`, and the cells that
-    fit their budget share one walk over the heads, in lexicographic
-    order; a skipped cell sees no set.  At each head's leaf ``on_head``
-    runs once, and each walked top costs one shift-or (r = r_head |
-    head_mask << l) and one popcount.
+    order, as :func:`_walk_span` with bound 2l would hand them.  At each
+    head's leaf ``on_head`` runs once, and each top costs one shift-or
+    (r = r_head | head_mask << l) and one popcount.  Like the span
+    walker, it counts nothing.
 
     The walk takes no gcd: under both detached-top constraints every
     head already has gcd 1, so every top streams it.  A dense head has
@@ -411,45 +393,35 @@ def _walk_row(
     that constraint the query's caps do differ between tops, at the low
     positions where the span cap is below 2k-5, but only on prefixes
     that no head completes.  A row whose lowered caps differ between its
-    walked tops is refused.
+    tops is refused.
     """
+    if not tops:
+        return
     last = k - 1
-    cells: list[dict] = []
-    walked: list[int] = []
     caps: Optional[list[int]] = None
     for l in tops:
-        query = EnumerationQuery.exact(k, l, constraints, budget=per_budget)
-        cell = _cell(query)
-        cells.append(cell)
-        if not cell["sets"]:
-            continue
         # position 0 always holds 0, so its cap is unused
-        lowered = [0] + _caps(query)[2][1:]
+        lowered = [0] + _caps(EnumerationQuery.exact(k, l, constraints))[2][1:]
         for pos in range(last - 2, 0, -1):
             lowered[pos] = min(lowered[pos], lowered[pos + 1] - 1)
-        if caps is None:
-            caps = lowered
-        elif lowered != caps:
+        if caps not in (None, lowered):
             raise SetDomainError(f"the cells of row k={k} stream different heads")
-        walked.append(l)
+        caps = lowered
+    path = [0] * last
 
-    if walked:
-        path = [0] * last
+    def heads(pos: int, prev: int, mask: int, r: int) -> None:
+        if pos == last:
+            head = tuple(path)
+            state = on_head(head, mask)
+            for l in tops:
+                rl = r | mask << l
+                on_set(head, l, rl, rl.bit_count(), state)
+            return
+        for v in range(prev + 1, caps[pos] + 1):
+            path[pos] = v
+            heads(pos + 1, v, mask | 1 << v, r | mask << v)
 
-        def heads(pos: int, prev: int, mask: int, r: int) -> None:
-            if pos == last:
-                head = tuple(path)
-                state = on_head(head, mask)
-                for l in walked:
-                    rl = r | mask << l
-                    on_set(head, l, rl, rl.bit_count(), state)
-                return
-            for v in range(prev + 1, caps[pos] + 1):
-                path[pos] = v
-                heads(pos + 1, v, mask | 1 << v, r | mask << v)
-
-        heads(1, 0, 1, 0)
-    return cells
+    heads(1, 0, 1, 0)
 
 
 class Certificate:
@@ -549,31 +521,45 @@ def _finalize(
     )
 
 
-def _run_task(task: tuple[Callable[[tuple], object], int, object, int]) -> list[dict]:
-    fn, k, ls, per = task
-    if isinstance(ls, tuple):
-        return fn((k, ls, per))
-    return [fn((k, ls, per))]
+# fn(k, tops, walked, constraints): the findings of each top, walking those in walked
+_Finder = Callable[[int, tuple[int, ...], tuple[int, ...], tuple[str, ...]], list[dict]]
+
+
+def _run_task(task: tuple[_Finder, tuple[str, ...], int, tuple[int, ...], int]) -> list[dict]:
+    """Run (fn, constraints, k, tops, per): the dicts k, l, planned,
+    nodes, sets, truncated of the cells (k, l), l in tops, in order, each
+    with the findings ``fn`` gives for it.  Only here is a sweep's cell
+    counted from its plan and its walk decided.  A cell whose plan fits
+    the share ``per`` has the plan's counts; one over it is skipped and
+    counts nothing.  ``fn`` walks the tops that fit and stream a set."""
+    fn, constraints, k, tops, per = task
+    cells, walked = [], []
+    for l in tops:
+        planned, sets = _plan(EnumerationQuery.exact(k, l, constraints))
+        fits = planned <= per
+        cells.append({"k": k, "l": l, "planned": planned, "nodes": planned if fits else 0,
+                      "sets": sets if fits else 0, "truncated": not fits})
+        if fits and sets:
+            walked.append(l)
+    found = fn(k, tops, tuple(walked), constraints)
+    return [{**cell, **f} for cell, f in zip(cells, found, strict=True)]
 
 
 def _sweep(
-    tasks: list[tuple[Callable[[tuple], object], int, object]], budget: int, jobs: int
+    tasks: list[tuple[_Finder, tuple[str, ...], int, tuple[int, ...]]], budget: int, jobs: int
 ) -> tuple[list[dict], dict, list[str]]:
-    """Walk cell and row tasks, the budget split evenly among their
-    cells, and return the cell dicts in task order, their summed counts
-    (enumerated, nodes, truncated) and the budget notes for the
-    certificate's observations.  A budget below the number of cells is
-    refused: it cannot give every cell a node.
+    """Run tasks (fn, constraints, k, tops), the budget split evenly
+    among their cells (k, l), l in tops, and return the cell dicts in
+    task order, their summed counts (enumerated, nodes, truncated) and
+    the budget notes for the certificate's observations.  A budget below
+    the number of cells is refused: it cannot give every cell a node.
 
-    A task (fn, k, l) with an int l is one cell: ``fn((k, l, per))``
-    returns its dict.  A task (fn, k, tops) with a tuple of tops is a
-    row: ``fn((k, tops, per))`` returns the dicts of the cells (k, l),
-    l in tops, in order.  Every cell gets the same share ``per`` either
-    way, so grouping cells into rows changes no count.  A cell whose
-    plan exceeds its share is skipped, so the summed nodes never exceed
-    the budget.  The notes name each skipped cell, and the smallest
-    budget whose share fits every cell: the largest plan times the
-    number of cells.  A sweep that skips no cell has no notes.
+    :func:`_run_task` runs each task with the share ``per``, the same for
+    every cell, so grouping cells into rows changes no count; a cell
+    whose plan exceeds its share is skipped, so the summed nodes never
+    exceed the budget.  The notes name each skipped cell and the
+    smallest budget whose share fits every cell, the largest plan times
+    the number of cells; a sweep that skips no cell has none.
 
     With jobs > 1 the tasks run in a pool of ``jobs`` workers, sent one
     at a time: a cell's cost grows steeply with k, so batches of
@@ -581,13 +567,13 @@ def _sweep(
     """
     if jobs < 1:
         raise SetDomainError(f"jobs must be at least 1, got {jobs}")
-    n_cells = sum(len(ls) if isinstance(ls, tuple) else 1 for _fn, _k, ls in tasks)
+    n_cells = sum(len(tops) for _fn, _constraints, _k, tops in tasks)
     if budget < n_cells:
         raise SetDomainError(
             f"budget {budget} is below the box's {n_cells} cells; each cell needs a node"
         )
     per = budget // n_cells
-    sent = [(fn, k, ls, per) for fn, k, ls in tasks]
+    sent = [(*task, per) for task in tasks]
     if jobs > 1 and len(sent) > 1:
         # imported here: the pool's modules cost a serial run's start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -640,14 +626,14 @@ def _detached_top_rows(
 # The Freiman-Lev floor: one cell for the conjecture and theorems 2 and 3
 
 
-def _floor_cell(constraints: tuple[str, ...], args: tuple) -> dict:
-    """The cell (k, l) of a floor sweep under ``constraints``, walked with
-    the bound ``freiman_lev_bound(k, l)``: the walker's cell dict plus
-    ``bound``, ``below``, the (tuple, restricted size) pairs of the sets
-    under the bound, and ``at``, the tuples of the sets on it, both in
-    stream order.  The drivers judge these sets in their merge."""
-    k, l, per_budget = args
-    query = EnumerationQuery.exact(k, l, constraints, budget=per_budget)
+def _floor_cells(
+    k: int, tops: tuple[int, ...], walked: tuple[int, ...], constraints: tuple[str, ...]
+) -> list[dict]:
+    """The findings of the floor cell (k, l), l its task's one top,
+    walked with ``bound = freiman_lev_bound(k, l)``: ``below``, the
+    (tuple, restricted size) pairs of the sets under it, and ``at``, the
+    tuples of the sets on it, in stream order.  The drivers judge them."""
+    (l,) = tops
     bound = freiman_lev_bound(k, l)
     below: list[tuple[tuple[int, ...], int]] = []
     at: list[tuple[int, ...]] = []
@@ -658,8 +644,9 @@ def _floor_cell(constraints: tuple[str, ...], args: tuple) -> dict:
         else:
             at.append(tup)
 
-    cell = _walk_span(query, bound, leaf)
-    return {**cell, "bound": bound, "below": below, "at": at}
+    if walked:
+        _walk_span(EnumerationQuery.exact(k, l, constraints), bound, leaf)
+    return [{"bound": bound, "below": below, "at": at}]
 
 
 def _below_floor(tup: Sequence[int], n: int, bound: int) -> str:
@@ -688,9 +675,9 @@ def verify_conjecture(
         raise SetDomainError(
             f"conjecture sweep needs l_max >= 2*k_max-4 = {2 * k_max - 4}, got {l_max}"
         )
-    cell = functools.partial(_floor_cell, ("gcd_one",))
     results, counts, observations = _sweep(
-        [(cell, k, l) for k in range(3, k_max + 1) for l in range(k - 1, l_max + 1)],
+        [(_floor_cells, ("gcd_one",), k, (l,))
+         for k in range(3, k_max + 1) for l in range(k - 1, l_max + 1)],
         budget, jobs,
     )
     counterexamples: list[str] = []
@@ -721,27 +708,24 @@ def verify_conjecture(
 # Low second-largest element: the 3k-7 floor plus split identities
 
 
-def _low_second_row(args: tuple) -> list[dict]:
-    """The theorem 1 cells (k, l), l in tops, in order: the 3k-7 floor on
-    every set, and split_at's two identities on every set with a split
-    position.  The split position and the halves' head parts read only
-    the head, so the row finds them once per head
-    (``structure._split_head``) and checks each top on the walker's
-    restricted mask (``structure._split_top``)."""
-    from .structure import _split_head, _split_top, find_admissible_split
+def _low_second_row(
+    k: int, tops: tuple[int, ...], walked: tuple[int, ...], constraints: tuple[str, ...]
+) -> list[dict]:
+    """The findings of the theorem 1 cells (k, l), l in tops: the 3k-7
+    floor on every set, and split_at's two identities on every set with
+    a split position.  The split position and the halves' head parts
+    read only the head, so the row finds them once per head
+    (``_split_position``, ``_split_head``) and checks each top on the
+    walker's restricted mask (``_split_top``)."""
+    from .structure import _split_head, _split_position, _split_top
 
-    k, tops, per_budget = args
     bound = 3 * k - 7
     tight = dict.fromkeys(tops, 0)
     splits = dict.fromkeys(tops, 0)
     bad: dict[int, list[str]] = {l: [] for l in tops}
 
     def split_part(head: tuple[int, ...], head_mask: int) -> Optional[tuple]:
-        # s reads only the head; its k-2 values in [1, 2k-5] share no
-        # divisor, so any detached top makes a normalized set (0 first,
-        # gcd 1) that needs no re-validation
-        top = 2 * k
-        s = find_admissible_split(NormalizedSet._from_trusted(head + (top,), head_mask | 1 << top))
+        s = _split_position(head, k)
         return None if s is None else _split_head(head, head_mask, s)
 
     def on_set(head: tuple[int, ...], l: int, r: int, n: int, part: Optional[tuple]) -> None:
@@ -756,9 +740,8 @@ def _low_second_row(args: tuple) -> list[dict]:
             except RuntimeError as exc:
                 bad[l].append(f"{format_set_literal(head + (l,))}: {exc}")
 
-    cells = _walk_row(k, tops, _LOW_SECOND, per_budget, split_part, on_set)
-    return [{**c, "tight": tight[c["l"]], "splits": splits[c["l"]], "bad": bad[c["l"]]}
-            for c in cells]
+    _walk_row(k, walked, constraints, split_part, on_set)
+    return [{"tight": tight[l], "splits": splits[l], "bad": bad[l]} for l in tops]
 
 
 def verify_low_second_max(
@@ -776,7 +759,7 @@ def verify_low_second_max(
     t0 = time.monotonic()
     rows, top_cap = _detached_top_rows(k_min, k_max, cap)
     results, counts, notes = _sweep(
-        [(_low_second_row, k, tops) for k, tops in rows], budget, jobs
+        [(_low_second_row, _LOW_SECOND, k, tops) for k, tops in rows], budget, jobs
     )
     query = {
         "k_min": k_min,
@@ -819,9 +802,8 @@ def verify_dense_prefix(
 
     t0 = time.monotonic()
     rows, top_cap = _detached_top_rows(k_min, k_max, cap)
-    cell = functools.partial(_floor_cell, _DENSE)
     results, counts, observations = _sweep(
-        [(cell, k, l) for k, tops in rows for l in tops], budget, jobs
+        [(_floor_cells, _DENSE, k, (l,)) for k, tops in rows for l in tops], budget, jobs
     )
     counterexamples: list[str] = []
     missing: list[str] = []
@@ -881,6 +863,9 @@ def classify_extremal(k: int, l: int, *, budget: int = DEFAULT_BUDGET) -> tuple[
     if k < 4:
         raise SetDomainError(f"classification needs k >= 4, got k={k}")
     query = EnumerationQuery.exact(k, l, ("gcd_one",), budget=budget)
+    if _plan(query)[0] > budget:
+        # not walked: the enumerator raises at the node past the budget
+        raise BudgetExceeded(budget + 1)
     # 3k-7 at every span: for l <= 2k-5 the floor cell's bound is lower
     bound = 3 * k - 7
     out = []
@@ -890,9 +875,7 @@ def classify_extremal(k: int, l: int, *, budget: int = DEFAULT_BUDGET) -> tuple[
             # a leaf of a gcd_one walk: normalized without re-validation
             out.append(NormalizedSet._from_trusted(tup, mask))
 
-    if _walk_span(query, bound, leaf)["truncated"]:
-        # skipped whole: the enumerator raises at the node past the budget
-        raise BudgetExceeded(budget + 1)
+    _walk_span(query, bound, leaf)
     return tuple(out)
 
 
@@ -919,9 +902,9 @@ def verify_span_classification(
         raise SetDomainError(
             f"span classification sweeps 4 <= k_min <= k_max <= 12, got [{k_min}, {k_max}]"
         )
-    cell = functools.partial(_floor_cell, ("gcd_one",))
     results, counts, observations = _sweep(
-        [(cell, k, 2 * k - 3) for k in range(k_min, k_max + 1)], budget, jobs
+        [(_floor_cells, ("gcd_one",), k, (2 * k - 3,)) for k in range(k_min, k_max + 1)],
+        budget, jobs,
     )
     counterexamples: list[str] = []
     missing: list[str] = []
@@ -982,8 +965,10 @@ def verify_span_classification(
 # Structure sweep: every checker over its qualifying space
 
 
-def _structure_row(args: tuple) -> list[dict]:
-    """The structure cells (k, l), l in tops, in order.
+def _structure_row(
+    k: int, tops: tuple[int, ...], walked: tuple[int, ...], constraints: tuple[str, ...]
+) -> list[dict]:
+    """The findings of the structure cells (k, l), l in tops, in order.
 
     Every check reads only k and the head, the set minus its top l, so
     the row walker builds each head's context and runs its checks once
@@ -992,7 +977,6 @@ def _structure_row(args: tuple) -> list[dict]:
     """
     from .structure import _head_failures
 
-    k, tops, per_budget = args
     extremal = dict.fromkeys(tops, 0)
     bad: dict[int, list[str]] = {l: [] for l in tops}
 
@@ -1003,16 +987,19 @@ def _structure_row(args: tuple) -> list[dict]:
             lit = format_set_literal(head + (l,))
             bad[l].extend(f"{lit}: {msg}" for msg in fails)
 
-    cells = _walk_row(k, tops, _DENSE, per_budget, _head_failures, on_set)
-    return [{**c, "extremal": extremal[c["l"]], "bad": bad[c["l"]]} for c in cells]
+    _walk_row(k, walked, constraints, _head_failures, on_set)
+    return [{"extremal": extremal[l], "bad": bad[l]} for l in tops]
 
 
-def _witness_cell(args: tuple) -> dict:
-    from .structure import decompose, witness_profile
+def _witness_cell(
+    k: int, tops: tuple[int, ...], walked: tuple[int, ...], constraints: tuple[str, ...]
+) -> list[dict]:
+    """The findings of the witness cell (k, l), l its task's one top: at
+    most two witnesses, and the grid-orbit reconstruction of every
+    two-witness set, with the residue laws at span 2k-3."""
+    from .structure import _witness_mask, decompose, witness_profile
 
-    k, l, per_budget = args
-    query = EnumerationQuery.exact(k, l, ("gcd_one",), budget=per_budget)
-    span = (1 << (l + 1)) - 1
+    (l,) = tops
     extremal = pairs = 0
     bad: list[str] = []
     notes: list[str] = []
@@ -1022,7 +1009,7 @@ def _witness_cell(args: tuple) -> dict:
         # than two witnesses a set gives neither a finding nor a pair.
         # With the top placed, adding elements only removes candidates,
         # so a prefix with fewer than two has no set below it with two.
-        return (~(mask | r | r >> l) & span).bit_count() < 2
+        return _witness_mask(mask, r, l).bit_count() < 2
 
     def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
         nonlocal extremal, pairs
@@ -1064,8 +1051,9 @@ def _witness_cell(args: tuple) -> dict:
                                 f"by the half-grid"
                             )
 
-    cell = _walk_span(query, 2 * l, leaf, few_candidates)
-    return {**cell, "extremal": extremal, "pairs": pairs, "bad": bad, "notes": notes}
+    if walked:
+        _walk_span(EnumerationQuery.exact(k, l, constraints), 2 * l, leaf, few_candidates)
+    return [{"extremal": extremal, "pairs": pairs, "bad": bad, "notes": notes}]
 
 
 def sweep_structure(
@@ -1088,8 +1076,8 @@ def sweep_structure(
     t0 = time.monotonic()
     rows, top_cap = _detached_top_rows(k_min, k_max, cap)
     results, counts, notes = _sweep(
-        [(_structure_row, k, tops) for k, tops in rows]
-        + [(_witness_cell, k, l) for k in range(max(8, k_min), k_max + 1)
+        [(_structure_row, _DENSE, k, tops) for k, tops in rows]
+        + [(_witness_cell, ("gcd_one",), k, (l,)) for k in range(max(8, k_min), k_max + 1)
            for l in range(k - 1, 2 * k - 2)],
         budget, jobs,
     )

@@ -440,13 +440,14 @@ _CERTIFY = "import os; from sumset_lab.cli import main; main({!r} + ['--out', os
     ("import sumset_lab",
      {"sumset_lab.core", "sumset_lab.bounds", "sumset_lab.structure",
       "sumset_lab.families", "sumset_lab.verify", "sumset_lab.cli"}),
-    # the floor sweeps read only core's floor; theorem 3 reads families
-    # but not the structure check that only theorem 2's merge calls
+    # the floor sweeps read only core's floor; theorems 2 and 3 read
+    # families, whose shape check takes its regime test from core
     (_CERTIFY.format(["certify", "--theorem", "conjecture", "--k-max", "6"]),
      {"sumset_lab.structure", "sumset_lab.bounds"}),
     (_CERTIFY.format(["certify", "--theorem", "3", "--k-max", "6"]),
      {"sumset_lab.structure", "sumset_lab.bounds"}),
-    (_CERTIFY.format(["certify", "--theorem", "2", "--k-max", "6"]), {"sumset_lab.bounds"}),
+    (_CERTIFY.format(["certify", "--theorem", "2", "--k-max", "6"]),
+     {"sumset_lab.structure", "sumset_lab.bounds"}),
     (_CERTIFY.format(["certify", "--theorem", "1", "--k-max", "6"]), {"sumset_lab.bounds"}),
     (_CERTIFY.format(["certify", "--theorem", "lemmas", "--k-max", "8"]),
      {"sumset_lab.bounds"}),

@@ -2,10 +2,11 @@
 
 Every cell dict of the five drivers (the floor cell shared by the
 conjecture, dense-prefix and classification sweeps, and the theorem 1,
-structure and witness cells), and every classify_extremal result, must
-equal what a plain ``enumerate_tuples`` loop with the naive
-restricted-sumset oracle gives: node and set
-counts and findings in stream order.  A cell whose stream the budget
+structure and witness cells), run by the task runner that counts each
+cell and decides whether it is walked, and every classify_extremal
+result, must equal what a plain ``enumerate_tuples`` loop with the
+naive restricted-sumset oracle gives: node and set counts and findings
+in stream order.  A cell whose stream the budget
 cuts short (the enumerator raises) is skipped: it counts no node and no
 set, finds nothing, records its planned nodes, and classify_extremal
 raises at the node past its budget.  The walker itself must hand each
@@ -19,7 +20,6 @@ top) gives, and theorem 1's split check, made once per head and once
 per top, must give the halves and the messages ``split_at`` gives.
 """
 
-from functools import partial
 from math import gcd
 
 import pytest
@@ -57,8 +57,9 @@ from sumset_lab.verify import (
     enumerate_tuples,
     _walk_span,
     _detached_top_rows,
-    _floor_cell,
+    _floor_cells,
     _low_second_row,
+    _run_task,
     _structure_row,
     _sweep,
     _walk_row,
@@ -110,19 +111,21 @@ def plain_walk(k, l, constraints, budget, bound):
 
 @st.composite
 def walk_cases(draw):
-    """(k, l, constraints, budget, bound): bound 2l prunes nothing, a
-    smaller one prunes every subtree whose prefix already exceeds it."""
+    """(k, l, constraints, bound): bound 2l prunes nothing, a smaller one
+    prunes every subtree whose prefix already exceeds it."""
     k = draw(st.integers(min_value=3, max_value=8))
     l = draw(st.integers(min_value=k - 1, max_value=2 * k + 4))
     constraints = draw(st.sampled_from([(), ("gcd_one",), DENSE, LOW_SECOND]))
     bound = draw(st.one_of(st.just(2 * l), st.integers(min_value=0, max_value=2 * l - 1)))
-    return k, l, constraints, draw(budgets), bound
+    return k, l, constraints, bound
 
 
 @given(walk_cases())
 @settings(max_examples=120, deadline=None)
 def test_walker_hands_each_leaf_its_elements_and_restricted_mask(case):
-    k, l, constraints, budget, bound = case
+    # the walker takes no budget: it walks the whole cell, and the task
+    # runner decides whether it is walked
+    k, l, constraints, bound = case
     leaves = []
 
     def on_leaf(tup, mask, r, n):
@@ -131,9 +134,8 @@ def test_walker_hands_each_leaf_its_elements_and_restricted_mask(case):
         assert n == r.bit_count()
         leaves.append(tup)
 
-    cell = _walk_span(EnumerationQuery.exact(k, l, constraints, budget=budget), bound, on_leaf)
-    counts, low = plain_walk(k, l, constraints, budget, bound)
-    assert cell == {"k": k, "l": l, **counts}
+    assert _walk_span(EnumerationQuery.exact(k, l, constraints), bound, on_leaf) is None
+    _counts, low = plain_walk(k, l, constraints, 10**9, bound)
     assert leaves == [t for t, _n in low]
 
 
@@ -177,6 +179,17 @@ classification_cells = st.builds(
 )
 
 
+def floor_cell(constraints):
+    """The floor cell under ``constraints`` alone, as a function of (k, l,
+    budget): a task with the one top l, run by the task runner."""
+
+    def cell(args):
+        k, l, budget = args
+        return _run_task((_floor_cells, constraints, k, (l,), budget))[0]
+
+    return cell
+
+
 def floor_reference(constraints):
     """The floor cell under ``constraints`` by plain enumeration, as a
     function of (k, l, budget)."""
@@ -207,19 +220,19 @@ FLOOR_SWEEPS = [
 @given(conjecture_cells())
 @settings(max_examples=80, deadline=None)
 def test_conjecture_cell_matches_plain_enumeration(cell):
-    assert _floor_cell(("gcd_one",), cell) == floor_reference(("gcd_one",))(*cell)
+    assert floor_cell(("gcd_one",))(cell) == floor_reference(("gcd_one",))(*cell)
 
 
 @given(dense_cells())
 @settings(max_examples=80, deadline=None)
 def test_dense_prefix_cell_matches_plain_enumeration(cell):
-    assert _floor_cell(DENSE, cell) == floor_reference(DENSE)(*cell)
+    assert floor_cell(DENSE)(cell) == floor_reference(DENSE)(*cell)
 
 
 @given(classification_cells)
 @settings(max_examples=60, deadline=None)
 def test_classification_cell_matches_plain_enumeration(cell):
-    assert _floor_cell(("gcd_one",), cell) == floor_reference(("gcd_one",))(*cell)
+    assert floor_cell(("gcd_one",))(cell) == floor_reference(("gcd_one",))(*cell)
 
 
 @st.composite
@@ -257,13 +270,13 @@ def test_classify_extremal_matches_plain_enumeration(args):
 def low_second_cell(args):
     """One theorem 1 cell (k, l, budget) alone: a row with the one top l."""
     k, l, budget = args
-    return _low_second_row((k, (l,), budget))[0]
+    return _run_task((_low_second_row, LOW_SECOND, k, (l,), budget))[0]
 
 
 def structure_cell(args):
     """One structure cell (k, l, budget) alone: a row with the one top l."""
     k, l, budget = args
-    return _structure_row((k, (l,), budget))[0]
+    return _run_task((_structure_row, DENSE, k, (l,), budget))[0]
 
 
 @st.composite
@@ -398,7 +411,7 @@ ROWS = [
 @settings(max_examples=40, deadline=None)
 def test_structure_row_matches_lone_cells_and_plain_enumeration(row, budget):
     k, tops = row
-    got = _structure_row((k, tops, budget))
+    got = _run_task((_structure_row, DENSE, k, tops, budget))
     assert got == [structure_cell((k, l, budget)) for l in tops]
     assert got == [structure_reference(k, l, budget) for l in tops]
 
@@ -407,7 +420,7 @@ def test_structure_row_matches_lone_cells_and_plain_enumeration(row, budget):
 @settings(max_examples=40, deadline=None)
 def test_low_second_row_matches_lone_cells_and_plain_enumeration(row, budget):
     k, tops = row
-    got = _low_second_row((k, tops, budget))
+    got = _run_task((_low_second_row, LOW_SECOND, k, tops, budget))
     assert got == [low_second_cell((k, l, budget)) for l in tops]
     assert got == [low_second_reference(k, l, budget) for l in tops]
 
@@ -423,7 +436,7 @@ def test_rows_mixing_head_walked_and_lone_cells_match_plain_enumeration(data):
     pivot = data.draw(st.sampled_from(tops))
     planned = plain_sets(k, pivot, constraints, 10**9)[0]["planned"]
     for budget in (planned - 1, planned, planned + 1):
-        got = row_fn((k, tops, budget))
+        got = _run_task((row_fn, constraints, k, tops, budget))
         assert got == [cell_fn((k, l, budget)) for l in tops]
         assert got == [reference(k, l, budget) for l in tops]
 
@@ -451,7 +464,7 @@ def test_every_row_head_has_gcd_one(k, constraints):
     no_gcd = tuple(c for c in constraints if c != "gcd_one")
     want = [t[:-1] for t in enumerate_tuples(EnumerationQuery.exact(k, 2 * k - 2, no_gcd))]
     walked = []
-    _walk_row(k, (2 * k - 2, 2 * k + 1), constraints, 10**9,
+    _walk_row(k, (2 * k - 2, 2 * k + 1), constraints,
               lambda head, head_mask: walked.append(head),
               lambda head, l, r, n, state: None)
     assert walked == want
@@ -466,7 +479,7 @@ def test_row_walker_refuses_tops_with_different_heads():
     # without a detached top the heads depend on the top: (0, 3) is a
     # head at l = 5 and not at l = 3
     with pytest.raises(SetDomainError):
-        _walk_row(3, (3, 5), ("gcd_one",), 10**9, lambda head, head_mask: None,
+        _walk_row(3, (3, 5), ("gcd_one",), lambda head, head_mask: None,
                   lambda head, l, r, n, state: None)
 
 
@@ -476,9 +489,9 @@ def test_row_walker_refuses_tops_with_different_heads():
 def test_sweep_gives_row_cells_the_budget_share_of_lone_cells(k_max, budget):
     rows, _cap = _detached_top_rows(3, k_max, None)
     n_cells = sum(len(tops) for _k, tops in rows)
-    for row_fn, cell_fn, _reference, _constraints in ROWS:
-        row_tasks = [(row_fn, k, tops) for k, tops in rows]
-        cell_tasks = [(cell_fn, k, l) for k, tops in rows for l in tops]
+    for row_fn, _cell_fn, _reference, constraints in ROWS:
+        row_tasks = [(row_fn, constraints, k, tops) for k, tops in rows]
+        cell_tasks = [(row_fn, constraints, k, (l,)) for k, tops in rows for l in tops]
         if budget < n_cells:
             # too small to give each cell a node: both sides refuse it
             for tasks in (row_tasks, cell_tasks):
@@ -538,22 +551,72 @@ def witness_reference(k, l, budget):
     }
 
 
+def witness_cell(args):
+    """One witness cell (k, l, budget), run by the task runner."""
+    k, l, budget = args
+    return _run_task((_witness_cell, ("gcd_one",), k, (l,), budget))[0]
+
+
 @given(witness_cells())
 @settings(max_examples=60, deadline=None)
 def test_witness_cell_matches_plain_enumeration(cell):
-    assert _witness_cell(cell) == witness_reference(*cell)
+    assert witness_cell(cell) == witness_reference(*cell)
 
 
 # each driver cell with its plain-enumeration reference, its constraints
 # and a strategy for its (k, l), whose drawn budget is not used
 DRIVER_CELLS = [
-    *((partial(_floor_cell, constraints), floor_reference(constraints), constraints, cells)
+    *((floor_cell(constraints), floor_reference(constraints), constraints, cells)
       for constraints, cells in FLOOR_SWEEPS),
     (classify_cell, classify_reference, ("gcd_one",), classify_args()),
     (low_second_cell, low_second_reference, LOW_SECOND, low_second_cells()),
     (structure_cell, structure_reference, DENSE, dense_cells()),
-    (_witness_cell, witness_reference, ("gcd_one",), witness_cells()),
+    (witness_cell, witness_reference, ("gcd_one",), witness_cells()),
 ]
+
+
+# the cell functions, each with the constraints its sweep gives it, and
+# the findings of a top they do not walk
+FINDERS = [
+    (_floor_cells, ("gcd_one",), lambda k, l: {"bound": freiman_lev_bound(k, l),
+                                               "below": [], "at": []}),
+    (_floor_cells, DENSE, lambda k, l: {"bound": freiman_lev_bound(k, l),
+                                        "below": [], "at": []}),
+    (_low_second_row, LOW_SECOND, lambda k, l: {"tight": 0, "splits": 0, "bad": []}),
+    (_structure_row, DENSE, lambda k, l: {"extremal": 0, "bad": []}),
+    (_witness_cell, ("gcd_one",), lambda k, l: {"extremal": 0, "pairs": 0, "bad": [],
+                                                "notes": []}),
+]
+
+
+@given(st.integers(min_value=3, max_value=8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_task_runner_walks_exactly_the_tops_that_fit_and_stream_a_set(k, data):
+    # last_eq_2k_minus_3 rules out every top but 2k-3: those cells have
+    # planned nodes and no set, so they fit a large share and are not walked
+    constraints = data.draw(st.sampled_from(
+        [(), ("gcd_one",), DENSE, LOW_SECOND, ("gcd_one", "last_eq_2k_minus_3")]))
+    tops = tuple(data.draw(st.lists(st.integers(min_value=k - 1, max_value=2 * k + 4),
+                                    min_size=1, max_size=4)))
+    budget = data.draw(budgets)
+    handed = []
+
+    def fn(k_, tops_, walked, constraints_):
+        assert (k_, tops_, constraints_) == (k, tops, constraints)
+        handed.append(walked)
+        return [{"walked": l in walked} for l in tops_]
+
+    got = _run_task((fn, constraints, k, tops, budget))
+    counts = [plain_sets(k, l, constraints, budget)[0] for l in tops]
+    assert handed == [tuple(l for l, c in zip(tops, counts)
+                            if not c["truncated"] and c["sets"])]
+    assert got == [{"k": k, "l": l, **c, "walked": l in handed[0]}
+                   for l, c in zip(tops, counts)]
+    # each cell function finds nothing on a top it is not handed
+    detached = (2 * k - 2, 2 * k + 1)
+    for cell_fn, cell_constraints, empty in FINDERS:
+        row = detached[:1] if cell_fn in (_floor_cells, _witness_cell) else detached
+        assert cell_fn(k, row, (), cell_constraints) == [empty(k, l) for l in row]
 
 
 @given(st.data())

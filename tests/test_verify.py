@@ -105,12 +105,21 @@ def test_enumerate_sets_wrapping():
     assert sets[0].mask == 0b10011
 
 
+# only even elements allowed outside {1}: keeps 0,1,2,4,6; the same
+# without 0, which every normalized set holds; and three more
+MASKS = (0b1010111, 0b1010110, 0b1111110, 0b1111111, 0b1000001)
+
+
 def test_enumerate_mask_filter():
-    # only even elements allowed outside {1}: mask keeps 0,1,2,4,6
-    q = EnumerationQuery(3, 2, 6, mask=0b1010111)
-    tups = list(enumerate_tuples(q))
-    assert all(all(0b1010111 >> v & 1 for v in t) for t in tups)
-    assert (0, 1, 2) in tups and (0, 2, 3) not in tups
+    for mask in MASKS:
+        # streamed in lexicographic order of element lists, across the spans
+        want = sorted(t for l in range(2, 7) for t in enumerate_bruteforce(3, l)
+                      if all(mask >> v & 1 for v in t))
+        counter = [0]
+        assert list(enumerate_tuples(EnumerationQuery(3, 2, 6, mask=mask), counter)) == want
+        if not mask & 1:
+            # a mask without 0 admits no set: the enumerator visits no node
+            assert want == [] and counter == [0]
 
 
 BRUTE_GRID = [
