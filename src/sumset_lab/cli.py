@@ -32,9 +32,8 @@ from .core import (
     parse_set_literal,
     profile,
 )
-# bounds and structure load in the handlers that call them; the parser
-# reads FAMILY_KINDS and KNOWN_CONSTRAINTS when it is built
-from .families import FAMILY_KINDS, FamilySpec, extremal_catalog, family_members
+# bounds, structure and families load in the handlers that call them;
+# the parser reads KNOWN_CONSTRAINTS when it is built
 from .verify import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -269,7 +268,23 @@ def _cmd_analyze(args: argparse.Namespace, cfg: dict) -> int:
 # families
 
 
+class _FamilyKinds:
+    """The choices of ``families --kind``: the kinds of FAMILY_KINDS and
+    ``sporadic``, read from families only when the choices are checked
+    or printed, so a process that never does so does not load it."""
+
+    def __iter__(self):
+        from .families import FAMILY_KINDS
+
+        return iter(sorted(FAMILY_KINDS) + ["sporadic"])
+
+    def __contains__(self, name: object) -> bool:
+        return name in iter(self)
+
+
 def _cmd_families(args: argparse.Namespace, cfg: dict) -> int:
+    from .families import FAMILY_KINDS, FamilySpec, extremal_catalog, family_members
+
     if args.all == (args.kind is not None):
         print("sumset-lab families: error: give exactly one of --kind or --all",
               file=sys.stderr)
@@ -441,8 +456,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("families", parents=[common, readout],
                        help="extremal family members at one cardinality")
-    p.add_argument("--kind", choices=sorted(FAMILY_KINDS) + ["sporadic"],
-                   help="one family kind")
+    # choices set after add_argument, which would read them at once to
+    # check the option's metavar
+    p.add_argument("--kind", help="one family kind").choices = _FamilyKinds()
     p.add_argument("--k", type=int, required=True, help="cardinality")
     p.add_argument("--theta", type=int, default=None, help="family parameter")
     p.add_argument("--all", action="store_true",

@@ -29,12 +29,23 @@ A sweep plans a cell before walking it: a memo keyed by (position,
 previous value, gcd) gives the cell's node and gcd-1 set counts.  Only
 the task runner counts cells and decides, from the plan, which are
 walked; the walkers count no node, only look for findings and skip
-pruned subtrees outright.  A cell whose planned nodes fit is walked
-whole, hands each finding to the cell as it reaches it, in stream order,
-and has the counts of plain enumeration, so a full certificate matches
-plain enumeration byte for byte.  A cell over its budget is skipped: it
-walks no node, counts no node and no set, finds nothing, is marked
-truncated and records its planned nodes.  No cell is walked in part.
+pruned subtrees outright.  A cell whose planned nodes fit is walked,
+hands its findings to the cell in stream order, and has the counts of
+plain enumeration, so a full certificate matches plain enumeration byte
+for byte.  A cell over its budget is skipped: it walks no node, counts
+no node and no set, finds nothing, is marked truncated and records its
+planned nodes.  No cell is walked in part.
+
+The mirror A -> l - A keeps a set's gcd, span and restricted size, so a
+walked cell closed under it needs only the sets with a_1 + a_{k-2} <= l.
+Those are the cells whose constraints are gcd_one and the two that read
+only the top, and that pass no prune: the conjecture and span 2k-3
+floor cells and classify_extremal's.  Such a cell caps every position
+from a_1 on at what a_{k-2} <= l - a_1 leaves it, adds each finding's
+mirror unless a_1 + a_{k-2} = l (there the mirror is walked too), and
+hands the sorted findings over in stream order.  The dense-prefix,
+theorem 1 and structure cells cap low or interior positions, and the
+witness cells prune: all of them are walked whole.
 
 One driver path splits a sweep's budget evenly among its cells, runs
 its tasks in order (in a process pool when ``jobs > 1``) and sums their
@@ -298,6 +309,17 @@ def _plan(query: EnumerationQuery) -> tuple[int, int]:
     return subtree(1, 0, l)
 
 
+# The constraints that the mirror A -> l - A maps into themselves: the
+# mirror keeps a set's gcd and its top.  growth_a_i_lt_2i and
+# interior_lt_2k_minus_4 cap low or interior positions, which it moves.
+_MIRROR_CLOSED = frozenset({"gcd_one", "last_ge_2k_minus_2", "last_eq_2k_minus_3"})
+
+
+def _mirror_bits(bits: int, top: int) -> int:
+    """The mask of {top - x : x in bits}, for bits inside [0, top]."""
+    return int(f"{bits:0{top + 1}b}"[::-1], 2)
+
+
 def _walk_span(
     query: EnumerationQuery,
     bound: int,
@@ -326,6 +348,19 @@ def _walk_span(
     each element still to be placed adds a sum with the top that is
     larger than every sum already present: a set's restricted size is at
     least the prefix's plus the number of elements still to come.
+
+    A cell closed under the mirror A -> l - A is walked in half.  The
+    mirror keeps gcd, span and restricted size (2^(l-A) = 2l - 2^A), and
+    maps a_1 + a_{k-2} < l to a sum above l.  A cell is closed when its
+    constraints are among ``_MIRROR_CLOSED`` and it has no ``prune``,
+    which could judge a set and its mirror apart.  Such a cell walks
+    only the sets with a_{k-2} <= l - a_1: once a_1 = v is placed, each
+    later position j is capped at l - v - (k-2-j), so whole subtrees go.
+    Each finding with a_1 + a_{k-2} < l also gives its mirror's tuple,
+    mask and restricted mask, with the same n; a finding on the tie
+    a_1 + a_{k-2} = l has its mirror walked too (or is its own mirror),
+    and is not mirrored.  The findings are held, sorted and handed to
+    ``on_leaf`` in stream order, so a caller cannot tell the halves.
     """
     k, l = query.k, query.l_max
     lo, hi, his = _caps(query)
@@ -339,22 +374,43 @@ def _walk_span(
     # the elements on the current root-to-node path; the leaf's tuple
     path = [0] * k
     path[last] = l
+    halve = prune is None and k >= 3 and _MIRROR_CLOSED.issuperset(query.constraints)
+    caps = list(his)
+    held: list[tuple[tuple[int, ...], int, int, int]] = []
+    if halve:
+        # a_1 + (k-3) <= a_{k-2} <= l - a_1
+        caps[1] = min(his[1], (l - k + 3) // 2)
+
+    def hold(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
+        held.append((tup, mask, r, n))
+        if tup[1] + tup[-2] < l:
+            mirror = tuple(l - x for x in reversed(tup))
+            held.append((mirror, _mirror_bits(mask, l), _mirror_bits(r, 2 * l), n))
+
+    hand = hold if halve else on_leaf
 
     def find(pos: int, prev: int, g: int, mask: int, r: int) -> None:
         if pos == last:
             n = r.bit_count()
             if (not need_gcd or g == 1) and n <= bound:
-                on_leaf(tuple(path), mask, r, n)
+                hand(tuple(path), mask, r, n)
             return
         lim = lims[pos]
-        for v in range(prev + 1, his[pos] + 1):
+        lower = halve and pos == 1
+        for v in range(prev + 1, caps[pos] + 1):
             rv = r | mask << v
             if rv.bit_count() > lim or prune is not None and prune(mask | 1 << v, rv):
                 continue
             path[pos] = v
+            if lower:
+                for j in range(2, last):
+                    caps[j] = min(his[j], l - v - (last - 1 - j))
             find(pos + 1, v, gcd(g, v), mask | 1 << v, rv)
 
     find(1, 0, l, 1 | 1 << l, 1 << l)
+    held.sort()
+    for tup, mask, r, n in held:
+        on_leaf(tup, mask, r, n)
 
 
 def _walk_row(

@@ -433,6 +433,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 _CERTIFY = "import os; from sumset_lab.cli import main; main({!r} + ['--out', os.devnull])"
+# enumerate and classify print to stdout; no output line names a module
+_RUN = "from sumset_lab.cli import main; main({!r})"
 
 
 @pytest.mark.parametrize("code, absent", [
@@ -441,20 +443,27 @@ _CERTIFY = "import os; from sumset_lab.cli import main; main({!r} + ['--out', os
      {"sumset_lab.core", "sumset_lab.bounds", "sumset_lab.structure",
       "sumset_lab.families", "sumset_lab.verify", "sumset_lab.cli"}),
     # the floor sweeps read only core's floor; theorems 2 and 3 read
-    # families, whose shape check takes its regime test from core
+    # families, whose shape check takes its regime test from core.  The
+    # parser reads families' kind names only to check or print --kind.
     (_CERTIFY.format(["certify", "--theorem", "conjecture", "--k-max", "6"]),
-     {"sumset_lab.structure", "sumset_lab.bounds"}),
+     {"sumset_lab.structure", "sumset_lab.bounds", "sumset_lab.families"}),
     (_CERTIFY.format(["certify", "--theorem", "3", "--k-max", "6"]),
      {"sumset_lab.structure", "sumset_lab.bounds"}),
     (_CERTIFY.format(["certify", "--theorem", "2", "--k-max", "6"]),
      {"sumset_lab.structure", "sumset_lab.bounds"}),
-    (_CERTIFY.format(["certify", "--theorem", "1", "--k-max", "6"]), {"sumset_lab.bounds"}),
+    (_CERTIFY.format(["certify", "--theorem", "1", "--k-max", "6"]),
+     {"sumset_lab.bounds", "sumset_lab.families"}),
     (_CERTIFY.format(["certify", "--theorem", "lemmas", "--k-max", "8"]),
-     {"sumset_lab.bounds"}),
-], ids=["import", "conjecture", "theorem3", "theorem2", "theorem1", "lemmas"])
+     {"sumset_lab.bounds", "sumset_lab.families"}),
+    (_RUN.format(["enumerate", "--k", "5", "--l", "8"]),
+     {"sumset_lab.structure", "sumset_lab.bounds", "sumset_lab.families"}),
+    (_RUN.format(["classify", "--k", "6", "--l", "9"]),
+     {"sumset_lab.structure", "sumset_lab.bounds", "sumset_lab.families"}),
+], ids=["import", "conjecture", "theorem3", "theorem2", "theorem1", "lemmas", "enumerate",
+        "classify"])
 def test_each_command_loads_only_the_modules_it_calls(code, absent):
     loaded = {m for m in _loaded_modules(code) if m.startswith("sumset_lab")}
     assert "sumset_lab" in loaded
     assert not absent & loaded, sorted(absent & loaded)
-    if "certify" in code:
+    if "main(" in code:
         assert {"sumset_lab.cli", "sumset_lab.verify"} <= loaded

@@ -11,7 +11,9 @@ cuts short (the enumerator raises) is skipped: it counts no node and no
 set, finds nothing, records its planned nodes, and classify_extremal
 raises at the node past its budget.  The walker itself must hand each
 leaf the element tuple and restricted mask of its set, and its
-lookahead prune must hold on every prefix of a set.  Each cell must
+lookahead prune must hold on every prefix of a set.  A cell closed
+under the mirror A -> l - A, walked in half, must hand over the same
+leaves in the same order, mirrored findings included.  Each cell must
 also match at the budgets around its planned node count, where the
 walker switches between walking the cell whole and skipping it.  A
 theorem 1 or structure row, whose walked cells share one walk over
@@ -51,11 +53,13 @@ from sumset_lab.structure import (
     witness_profile,
 )
 from sumset_lab.verify import (
+    KNOWN_CONSTRAINTS,
     BudgetExceeded,
     EnumerationQuery,
     classify_extremal,
     enumerate_tuples,
     _walk_span,
+    _MIRROR_CLOSED,
     _detached_top_rows,
     _floor_cells,
     _low_second_row,
@@ -137,6 +141,71 @@ def test_walker_hands_each_leaf_its_elements_and_restricted_mask(case):
     assert _walk_span(EnumerationQuery.exact(k, l, constraints), bound, on_leaf) is None
     _counts, low = plain_walk(k, l, constraints, 10**9, bound)
     assert leaves == [t for t, _n in low]
+
+
+def mirror(tup):
+    """l - A, ascending."""
+    return tuple(tup[-1] - v for v in reversed(tup))
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_halved_walk_hands_over_every_leaf_of_plain_enumeration_in_order(k):
+    # both constraint sets are mirror-closed and no prune is passed, so
+    # every cell is walked in half and handed its findings' mirrors; the
+    # bound 2l makes every streamed set a finding
+    ties = self_mirrors = 0
+    for l in range(k - 1, 2 * k + 5):
+        for constraints in [(), ("gcd_one",)]:
+            query = EnumerationQuery.exact(k, l, constraints)
+            streamed = [(t, mask_of(t), mask_of(naive_restricted(t)))
+                        for t in enumerate_tuples(query)]
+            for bound in (freiman_lev_bound(k, l), 2 * l):
+                leaves = []
+                _walk_span(query, bound, lambda *leaf: leaves.append(leaf))
+                assert leaves == [
+                    (t, m, r, r.bit_count()) for t, m, r in streamed if r.bit_count() <= bound
+                ]
+            ties += sum(t[1] + t[-2] == l for t, _m, _r in streamed)
+            self_mirrors += sum(t == mirror(t) for t, _m, _r in streamed)
+    # the cells hold sets on the tie a_1 + a_{k-2} = l, which is every
+    # set that is its own mirror; for k <= 4 every tie is its own mirror
+    assert ties >= self_mirrors > 0
+    assert k <= 4 or ties > self_mirrors
+
+
+@pytest.mark.parametrize("k", range(4, 8))
+def test_a_prune_keeps_a_mirror_closed_cell_whole(k):
+    # a prune may judge a set and its mirror apart: this one cuts every
+    # prefix that holds 1, so a set without 1 whose mirror holds 1 is
+    # reached only by walking it
+    for l in range(k, 2 * k + 3):
+        query = EnumerationQuery.exact(k, l, ("gcd_one",))
+        leaves = []
+        _walk_span(query, 2 * l, lambda t, mask, r, n: leaves.append(t),
+                   lambda mask, r: mask & 2 != 0)
+        assert leaves == [t for t in enumerate_tuples(query) if 1 not in t]
+
+
+def closed_under_mirror(constraint):
+    """Whether every small cell under ``constraint`` alone holds the
+    mirror of each of its sets."""
+    return all(
+        {mirror(t) for t in sets} == sets
+        for k in range(3, 9)
+        for l in range(k - 1, 2 * k + 3)
+        for sets in [set(enumerate_tuples(EnumerationQuery.exact(k, l, (constraint,))))]
+    )
+
+
+@pytest.mark.parametrize("constraint", KNOWN_CONSTRAINTS)
+def test_walker_halves_only_under_mirror_closed_constraints(constraint):
+    # a constraint that caps low or interior positions (the growth and
+    # interior caps, or a floor on the second-largest element) is not
+    # closed under A -> l - A, and a cell under it must be walked whole
+    assert (constraint in _MIRROR_CLOSED) == closed_under_mirror(constraint)
+    assert (constraint in _MIRROR_CLOSED) == (
+        constraint not in ("growth_a_i_lt_2i", "interior_lt_2k_minus_4")
+    )
 
 
 @st.composite

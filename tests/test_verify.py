@@ -1,5 +1,6 @@
 """Enumeration engine, certificates, and verification drivers."""
 
+import hashlib
 import json
 import os
 import re
@@ -233,6 +234,10 @@ def test_verify_conjecture_k10_frozen():
     assert len(cert.observations) == 20
 
 
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_verify_conjecture_k12_frozen():
     # counts from the stream-order walker, before cells took them from a plan
     cert = verify_conjecture(12, 28, budget=10**11)
@@ -241,8 +246,13 @@ def test_verify_conjecture_k12_frozen():
         "enumerated": 46278693, "extremal": 9373, "nodes": 117412065, "truncated": False,
     }
     assert len(cert.observations) == 29
+    # the findings too, each below-threshold set in its line: digests
+    # computed before the conjecture cells were walked in half
+    assert _digest(cert.observations) == (
+        "6106e2aa1838bbe5d73f7f242ea926ab1909cc64aa2fc5243e06d358b5ac74ad"
+    )
     # the default budget gives each of the 225 cells 1/225 of 10^9 nodes:
-    # most cells fit their share and are walked whole, and the 8 largest
+    # most cells fit their share and are walked, and the 8 largest
     # are skipped and named with the budget that walks every cell
     cert = verify_conjecture(12, 28)
     assert cert.outcome == "budget_exhausted"
@@ -258,6 +268,9 @@ def test_verify_conjecture_k12_frozen():
         "budget: cell k=12 l=28 skipped, 21559394 planned nodes over its share 4444444"
     )
     assert len(budget_notes) == 9
+    assert _digest(cert.observations) == (
+        "96e092d2225ed18be77af46339b39dd0a42f6e7e23a20ecb29a4a3524521b2a9"
+    )
 
 
 def test_verify_conjecture_validation():
