@@ -32,6 +32,7 @@ from .core import (
     IntegerSet,
     NormalizedSet,
     SetDomainError,
+    _split_position,
     double_mask,
     elements_of,
     exceptional_mask,
@@ -578,74 +579,6 @@ class SplitTriple(NamedTuple):
     card_restricted: int
 
 
-def _split_head(head: tuple[int, ...], head_mask: int, s: int) -> tuple:
-    """The part of the split check at position s that reads only the head.
-
-    ``head`` is the k-set minus its top, ascending, and ``head_mask``
-    its bit mask.  Raises SetDomainError unless 1 <= s <= k-2,
-    a_{s-1} = 2s-2 and a_s = 2s-1.  Returns what :func:`_split_top`
-    needs for every top: the head, s, the left half's mask and
-    restricted mask, the right half's mask and restricted mask without
-    the top, and the expected overlap as a fixed part and a part shifted
-    by the top.  When s = k-2 the left half is the whole set, and its
-    third element a_{s+1} is the top: then the left half's mask lacks
-    the top, its restricted mask is None, and two of the three shared
-    pairwise sums move with the top.
-    """
-    k = len(head) + 1
-    if not 1 <= s <= k - 2:
-        raise SetDomainError(f"split position must satisfy 1 <= s <= k-2, got s={s}")
-    a, b = head[s - 1], head[s]
-    if a != 2 * s - 2 or b != 2 * s - 1:
-        raise SetDomainError(
-            f"split needs a_{s - 1}={2 * s - 2} and a_{s}={2 * s - 1}, got {a} and {b}"
-        )
-    # the right half is the elements from a_{s-1}, up to the top
-    right_mask = head_mask >> a << a
-    right_restricted = restricted_mask(right_mask, head[s - 1 :])
-    pair = 1 << a | 1 << b
-    if s == k - 2:
-        return head, s, head_mask, None, right_mask, right_restricted, 1 << a + b, pair
-    # the left half is the elements up to a_{s+1}
-    c = head[s + 1]
-    left_mask = head_mask & (2 << c) - 1
-    left_restricted = restricted_mask(left_mask, head[: s + 2])
-    return (head, s, left_mask, left_restricted, right_mask, right_restricted,
-            1 << a + b | pair << c, 0)
-
-
-def _split_top(part: tuple, l: int, r: int, n_full: int) -> tuple[int, int, int, int, int]:
-    """Check the split whose head part is ``part`` (from :func:`_split_head`)
-    on the set with top l, restricted mask r and |2^A| = n_full, and
-    return (left mask, right mask, overlap mask, |2^left|, |2^right|).
-
-    Raises RuntimeError when the overlap of the halves' restricted
-    sumsets is not their three shared pairwise sums, or when n_full is
-    below |2^left| + |2^right| - 3.
-    """
-    head, s, left_mask, left_restricted, right_mask, right_restricted, fixed, moving = part
-    right_restricted |= right_mask << l
-    right_mask |= 1 << l
-    if left_restricted is None:
-        # s = k-2: the left half is the whole set
-        left_mask |= 1 << l
-        left_restricted = r
-    overlap = left_restricted & right_restricted
-    if overlap != fixed | moving << l:
-        raise RuntimeError(
-            f"overlap identity failed at s={s} for {head + (l,)}: "
-            f"the restricted overlaps are not the three shared pairwise sums"
-        )
-    n_left = left_restricted.bit_count()
-    n_right = right_restricted.bit_count()
-    lower = n_left + n_right - 3
-    if n_full < lower:
-        raise RuntimeError(
-            f"additive split bound failed at s={s} for {head + (l,)}: {n_full} < {lower}"
-        )
-    return left_mask, right_mask, overlap, n_left, n_right
-
-
 def split_at(a: NormalizedSet, s: int) -> SplitTriple:
     """Split ``a`` at position s, where a_{s-1} = 2s-2 and a_s = 2s-1.
 
@@ -653,30 +586,59 @@ def split_at(a: NormalizedSet, s: int) -> SplitTriple:
     a restricted sum of the right part uses only the three shared
     elements, so the overlap of the two restricted sumsets is exactly
     their three pairwise sums.  Both identities are re-verified here
-    and a RuntimeError flags any counterexample.
+    and a RuntimeError flags any counterexample: the overlap identity,
+    and |2^A| >= |2^left| + |2^right| - 3.  When s = k-2 the left half
+    is the whole set, and its third shared element a_{s+1} is the top.
     """
     elems = a.elements
+    k = len(elems)
+    if not 1 <= s <= k - 2:
+        raise SetDomainError(f"split position must satisfy 1 <= s <= k-2, got s={s}")
+    lo, hi = elems[s - 1], elems[s]
+    if lo != 2 * s - 2 or hi != 2 * s - 1:
+        raise SetDomainError(
+            f"split needs a_{s - 1}={2 * s - 2} and a_{s}={2 * s - 1}, got {lo} and {hi}"
+        )
     top = elems[-1]
     r = restricted_mask(a.mask, elems)
     n_full = r.bit_count()
-    part = _split_head(elems[:-1], a.mask ^ 1 << top, s)
-    left_mask, right_mask, overlap, n_left, n_right = _split_top(part, top, r, n_full)
     left = elems[: s + 2]
     right = elems[s - 1 :]
-    shift = elems[s - 1]
-    shifted = tuple(v - shift for v in right)
+    c = left[-1]
+    left_mask = a.mask & (2 << c) - 1
+    left_restricted = r if s == k - 2 else restricted_mask(left_mask, left)
+    # the right half's sums without the top, then the top's sums with
+    # them, as the theorem 1 row builds them once per head for all its
+    # tops: both read the head part from the same kernel call
+    right_head_mask = (a.mask ^ 1 << top) >> lo << lo
+    right_mask = right_head_mask | 1 << top
+    right_restricted = restricted_mask(right_head_mask, right[:-1]) | right_head_mask << top
+    overlap = left_restricted & right_restricted
+    if overlap != 1 << lo + hi | 1 << lo + c | 1 << hi + c:
+        raise RuntimeError(
+            f"overlap identity failed at s={s} for {elems}: "
+            f"the restricted overlaps are not the three shared pairwise sums"
+        )
+    n_left = left_restricted.bit_count()
+    n_right = right_restricted.bit_count()
+    lower = n_left + n_right - 3
+    if n_full < lower:
+        raise RuntimeError(
+            f"additive split bound failed at s={s} for {elems}: {n_full} < {lower}"
+        )
+    shifted = tuple(v - lo for v in right)
     return SplitTriple(
         s=s,
         left=IntegerSet._from_trusted(left, left_mask),
         right=IntegerSet._from_trusted(right, right_mask),
         # starts 0, 1 by the premise a_s = a_{s-1} + 1, so it has gcd 1
-        right_shifted=NormalizedSet._from_trusted(shifted, right_mask >> shift),
+        right_shifted=NormalizedSet._from_trusted(shifted, right_mask >> lo),
         overlap=IntegerSet.from_mask(overlap),
         k1=len(left),
         k2=len(right),
         card_left=n_left,
         card_right=n_right,
-        lower_bound=n_left + n_right - 3,
+        lower_bound=lower,
         card_restricted=n_full,
     )
 
@@ -701,13 +663,3 @@ def find_admissible_split(a: NormalizedSet) -> Optional[int]:
         )
     return _split_position(elems, k)
 
-
-def _split_position(elems: tuple[int, ...], k: int) -> Optional[int]:
-    """One more than the largest i in [1, k-3] with a_i >= 2i, or None:
-    the split position of :func:`find_admissible_split`, read from
-    a_1..a_{k-3} of ``elems`` alone, so a head (the set minus its top)
-    gives it too."""
-    for i in range(k - 3, 0, -1):
-        if elems[i] >= 2 * i:
-            return i + 1
-    return None

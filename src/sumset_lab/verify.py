@@ -57,12 +57,13 @@ constraints, k and a tuple of tops: one top for a floor or witness
 cell, or every detached top of one k for a row.  The function walks the
 tops it is handed and returns only findings, one entry per top.  A
 row's cells stream the same heads (the set minus its top), so its
-walked cells share one walk over the heads: at each head's leaf the
-per-head work runs once, and each top costs one shift-or and one
-popcount.
-Theorem 1 and the structure sweep run their cells as rows: the split
-position and the halves of the split, and every structural check,
-depend only on k and the head.  The conjecture and theorems 2 and 3
+walked cells share one walk over the heads.  The row's function runs
+once per head: it does the per-head work, then loops the tops inline,
+each top costing one shift-or and one popcount, with no call per set.
+Theorem 1 and the structure sweep run their cells as rows.  Every
+structural check reads only k and the head, and so do theorem 1's split
+position and, below s = k-2, its left half and overlap identity, which
+no sum with the top can reach.  The conjecture and theorems 2 and 3
 share one cell function, which walks with the Freiman-Lev floor
 ``freiman_lev_bound(k, l)`` and returns the sets below and on it; each
 of the three drivers judges those sets in its merge.  On top of the
@@ -102,9 +103,11 @@ from .core import (
     IntegerSet,
     NormalizedSet,
     SetDomainError,
+    _split_position,
     format_set_literal,
     freiman_lev_bound,
     mask_of,
+    restricted_mask,
 )
 
 # structure and families load in the functions that use them, so a
@@ -417,20 +420,18 @@ def _walk_row(
     k: int,
     tops: Sequence[int],
     constraints: tuple[str, ...],
-    on_head: Callable[[tuple[int, ...], int], object],
-    on_set: Callable[[tuple[int, ...], int, int, int, object], None],
+    on_head: Callable[[tuple[int, ...], int, list[int]], None],
 ) -> None:
-    """Walk the detached-top cells (k, l), l in ``tops``, in one walk
-    over their heads, in lexicographic order.
-
-    Every set a cell streams is handed to ``on_set(head, l, r, n,
-    state)``: ``head`` is the set minus its top l, ``r`` the set's
-    restricted mask and n its popcount.  ``state`` is what
-    ``on_head(head, head_mask)`` returned on that head and its mask, so
-    it depends on the head only.  Each cell sees its sets in stream
-    order, as :func:`_walk_span` with bound 2l would hand them.  At each
-    head's leaf ``on_head`` runs once, and each top costs one shift-or
-    (r = r_head | head_mask << l) and one popcount.  Like the span
+    """Walk the heads of the detached-top cells (k, l), l in ``tops``, in
+    lexicographic order, calling ``on_head(head, head_mask, rs)`` at
+    each.  ``head`` is a set minus its top, ``head_mask`` its bit mask
+    and ``rs[i]`` the restricted mask of its prefix a_0..a_i, which the
+    walk builds as it places a_i; ``rs[-1]`` is the head's own.  ``rs``
+    is the walk's list, valid only during the call.  Every cell streams
+    every head, so ``on_head`` loops the tops itself: with top l the set
+    has restricted mask ``rs[-1] | head_mask << l``, one shift-or and
+    one popcount per set, and each cell sees its sets in stream order,
+    as :func:`_walk_span` with bound 2l would hand them.  Like the span
     walker, it counts nothing.
 
     The walk takes no gcd: under both detached-top constraints every
@@ -464,18 +465,16 @@ def _walk_row(
             raise SetDomainError(f"the cells of row k={k} stream different heads")
         caps = lowered
     path = [0] * last
+    rs = [0] * last
 
     def heads(pos: int, prev: int, mask: int, r: int) -> None:
         if pos == last:
-            head = tuple(path)
-            state = on_head(head, mask)
-            for l in tops:
-                rl = r | mask << l
-                on_set(head, l, rl, rl.bit_count(), state)
+            on_head(tuple(path), mask, rs)
             return
         for v in range(prev + 1, caps[pos] + 1):
             path[pos] = v
-            heads(pos + 1, v, mask | 1 << v, r | mask << v)
+            rv = rs[pos] = r | mask << v
+            heads(pos + 1, v, mask | 1 << v, rv)
 
     heads(1, 0, 1, 0)
 
@@ -769,35 +768,88 @@ def _low_second_row(
 ) -> list[dict]:
     """The findings of the theorem 1 cells (k, l), l in tops: the 3k-7
     floor on every set, and split_at's two identities on every set with
-    a split position.  The split position and the halves' head parts
-    read only the head, so the row finds them once per head
-    (``_split_position``, ``_split_head``) and checks each top on the
-    walker's restricted mask (``_split_top``)."""
-    from .structure import _split_head, _split_position, _split_top
+    a split position.  Each head's sets are checked in one pass over its
+    tops, with no call per set.
 
+    The split position s reads only the head.  The left half is the
+    prefix a_0..a_{s+1} and the right half the elements from a_{s-1} up,
+    the top included.  For s <= k-3 the left half lies in the head, so
+    its restricted mask is the walk's ``rs[s+1]``, and its sums are at
+    most a_s + a_{s+1} <= (2s-1) + (2k-5) = 2k+2s-6.  Every sum of the
+    top with the right half is at least l + a_{s-1} >= 2k+2s-4, so none
+    of them meets the left half: the overlap identity and |2^left| are
+    checked once per head, and each top costs one popcount for
+    |2^right| and the additive bound.  For s = k-2 the left half is the
+    whole set and its third shared element is the top, so both
+    identities are checked per top.  A set that fails is handed to
+    ``structure.split_at``, whose message the entry records
+    (``_split_failure``); every set with a split position counts in
+    ``splits``."""
     bound = 3 * k - 7
     tight = dict.fromkeys(tops, 0)
-    splits = dict.fromkeys(tops, 0)
     bad: dict[int, list[str]] = {l: [] for l in tops}
+    split_heads = 0
 
-    def split_part(head: tuple[int, ...], head_mask: int) -> Optional[tuple]:
+    def on_head(head: tuple[int, ...], head_mask: int, rs: list[int]) -> None:
+        nonlocal split_heads
+        r_head = rs[-1]
+        sizes = [(r_head | head_mask << l).bit_count() for l in walked]
+        if min(sizes) <= bound:
+            for l, n in zip(walked, sizes):
+                if n < bound:
+                    bad[l].append(_below_floor(head + (l,), n, bound))
+                elif n == bound:
+                    tight[l] += 1
         s = _split_position(head, k)
-        return None if s is None else _split_head(head, head_mask, s)
+        if s is None:
+            return
+        split_heads += 1
+        lo, hi = head[s - 1], head[s]
+        # the right half's mask and restricted mask without the top
+        right_mask = head_mask >> lo << lo
+        right_r = restricted_mask(right_mask, head[s - 1 :])
+        if s < k - 2:
+            c = head[s + 1]
+            left_r = rs[s + 1]
+            if left_r & right_r != 1 << lo + hi | 1 << lo + c | 1 << hi + c:
+                for l in walked:
+                    bad[l].append(_split_failure(head + (l,), s))
+                return
+            n_left = left_r.bit_count()
+            for l, n in zip(walked, sizes):
+                if n < n_left + (right_r | right_mask << l).bit_count() - 3:
+                    bad[l].append(_split_failure(head + (l,), s))
+        else:
+            # the shared sums are a_{k-3} + a_{k-2} and both with the
+            # top; |2^left| = n, so the bound asks |2^right| <= 3
+            fixed = 1 << lo + hi
+            for l in walked:
+                right_l = right_r | right_mask << l
+                overlap = (r_head | head_mask << l) & right_l
+                if overlap != fixed | right_mask << l or right_l.bit_count() > 3:
+                    bad[l].append(_split_failure(head + (l,), s))
 
-    def on_set(head: tuple[int, ...], l: int, r: int, n: int, part: Optional[tuple]) -> None:
-        if n < bound:
-            bad[l].append(_below_floor(head + (l,), n, bound))
-        elif n == bound:
-            tight[l] += 1
-        if part is not None:
-            splits[l] += 1
-            try:
-                _split_top(part, l, r, n)
-            except RuntimeError as exc:
-                bad[l].append(f"{format_set_literal(head + (l,))}: {exc}")
+    _walk_row(k, walked, constraints, on_head)
+    return [{"tight": tight[l], "splits": split_heads if l in walked else 0, "bad": bad[l]}
+            for l in tops]
 
-    _walk_row(k, walked, constraints, split_part, on_set)
-    return [{"tight": tight[l], "splits": splits[l], "bad": bad[l]} for l in tops]
+
+def _split_failure(tup: tuple[int, ...], s: int) -> str:
+    """The entry of a theorem 1 set whose split check at s failed in the
+    row: ``split_at``'s message, the one source of the identities and
+    their wording.  Raises AssertionError if ``split_at`` passes the
+    set, as then the row and ``split_at`` disagree."""
+    from .structure import split_at
+
+    try:
+        # a leaf of a gcd_one walk: normalized without re-validation
+        split_at(NormalizedSet._from_trusted(tup, mask_of(tup)), s)
+    except RuntimeError as exc:
+        return f"{format_set_literal(tup)}: {exc}"
+    raise AssertionError(
+        f"the theorem 1 row fails the split of {format_set_literal(tup)} at s={s}, "
+        f"which split_at passes"
+    )
 
 
 def verify_low_second_max(
@@ -1033,17 +1085,22 @@ def _structure_row(
     """
     from .structure import _head_failures
 
+    extremal_size = 3 * k - 7
     extremal = dict.fromkeys(tops, 0)
     bad: dict[int, list[str]] = {l: [] for l in tops}
 
-    def on_set(head: tuple[int, ...], l: int, r: int, n: int, fails: tuple[str, ...]) -> None:
-        if n == 3 * k - 7:
-            extremal[l] += 1
+    def on_head(head: tuple[int, ...], head_mask: int, rs: list[int]) -> None:
+        r_head = rs[-1]
+        for l in walked:
+            if (r_head | head_mask << l).bit_count() == extremal_size:
+                extremal[l] += 1
+        fails = _head_failures(head, head_mask)
         if fails:
-            lit = format_set_literal(head + (l,))
-            bad[l].extend(f"{lit}: {msg}" for msg in fails)
+            for l in walked:
+                lit = format_set_literal(head + (l,))
+                bad[l].extend(f"{lit}: {msg}" for msg in fails)
 
-    _walk_row(k, walked, constraints, _head_failures, on_set)
+    _walk_row(k, walked, constraints, on_head)
     return [{"extremal": extremal[l], "bad": bad[l]} for l in tops]
 
 

@@ -442,9 +442,11 @@ _RUN = "from sumset_lab.cli import main; main({!r})"
     ("import sumset_lab",
      {"sumset_lab.core", "sumset_lab.bounds", "sumset_lab.structure",
       "sumset_lab.families", "sumset_lab.verify", "sumset_lab.cli"}),
-    # the floor sweeps read only core's floor; theorems 2 and 3 read
-    # families, whose shape check takes its regime test from core.  The
-    # parser reads families' kind names only to check or print --kind.
+    # the floor sweeps read only core's floor, and theorem 1 its split
+    # position (structure's split_at runs only on a set that fails);
+    # theorems 2 and 3 read families, whose shape check takes its regime
+    # test from core.  The parser reads families' kind names only to
+    # check or print --kind.
     (_CERTIFY.format(["certify", "--theorem", "conjecture", "--k-max", "6"]),
      {"sumset_lab.structure", "sumset_lab.bounds", "sumset_lab.families"}),
     (_CERTIFY.format(["certify", "--theorem", "3", "--k-max", "6"]),
@@ -452,7 +454,7 @@ _RUN = "from sumset_lab.cli import main; main({!r})"
     (_CERTIFY.format(["certify", "--theorem", "2", "--k-max", "6"]),
      {"sumset_lab.structure", "sumset_lab.bounds"}),
     (_CERTIFY.format(["certify", "--theorem", "1", "--k-max", "6"]),
-     {"sumset_lab.bounds", "sumset_lab.families"}),
+     {"sumset_lab.structure", "sumset_lab.bounds", "sumset_lab.families"}),
     (_CERTIFY.format(["certify", "--theorem", "lemmas", "--k-max", "8"]),
      {"sumset_lab.bounds", "sumset_lab.families"}),
     (_RUN.format(["enumerate", "--k", "5", "--l", "8"]),

@@ -18,8 +18,9 @@ also match at the budgets around its planned node count, where the
 walker switches between walking the cell whole and skipping it.  A
 theorem 1 or structure row, whose walked cells share one walk over
 their heads, must give each cell the dict a lone cell (a row with one
-top) gives, and theorem 1's split check, made once per head and once
-per top, must give the halves and the messages ``split_at`` gives.
+top) gives.  Theorem 1's split check, made once per head below
+s = k-2 and once per top at it, must read ``split_at``'s halves off the
+walk, and record the message ``split_at`` gives on every set it fails.
 """
 
 from math import gcd
@@ -31,12 +32,10 @@ from hypothesis import strategies as st
 
 from sumset_lab.bounds import freiman_lev_bound
 from sumset_lab.core import (
-    NormalizedSet, SetDomainError, elements_of, mask_of, restricted_mask,
+    NormalizedSet, SetDomainError, _split_position, elements_of, mask_of, restricted_mask,
 )
-from sumset_lab import structure
+from sumset_lab import structure, verify
 from sumset_lab.structure import (
-    _split_head,
-    _split_top,
     check_exceptional_points,
     decompose,
     diff3_exception_case,
@@ -534,8 +533,7 @@ def test_every_row_head_has_gcd_one(k, constraints):
     want = [t[:-1] for t in enumerate_tuples(EnumerationQuery.exact(k, 2 * k - 2, no_gcd))]
     walked = []
     _walk_row(k, (2 * k - 2, 2 * k + 1), constraints,
-              lambda head, head_mask: walked.append(head),
-              lambda head, l, r, n, state: None)
+              lambda head, head_mask, rs: walked.append(head))
     assert walked == want
     for head in walked:
         g = 0
@@ -548,8 +546,7 @@ def test_row_walker_refuses_tops_with_different_heads():
     # without a detached top the heads depend on the top: (0, 3) is a
     # head at l = 5 and not at l = 3
     with pytest.raises(SetDomainError):
-        _walk_row(3, (3, 5), ("gcd_one",), lambda head, head_mask: None,
-                  lambda head, l, r, n, state: None)
+        _walk_row(3, (3, 5), ("gcd_one",), lambda head, head_mask, rs: None)
 
 
 @given(st.integers(min_value=3, max_value=7),
@@ -700,93 +697,122 @@ def test_cells_match_plain_enumeration_on_both_sides_of_the_plan(data):
         assert fn((k, l, budget)) == reference(k, l, budget)
 
 
-def split_parts(t, s, n):
-    """The per-head, then per-top split check of the set t at s, with
-    |2^A| given as n."""
-    l = t[-1]
-    head_mask = NormalizedSet(t).mask ^ 1 << l
-    r = restricted_mask(NormalizedSet(t).mask, t)
-    return _split_top(_split_head(t[:-1], head_mask, s), l, r, n)
-
-
-# every set of a theorem 1 box with a split position, k <= 8
+# every set of a theorem 1 box with a split position, k <= 6
 SPLITTABLE = tuple(
     t
-    for k in range(4, 9)
+    for k in range(4, 7)
     for l in range(2 * k - 2, 2 * k + 3)
     for t, _n in plain_sets(k, l, LOW_SECOND, 10**9)[1]
     if find_admissible_split(NormalizedSet(t)) is not None
 )
 
 
-@given(st.sampled_from(SPLITTABLE))
-@settings(max_examples=80, deadline=None)
-def test_split_check_fails_with_the_message_split_at_gives(t):
-    ns = NormalizedSet(t)
-    s = find_admissible_split(ns)
-    split = split_at(ns, s)
-    assert split_parts(t, s, split.card_restricted) == (
-        split.left.mask, split.right.mask, split.overlap.mask,
-        split.card_left, split.card_right,
-    )
-    short = split.lower_bound - 1
-    with pytest.raises(RuntimeError) as from_check:
-        split_parts(t, s, short)
-    message = f"additive split bound failed at s={s} for {t}: {short} < {split.lower_bound}"
-    assert str(from_check.value) == message
-    if s == len(t) - 2:
-        return  # the left half is the whole set: no way to cut only |2^A|
-    real = structure.restricted_mask
+def test_split_check_fails_with_the_message_split_at_gives():
+    # the row and split_at compute the right half's restricted mask
+    # without the top by core's kernel; faulting it for one set's right
+    # half, both ways, must make the row record split_at's message on
+    # exactly the sets split_at fails: dropping the shared sum
+    # a_{s-1} + a_s breaks the overlap identity, and one sum more than
+    # |2^A| leaves room for, placed above 2l, breaks only the bound
+    by_s = {"s = k-2": 0, "s < k-2": 0}
+    for t in SPLITTABLE:
+        k, l = len(t), t[-1]
+        ns = NormalizedSet(t)
+        s = find_admissible_split(ns)
+        split = split_at(ns, s)
+        lo, hi = t[s - 1], t[s]
+        right_head_mask = mask_of(t[s - 1:-1])
+        spare = split.card_restricted - split.lower_bound
+        faults = {
+            f"overlap identity failed at s={s} for {t}: "
+            f"the restricted overlaps are not the three shared pairwise sums":
+                lambda m: m & ~(1 << lo + hi),
+            f"additive split bound failed at s={s} for {t}: "
+            f"{split.card_restricted} < {split.card_restricted + 1}":
+                lambda m: m | ((2 << spare) - 1) << 2 * l + 1,
+        }
+        for message, fault in faults.items():
+            real = structure.restricted_mask
 
-    def cut_whole_set(mask, elems):
-        # the whole set's restricted sumset shrunk to lower_bound - 1 sums
-        return (1 << short) - 1 if mask == ns.mask else real(mask, elems)
+            def faulted(mask, elems):
+                got = real(mask, elems)
+                return fault(got) if mask == right_head_mask else got
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(structure, "restricted_mask", cut_whole_set)
-        with pytest.raises(RuntimeError) as from_split:
-            split_at(ns, s)
-    assert str(from_split.value) == message
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(structure, "restricted_mask", faulted)
+                mp.setattr(verify, "restricted_mask", faulted)
+                (got,) = _low_second_row(k, (l,), (l,), LOW_SECOND)
+                want = []
+                for u, _n in plain_sets(k, l, LOW_SECOND, 10**9)[1]:
+                    nu = NormalizedSet(u)
+                    su = find_admissible_split(nu)
+                    if su is None:
+                        continue
+                    try:
+                        split_at(nu, su)
+                    except RuntimeError as exc:
+                        want.append(f"{lit(u)}: {exc}")
+            assert f"{lit(t)}: {message}" in want
+            assert got["bad"] == want
+        by_s["s = k-2" if s == k - 2 else "s < k-2"] += 1
+    assert by_s["s = k-2"] > 0 and by_s["s < k-2"] > 0
 
 
 def test_split_parts_match_split_at_and_the_oracle_on_every_theorem1_set():
-    # every set with a split position in the theorem 1 boxes k <= 9 (tops
-    # up to 2k+6): the per-head part, then the per-top part on the set's
-    # own restricted size, give split_at's halves, overlap and sizes, and
-    # the naive ones; with |2^A| cut to lower_bound - 1 they raise the
-    # bound's message.  At s = k-2 the left half is the whole set, whose
-    # third shared element is the top.
+    # every set with a split position in the theorem 1 rows k <= 10 (tops
+    # up to 2k+6), walked as the row walks them.  The split position read
+    # from the head is find_admissible_split's.  The walk's restricted
+    # masks of the head's prefixes are the naive ones.  For s < k-2 the
+    # left half is the prefix a_0..a_{s+1}, whose restricted mask rs[s+1]
+    # meets no sum of the top: the overlap and |2^left| read once per
+    # head are split_at's and the oracle's for every top.  At s = k-2 the
+    # left half is the whole set, whose third shared element is the top.
+    # The right half's restricted mask is its head's plus the head shifted
+    # by the top.  The row itself finds no failure and counts every set
+    # with a split position.
     by_s = {"s = k-2": 0, "s < k-2": 0}
-    for k in range(4, 10):
-        for l in range(2 * k - 2, 2 * k + 7):
-            for t in enumerate_tuples(EnumerationQuery.exact(k, l, LOW_SECOND)):
+    for k in range(4, 11):
+        tops = tuple(range(2 * k - 2, 2 * k + 7))
+        splits = dict.fromkeys(tops, 0)
+
+        def on_head(head, head_mask, rs):
+            assert rs[-1] == restricted_mask(head_mask, head)
+            s = _split_position(head, k)
+            if s is not None:
+                right_head_mask = mask_of(head[s - 1:])
+                right_head_r = restricted_mask(right_head_mask, head[s - 1:])
+            for l in tops:
+                t = head + (l,)
                 ns = NormalizedSet(t)
-                s = find_admissible_split(ns)
+                assert s == find_admissible_split(ns)
                 if s is None:
                     continue
-                n = len(naive_restricted(t))
-                left, right = t[:s + 2], t[s - 1:]
-                two_left, two_right = naive_restricted(left), naive_restricted(right)
+                splits[l] += 1
                 split = split_at(ns, s)
-                got = split_parts(t, s, n)
-                assert got == (
-                    split.left.mask, split.right.mask, split.overlap.mask,
-                    split.card_left, split.card_right,
-                )
-                assert got[:2] == (mask_of(left), mask_of(right))
-                assert got[3:] == (len(two_left), len(two_right))
-                assert elements_of(got[2]) == tuple(sorted(two_left & two_right))
+                right_r = right_head_r | right_head_mask << l
+                assert right_head_mask | 1 << l == split.right.mask
+                assert right_r.bit_count() == split.card_right
                 if s == k - 2:
                     by_s["s = k-2"] += 1
-                    assert left == t and got[0] == ns.mask
-                    assert elements_of(got[2]) == (t[-3] + t[-2], t[-3] + l, t[-2] + l)
+                    assert split.left.mask == ns.mask
+                    overlap = (rs[-1] | head_mask << l) & right_r
+                    assert elements_of(overlap) == (t[-3] + t[-2], t[-3] + l, t[-2] + l)
                 else:
                     by_s["s < k-2"] += 1
-                short = split.lower_bound - 1
-                with pytest.raises(RuntimeError) as exc:
-                    split_parts(t, s, short)
-                assert str(exc.value) == (
-                    f"additive split bound failed at s={s} for {t}: "
-                    f"{short} < {split.lower_bound}"
-                )
-    assert by_s["s = k-2"] > 0 and by_s["s < k-2"] > 0
+                    left_r = rs[s + 1]
+                    assert left_r & right_head_mask << l == 0
+                    overlap = left_r & right_head_r
+                    assert left_r.bit_count() == split.card_left
+                    assert split.left.mask == mask_of(head[:s + 2])
+                left, right = t[:s + 2], t[s - 1:]
+                two_left, two_right = naive_restricted(left), naive_restricted(right)
+                assert elements_of(right_r) == tuple(sorted(two_right))
+                assert split.card_left == len(two_left)
+                assert elements_of(overlap) == tuple(sorted(two_left & two_right))
+                assert overlap == split.overlap.mask
+
+        _walk_row(k, tops, LOW_SECOND, on_head)
+        got = _low_second_row(k, tops, tops, LOW_SECOND)
+        assert [cell["splits"] for cell in got] == [splits[l] for l in tops]
+        assert all(cell["bad"] == [] for cell in got)
+    assert by_s == {"s = k-2": 21177, "s < k-2": 39420}
