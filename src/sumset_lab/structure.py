@@ -589,6 +589,15 @@ def split_at(a: NormalizedSet, s: int) -> SplitTriple:
     and a RuntimeError flags any counterexample: the overlap identity,
     and |2^A| >= |2^left| + |2^right| - 3.  When s = k-2 the left half
     is the whole set, and its third shared element a_{s+1} is the top.
+
+    Neither check can fail on a correct computation.  The premise gives
+    a_s = a_{s-1} + 1, so every restricted sum of the left part is at
+    most a_s + a_{s+1}, and every restricted sum of the right part that
+    uses an element past a_{s+1} is at least a_{s-1} + a_{s+2} >=
+    a_s + a_{s+1}: the overlap is the three shared sums, and the bound
+    is inclusion-exclusion inside 2^A.  The checks therefore test the
+    masks that compute the sumsets, not the mathematics.  They stay, as
+    part of theorem 1's certified claim and its splits_validated count.
     """
     elems = a.elements
     k = len(elems)

@@ -25,8 +25,12 @@ prefix has fewer than two candidate witnesses left; the other cells
 that check every set pass 2l, which no restricted sumset inside [0, l]
 reaches.
 
-A sweep plans a cell before walking it: a memo keyed by (position,
-previous value, gcd) gives the cell's node and gcd-1 set counts.  Only
+A sweep plans a cell before walking it, by counting, not walking.
+Every named constraint only caps positions, so a cell's nodes are the
+increasing prefixes under its caps, one running sum per position, plus
+a leaf per full chain when the top range is not empty.  Its gcd-1 sets
+come by Möbius inversion over the squarefree divisors d of the top l:
+the full chains under the caps divided by d, signed by mu(d).  Only
 the task runner counts cells and decides, from the plan, which are
 walked; the walkers count no node, only look for findings and skip
 pruned subtrees outright.  A cell whose planned nodes fit is walked,
@@ -95,6 +99,7 @@ from __future__ import annotations
 
 import json
 import time
+from itertools import accumulate
 from math import gcd
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -282,34 +287,53 @@ def enumerate_sets(
         yield IntegerSet._from_trusted(tup, mask_of(tup))
 
 
+def _chains(his: Sequence[int]) -> list[int]:
+    """counts[p], p from 0 to len(his) - 1: the increasing chains
+    0 < a_1 < ... < a_p with every a_j <= his[j], for caps his[1:] of
+    at least 0 (those of :func:`_caps` are at least 1).  The chains of
+    one length ending at v are those of the length before ending below
+    v, so each row of counts by end value is the running sum of the row
+    before, shifted one up and cut at the position's cap."""
+    row, counts = [1], [1]  # the empty chain ends at a_0 = 0
+    for cap in his[1:]:
+        below = list(accumulate(row))
+        row = [0, *below[:cap]] + [below[-1]] * (cap - len(below))
+        counts.append(sum(row))
+    return counts
+
+
 def _plan(query: EnumerationQuery) -> tuple[int, int]:
     """The (nodes, gcd-1 sets) that :func:`enumerate_tuples` streams on
-    an exact-span, mask-free query with no budget, from a memo keyed by
-    (position, previous value, gcd), with the top placed first."""
+    an exact-span, mask-free query with no budget, with the top placed
+    first, by counting and without walking.
+
+    Every named constraint only caps positions, so the placements of
+    a_1 .. a_{k-2} are the increasing chains under the caps of
+    :func:`_caps`, counted by :func:`_chains`.  Every prefix is a node,
+    and every full chain adds one leaf node when the top range is not
+    empty.  A set's gcd is gcd(l, a_1, ..., a_{k-2}), so by Möbius
+    inversion over the squarefree divisors d of l the gcd-1 sets are
+    the sum of mu(d) times the full chains whose values are all
+    multiples of d, that is, the full chains under the caps his // d."""
     l = query.l_max
     l_lo, l_hi, his = _caps(query)
+    counts = _chains(his)
     has_leaf = l_lo <= l_hi
-    need_gcd = "gcd_one" in query.constraints
-    last = query.k - 1
-    memo: dict[tuple[int, int, int], tuple[int, int]] = {}
-
-    def subtree(pos: int, prev: int, g: int) -> tuple[int, int]:
-        key = (pos, prev, g)
-        got = memo.get(key)
-        if got is None:
-            if pos == last:
-                got = (1, int(not need_gcd or g == 1)) if has_leaf else (0, 0)
-            else:
-                nodes = sets = 0
-                for v in range(prev + 1, his[pos] + 1):
-                    n, s = subtree(pos + 1, v, gcd(g, v))
-                    nodes += 1 + n
-                    sets += s
-                got = (nodes, sets)
-            memo[key] = got
-        return got
-
-    return subtree(1, 0, l)
+    nodes = sum(counts[1:]) + has_leaf * counts[-1]
+    if not has_leaf:
+        return nodes, 0
+    if "gcd_one" not in query.constraints:
+        return nodes, counts[-1]
+    # the squarefree divisors d of l, each with mu(d); a p that divides
+    # what is left of l once the smaller primes are divided out is prime
+    terms, rest = [(1, 1)], l
+    for p in range(2, l + 1):
+        if rest % p == 0:
+            terms += [(d * p, -mu) for d, mu in terms]
+            while rest % p == 0:
+                rest //= p
+    sets = sum(mu * _chains([h // d for h in his])[-1] for d, mu in terms)
+    return nodes, sets
 
 
 # The constraints that the mirror A -> l - A maps into themselves: the

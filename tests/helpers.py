@@ -101,3 +101,35 @@ def enumerate_bruteforce(k: int, l: int, constraints=()) -> list[tuple[int, ...]
             continue
         out.append(tup)
     return out
+
+
+def memo_plan(l: int, caps, need_gcd_one: bool) -> tuple[int, int]:
+    """(nodes, sets) of the exact-span cell with top l whose caps are
+    ``caps = (last_lo, last_hi, his)``, as ``verify._caps`` reads them:
+    a recursion over (position, previous value, gcd of l and the values
+    placed so far), memoized, that counts one node per placement of
+    a_1 .. a_{k-2} and one leaf node per full placement when the top
+    range is not empty.  A set counts when its gcd is 1, or always
+    without ``need_gcd_one``."""
+    l_lo, l_hi, his = caps
+    has_leaf = l_lo <= l_hi
+    last = len(his)
+    memo: dict[tuple[int, int, int], tuple[int, int]] = {}
+
+    def subtree(pos: int, prev: int, g: int) -> tuple[int, int]:
+        key = (pos, prev, g)
+        got = memo.get(key)
+        if got is None:
+            if pos == last:
+                got = (1, int(not need_gcd_one or g == 1)) if has_leaf else (0, 0)
+            else:
+                nodes = sets = 0
+                for v in range(prev + 1, his[pos] + 1):
+                    n, s = subtree(pos + 1, v, gcd(g, v))
+                    nodes += 1 + n
+                    sets += s
+                got = (nodes, sets)
+            memo[key] = got
+        return got
+
+    return subtree(1, 0, l)

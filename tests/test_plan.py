@@ -1,0 +1,84 @@
+"""The planner against a memoized walk and against closed forms.
+
+``verify._plan`` counts a cell's nodes and gcd-1 sets without walking
+it: increasing chains under the caps, and Möbius inversion over the
+divisors of the top.  It must equal the memo over (position, previous
+value, gcd) in ``tests/helpers.py`` on every combination of the named
+constraints, cells whose top range is empty included, and the closed
+forms written out below.
+"""
+
+from itertools import combinations
+from math import comb
+
+import pytest
+
+from sumset_lab.verify import (
+    KNOWN_CONSTRAINTS,
+    EnumerationQuery,
+    _LOW_SECOND,
+    _caps,
+    _plan,
+)
+
+from helpers import memo_plan
+
+CONSTRAINT_SETS = [c for r in range(len(KNOWN_CONSTRAINTS) + 1)
+                   for c in combinations(KNOWN_CONSTRAINTS, r)]
+
+
+def mobius(n: int) -> int:
+    """mu(n) by trial division."""
+    sign = 1
+    for p in range(2, n + 1):
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+    return sign
+
+
+@pytest.mark.parametrize("constraints", CONSTRAINT_SETS, ids="+".join)
+def test_plan_equals_the_memo_on_every_cell(constraints):
+    leafless = 0
+    for k in range(2, 13):
+        for l in range(k - 1, 2 * k + 9):
+            query = EnumerationQuery.exact(k, l, constraints)
+            caps = _caps(query)
+            got = _plan(query)
+            assert got == memo_plan(l, caps, "gcd_one" in constraints), (k, l)
+            if caps[0] > caps[1]:
+                leafless += 1
+                assert got[1] == 0
+    # last_ge_2k_minus_2 rules out the tops below 2k-2, last_eq_2k_minus_3
+    # every top but 2k-3: their cells count prefix nodes and no set
+    rule_out = {"last_ge_2k_minus_2", "last_eq_2k_minus_3"} & set(constraints)
+    assert bool(leafless) == bool(rule_out)
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_gcd_one_cells_match_their_closed_forms(k):
+    # the span cap at position p of a prefix of length p is l-k+1+p, and
+    # a chain whose values are multiples of d is one of l/d - 1 values
+    for l in range(k - 1, 2 * k + 9):
+        nodes = sum(comb(l - k + 1 + p, p) for p in range(1, k - 1)) + comb(l - 1, k - 2)
+        sets = sum(mobius(d) * comb(l // d - 1, k - 2) for d in range(1, l + 1) if l % d == 0)
+        assert _plan(EnumerationQuery.exact(k, l, ("gcd_one",))) == (nodes, sets), l
+
+
+@pytest.mark.parametrize("k", range(3, 14))
+def test_theorem1_cells_have_a_binomial_of_sets_at_every_top(k):
+    # every head is k-2 values in [1, 2k-5] and has gcd 1 (_walk_row's
+    # docstring), so each top l >= 2k-2 streams the same C(2k-5, k-2) sets
+    for l in range(2 * k - 2, 4 * k):
+        assert _plan(EnumerationQuery.exact(k, l, _LOW_SECOND))[1] == comb(2 * k - 5, k - 2), l
+
+
+def test_open_region_count_at_k12_is_the_floor_cells_minus_theorem_1():
+    tops = range(22, 29)
+    floor = sum(_plan(EnumerationQuery.exact(12, l, ("gcd_one",)))[1] for l in tops)
+    low_second = sum(_plan(EnumerationQuery.exact(12, l, _LOW_SECOND))[1] for l in tops)
+    assert floor == 21_121_100
+    assert low_second == 7 * 92_378 == 7 * comb(19, 10)
+    assert floor - low_second == 20_474_454
