@@ -103,17 +103,18 @@ class _Head(NamedTuple):
     b_vals: tuple[int, ...]
 
 
-def _head(head: tuple[int, ...], head_mask: int) -> _Head:
-    """The context of ``head`` (mask ``head_mask``), trusted to be in the regime."""
+def _head(head: tuple[int, ...], reach: int) -> _Head:
+    """The context of ``head`` (restricted mask ``reach``), trusted to be
+    in the regime."""
     k = len(head) + 1
-    reach = restricted_mask(head_mask, head)
     return _Head(k, head, frozenset(head), reach, elements_of(exceptional_mask(reach, k)))
 
 
 def _context(a: NormalizedSet) -> _Head:
     """The head context of ``a``, once ``a`` is checked to be in the regime."""
     require_dense_prefix(a)
-    return _head(a.elements[:-1], a.mask ^ 1 << a.l)
+    head = a.elements[:-1]
+    return _head(head, restricted_mask(a.mask ^ 1 << a.l, head))
 
 
 def exceptional_profile(a: NormalizedSet) -> ExceptionalProfile:
@@ -418,12 +419,20 @@ def _top_gap(h: _Head) -> tuple[bool, Optional[str]]:
     return gap, shape
 
 
-def _head_failures(head: tuple[int, ...], head_mask: int) -> tuple[str, ...]:
-    """Every detached-top check on a head (mask ``head_mask``) in the
-    regime: the violations, empty when the head has the structure.  The
-    checks read only the head, so this holds for every top it takes."""
-    h = _head(head, head_mask)
-    k, b_vals = h.k, h.b_vals
+def _head_failures(head: tuple[int, ...], head_mask: int, reach: int) -> tuple[str, ...]:
+    """Every detached-top check on a head in the regime, given its mask
+    ``head_mask`` and restricted mask ``reach``: the violations, empty
+    when the head has the structure.  The checks read only the head, so
+    this holds for every top it takes.
+
+    A head whose B is empty passes every check at once: its restricted
+    sums cover [1, 2k-4], so its sumset (0 + 0 too) covers [0, 2k-4],
+    and every other check ranges over B or needs two members of it."""
+    k = len(head) + 1
+    if not exceptional_mask(reach, k):
+        return ()
+    h = _head(head, reach)
+    b_vals = h.b_vals
     window = (1 << (2 * k - 3)) - 1
     fails: list[str] = []
     if double_mask(head_mask, head) & window != window:

@@ -43,13 +43,15 @@ planned nodes.  No cell is walked in part.
 The mirror A -> l - A keeps a set's gcd, span and restricted size, so a
 walked cell closed under it needs only the sets with a_1 + a_{k-2} <= l.
 Those are the cells whose constraints are gcd_one and the two that read
-only the top, and that pass no prune: the conjecture and span 2k-3
-floor cells and classify_extremal's.  Such a cell caps every position
-from a_1 on at what a_{k-2} <= l - a_1 leaves it, adds each finding's
-mirror unless a_1 + a_{k-2} = l (there the mirror is walked too), and
-hands the sorted findings over in stream order.  The dense-prefix,
-theorem 1 and structure cells cap low or interior positions, and the
-witness cells prune: all of them are walked whole.
+only the top: the conjecture and span 2k-3 floor cells,
+classify_extremal's and the witness cells.  Such a cell caps every
+position from a_1 on at what a_{k-2} <= l - a_1 leaves it, adds each
+finding's mirror unless a_1 + a_{k-2} = l (there the mirror is walked
+too), and hands the sorted findings over in stream order.  A cell that
+prunes must find a set exactly when it finds its mirror, as the witness
+cells do: the mirror maps a set's witnesses W to l - W.  The
+dense-prefix, theorem 1 and structure cells cap low or interior
+positions: they are walked whole.
 
 One driver path splits a sweep's budget evenly among its cells, runs
 its tasks in order (in a process pool when ``jobs > 1``) and sums their
@@ -108,11 +110,9 @@ from .core import (
     IntegerSet,
     NormalizedSet,
     SetDomainError,
-    _split_position,
     format_set_literal,
     freiman_lev_bound,
     mask_of,
-    restricted_mask,
 )
 
 # structure and families load in the functions that use them, so a
@@ -364,9 +364,10 @@ def _walk_span(
 
     ``prune(mask, r)``, if given, is asked about each prefix (its
     elements with the top, and their restricted mask) that the bound
-    does not prune.  When it returns true, the leaves below the prefix
-    are not visited: the caller promises that ``on_leaf`` would do
-    nothing on any of them.
+    does not prune and, in a halved cell, that the walked half holds.
+    When it returns true, the leaves below the prefix are not visited:
+    the caller promises that ``on_leaf`` would do nothing on any of
+    them.
 
     The walk counts no node and takes no budget: :func:`_run_task`
     counts the cell from its plan and decides whether it is walked.
@@ -379,15 +380,18 @@ def _walk_span(
     A cell closed under the mirror A -> l - A is walked in half.  The
     mirror keeps gcd, span and restricted size (2^(l-A) = 2l - 2^A), and
     maps a_1 + a_{k-2} < l to a sum above l.  A cell is closed when its
-    constraints are among ``_MIRROR_CLOSED`` and it has no ``prune``,
-    which could judge a set and its mirror apart.  Such a cell walks
-    only the sets with a_{k-2} <= l - a_1: once a_1 = v is placed, each
-    later position j is capped at l - v - (k-2-j), so whole subtrees go.
-    Each finding with a_1 + a_{k-2} < l also gives its mirror's tuple,
-    mask and restricted mask, with the same n; a finding on the tie
+    constraints are among ``_MIRROR_CLOSED``.  With a ``prune`` the
+    caller also promises that ``on_leaf`` acts on a set exactly when it
+    acts on the set's mirror, so the mirror of a set the prune cuts is
+    one that ``on_leaf`` would ignore too.  Such a cell walks only the
+    sets with a_{k-2} <= l - a_1: once a_1 = v is placed, each later
+    position j is capped at l - v - (k-2-j), so whole subtrees go.  Each
+    finding with a_1 + a_{k-2} < l also gives its mirror's tuple, mask
+    and restricted mask, with the same n; a finding on the tie
     a_1 + a_{k-2} = l has its mirror walked too (or is its own mirror),
     and is not mirrored.  The findings are held, sorted and handed to
-    ``on_leaf`` in stream order, so a caller cannot tell the halves.
+    ``on_leaf`` in stream order, so ``on_leaf`` acts on the sets it
+    would act on in a whole walk, in the same order.
     """
     k, l = query.k, query.l_max
     lo, hi, his = _caps(query)
@@ -401,7 +405,7 @@ def _walk_span(
     # the elements on the current root-to-node path; the leaf's tuple
     path = [0] * k
     path[last] = l
-    halve = prune is None and k >= 3 and _MIRROR_CLOSED.issuperset(query.constraints)
+    halve = k >= 3 and _MIRROR_CLOSED.issuperset(query.constraints)
     caps = list(his)
     held: list[tuple[tuple[int, ...], int, int, int]] = []
     if halve:
@@ -444,19 +448,27 @@ def _walk_row(
     k: int,
     tops: Sequence[int],
     constraints: tuple[str, ...],
-    on_head: Callable[[tuple[int, ...], int, list[int]], None],
+    on_head: Callable[[tuple[int, ...], int, list[int], Optional[int], int, int], None],
 ) -> None:
-    """Walk the heads of the detached-top cells (k, l), l in ``tops``, in
-    lexicographic order, calling ``on_head(head, head_mask, rs)`` at
-    each.  ``head`` is a set minus its top, ``head_mask`` its bit mask
-    and ``rs[i]`` the restricted mask of its prefix a_0..a_i, which the
-    walk builds as it places a_i; ``rs[-1]`` is the head's own.  ``rs``
-    is the walk's list, valid only during the call.  Every cell streams
-    every head, so ``on_head`` loops the tops itself: with top l the set
-    has restricted mask ``rs[-1] | head_mask << l``, one shift-or and
-    one popcount per set, and each cell sees its sets in stream order,
-    as :func:`_walk_span` with bound 2l would hand them.  Like the span
-    walker, it counts nothing.
+    """Walk the heads of the detached-top cells (k, l), k >= 3 and l in
+    ``tops``, in lexicographic order, calling ``on_head(head, head_mask, rs, s,
+    right_mask, right_r)`` at each.  ``head`` is a set minus its top,
+    ``head_mask`` its bit mask and ``rs[i]`` the restricted mask of its
+    prefix a_0..a_i, which the walk builds as it places a_i; ``rs[-1]``
+    is the head's own.  ``rs`` is the walk's list, valid only during the
+    call.  Every cell streams every head, so ``on_head`` loops the tops
+    itself: with top l the set has restricted mask ``rs[-1] | head_mask
+    << l``, one shift-or and one popcount per set, and each cell sees
+    its sets in stream order, as :func:`_walk_span` with bound 2l would
+    hand them.  Like the span walker, it counts nothing.
+
+    ``s`` is theorem 1's split position, one more than the largest i in
+    [1, k-3] with a_i >= 2i, or None; ``right_mask`` and ``right_r`` are
+    the mask and restricted mask of the head's elements from a_{s-1} up,
+    or of the whole head when s is None.  The walk carries the three
+    down: placing an a_i >= 2i with i <= k-3 restarts them at s = i+1
+    with a_i alone, and any other placement v adds v to the right half,
+    ``right_r | right_mask << v`` then ``right_mask | 1 << v``.
 
     The walk takes no gcd: under both detached-top constraints every
     head already has gcd 1, so every top streams it.  A dense head has
@@ -488,19 +500,33 @@ def _walk_row(
         if caps not in (None, lowered):
             raise SetDomainError(f"the cells of row k={k} stream different heads")
         caps = lowered
+    # at positions i <= k-3 the values from 2i on restart the split
+    restarts = [min(cap + 1, 2 * pos) for pos, cap in enumerate(caps)]
     path = [0] * last
     rs = [0] * last
 
-    def heads(pos: int, prev: int, mask: int, r: int) -> None:
-        if pos == last:
-            on_head(tuple(path), mask, rs)
+    def heads(pos: int, prev: int, mask: int, r: int,
+              s: Optional[int], right_mask: int, right_r: int) -> None:
+        cap = caps[pos]
+        if pos == last - 1:
+            # a_{k-2} completes the head and never restarts the split
+            for v in range(prev + 1, cap + 1):
+                path[pos] = v
+                rs[pos] = r | mask << v
+                on_head(tuple(path), mask | 1 << v, rs, s,
+                        right_mask | 1 << v, right_r | right_mask << v)
             return
-        for v in range(prev + 1, caps[pos] + 1):
+        low, restart = prev + 1, restarts[pos]
+        for v in range(low, restart):
             path[pos] = v
             rv = rs[pos] = r | mask << v
-            heads(pos + 1, v, mask | 1 << v, rv)
+            heads(pos + 1, v, mask | 1 << v, rv, s, right_mask | 1 << v, right_r | right_mask << v)
+        for v in range(restart if restart > low else low, cap + 1):
+            path[pos] = v
+            rv = rs[pos] = r | mask << v
+            heads(pos + 1, v, mask | 1 << v, rv, pos + 1, 1 << v, 0)
 
-    heads(1, 0, 1, 0)
+    heads(1, 0, 1, 0, None, 1, 0)
 
 
 class Certificate:
@@ -795,26 +821,29 @@ def _low_second_row(
     a split position.  Each head's sets are checked in one pass over its
     tops, with no call per set.
 
-    The split position s reads only the head.  The left half is the
-    prefix a_0..a_{s+1} and the right half the elements from a_{s-1} up,
-    the top included.  For s <= k-3 the left half lies in the head, so
-    its restricted mask is the walk's ``rs[s+1]``, and its sums are at
-    most a_s + a_{s+1} <= (2s-1) + (2k-5) = 2k+2s-6.  Every sum of the
-    top with the right half is at least l + a_{s-1} >= 2k+2s-4, so none
-    of them meets the left half: the overlap identity and |2^left| are
-    checked once per head, and each top costs one popcount for
-    |2^right| and the additive bound.  For s = k-2 the left half is the
-    whole set and its third shared element is the top, so both
-    identities are checked per top.  A set that fails is handed to
-    ``structure.split_at``, whose message the entry records
-    (``_split_failure``); every set with a split position counts in
-    ``splits``."""
+    The split position s reads only the head, and the head walk carries
+    it down with the right half's mask and restricted mask without the
+    top.  The left half is the prefix a_0..a_{s+1} and the right half
+    the elements from a_{s-1} up, the top included, whose restricted
+    mask with top l is ``right_r | right_mask << l``.  For s <= k-3 the
+    left half lies in the head, so its restricted mask is the walk's
+    ``rs[s+1]``, and its sums are at most a_s + a_{s+1} <= (2s-1) +
+    (2k-5) = 2k+2s-6.  Every sum of the top with the right half is at
+    least l + a_{s-1} >= 2k+2s-4, so none of them meets the left half:
+    the overlap identity and |2^left| are checked once per head, and
+    each top costs one popcount for |2^right| and the additive bound.
+    For s = k-2 the left half is the whole set and its third shared
+    element is the top, so both identities are checked per top.  A set
+    that fails is handed to ``structure.split_at``, whose message the
+    entry records (``_split_failure``); every set with a split position
+    counts in ``splits``."""
     bound = 3 * k - 7
     tight = dict.fromkeys(tops, 0)
     bad: dict[int, list[str]] = {l: [] for l in tops}
     split_heads = 0
 
-    def on_head(head: tuple[int, ...], head_mask: int, rs: list[int]) -> None:
+    def on_head(head: tuple[int, ...], head_mask: int, rs: list[int],
+                s: Optional[int], right_mask: int, right_r: int) -> None:
         nonlocal split_heads
         r_head = rs[-1]
         sizes = [(r_head | head_mask << l).bit_count() for l in walked]
@@ -824,14 +853,10 @@ def _low_second_row(
                     bad[l].append(_below_floor(head + (l,), n, bound))
                 elif n == bound:
                     tight[l] += 1
-        s = _split_position(head, k)
         if s is None:
             return
         split_heads += 1
         lo, hi = head[s - 1], head[s]
-        # the right half's mask and restricted mask without the top
-        right_mask = head_mask >> lo << lo
-        right_r = restricted_mask(right_mask, head[s - 1 :])
         if s < k - 2:
             c = head[s + 1]
             left_r = rs[s + 1]
@@ -839,9 +864,9 @@ def _low_second_row(
                 for l in walked:
                     bad[l].append(_split_failure(head + (l,), s))
                 return
-            n_left = left_r.bit_count()
+            floor = left_r.bit_count() - 3
             for l, n in zip(walked, sizes):
-                if n < n_left + (right_r | right_mask << l).bit_count() - 3:
+                if n < floor + (right_r | right_mask << l).bit_count():
                     bad[l].append(_split_failure(head + (l,), s))
         else:
             # the shared sums are a_{k-3} + a_{k-2} and both with the
@@ -1104,8 +1129,8 @@ def _structure_row(
 
     Every check reads only k and the head, the set minus its top l, so
     the row walker builds each head's context and runs its checks once
-    (``structure._head_failures``), and only the extremal count sees the
-    top.
+    (``structure._head_failures``, on the walk's restricted mask of the
+    head), and only the extremal count sees the top.
     """
     from .structure import _head_failures
 
@@ -1113,12 +1138,13 @@ def _structure_row(
     extremal = dict.fromkeys(tops, 0)
     bad: dict[int, list[str]] = {l: [] for l in tops}
 
-    def on_head(head: tuple[int, ...], head_mask: int, rs: list[int]) -> None:
+    def on_head(head: tuple[int, ...], head_mask: int, rs: list[int],
+                _s: Optional[int], _right_mask: int, _right_r: int) -> None:
         r_head = rs[-1]
         for l in walked:
             if (r_head | head_mask << l).bit_count() == extremal_size:
                 extremal[l] += 1
-        fails = _head_failures(head, head_mask)
+        fails = _head_failures(head, head_mask, r_head)
         if fails:
             for l in walked:
                 lit = format_set_literal(head + (l,))
@@ -1146,6 +1172,8 @@ def _witness_cell(
         # than two witnesses a set gives neither a finding nor a pair.
         # With the top placed, adding elements only removes candidates,
         # so a prefix with fewer than two has no set below it with two.
+        # A set and its mirror have as many witnesses, W(l - A) = l - W(A),
+        # so the cell is walked in half.
         return _witness_mask(mask, r, l).bit_count() < 2
 
     def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:

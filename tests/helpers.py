@@ -21,6 +21,17 @@ def naive_restricted(elements) -> set[int]:
     return {a + b for a, b in combinations(sorted(set(elements)), 2)}
 
 
+def naive_witnesses(elements) -> list[int]:
+    """The witnesses of a set with top l = max(A), ascending: the w in
+    [0, l] outside A such that neither w nor w + l is a sum of two
+    distinct elements of A, by pair enumeration."""
+    members = set(elements)
+    top = max(members)
+    sums = naive_restricted(members)
+    return [w for w in range(top + 1)
+            if w not in members and w not in sums and w + top not in sums]
+
+
 def is_ap(elements) -> bool:
     e = sorted(elements)
     if len(e) <= 1:

@@ -37,7 +37,6 @@ from sumset_lab.core import (
 from sumset_lab import structure, verify
 from sumset_lab.structure import (
     check_exceptional_points,
-    decompose,
     diff3_exception_case,
     exceptional_growth_ok,
     exceptional_profile,
@@ -69,7 +68,7 @@ from sumset_lab.verify import (
     _witness_cell,
 )
 
-from helpers import naive_double, naive_restricted
+from helpers import naive_double, naive_restricted, naive_witnesses
 
 DENSE = ("gcd_one", "growth_a_i_lt_2i", "last_ge_2k_minus_2")
 LOW_SECOND = ("gcd_one", "interior_lt_2k_minus_4", "last_ge_2k_minus_2")
@@ -172,17 +171,69 @@ def test_halved_walk_hands_over_every_leaf_of_plain_enumeration_in_order(k):
     assert k <= 4 or ties > self_mirrors
 
 
-@pytest.mark.parametrize("k", range(4, 8))
-def test_a_prune_keeps_a_mirror_closed_cell_whole(k):
-    # a prune may judge a set and its mirror apart: this one cuts every
-    # prefix that holds 1, so a set without 1 whose mirror holds 1 is
-    # reached only by walking it
-    for l in range(k, 2 * k + 3):
-        query = EnumerationQuery.exact(k, l, ("gcd_one",))
-        leaves = []
-        _walk_span(query, 2 * l, lambda t, mask, r, n: leaves.append(t),
-                   lambda mask, r: mask & 2 != 0)
-        assert leaves == [t for t in enumerate_tuples(query) if 1 not in t]
+@st.composite
+def gcd_one_sets(draw):
+    k = draw(st.integers(min_value=3, max_value=12))
+    l = draw(st.integers(min_value=k - 1, max_value=3 * k))
+    interior = draw(st.lists(st.integers(min_value=1, max_value=l - 1),
+                             min_size=k - 2, max_size=k - 2, unique=True))
+    t = (0, *sorted(interior), l)
+    assume(gcd(*t) == 1)
+    return t
+
+
+def first_interior(mask):
+    """a_1 of a set or prefix with mask ``mask``: its second-lowest member."""
+    rest = mask >> 1
+    return (rest & -rest).bit_length()
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_halved_walk_with_a_sound_prune_hands_over_every_finding_in_order(k):
+    # a cell under mirror-closed constraints is walked in half even with a
+    # prune, given that the prune is sound (it cuts only prefixes below
+    # which no set is a finding) and that a set is a finding exactly when
+    # its mirror is.  The witness cells' prune and findings are: fewer than
+    # two candidate witnesses left, and two or more witnesses, as
+    # W(l - A) = l - W(A).  Every finding, mirrors included, is handed
+    # over in stream order, and no prefix past a_1 <= (l-k+3)//2 is asked
+    findings = mirrored = 0
+    for l in range(k - 1, 2 * k + 3):
+        for constraints in [(), ("gcd_one",)]:
+            query = EnumerationQuery.exact(k, l, constraints)
+            asked, found = [], []
+
+            def prune(mask, r):
+                asked.append(mask)
+                return structure._witness_mask(mask, r, l).bit_count() < 2
+
+            def leaf(t, mask, r, n):
+                if len(naive_witnesses(t)) >= 2:
+                    found.append((t, mask, r, n))
+
+            _walk_span(query, 2 * l, leaf, prune)
+            want = [(t, mask_of(t), r, r.bit_count())
+                    for t in enumerate_tuples(query) if len(naive_witnesses(t)) >= 2
+                    for r in [mask_of(naive_restricted(t))]]
+            assert found == want
+            assert max(map(first_interior, asked)) == (l - k + 3) // 2
+            findings += len(found)
+            mirrored += sum(t[1] + t[-2] > l for t, *_ in found)
+    assert findings > mirrored > 0
+
+
+@given(gcd_one_sets())
+@settings(max_examples=300, deadline=None)
+def test_the_witnesses_of_the_mirror_are_the_mirrored_witnesses(t):
+    # W(l - A) = l - W(A): the mirror keeps the top l and maps A to l - A
+    # and 2^A to 2l - 2^A.  So l - w is outside l - A exactly when w is
+    # outside A, and the two sum conditions swap: l - w is in 2l - 2^A
+    # exactly when w + l is in 2^A, and (l - w) + l exactly when w is.
+    # The library's witnesses are the oracle's
+    l = t[-1]
+    wits = naive_witnesses(t)
+    assert naive_witnesses(mirror(t)) == sorted(l - w for w in wits)
+    assert witness_profile(NormalizedSet(t)).values.elements == tuple(wits)
 
 
 def closed_under_mirror(constraint):
@@ -205,17 +256,6 @@ def test_walker_halves_only_under_mirror_closed_constraints(constraint):
     assert (constraint in _MIRROR_CLOSED) == (
         constraint not in ("growth_a_i_lt_2i", "interior_lt_2k_minus_4")
     )
-
-
-@st.composite
-def gcd_one_sets(draw):
-    k = draw(st.integers(min_value=3, max_value=12))
-    l = draw(st.integers(min_value=k - 1, max_value=3 * k))
-    interior = draw(st.lists(st.integers(min_value=1, max_value=l - 1),
-                             min_size=k - 2, max_size=k - 2, unique=True))
-    t = (0, *sorted(interior), l)
-    assume(gcd(*t) == 1)
-    return t
 
 
 @given(gcd_one_sets())
@@ -451,12 +491,39 @@ DENSE_HEADS = tuple(
 
 
 def test_head_failures_match_the_public_checkers_on_every_dense_head():
+    # _head_failures takes the head's restricted mask from its caller (the
+    # row walk's), here the oracle's.  A head whose B is empty returns at
+    # once: every public checker passes it, as its restricted sums cover
+    # [1, 2k-4]
     assert len(DENSE_HEADS) == 2055
+    empty_b = 0
     for head in DENSE_HEADS:
-        t = head + (2 * len(head),)
+        k = len(head) + 1
+        t = head + (2 * k - 2,)
         prefix = f"{lit(t)}: "
         want = [msg.removeprefix(prefix) for msg in structure_failures(t)]
-        assert list(structure._head_failures(head, mask_of(head))) == want
+        reach = naive_restricted(head)
+        got = structure._head_failures(head, mask_of(head), mask_of(reach))
+        assert list(got) == want
+        if set(range(1, 2 * k - 3)) <= reach:
+            empty_b += 1
+            assert want == [] and exceptional_profile(NormalizedSet(t)).m == 0
+    assert empty_b == 1027
+
+
+def test_head_failures_return_at_once_exactly_on_the_heads_with_empty_b(monkeypatch):
+    # with the growth check faulted to fail on every head it runs on, a
+    # head reports a failure exactly when _head_failures runs its checks:
+    # on the 1028 dense heads whose B is not empty
+    monkeypatch.setattr(structure, "_growth_ok", lambda h: False)
+    checked = 0
+    for head in DENSE_HEADS:
+        k = len(head) + 1
+        reach = naive_restricted(head)
+        fails = structure._head_failures(head, mask_of(head), mask_of(reach))
+        assert bool(fails) == (not set(range(1, 2 * k - 3)) <= reach)
+        checked += bool(fails)
+    assert checked == 1028
 
 
 @st.composite
@@ -533,7 +600,7 @@ def test_every_row_head_has_gcd_one(k, constraints):
     want = [t[:-1] for t in enumerate_tuples(EnumerationQuery.exact(k, 2 * k - 2, no_gcd))]
     walked = []
     _walk_row(k, (2 * k - 2, 2 * k + 1), constraints,
-              lambda head, head_mask, rs: walked.append(head))
+              lambda head, *_: walked.append(head))
     assert walked == want
     for head in walked:
         g = 0
@@ -546,7 +613,7 @@ def test_row_walker_refuses_tops_with_different_heads():
     # without a detached top the heads depend on the top: (0, 3) is a
     # head at l = 5 and not at l = 3
     with pytest.raises(SetDomainError):
-        _walk_row(3, (3, 5), ("gcd_one",), lambda head, head_mask, rs: None)
+        _walk_row(3, (3, 5), ("gcd_one",), lambda *_: None)
 
 
 @given(st.integers(min_value=3, max_value=7),
@@ -574,22 +641,25 @@ def witness_cells(draw):
 
 
 def witness_reference(k, l, budget):
+    """The witness cell by plain enumeration, each set's witnesses from
+    the naive oracle."""
     counts, streamed = plain_sets(k, l, ("gcd_one",), budget)
     extremal = pairs = 0
     bad = []
     notes = []
     for t, n in streamed:
         ns = NormalizedSet(t)
-        wp = witness_profile(ns)
-        if len(wp.values) > 2:
-            bad.append(f"{lit(t)}: {len(wp.values)} witnesses {lit(wp.values.elements)}")
+        wits = naive_witnesses(t)
+        if len(wits) > 2:
+            bad.append(f"{lit(t)}: {len(wits)} witnesses {lit(wits)}")
             continue
-        if wp.w1 is None:
+        if len(wits) < 2:
             continue
         pairs += 1
         extremal += n == 3 * k - 7
+        w1, w2 = wits
         try:
-            dec = decompose(ns, wp.w1, wp.w2)
+            dec = structure.decompose(ns, w1, w2)
         except SetDomainError as exc:
             notes.append(f"k={k} l={l}: {lit(t)} not decomposed ({exc})")
             continue
@@ -602,7 +672,7 @@ def witness_reference(k, l, budget):
                 bad.append(f"{lit(t)}: residue count {len(u_set)} != (m-1)/2 for m={m}")
             for u1 in range(m):
                 for u2 in range(u1 + 1, m):
-                    if (u1 + u2 - wp.w2) % m == 0 and (u1 in u_set) + (u2 in u_set) != 1:
+                    if (u1 + u2 - w2) % m == 0 and (u1 in u_set) + (u2 in u_set) != 1:
                         bad.append(
                             f"{lit(t)}: residue pair ({u1},{u2}) not split by the half-grid"
                         )
@@ -627,6 +697,52 @@ def witness_cell(args):
 @settings(max_examples=60, deadline=None)
 def test_witness_cell_matches_plain_enumeration(cell):
     assert witness_cell(cell) == witness_reference(*cell)
+
+
+@pytest.mark.parametrize("fault", [None, "notes", "bad"])
+@pytest.mark.parametrize("k", [8, 9])
+def test_every_witness_cell_of_the_sweep_matches_plain_enumeration(k, fault, monkeypatch):
+    # the lemma sweep's witness cells at k = 8 and 9, each walked in half
+    # under its prune, give the reference's dict: counts, and bad and
+    # notes in stream order.  These cells find neither, so decompose is
+    # also faulted to refuse every pair (a note each) or to rebuild none
+    # (a bad entry each): the order is then checked on every pair
+    real = structure.decompose
+
+    def faulted(ns, w1, w2):
+        if fault == "notes":
+            raise SetDomainError(f"refused ({w1}, {w2})")
+        return real(ns, w1, w2)._replace(reconstructed=False)
+
+    if fault is not None:
+        monkeypatch.setattr(structure, "decompose", faulted)
+    cells = [witness_cell((k, l, 10**9)) for l in range(k - 1, 2 * k - 2)]
+    assert cells == [witness_reference(k, l, 10**9) for l in range(k - 1, 2 * k - 2)]
+    pairs = sum(cell["pairs"] for cell in cells)
+    found = {key: sum(len(cell[key]) for cell in cells) for key in ("bad", "notes")}
+    assert pairs > 0
+    assert found == {"bad": 0, "notes": 0} if fault is None else found[fault] >= pairs
+
+
+def test_halved_witness_walk_asks_its_prune_about_no_prefix_past_the_mirror_cap(monkeypatch):
+    # every witness cell is mirror-closed, so its walk places a_1 at most
+    # (l-k+3)//2, and the prune is asked about no prefix past it
+    real = verify._walk_span
+    asked = []
+
+    def recording(query, bound, on_leaf, prune):
+        def asking(mask, r):
+            asked.append(mask)
+            return prune(mask, r)
+
+        real(query, bound, on_leaf, asking)
+
+    monkeypatch.setattr(verify, "_walk_span", recording)
+    for k in range(4, 10):
+        for l in range(k - 1, 2 * k - 2):
+            asked.clear()
+            assert witness_cell((k, l, 10**9)) == witness_reference(k, l, 10**9)
+            assert max(map(first_interior, asked)) == (l - k + 3) // 2
 
 
 # each driver cell with its plain-enumeration reference, its constraints
@@ -708,12 +824,13 @@ SPLITTABLE = tuple(
 
 
 def test_split_check_fails_with_the_message_split_at_gives():
-    # the row and split_at compute the right half's restricted mask
-    # without the top by core's kernel; faulting it for one set's right
-    # half, both ways, must make the row record split_at's message on
-    # exactly the sets split_at fails: dropping the shared sum
-    # a_{s-1} + a_s breaks the overlap identity, and one sum more than
-    # |2^A| leaves room for, placed above 2l, breaks only the bound
+    # the row reads the right half's restricted mask without the top from
+    # the head walk, which carries it down, and split_at computes it by
+    # core's kernel; faulting both for one set's right half, both ways,
+    # must make the row record split_at's message on exactly the sets
+    # split_at fails: dropping the shared sum a_{s-1} + a_s breaks the
+    # overlap identity, and one sum more than |2^A| leaves room for,
+    # placed above 2l, breaks only the bound
     by_s = {"s = k-2": 0, "s < k-2": 0}
     for t in SPLITTABLE:
         k, l = len(t), t[-1]
@@ -738,9 +855,17 @@ def test_split_check_fails_with_the_message_split_at_gives():
                 got = real(mask, elems)
                 return fault(got) if mask == right_head_mask else got
 
+            def faulted_walk(k_, tops, constraints, on_head):
+                def faulted_head(head, head_mask, rs, s_, right_mask, right_r):
+                    if right_mask == right_head_mask:
+                        right_r = fault(right_r)
+                    on_head(head, head_mask, rs, s_, right_mask, right_r)
+
+                _walk_row(k_, tops, constraints, faulted_head)
+
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(structure, "restricted_mask", faulted)
-                mp.setattr(verify, "restricted_mask", faulted)
+                mp.setattr(verify, "_walk_row", faulted_walk)
                 (got,) = _low_second_row(k, (l,), (l,), LOW_SECOND)
                 want = []
                 for u, _n in plain_sets(k, l, LOW_SECOND, 10**9)[1]:
@@ -760,8 +885,9 @@ def test_split_check_fails_with_the_message_split_at_gives():
 
 def test_split_parts_match_split_at_and_the_oracle_on_every_theorem1_set():
     # every set with a split position in the theorem 1 rows k <= 10 (tops
-    # up to 2k+6), walked as the row walks them.  The split position read
-    # from the head is find_admissible_split's.  The walk's restricted
+    # up to 2k+6), walked as the row walks them.  The split position and
+    # the right half's masks carried down the walk are core's and the
+    # kernel's on every head, and the position is find_admissible_split's.  The walk's restricted
     # masks of the head's prefixes are the naive ones.  For s < k-2 the
     # left half is the prefix a_0..a_{s+1}, whose restricted mask rs[s+1]
     # meets no sum of the top: the overlap and |2^left| read once per
@@ -775,12 +901,14 @@ def test_split_parts_match_split_at_and_the_oracle_on_every_theorem1_set():
         tops = tuple(range(2 * k - 2, 2 * k + 7))
         splits = dict.fromkeys(tops, 0)
 
-        def on_head(head, head_mask, rs):
+        def on_head(head, head_mask, rs, s, right_head_mask, right_head_r):
             assert rs[-1] == restricted_mask(head_mask, head)
-            s = _split_position(head, k)
-            if s is not None:
-                right_head_mask = mask_of(head[s - 1:])
-                right_head_r = restricted_mask(right_head_mask, head[s - 1:])
+            # the split state the walk carries down: the right half from
+            # a_{s-1} up, or the whole head when there is no split position
+            assert s == _split_position(head, k)
+            right = head if s is None else head[s - 1:]
+            assert right_head_mask == mask_of(right)
+            assert right_head_r == restricted_mask(mask_of(right), right)
             for l in tops:
                 t = head + (l,)
                 ns = NormalizedSet(t)
