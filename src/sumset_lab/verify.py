@@ -64,8 +64,13 @@ cell, or every detached top of one k for a row.  The function walks the
 tops it is handed and returns only findings, one entry per top.  A
 row's cells stream the same heads (the set minus its top), so its
 walked cells share one walk over the heads.  The row's function runs
-once per head: it does the per-head work, then loops the tops inline,
-each top costing one shift-or and one popcount, with no call per set.
+once per head and settles all its tops at once from a few bounds on the
+head's masks, each a fact about masks that holds on any mask: the head's
+sums plus its bits that the least walked top carries past them bound
+every top's restricted size from below, and theorem 1 has like bounds
+for its split checks.  Only a head the bounds leave, a few per cent on a
+correct walk, loops its tops, each top costing one shift-or and one
+popcount, with no call per set; that loop alone records findings.
 Theorem 1 and the structure sweep run their cells as rows.  Every
 structural check reads only k and the head, and so do theorem 1's split
 position and, below s = k-2, its left half and overlap identity, which
@@ -813,74 +818,151 @@ def verify_conjecture(
 # Low second-largest element: the 3k-7 floor plus split identities
 
 
+def _head_floor(r_head: int, head_mask: int, l_min: int) -> int:
+    """A lower bound, exact once l_min reaches r_head's bit length t, on
+    ``(r_head | head_mask << l).bit_count()`` for every l >= l_min: the
+    bits of ``r_head``, plus the bits a of ``head_mask`` with a >= t -
+    l_min, which the shift by l carries to t or above, past every bit of
+    ``r_head``.  A fact about two masks, so it holds on any masks."""
+    return r_head.bit_count() + (head_mask >> max(0, r_head.bit_length() - l_min)).bit_count()
+
+
+def _split_floor(r_head: int, head_mask: int, right_r: int, right_mask: int, l_min: int) -> int:
+    """For ``right_r`` inside ``r_head`` and ``right_mask`` inside
+    ``head_mask``, a lower bound on ``n - right_l.bit_count()`` for every
+    l >= l_min, n being ``(r_head | head_mask << l).bit_count()`` and
+    ``right_l = right_r | right_mask << l``, which then lies inside it.
+    It counts the bits of ``r_head`` outside ``right_r`` below the
+    lowest bit of ``right_mask`` shifted by l_min, which no bit of
+    ``right_mask << l`` reaches, and the bits of ``head_mask`` outside
+    ``right_mask`` that ``_head_floor`` counts past ``r_head``."""
+    low = (right_mask & -right_mask) << l_min
+    shift = max(0, r_head.bit_length() - l_min)
+    return ((r_head & ~right_r & low - 1).bit_count()
+            + ((head_mask & ~right_mask) >> shift).bit_count())
+
+
+def _split_settled(k: int, head: tuple[int, ...], head_mask: int, rs: list[int], s: int,
+                   right_mask: int, right_r: int, l_min: int) -> bool:
+    """Whether the walk's masks of a theorem 1 head with split position
+    s show that every top l >= l_min passes the split check of
+    :func:`_low_second_tops`.  Both cases need ``right_r`` inside the
+    head's restricted mask and ``right_mask`` inside the head, so that
+    each top's ``right_l = right_r | right_mask << l`` lies inside the
+    set's restricted mask.  For s <= k-3 the overlap identity is read
+    once per head, and :func:`_split_floor` must reach |2^left| - 3.  At
+    s = k-2, ``right_r`` must be the one shared sum a_{k-3} + a_{k-2},
+    so each top's overlap is ``right_l`` itself, that sum plus
+    ``right_mask << l``, and ``right_mask`` at most two bits, so
+    |2^right| <= 3."""
+    r_head = rs[-1]
+    if right_r & ~r_head or right_mask & ~head_mask:
+        return False
+    lo, hi = head[s - 1], head[s]
+    if s == k - 2:
+        return right_r == 1 << lo + hi and right_mask.bit_count() <= 2
+    c, left_r = head[s + 1], rs[s + 1]
+    return (left_r & right_r == 1 << lo + hi | 1 << lo + c | 1 << hi + c
+            and _split_floor(r_head, head_mask, right_r, right_mask, l_min)
+            >= left_r.bit_count() - 3)
+
+
 def _low_second_row(
     k: int, tops: tuple[int, ...], walked: tuple[int, ...], constraints: tuple[str, ...]
 ) -> list[dict]:
     """The findings of the theorem 1 cells (k, l), l in tops: the 3k-7
     floor on every set, and split_at's two identities on every set with
-    a split position.  Each head's sets are checked in one pass over its
-    tops, with no call per set.
+    a split position.  The head walk carries the split position s down
+    with the right half's mask and restricted mask without the top.  A
+    head's tops are settled at once by bounds on the walk's masks, each
+    a fact about masks, not a theorem about sets, so a head they settle
+    passes the per-top checks at every top from the least walked one:
 
-    The split position s reads only the head, and the head walk carries
-    it down with the right half's mask and restricted mask without the
-    top.  The left half is the prefix a_0..a_{s+1} and the right half
-    the elements from a_{s-1} up, the top included, whose restricted
-    mask with top l is ``right_r | right_mask << l``.  For s <= k-3 the
-    left half lies in the head, so its restricted mask is the walk's
-    ``rs[s+1]``, and its sums are at most a_s + a_{s+1} <= (2s-1) +
-    (2k-5) = 2k+2s-6.  Every sum of the top with the right half is at
-    least l + a_{s-1} >= 2k+2s-4, so none of them meets the left half:
-    the overlap identity and |2^left| are checked once per head, and
-    each top costs one popcount for |2^right| and the additive bound.
-    For s = k-2 the left half is the whole set and its third shared
-    element is the top, so both identities are checked per top.  A set
-    that fails is handed to ``structure.split_at``, whose message the
-    entry records (``_split_failure``); every set with a split position
-    counts in ``splits``."""
+    * the floor: ``_head_floor`` (the head's sums, plus its bits that any
+      top carries past them) over 3k-7;
+    * s <= k-3: the overlap identity, read once per head, and
+      ``_split_floor`` (the set's sums outside |2^right| that any top
+      keeps) at least |2^left| - 3;
+    * s = k-2: the right half's sums without the top are the one shared
+      sum a_{k-3} + a_{k-2}, inside the head's, so each top's overlap
+      is |2^right| itself, at most three sums.
+
+    The other heads, those whose floor bound is at most 3k-7 (66 of the
+    1716 at k = 9; the split bounds settle every split head), run
+    :func:`_low_second_tops`, the one path that records an entry; past
+    the top a_{k-3} + a_{k-2} the floor bound is exact.  Every set
+    with a split position counts in ``splits``."""
     bound = 3 * k - 7
     tight = dict.fromkeys(tops, 0)
     bad: dict[int, list[str]] = {l: [] for l in tops}
     split_heads = 0
+    l_min = min(walked, default=0)
 
     def on_head(head: tuple[int, ...], head_mask: int, rs: list[int],
                 s: Optional[int], right_mask: int, right_r: int) -> None:
         nonlocal split_heads
-        r_head = rs[-1]
-        sizes = [(r_head | head_mask << l).bit_count() for l in walked]
-        if min(sizes) <= bound:
-            for l, n in zip(walked, sizes):
-                if n < bound:
-                    bad[l].append(_below_floor(head + (l,), n, bound))
-                elif n == bound:
-                    tight[l] += 1
-        if s is None:
+        if s is not None:
+            split_heads += 1
+        if _head_floor(rs[-1], head_mask, l_min) > bound and (
+                s is None or _split_settled(k, head, head_mask, rs, s, right_mask, right_r, l_min)):
             return
-        split_heads += 1
-        lo, hi = head[s - 1], head[s]
-        if s < k - 2:
-            c = head[s + 1]
-            left_r = rs[s + 1]
-            if left_r & right_r != 1 << lo + hi | 1 << lo + c | 1 << hi + c:
-                for l in walked:
-                    bad[l].append(_split_failure(head + (l,), s))
-                return
-            floor = left_r.bit_count() - 3
-            for l, n in zip(walked, sizes):
-                if n < floor + (right_r | right_mask << l).bit_count():
-                    bad[l].append(_split_failure(head + (l,), s))
-        else:
-            # the shared sums are a_{k-3} + a_{k-2} and both with the
-            # top; |2^left| = n, so the bound asks |2^right| <= 3
-            fixed = 1 << lo + hi
-            for l in walked:
-                right_l = right_r | right_mask << l
-                overlap = (r_head | head_mask << l) & right_l
-                if overlap != fixed | right_mask << l or right_l.bit_count() > 3:
-                    bad[l].append(_split_failure(head + (l,), s))
+        _low_second_tops(k, walked, head, head_mask, rs, s, right_mask, right_r, tight, bad)
 
     _walk_row(k, walked, constraints, on_head)
     return [{"tight": tight[l], "splits": split_heads if l in walked else 0, "bad": bad[l]}
             for l in tops]
+
+
+def _low_second_tops(
+    k: int, walked: tuple[int, ...], head: tuple[int, ...], head_mask: int, rs: list[int],
+    s: Optional[int], right_mask: int, right_r: int,
+    tight: dict[int, int], bad: dict[int, list[str]],
+) -> None:
+    """Check the sets of one theorem 1 head, top l in ``walked``, adding
+    to ``tight`` and ``bad``: the floor on each set's restricted size,
+    and the split identities.  For s <= k-3 the left half lies in the
+    head, so its restricted mask is the walk's ``rs[s+1]``, and its sums
+    are at most a_s + a_{s+1} <= (2s-1) + (2k-5) = 2k+2s-6.  Every sum of
+    the top with the right half is at least l + a_{s-1} >= 2k+2s-4, so
+    none of them meets the left half: the overlap identity and |2^left|
+    are checked once per head, and each top costs one popcount for
+    |2^right| and the additive bound.  For s = k-2 the left half is the
+    whole set and its third shared element is the top, so both
+    identities are checked per top.  A set that fails is handed to
+    ``structure.split_at``, whose message the entry records
+    (``_split_failure``)."""
+    bound = 3 * k - 7
+    r_head = rs[-1]
+    sizes = [(r_head | head_mask << l).bit_count() for l in walked]
+    if min(sizes) <= bound:
+        for l, n in zip(walked, sizes):
+            if n < bound:
+                bad[l].append(_below_floor(head + (l,), n, bound))
+            elif n == bound:
+                tight[l] += 1
+    if s is None:
+        return
+    lo, hi = head[s - 1], head[s]
+    if s < k - 2:
+        c = head[s + 1]
+        left_r = rs[s + 1]
+        if left_r & right_r != 1 << lo + hi | 1 << lo + c | 1 << hi + c:
+            for l in walked:
+                bad[l].append(_split_failure(head + (l,), s))
+            return
+        floor = left_r.bit_count() - 3
+        for l, n in zip(walked, sizes):
+            if n < floor + (right_r | right_mask << l).bit_count():
+                bad[l].append(_split_failure(head + (l,), s))
+    else:
+        # the shared sums are a_{k-3} + a_{k-2} and both with the
+        # top; |2^left| = n, so the bound asks |2^right| <= 3
+        fixed = 1 << lo + hi
+        for l in walked:
+            right_l = right_r | right_mask << l
+            overlap = (r_head | head_mask << l) & right_l
+            if overlap != fixed | right_mask << l or right_l.bit_count() > 3:
+                bad[l].append(_split_failure(head + (l,), s))
 
 
 def _split_failure(tup: tuple[int, ...], s: int) -> str:
@@ -1130,20 +1212,24 @@ def _structure_row(
     Every check reads only k and the head, the set minus its top l, so
     the row walker builds each head's context and runs its checks once
     (``structure._head_failures``, on the walk's restricted mask of the
-    head), and only the extremal count sees the top.
+    head), and only the extremal count sees the top.  It counts a head's
+    tops one by one only when ``_head_floor``, a lower bound on every
+    top's restricted size, is at most 3k-7; otherwise none is extremal.
     """
     from .structure import _head_failures
 
     extremal_size = 3 * k - 7
     extremal = dict.fromkeys(tops, 0)
     bad: dict[int, list[str]] = {l: [] for l in tops}
+    l_min = min(walked, default=0)
 
     def on_head(head: tuple[int, ...], head_mask: int, rs: list[int],
                 _s: Optional[int], _right_mask: int, _right_r: int) -> None:
         r_head = rs[-1]
-        for l in walked:
-            if (r_head | head_mask << l).bit_count() == extremal_size:
-                extremal[l] += 1
+        if _head_floor(r_head, head_mask, l_min) <= extremal_size:
+            for l in walked:
+                if (r_head | head_mask << l).bit_count() == extremal_size:
+                    extremal[l] += 1
         fails = _head_failures(head, head_mask, r_head)
         if fails:
             for l in walked:

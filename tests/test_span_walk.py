@@ -21,8 +21,14 @@ their heads, must give each cell the dict a lone cell (a row with one
 top) gives.  Theorem 1's split check, made once per head below
 s = k-2 and once per top at it, must read ``split_at``'s halves off the
 walk, and record the message ``split_at`` gives on every set it fails.
+The bounds by which a row head settles all its tops at once must be at
+most what the naive oracle gives, on every theorem 1 and dense head
+with k <= 10 at every top up to 4k-10, and must settle a head with
+faulted masks only when every top passes; a head they leave must reach
+the per-top loop and record what plain enumeration records.
 """
 
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -60,8 +66,11 @@ from sumset_lab.verify import (
     _MIRROR_CLOSED,
     _detached_top_rows,
     _floor_cells,
+    _head_floor,
     _low_second_row,
     _run_task,
+    _split_floor,
+    _split_settled,
     _structure_row,
     _sweep,
     _walk_row,
@@ -393,9 +402,15 @@ def low_second_cells(draw):
     return k, draw(st.integers(min_value=2 * k - 2, max_value=2 * k + 6)), draw(budgets)
 
 
-def low_second_reference(k, l, budget):
+def low_second_reference(k, l, budget, faulted=None):
+    """The theorem 1 cell by plain enumeration.  ``faulted`` maps a head
+    to a restricted mask that stands in for the oracle's, as the row
+    sees it when the walk's mask of that head is faulted."""
     bound = 3 * k - 7
     counts, streamed = plain_sets(k, l, LOW_SECOND, budget)
+    faulted = faulted or {}
+    streamed = [(t, (faulted[t[:-1]] | mask_of(t[:-1]) << l).bit_count()
+                 if t[:-1] in faulted else n) for t, n in streamed]
     bad = []
     splits = 0
     for t, n in streamed:
@@ -944,3 +959,209 @@ def test_split_parts_match_split_at_and_the_oracle_on_every_theorem1_set():
         assert [cell["splits"] for cell in got] == [splits[l] for l in tops]
         assert all(cell["bad"] == [] for cell in got)
     assert by_s == {"s = k-2": 21177, "s < k-2": 39420}
+
+
+# ---------------------------------------------------------------------------
+# Per-head bounds: a row head settles all its tops at once
+
+
+def row_heads(k):
+    """Every theorem 1 head of k: k-2 interior values in [1, 2k-5].  The
+    dense heads (a_i < 2i) are among them."""
+    return [(0,) + c for c in combinations(range(1, 2 * k - 4), k - 2)]
+
+
+def far_tops(k):
+    """The tops [2k-2, 4k-10]: from 4k-10 on, past every sum of a head."""
+    return range(2 * k - 2, max(2 * k - 2, 4 * k - 10) + 1)
+
+
+def oracle_masks(head):
+    """The head's mask and the oracle's restricted masks of its prefixes
+    a_0..a_i, as the row walk hands them over in ``rs``."""
+    return mask_of(head), [mask_of(naive_restricted(head[:i + 1])) for i in range(len(head))]
+
+
+def split_passes(k, head, m, rs, s, right_mask, right_r, l):
+    """Whether the split check of _low_second_tops passes the set with
+    top l, read from the given masks (``m`` the head's)."""
+    lo, hi = head[s - 1], head[s]
+    n_set = rs[-1] | m << l
+    right_l = right_r | right_mask << l
+    if s == k - 2:
+        return n_set & right_l == 1 << lo + hi | right_mask << l and right_l.bit_count() <= 3
+    c, left_r = head[s + 1], rs[s + 1]
+    return (left_r & right_r == 1 << lo + hi | 1 << lo + c | 1 << hi + c
+            and n_set.bit_count() >= left_r.bit_count() - 3 + right_l.bit_count())
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_head_bounds_are_at_most_the_oracle_on_every_row_head(k):
+    # every theorem 1 head, dense ones included, at every least top l_min
+    # and every top l >= l_min in [2k-2, 4k-10], on the oracle's masks:
+    # the floor bound is at most |2^A| and equals it once l_min passes
+    # every head sum; below s = k-2 the split bound is at most
+    # |2^A| - |2^right|; at s = k-2 each top's overlap is the shared sum
+    # plus the right half's sums with the top, and |2^right| <= 3; and
+    # the split bounds settle every head with a split position
+    tops = far_tops(k)
+    by_s = {"none": 0, "s = k-2": 0, "s < k-2": 0}
+    for head in row_heads(k):
+        m, rs = oracle_masks(head)
+        reach = naive_restricted(head)
+        n = {l: len(naive_restricted(head + (l,))) for l in tops}
+        s = find_admissible_split(NormalizedSet(head + (2 * k - 2,)))
+        if s is not None:
+            right = head[s - 1:]
+            right_mask, right_r = mask_of(right), mask_of(naive_restricted(right))
+            two_right = {l: naive_restricted(right + (l,)) for l in tops}
+        by_s["none" if s is None else "s = k-2" if s == k - 2 else "s < k-2"] += 1
+        for l_min in tops:
+            floor = _head_floor(rs[-1], m, l_min)
+            assert all(floor <= n[l] for l in tops if l >= l_min)
+            if l_min > max(reach):
+                assert floor == n[l_min]
+            if s is None:
+                continue
+            assert _split_settled(k, head, m, rs, s, right_mask, right_r, l_min)
+            for l in tops:
+                if l < l_min:
+                    continue
+                if s < k - 2:
+                    split = _split_floor(rs[-1], m, right_r, right_mask, l_min)
+                    assert split <= n[l] - len(two_right[l])
+                else:
+                    shared = {head[-2] + head[-1], head[-2] + l, head[-1] + l}
+                    assert naive_restricted(head + (l,)) & two_right[l] == shared
+                    assert len(two_right[l]) <= 3
+    assert sum(by_s.values()) == len(row_heads(k))
+    if k == 10:
+        assert by_s == {"none": 1430, "s = k-2": 1716, "s < k-2": 3289}
+
+
+# single-bit faults of the masks a split bound reads, k <= 8, every head
+# with a split position: rs[-1], rs[s+1], right_r, right_mask, head_mask
+FAULTED = ("r_head", "left_r", "right_r", "right_mask", "head_mask")
+
+
+def split_faults(k, head, s):
+    """Every (head_mask, rs, right_mask, right_r) with one bit below 4k
+    of one mask flipped, the oracle's masks otherwise."""
+    m, rs = oracle_masks(head)
+    right = head[s - 1:]
+    right_mask, right_r = mask_of(right), mask_of(naive_restricted(right))
+    for bit in range(4 * k):
+        flip = 1 << bit
+        for which in FAULTED:
+            if which == "left_r" and s == k - 2:
+                continue  # the left half is the whole set: rs[-1]
+            fs = list(rs)
+            if which == "r_head":
+                fs[-1] ^= flip
+            elif which == "left_r":
+                fs[s + 1] ^= flip
+            yield (m ^ flip if which == "head_mask" else m, fs,
+                   right_mask ^ flip if which == "right_mask" else right_mask,
+                   right_r ^ flip if which == "right_r" else right_r)
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+def test_split_bounds_settle_a_faulted_head_only_when_every_top_passes(k):
+    # the bounds are facts about masks: on any masks, a head they settle
+    # passes the per-top split check at every top >= l_min, and the
+    # floor bound is at most the restricted size the masks give
+    settled = unsettled = 0
+    for head in row_heads(k):
+        s = find_admissible_split(NormalizedSet(head + (2 * k - 2,)))
+        if s is None:
+            continue
+        for m, rs, right_mask, right_r in split_faults(k, head, s):
+            # the least top: 2k-2 to 2k, varying with the fault
+            l_min = 2 * k - 2 + (m ^ right_r) % 3
+            tops = range(l_min, 4 * k - 5)
+            floor = _head_floor(rs[-1], m, l_min)
+            assert all(floor <= (rs[-1] | m << l).bit_count() for l in tops)
+            if not (right_r & ~rs[-1] or right_mask & ~m) and s < k - 2:
+                split = _split_floor(rs[-1], m, right_r, right_mask, l_min)
+                assert all(split <= (rs[-1] | m << l).bit_count()
+                           - (right_r | right_mask << l).bit_count() for l in tops)
+            if _split_settled(k, head, m, rs, s, right_mask, right_r, l_min):
+                settled += 1
+                assert all(split_passes(k, head, m, rs, s, right_mask, right_r, l) for l in tops)
+            else:
+                unsettled += 1
+    assert settled and unsettled
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_rows_past_every_head_sum_match_plain_enumeration(k):
+    # at cap 4k-10 the top tops pass every sum of the head, where the
+    # floor bound is exact
+    tops = tuple(far_tops(k))
+    assert (_run_task((_low_second_row, LOW_SECOND, k, tops, 10**9))
+            == [low_second_reference(k, l, 10**9) for l in tops])
+    assert (_run_task((_structure_row, DENSE, k, tops, 10**9))
+            == [structure_reference(k, l, 10**9) for l in tops])
+
+
+@pytest.mark.parametrize("drop", [0, 1], ids=["tight", "below"])
+@pytest.mark.parametrize("k", range(5, 10))
+def test_a_faulted_head_mask_reaches_the_per_top_loop(k, drop, monkeypatch):
+    # the first head with no split position that the floor bound
+    # settles, its restricted mask rs[-1] cut by its lowest bits until
+    # its smallest set is tight (or one below the floor): the head must
+    # reach the per-top loop, and the row record what plain enumeration
+    # records with the cut mask
+    tops = tuple(range(2 * k - 2, 2 * k + 7))
+    bound = 3 * k - 7
+    for head in row_heads(k):
+        m, rs = oracle_masks(head)
+        if (find_admissible_split(NormalizedSet(head + (tops[0],))) is None
+                and _head_floor(rs[-1], m, tops[0]) > bound):
+            break
+    fault = rs[-1]
+    while min((fault | m << l).bit_count() for l in tops) > bound - drop:
+        fault &= fault - 1
+    assert min((fault | m << l).bit_count() for l in tops) == bound - drop
+    real_walk, real_tops = verify._walk_row, verify._low_second_tops
+    reached = []
+
+    def faulted_walk(k_, tops_, constraints, on_head):
+        def faulted_head(head_, head_mask, rs_, *rest):
+            if head_ == head:
+                rs_ = rs_[:-1] + [fault]
+            on_head(head_, head_mask, rs_, *rest)
+
+        real_walk(k_, tops_, constraints, faulted_head)
+
+    monkeypatch.setattr(verify, "_walk_row", faulted_walk)
+    monkeypatch.setattr(verify, "_low_second_tops",
+                        lambda *a: (reached.append(a[2]), real_tops(*a)))
+    got = _run_task((_low_second_row, LOW_SECOND, k, tops, 10**9))
+    assert head in reached
+    assert got == [low_second_reference(k, l, 10**9, {head: fault}) for l in tops]
+    assert any(cell["tight" if drop == 0 else "bad"] for cell in got)
+
+
+@pytest.mark.parametrize("k, low_second, dense", [(9, 66, 19), (10, 138, 51)])
+def test_per_top_loops_run_only_on_heads_the_bounds_leave(k, low_second, dense, monkeypatch):
+    # pinned head counts at the default tops: a bound that stops settling
+    # heads it settled shows here.  Every theorem 1 head that reaches the
+    # per-top loop is one the floor bound leaves (7 of the 66 at k = 9,
+    # and 10 of the 138 at k = 10, have a tight set): the split bounds
+    # settle every head with a split position
+    tops = tuple(range(2 * k - 2, 2 * k + 7))
+    reached = []
+    real_tops = verify._low_second_tops
+    monkeypatch.setattr(verify, "_low_second_tops",
+                        lambda *a: (reached.append(a[2]), real_tops(*a)))
+    _low_second_row(k, tops, tops, LOW_SECOND)
+    assert len(reached) == low_second
+    assert all(_head_floor(mask_of(naive_restricted(h)), mask_of(h), tops[0]) <= 3 * k - 7
+               for h in reached)
+    floors = []
+    real_floor = verify._head_floor
+    monkeypatch.setattr(verify, "_head_floor",
+                        lambda *a: floors.append(real_floor(*a)) or floors[-1])
+    _structure_row(k, tops, tops, DENSE)
+    assert sum(f <= 3 * k - 7 for f in floors) == dense
