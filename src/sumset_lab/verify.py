@@ -67,8 +67,9 @@ walked cells share one walk over the heads.  The row's function runs
 once per head and settles all its tops at once from a few bounds on the
 head's masks, each a fact about masks that holds on any mask: the head's
 sums plus its bits that the least walked top carries past them bound
-every top's restricted size from below, and theorem 1 has like bounds
-for its split checks.  Only a head the bounds leave, a few per cent on a
+every top's restricted size from below, and theorem 1 finds its split
+lemma's inclusion-exclusion in the masks, with the right half read from
+the head.  Only a head the bounds leave, a few per cent on a
 correct walk, loops its tops, each top costing one shift-or and one
 popcount, with no call per set; that loop alone records findings.
 Theorem 1 and the structure sweep run their cells as rows.  Every
@@ -453,11 +454,11 @@ def _walk_row(
     k: int,
     tops: Sequence[int],
     constraints: tuple[str, ...],
-    on_head: Callable[[tuple[int, ...], int, list[int], Optional[int], int, int], None],
+    on_head: Callable[[tuple[int, ...], int, list[int], Optional[int], int], None],
 ) -> None:
     """Walk the heads of the detached-top cells (k, l), k >= 3 and l in
     ``tops``, in lexicographic order, calling ``on_head(head, head_mask, rs, s,
-    right_mask, right_r)`` at each.  ``head`` is a set minus its top,
+    right_r)`` at each.  ``head`` is a set minus its top,
     ``head_mask`` its bit mask and ``rs[i]`` the restricted mask of its
     prefix a_0..a_i, which the walk builds as it places a_i; ``rs[-1]``
     is the head's own.  ``rs`` is the walk's list, valid only during the
@@ -468,12 +469,14 @@ def _walk_row(
     hand them.  Like the span walker, it counts nothing.
 
     ``s`` is theorem 1's split position, one more than the largest i in
-    [1, k-3] with a_i >= 2i, or None; ``right_mask`` and ``right_r`` are
-    the mask and restricted mask of the head's elements from a_{s-1} up,
-    or of the whole head when s is None.  The walk carries the three
-    down: placing an a_i >= 2i with i <= k-3 restarts them at s = i+1
-    with a_i alone, and any other placement v adds v to the right half,
-    ``right_r | right_mask << v`` then ``right_mask | 1 << v``.
+    [1, k-3] with a_i >= 2i, or None; ``right_r`` is the restricted mask
+    of the right half, the head's elements from a_{s-1} up, or of the
+    whole head when s is None.  The right half's mask is ``head_mask >>
+    a_{s-1} << a_{s-1}``, so ``on_head`` derives it, but the walk carries
+    it down with s and ``right_r``, to build ``right_r``: placing an a_i
+    >= 2i with i <= k-3 restarts them at s = i+1 with a_i alone, and any
+    other placement v adds v to the right half, ``right_r | right_mask
+    << v`` then ``right_mask | 1 << v``.
 
     The walk takes no gcd: under both detached-top constraints every
     head already has gcd 1, so every top streams it.  A dense head has
@@ -518,8 +521,7 @@ def _walk_row(
             for v in range(prev + 1, cap + 1):
                 path[pos] = v
                 rs[pos] = r | mask << v
-                on_head(tuple(path), mask | 1 << v, rs, s,
-                        right_mask | 1 << v, right_r | right_mask << v)
+                on_head(tuple(path), mask | 1 << v, rs, s, right_r | right_mask << v)
             return
         low, restart = prev + 1, restarts[pos]
         for v in range(low, restart):
@@ -827,44 +829,30 @@ def _head_floor(r_head: int, head_mask: int, l_min: int) -> int:
     return r_head.bit_count() + (head_mask >> max(0, r_head.bit_length() - l_min)).bit_count()
 
 
-def _split_floor(r_head: int, head_mask: int, right_r: int, right_mask: int, l_min: int) -> int:
-    """For ``right_r`` inside ``r_head`` and ``right_mask`` inside
-    ``head_mask``, a lower bound on ``n - right_l.bit_count()`` for every
-    l >= l_min, n being ``(r_head | head_mask << l).bit_count()`` and
-    ``right_l = right_r | right_mask << l``, which then lies inside it.
-    It counts the bits of ``r_head`` outside ``right_r`` below the
-    lowest bit of ``right_mask`` shifted by l_min, which no bit of
-    ``right_mask << l`` reaches, and the bits of ``head_mask`` outside
-    ``right_mask`` that ``_head_floor`` counts past ``r_head``."""
-    low = (right_mask & -right_mask) << l_min
-    shift = max(0, r_head.bit_length() - l_min)
-    return ((r_head & ~right_r & low - 1).bit_count()
-            + ((head_mask & ~right_mask) >> shift).bit_count())
-
-
 def _split_settled(k: int, head: tuple[int, ...], head_mask: int, rs: list[int], s: int,
-                   right_mask: int, right_r: int, l_min: int) -> bool:
+                   right_r: int, l_min: int) -> bool:
     """Whether the walk's masks of a theorem 1 head with split position
-    s show that every top l >= l_min passes the split check of
-    :func:`_low_second_tops`.  Both cases need ``right_r`` inside the
-    head's restricted mask and ``right_mask`` inside the head, so that
-    each top's ``right_l = right_r | right_mask << l`` lies inside the
-    set's restricted mask.  For s <= k-3 the overlap identity is read
-    once per head, and :func:`_split_floor` must reach |2^left| - 3.  At
-    s = k-2, ``right_r`` must be the one shared sum a_{k-3} + a_{k-2},
-    so each top's overlap is ``right_l`` itself, that sum plus
-    ``right_mask << l``, and ``right_mask`` at most two bits, so
-    |2^right| <= 3."""
+    s show, by the split lemma's inclusion-exclusion, that every top l
+    >= l_min passes the split check of :func:`_low_second_tops`.  The
+    right half's mask is the head's from lo = a_{s-1} up, so with
+    ``right_r`` inside the head's restricted mask each top's right_l =
+    ``right_r | (head_mask >> lo << lo) << l`` lies inside the set's.  For
+    s <= k-3 the left half's restricted mask ``rs[s+1]`` must lie inside
+    the head's too, meet ``right_r`` in the three shared sums and have
+    no bit from lo + l_min up, where every top's sums with the right
+    half lie: it then meets every right_l in the three shared sums, and
+    |2^A| >= |2^left| + |2^right| - 3.  At s = k-2 ``right_r`` must be
+    the shared sum lo + a_{k-2} and the head's bits from lo up those of
+    lo and a_{k-2}: each right_l is then the three shared sums."""
     r_head = rs[-1]
-    if right_r & ~r_head or right_mask & ~head_mask:
+    if right_r & ~r_head:
         return False
     lo, hi = head[s - 1], head[s]
     if s == k - 2:
-        return right_r == 1 << lo + hi and right_mask.bit_count() <= 2
+        return right_r == 1 << lo + hi and head_mask >> lo == 1 | 1 << hi - lo
     c, left_r = head[s + 1], rs[s + 1]
-    return (left_r & right_r == 1 << lo + hi | 1 << lo + c | 1 << hi + c
-            and _split_floor(r_head, head_mask, right_r, right_mask, l_min)
-            >= left_r.bit_count() - 3)
+    return (not left_r & ~r_head and not left_r >> lo + l_min
+            and left_r & right_r == 1 << lo + hi | 1 << lo + c | 1 << hi + c)
 
 
 def _low_second_row(
@@ -873,25 +861,17 @@ def _low_second_row(
     """The findings of the theorem 1 cells (k, l), l in tops: the 3k-7
     floor on every set, and split_at's two identities on every set with
     a split position.  The head walk carries the split position s down
-    with the right half's mask and restricted mask without the top.  A
-    head's tops are settled at once by bounds on the walk's masks, each
-    a fact about masks, not a theorem about sets, so a head they settle
-    passes the per-top checks at every top from the least walked one:
-
-    * the floor: ``_head_floor`` (the head's sums, plus its bits that any
-      top carries past them) over 3k-7;
-    * s <= k-3: the overlap identity, read once per head, and
-      ``_split_floor`` (the set's sums outside |2^right| that any top
-      keeps) at least |2^left| - 3;
-    * s = k-2: the right half's sums without the top are the one shared
-      sum a_{k-3} + a_{k-2}, inside the head's, so each top's overlap
-      is |2^right| itself, at most three sums.
-
-    The other heads, those whose floor bound is at most 3k-7 (66 of the
-    1716 at k = 9; the split bounds settle every split head), run
-    :func:`_low_second_tops`, the one path that records an entry; past
-    the top a_{k-3} + a_{k-2} the floor bound is exact.  Every set
-    with a split position counts in ``splits``."""
+    with the right half's restricted mask without the top.  A head's
+    tops are settled at once from the walk's masks, by facts about
+    masks, not theorems about sets, so a head they settle passes the
+    per-top checks at every top from the least walked one: the floor,
+    when ``_head_floor`` (the head's sums, plus its bits that any top
+    carries past them) is over 3k-7, and the split checks, when
+    ``_split_settled`` finds the split lemma's inclusion-exclusion in
+    the masks.  The other heads (66 of the 1716 at k = 9, all for the
+    floor) run :func:`_low_second_tops`, the one path that records an
+    entry; past the top a_{k-3} + a_{k-2} the floor bound is exact.
+    Every set with a split position counts in ``splits``."""
     bound = 3 * k - 7
     tight = dict.fromkeys(tops, 0)
     bad: dict[int, list[str]] = {l: [] for l in tops}
@@ -899,14 +879,14 @@ def _low_second_row(
     l_min = min(walked, default=0)
 
     def on_head(head: tuple[int, ...], head_mask: int, rs: list[int],
-                s: Optional[int], right_mask: int, right_r: int) -> None:
+                s: Optional[int], right_r: int) -> None:
         nonlocal split_heads
         if s is not None:
             split_heads += 1
         if _head_floor(rs[-1], head_mask, l_min) > bound and (
-                s is None or _split_settled(k, head, head_mask, rs, s, right_mask, right_r, l_min)):
+                s is None or _split_settled(k, head, head_mask, rs, s, right_r, l_min)):
             return
-        _low_second_tops(k, walked, head, head_mask, rs, s, right_mask, right_r, tight, bad)
+        _low_second_tops(k, walked, head, head_mask, rs, s, right_r, tight, bad)
 
     _walk_row(k, walked, constraints, on_head)
     return [{"tight": tight[l], "splits": split_heads if l in walked else 0, "bad": bad[l]}
@@ -915,22 +895,22 @@ def _low_second_row(
 
 def _low_second_tops(
     k: int, walked: tuple[int, ...], head: tuple[int, ...], head_mask: int, rs: list[int],
-    s: Optional[int], right_mask: int, right_r: int,
-    tight: dict[int, int], bad: dict[int, list[str]],
+    s: Optional[int], right_r: int, tight: dict[int, int], bad: dict[int, list[str]],
 ) -> None:
     """Check the sets of one theorem 1 head, top l in ``walked``, adding
     to ``tight`` and ``bad``: the floor on each set's restricted size,
-    and the split identities.  For s <= k-3 the left half lies in the
-    head, so its restricted mask is the walk's ``rs[s+1]``, and its sums
-    are at most a_s + a_{s+1} <= (2s-1) + (2k-5) = 2k+2s-6.  Every sum of
-    the top with the right half is at least l + a_{s-1} >= 2k+2s-4, so
-    none of them meets the left half: the overlap identity and |2^left|
-    are checked once per head, and each top costs one popcount for
-    |2^right| and the additive bound.  For s = k-2 the left half is the
-    whole set and its third shared element is the top, so both
-    identities are checked per top.  A set that fails is handed to
-    ``structure.split_at``, whose message the entry records
-    (``_split_failure``)."""
+    and the split identities.  The right half's mask without the top is
+    the head's from a_{s-1} up, its restricted mask ``right_r``.  For
+    s <= k-3 the left half lies in the head, so its restricted mask is
+    the walk's ``rs[s+1]``, and its sums are at most a_s + a_{s+1} <=
+    (2s-1) + (2k-5) = 2k+2s-6.  Every sum of the top with the right half
+    is at least l + a_{s-1} >= 2k+2s-4, so none of them meets the left
+    half: the overlap identity and |2^left| are checked once per head,
+    and each top costs one popcount for |2^right| and the additive
+    bound.  For s = k-2 the left half is the whole set and its third
+    shared element is the top, so both identities are checked per top.
+    A set that fails is handed to ``structure.split_at``, whose message
+    the entry records (``_split_failure``)."""
     bound = 3 * k - 7
     r_head = rs[-1]
     sizes = [(r_head | head_mask << l).bit_count() for l in walked]
@@ -943,6 +923,7 @@ def _low_second_tops(
     if s is None:
         return
     lo, hi = head[s - 1], head[s]
+    right_mask = head_mask >> lo << lo
     if s < k - 2:
         c = head[s + 1]
         left_r = rs[s + 1]
@@ -1224,7 +1205,7 @@ def _structure_row(
     l_min = min(walked, default=0)
 
     def on_head(head: tuple[int, ...], head_mask: int, rs: list[int],
-                _s: Optional[int], _right_mask: int, _right_r: int) -> None:
+                _s: Optional[int], _right_r: int) -> None:
         r_head = rs[-1]
         if _head_floor(r_head, head_mask, l_min) <= extremal_size:
             for l in walked:

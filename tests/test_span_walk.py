@@ -69,7 +69,6 @@ from sumset_lab.verify import (
     _head_floor,
     _low_second_row,
     _run_task,
-    _split_floor,
     _split_settled,
     _structure_row,
     _sweep,
@@ -871,10 +870,11 @@ def test_split_check_fails_with_the_message_split_at_gives():
                 return fault(got) if mask == right_head_mask else got
 
             def faulted_walk(k_, tops, constraints, on_head):
-                def faulted_head(head, head_mask, rs, s_, right_mask, right_r):
-                    if right_mask == right_head_mask:
+                def faulted_head(head, head_mask, rs, s_, right_r):
+                    lo_ = 0 if s_ is None else head[s_ - 1]
+                    if head_mask >> lo_ << lo_ == right_head_mask:
                         right_r = fault(right_r)
-                    on_head(head, head_mask, rs, s_, right_mask, right_r)
+                    on_head(head, head_mask, rs, s_, right_r)
 
                 _walk_row(k_, tops, constraints, faulted_head)
 
@@ -898,6 +898,32 @@ def test_split_check_fails_with_the_message_split_at_gives():
     assert by_s["s = k-2"] > 0 and by_s["s < k-2"] > 0
 
 
+@pytest.mark.parametrize("head", [(0, 1, 2, 3, 8, 9), (0, 1, 2, 6, 7, 8)],
+                         ids=["s = k-2", "s < k-2"])
+def test_a_right_half_walked_without_one_element_fails_the_split_check(head):
+    # the walk builds right_r from the right half's mask it carries down;
+    # a carried mask that lost one element gives right_r the sums of the
+    # right half without it.  The row reads the right half from the head
+    # mask, so the split check fails on the set, which split_at passes
+    k, l = len(head) + 1, 12
+    s = _split_position(head, k)
+    right = head[s - 1:]
+    for dropped in right:
+        rest = tuple(v for v in right if v != dropped)
+        fault = mask_of(naive_restricted(rest))
+
+        def faulted_walk(k_, tops, constraints, on_head):
+            def faulted_head(head_, head_mask, rs, s_, right_r):
+                on_head(head_, head_mask, rs, s_, fault if head_ == head else right_r)
+
+            _walk_row(k_, tops, constraints, faulted_head)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_walk_row", faulted_walk)
+            with pytest.raises(AssertionError, match=f"{lit(head + (l,))} at s={s}, which"):
+                _low_second_row(k, (l,), (l,), LOW_SECOND)
+
+
 def test_split_parts_match_split_at_and_the_oracle_on_every_theorem1_set():
     # every set with a split position in the theorem 1 rows k <= 10 (tops
     # up to 2k+6), walked as the row walks them.  The split position and
@@ -916,12 +942,13 @@ def test_split_parts_match_split_at_and_the_oracle_on_every_theorem1_set():
         tops = tuple(range(2 * k - 2, 2 * k + 7))
         splits = dict.fromkeys(tops, 0)
 
-        def on_head(head, head_mask, rs, s, right_head_mask, right_head_r):
+        def on_head(head, head_mask, rs, s, right_head_r):
             assert rs[-1] == restricted_mask(head_mask, head)
             # the split state the walk carries down: the right half from
             # a_{s-1} up, or the whole head when there is no split position
             assert s == _split_position(head, k)
             right = head if s is None else head[s - 1:]
+            right_head_mask = head_mask >> right[0] << right[0]
             assert right_head_mask == mask_of(right)
             assert right_head_r == restricted_mask(mask_of(right), right)
             for l in tops:
@@ -982,10 +1009,12 @@ def oracle_masks(head):
     return mask_of(head), [mask_of(naive_restricted(head[:i + 1])) for i in range(len(head))]
 
 
-def split_passes(k, head, m, rs, s, right_mask, right_r, l):
+def split_passes(k, head, m, rs, s, right_r, l):
     """Whether the split check of _low_second_tops passes the set with
-    top l, read from the given masks (``m`` the head's)."""
+    top l, read from the given masks (``m`` the head's, whose bits from
+    a_{s-1} up are the right half's)."""
     lo, hi = head[s - 1], head[s]
+    right_mask = m >> lo << lo
     n_set = rs[-1] | m << l
     right_l = right_r | right_mask << l
     if s == k - 2:
@@ -1000,10 +1029,13 @@ def test_head_bounds_are_at_most_the_oracle_on_every_row_head(k):
     # every theorem 1 head, dense ones included, at every least top l_min
     # and every top l >= l_min in [2k-2, 4k-10], on the oracle's masks:
     # the floor bound is at most |2^A| and equals it once l_min passes
-    # every head sum; below s = k-2 the split bound is at most
-    # |2^A| - |2^right|; at s = k-2 each top's overlap is the shared sum
-    # plus the right half's sums with the top, and |2^right| <= 3; and
-    # the split bounds settle every head with a split position
+    # every head sum; below s = k-2 the left half's sums lie in the
+    # head's, meet the right half's in the three shared sums, and stop
+    # below a_{s-1} + l_min, so they meet the right half's with every
+    # top l in those three sums; at s = k-2 each top's overlap is the
+    # shared sum plus the right half's sums with the top, and
+    # |2^right| <= 3; and the split checks settle every head with a
+    # split position
     tops = far_tops(k)
     by_s = {"none": 0, "s = k-2": 0, "s < k-2": 0}
     for head in row_heads(k):
@@ -1013,8 +1045,14 @@ def test_head_bounds_are_at_most_the_oracle_on_every_row_head(k):
         s = find_admissible_split(NormalizedSet(head + (2 * k - 2,)))
         if s is not None:
             right = head[s - 1:]
-            right_mask, right_r = mask_of(right), mask_of(naive_restricted(right))
+            right_r = mask_of(naive_restricted(right))
             two_right = {l: naive_restricted(right + (l,)) for l in tops}
+            if s < k - 2:
+                lo, hi, c = head[s - 1:s + 2]
+                shared = {lo + hi, lo + c, hi + c}
+                two_left = naive_restricted(head[:s + 2])
+                assert two_left <= reach
+                assert two_left & naive_restricted(right) == shared
         by_s["none" if s is None else "s = k-2" if s == k - 2 else "s < k-2"] += 1
         for l_min in tops:
             floor = _head_floor(rs[-1], m, l_min)
@@ -1023,13 +1061,14 @@ def test_head_bounds_are_at_most_the_oracle_on_every_row_head(k):
                 assert floor == n[l_min]
             if s is None:
                 continue
-            assert _split_settled(k, head, m, rs, s, right_mask, right_r, l_min)
+            assert _split_settled(k, head, m, rs, s, right_r, l_min)
+            if s < k - 2:
+                assert max(two_left) < lo + l_min
             for l in tops:
                 if l < l_min:
                     continue
                 if s < k - 2:
-                    split = _split_floor(rs[-1], m, right_r, right_mask, l_min)
-                    assert split <= n[l] - len(two_right[l])
+                    assert two_left & two_right[l] == shared
                 else:
                     shared = {head[-2] + head[-1], head[-2] + l, head[-1] + l}
                     assert naive_restricted(head + (l,)) & two_right[l] == shared
@@ -1039,17 +1078,16 @@ def test_head_bounds_are_at_most_the_oracle_on_every_row_head(k):
         assert by_s == {"none": 1430, "s = k-2": 1716, "s < k-2": 3289}
 
 
-# single-bit faults of the masks a split bound reads, k <= 8, every head
-# with a split position: rs[-1], rs[s+1], right_r, right_mask, head_mask
-FAULTED = ("r_head", "left_r", "right_r", "right_mask", "head_mask")
+# single-bit faults of the masks a split check reads, k <= 8, every head
+# with a split position: rs[-1], rs[s+1], right_r, head_mask
+FAULTED = ("r_head", "left_r", "right_r", "head_mask")
 
 
 def split_faults(k, head, s):
-    """Every (head_mask, rs, right_mask, right_r) with one bit below 4k
-    of one mask flipped, the oracle's masks otherwise."""
+    """Every (head_mask, rs, right_r) with one bit below 4k of one mask
+    flipped, the oracle's masks otherwise."""
     m, rs = oracle_masks(head)
-    right = head[s - 1:]
-    right_mask, right_r = mask_of(right), mask_of(naive_restricted(right))
+    right_r = mask_of(naive_restricted(head[s - 1:]))
     for bit in range(4 * k):
         flip = 1 << bit
         for which in FAULTED:
@@ -1061,33 +1099,29 @@ def split_faults(k, head, s):
             elif which == "left_r":
                 fs[s + 1] ^= flip
             yield (m ^ flip if which == "head_mask" else m, fs,
-                   right_mask ^ flip if which == "right_mask" else right_mask,
                    right_r ^ flip if which == "right_r" else right_r)
 
 
 @pytest.mark.parametrize("k", range(4, 9))
 def test_split_bounds_settle_a_faulted_head_only_when_every_top_passes(k):
     # the bounds are facts about masks: on any masks, a head they settle
-    # passes the per-top split check at every top >= l_min, and the
-    # floor bound is at most the restricted size the masks give
+    # passes the per-top split check at every top >= l_min, with the
+    # right half read from the head mask, and the floor bound is at most
+    # the restricted size the masks give
     settled = unsettled = 0
     for head in row_heads(k):
         s = find_admissible_split(NormalizedSet(head + (2 * k - 2,)))
         if s is None:
             continue
-        for m, rs, right_mask, right_r in split_faults(k, head, s):
+        for m, rs, right_r in split_faults(k, head, s):
             # the least top: 2k-2 to 2k, varying with the fault
             l_min = 2 * k - 2 + (m ^ right_r) % 3
             tops = range(l_min, 4 * k - 5)
             floor = _head_floor(rs[-1], m, l_min)
             assert all(floor <= (rs[-1] | m << l).bit_count() for l in tops)
-            if not (right_r & ~rs[-1] or right_mask & ~m) and s < k - 2:
-                split = _split_floor(rs[-1], m, right_r, right_mask, l_min)
-                assert all(split <= (rs[-1] | m << l).bit_count()
-                           - (right_r | right_mask << l).bit_count() for l in tops)
-            if _split_settled(k, head, m, rs, s, right_mask, right_r, l_min):
+            if _split_settled(k, head, m, rs, s, right_r, l_min):
                 settled += 1
-                assert all(split_passes(k, head, m, rs, s, right_mask, right_r, l) for l in tops)
+                assert all(split_passes(k, head, m, rs, s, right_r, l) for l in tops)
             else:
                 unsettled += 1
     assert settled and unsettled
