@@ -4,6 +4,10 @@ Every verdict here is computed in exact arithmetic.  Half-integral
 bounds ride on :class:`fractions.Fraction`; the golden-ratio bound is
 kept symbolically as ``(p + q*sqrt(5)) / 2`` and compared through its
 defining quadratic, so no floating-point rounding can flip a verdict.
+Each non-integral bound has a private integer form (twice the bound, or
+the golden pair ``(p, q)``) holding its formula; the public function and
+:func:`evaluate_bounds` both read it, and the report builds its entries
+from these integers without a Fraction or GoldenValue per call.
 
 Throughout, ``k`` is the cardinality of a normalized set and ``l`` its
 largest element, so ``l >= k - 1``.
@@ -20,7 +24,7 @@ from .core import (
     NormalizedSet,
     SetDomainError,
     _require_dimensions,
-    _sumset_masks,
+    _set_masks,
     freiman_lev_bound,
 )
 
@@ -44,6 +48,16 @@ __all__ = [
 ]
 
 
+def _golden_leq(p: int, q: int, n: int) -> bool:
+    """Whether (p + q*sqrt(5)) / 2 <= n, decided by the defining quadratic."""
+    d = 2 * n - p
+    return d >= 0 and 5 * q * q <= d * d
+
+
+def _golden_approx(p: int, q: int) -> float:
+    return (p + q * 5 ** 0.5) / 2.0
+
+
 class _GoldenFields(NamedTuple):
     p: int
     q: int
@@ -64,10 +78,7 @@ class GoldenValue(_GoldenFields):
 
     def leq_int(self, n: int) -> bool:
         """Whether self <= n, decided by the defining quadratic."""
-        d = 2 * n - self.p
-        if d < 0:
-            return False
-        return 5 * self.q * self.q <= d * d
+        return _golden_leq(self.p, self.q, n)
 
     def eq_int(self, n: int) -> bool:
         """Whether self == n exactly (impossible unless q == 0)."""
@@ -81,7 +92,7 @@ class GoldenValue(_GoldenFields):
         return n
 
     def __float__(self) -> float:
-        return (self.p + self.q * 5 ** 0.5) / 2.0
+        return _golden_approx(self.p, self.q)
 
 
 Bound = Union[int, Fraction, GoldenValue]
@@ -110,9 +121,12 @@ def halved_span_bound(k: int, l: int) -> Fraction:
     (l + 3k - 7) / 2 when l <= 2k - 3, else (5k - 10) / 2.
     """
     _require_dimensions(k, l)
-    if l <= 2 * k - 3:
-        return Fraction(l + 3 * k - 7, 2)
-    return Fraction(5 * k - 10, 2)
+    return Fraction(_halved_span_x2(k, l), 2)
+
+
+def _halved_span_x2(k: int, l: int) -> int:
+    """Twice :func:`halved_span_bound`."""
+    return l + 3 * k - 7 if l <= 2 * k - 3 else 5 * k - 10
 
 
 def golden_ratio_bound(k: int, l: int) -> Bound:
@@ -123,9 +137,16 @@ def golden_ratio_bound(k: int, l: int) -> Bound:
     :class:`GoldenValue` ((3k - 12) + k*sqrt(5)) / 2.
     """
     _require_dimensions(k, l)
+    p, q = _golden_pair(k, l)
+    return GoldenValue(p, q) if q else p // 2
+
+
+def _golden_pair(k: int, l: int) -> tuple[int, int]:
+    """:func:`golden_ratio_bound` as the pair (p, q) of (p + q*sqrt(5)) / 2;
+    q is 0 on the integral branch."""
     if l <= 2 * k - 5:
-        return l + k - 2
-    return GoldenValue(3 * k - 12, k)
+        return 2 * (l + k - 2), 0
+    return 3 * k - 12, k
 
 
 def narrow_window_bound(k: int, l: int) -> int:
@@ -200,42 +221,47 @@ class BoundReport(NamedTuple):
         }
 
 
-def _entry(target: str, bound: Bound, n: int) -> BoundEntry:
-    if isinstance(bound, GoldenValue):
-        return BoundEntry(target, None, float(bound), bound.leq_int(n), bound.eq_int(n))
-    if isinstance(bound, Fraction):
-        # halved_span_bound's denominator is 1 or 2, so twice the bound is
-        # an integer; num / den is exactly what Fraction.__float__ returns
-        num, den = bound.numerator, bound.denominator
-        bound_x2 = 2 * num // den
-        approx = num / den
-    else:
-        bound_x2 = 2 * bound
-        approx = float(bound)
-    return BoundEntry(target, bound_x2, approx, 2 * n >= bound_x2, 2 * n == bound_x2)
+def _x2_entry(target: str, bound_x2: int, n: int) -> BoundEntry:
+    """The entry of a rational bound, given twice its value.  Its
+    denominator is 1 or 2, so bound_x2 / 2 is the float of the bound."""
+    return BoundEntry(target, bound_x2, bound_x2 / 2, 2 * n >= bound_x2, 2 * n == bound_x2)
 
 
 def evaluate_bounds(a: NormalizedSet) -> BoundReport:
     """Evaluate every applicable lower bound against ``a``.
 
     Requires k >= 3.  The narrow-window entry appears only when its
-    hypothesis (k >= 5 and 2k - 4 <= l <= 2k - 3) holds.
+    hypothesis (k >= 5 and 2k - 4 <= l <= 2k - 3) holds.  The two
+    cardinalities are the popcounts of the masks in the set's context
+    (``core._set_masks``), which one sweep of the set's head fills for
+    the whole analyze pipeline.  Each entry is built from its bound's
+    private integer form, and equals the entry of the public bound
+    function's exact value.
     """
     k, l = a.k, a.l
     if k < 3:
         raise SetDomainError(f"bound report needs k >= 3, got k={k}")
-    double, restricted = _sumset_masks(a.mask, a.elements)
+    double, restricted, _ = _set_masks(a)
     nd, nr = double.bit_count(), restricted.bit_count()
+    return BoundReport(k, l, nd, nr, _entries(k, l, nd, nr))
+
+
+def _entries(k: int, l: int, nd: int, nr: int) -> dict[str, BoundEntry]:
+    """The report's entries for a k-set with top l, |A + A| = nd and
+    |2^A| = nr."""
+    p, q = _golden_pair(k, l)
     entries = {
-        "doubling": _entry("double", doubling_bound(k), nd),
-        "freiman": _entry("double", freiman_bound(k, l), nd),
-        "halved_span": _entry("restricted", halved_span_bound(k, l), nr),
-        "golden_ratio": _entry("restricted", golden_ratio_bound(k, l), nr),
-        "freiman_lev": _entry("restricted", freiman_lev_bound(k, l), nr),
+        "doubling": _x2_entry("double", 2 * doubling_bound(k), nd),
+        "freiman": _x2_entry("double", 2 * freiman_bound(k, l), nd),
+        "halved_span": _x2_entry("restricted", _halved_span_x2(k, l), nr),
+        # q = k > 0 off the integral branch: irrational, never attained
+        "golden_ratio": _x2_entry("restricted", p, nr) if not q else BoundEntry(
+            "restricted", None, _golden_approx(p, q), _golden_leq(p, q, nr), False),
+        "freiman_lev": _x2_entry("restricted", 2 * freiman_lev_bound(k, l), nr),
     }
     if k >= 5 and 2 * k - 4 <= l <= 2 * k - 3:
-        entries["narrow_window"] = _entry("restricted", narrow_window_bound(k, l), nr)
-    return BoundReport(k, l, nd, nr, entries)
+        entries["narrow_window"] = _x2_entry("restricted", 2 * narrow_window_bound(k, l), nr)
+    return entries
 
 
 def is_arithmetic_progression(a: IntegerSet) -> tuple[bool, Optional[int]]:
@@ -277,6 +303,11 @@ def is_union_two_aps_same_diff(a: IntegerSet) -> tuple[bool, Optional[int]]:
     run, and each maximal run is itself such a progression, so a
     two-progression split exists iff there are at most two runs.
     Singletons count as (length-1) progressions.
+
+    No d above span - k + 3 works, so the search stops there.  With at
+    most two runs, at least k - 2 elements v start none, so have v - d in
+    ``a``; each lies in [min + d, max], which holds span - d + 1 values,
+    so k - 2 <= span - d + 1.
     """
     elems = a.elements
     if len(elems) < 2:
@@ -285,7 +316,7 @@ def is_union_two_aps_same_diff(a: IntegerSet) -> tuple[bool, Optional[int]]:
         return True, 1
     mask = a.mask
     span = elems[-1] - elems[0]
-    for d in range(1, span + 1):
+    for d in range(1, span - len(elems) + 4):
         if (mask & ~(mask << d)).bit_count() <= 2:
             return True, d
     return False, None

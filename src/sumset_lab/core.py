@@ -18,6 +18,19 @@ One sweep thus gives both masks: when it ends, its accumulator is the
 ``A + A`` mask and its overlap plane the restricted one.  Callers that
 need only the two cardinalities take the popcounts of these masks and
 build no set.
+
+A normalized set also carries a context, empty when it is built and
+filled on first use by ``_set_masks``: its ``A + A`` mask, its
+restricted mask and the restricted mask of its head (the set minus its
+top ``l``).  One sweep of the head gives all three.  With ``hd`` and
+``hr`` the head's two masks and ``h`` its own mask, the top adds the
+sums ``l + a`` for every head element ``a`` and the double ``2l``, so
+
+    A + A = hd | h << l | 1 << 2l,    2^A = hr | h << l.
+
+``profile``, ``bounds.evaluate_bounds`` and the public checkers of
+``structure`` read the set's masks from this context, so the analyze
+pipeline sweeps each set once.
 """
 
 from __future__ import annotations
@@ -216,9 +229,14 @@ class NormalizedSet(IntegerSet):
     ``k`` is the cardinality and ``l`` the largest element, so the set
     spans ``[0, l]`` and every covering arithmetic progression has
     difference 1.  It never compares equal to a plain IntegerSet.
+
+    Its context (``_masks``, filled by ``_set_masks``, and ``_head``,
+    filled by ``structure._context``) is a cache of values the carrier
+    determines: every constructor leaves it empty, a pickle carries only
+    the carrier, and equality, hashing and ``repr`` ignore it.
     """
 
-    __slots__ = ()
+    __slots__ = ("_masks", "_head")
 
     def __init__(self, elements: Iterable[int]):
         if isinstance(elements, IntegerSet):
@@ -237,6 +255,18 @@ class NormalizedSet(IntegerSet):
             g = gcd(g, v)
         if g != 1:
             raise SetDomainError(f"a normalized set has gcd 1, got gcd {g}")
+        self._masks = self._head = None
+
+    @classmethod
+    def _from_trusted(cls, elements: tuple[int, ...], mask: int) -> "NormalizedSet":
+        obj = cls.__new__(cls)
+        obj._elements = elements
+        obj._mask = mask
+        obj._masks = obj._head = None
+        return obj
+
+    def __reduce__(self):
+        return type(self)._from_trusted, (self._elements, self._mask)
 
     @property
     def k(self) -> int:
@@ -316,12 +346,24 @@ def exceptional_mask(head_reach: int, k: int) -> int:
     return window & ~head_reach
 
 
+def _set_masks(a: NormalizedSet) -> tuple[int, int, int]:
+    """The context masks of ``a``: ``(A + A, 2^A, 2^head)``, from one
+    sweep of the head on first use (see the module docstring)."""
+    masks = a._masks
+    if masks is None:
+        top = a._elements[-1]
+        head_mask = a._mask ^ 1 << top
+        hd, hr = _sumset_masks(head_mask, a._elements[:-1])
+        up = head_mask << top
+        masks = a._masks = (hd | up | 1 << 2 * top, hr | up, hr)
+    return masks
+
+
 def profile(a: NormalizedSet) -> SumsetProfile:
     """Compute both sumsets and the low missing-sum window of ``a``."""
-    double, restricted = _sumset_masks(a.mask, a.elements)
+    double, restricted, head_reach = _set_masks(a)
     exceptional = None
     if a.k >= 3:
-        head_reach = restricted_mask(a.mask ^ 1 << a.l, a.elements[:-1])
         exceptional = IntegerSet.from_mask(exceptional_mask(head_reach, a.k))
     return SumsetProfile(
         a, IntegerSet.from_mask(double), IntegerSet.from_mask(restricted), exceptional

@@ -12,8 +12,10 @@ structure that ties A' to B: parity and membership of each b, prefix
 pair counts, doubling growth of B, forbidden small gaps above
 ``2k - 4``, density of covered offsets, and the exact shapes forced
 when the two values just above the covered window are both missing.
-They read only A', through one head context that each public checker
-builds for its set, and the sweep once per head (``_head_failures``).
+They read only A', through one head context (``_context``) that the
+first public checker called on a set builds from the set's own context
+(``core._set_masks``) and caches on the set, and the sweep once per
+head (``_head_failures``).
 
 The *witness* regime concerns any normalized set: a witness is a value
 ``w <= a_{k-1}`` outside A such that neither ``w`` nor ``w + a_{k-1}``
@@ -32,6 +34,7 @@ from .core import (
     IntegerSet,
     NormalizedSet,
     SetDomainError,
+    _set_masks,
     _split_position,
     double_mask,
     elements_of,
@@ -111,10 +114,16 @@ def _head(head: tuple[int, ...], reach: int) -> _Head:
 
 
 def _context(a: NormalizedSet) -> _Head:
-    """The head context of ``a``, once ``a`` is checked to be in the regime."""
-    require_dense_prefix(a)
-    head = a.elements[:-1]
-    return _head(head, restricted_mask(a.mask ^ 1 << a.l, head))
+    """The head context of ``a``, once ``a`` is checked to be in the regime.
+
+    It is built on first use from the head's restricted mask in the set's
+    context (``core._set_masks``), and cached on the set, so the public
+    checkers called on one set share one head context and one sweep."""
+    h = a._head
+    if h is None:
+        require_dense_prefix(a)
+        h = a._head = _head(a.elements[:-1], _set_masks(a)[2])
+    return h
 
 
 def exceptional_profile(a: NormalizedSet) -> ExceptionalProfile:
@@ -493,8 +502,7 @@ def _witness_mask(mask: int, r: int, l: int) -> int:
 def witness_profile(a: NormalizedSet) -> WitnessProfile:
     """Collect all witnesses of ``a``."""
     top = a.l
-    reach = restricted_mask(a.mask, a.elements)
-    found = IntegerSet.from_mask(_witness_mask(a.mask, reach, top))
+    found = IntegerSet.from_mask(_witness_mask(a.mask, _set_masks(a)[1], top))
     w1 = w2 = modulus = None
     if len(found) == 2:
         w1, w2 = found.elements

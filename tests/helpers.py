@@ -6,9 +6,11 @@ Expected values frozen into tests were computed with these (or by hand)
 before the corresponding library code was exercised.
 """
 
+import sys
 from decimal import Decimal, getcontext
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 
 def naive_double(elements) -> set[int]:
@@ -144,3 +146,23 @@ def memo_plan(l: int, caps, need_gcd_one: bool) -> tuple[int, int]:
         return got
 
     return subtree(1, 0, l)
+
+
+def benchmark_queries():
+    """The module ``perfbench/queries.py``: the seeded analyze queries of
+    the set-queries workload and the library pipeline it runs on each."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import queries
+
+    return queries
+
+
+# three seeds of the set-queries workload
+QUERY_SEEDS = (21301, 7, 99)
+
+
+def query_sets(seed: int) -> list[tuple[int, ...]]:
+    """The raw sets of the set-queries workload's analyze queries at ``seed``."""
+    return [q[1] for q in benchmark_queries().generate(seed) if q[0] == "analyze"]

@@ -1,7 +1,8 @@
 """Lower bounds, exact golden-ratio arithmetic, progression predicates."""
 
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import ceil, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,8 @@ from sumset_lab.bounds import (
     is_arithmetic_progression,
     is_union_two_aps_same_diff,
     narrow_window_bound,
+    BoundEntry,
+    _entries,
 )
 from sumset_lab.core import IntegerSet, NormalizedSet, SetDomainError
 
@@ -137,6 +140,44 @@ def test_evaluate_bounds_cardinalities_match_naive(ns):
     assert report.card_restricted == len(naive_restricted(ns.elements))
 
 
+# each entry's public bound function, and the cardinality it is set against
+PUBLIC_BOUNDS = {
+    "doubling": ("double", lambda k, l: doubling_bound(k)),
+    "freiman": ("double", freiman_bound),
+    "halved_span": ("restricted", halved_span_bound),
+    "golden_ratio": ("restricted", golden_ratio_bound),
+    "freiman_lev": ("restricted", freiman_lev_bound),
+    "narrow_window": ("restricted", narrow_window_bound),
+}
+
+
+def entry_of(target: str, bound, n: int) -> BoundEntry:
+    """The report entry of a public bound's exact value, by the public API."""
+    bound_x2 = None if isinstance(bound, GoldenValue) else int(2 * bound)
+    return BoundEntry(target, bound_x2, float(bound),
+                      bound_satisfied(bound, n), bound_attained(bound, n))
+
+
+def test_report_entries_match_the_public_bounds():
+    # the report builds its entries from the bounds' integer forms; each
+    # must equal the entry of the public function's exact value, float
+    # included, for every n near the bound
+    for k in range(3, 41):
+        for l in range(k - 1, 3 * k + 1):
+            narrow = k >= 5 and 2 * k - 4 <= l <= 2 * k - 3
+            for name, (target, public) in PUBLIC_BOUNDS.items():
+                if name == "narrow_window" and not narrow:
+                    assert name not in _entries(k, l, 0, 0)
+                    continue
+                bound = public(k, l)
+                near = bound.ceil() if isinstance(bound, GoldenValue) else ceil(bound)
+                for n in range(near - 3, near + 4):
+                    got = _entries(k, l, n, n)[name]
+                    want = entry_of(target, bound, n)
+                    assert got == want and list(map(type, got)) == list(map(type, want)), (
+                        name, k, l, n)
+
+
 def test_evaluate_bounds_narrow_window_conditional():
     report = evaluate_bounds(NormalizedSet((0, 1, 2, 3, 4)))  # l = k - 1
     assert "narrow_window" not in report.entries
@@ -192,3 +233,14 @@ def test_two_ap_matches_bipartition_oracle(values):
     assert got[0] == want[0]
     if got[0]:
         assert got[1] == want[1]
+
+
+def test_two_ap_matches_bipartition_oracle_on_every_small_set():
+    # the difference search stops at span - k + 3; every set from 0 with
+    # k <= 8 up to span 10, and k <= 5 up to span 16 (k = 2 and 3 too)
+    for span in range(1, 17):
+        for k in range(2, (8 if span <= 10 else 5) + 1):
+            for interior in combinations(range(1, span), k - 2):
+                e = (0, *interior, span)
+                got = is_union_two_aps_same_diff(IntegerSet(e))
+                assert got == brute_two_ap(e), e

@@ -1,6 +1,8 @@
 """Core kernel: set types, sumsets, normalization, parsing."""
 
 import pickle
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +26,11 @@ from sumset_lab.core import (
     restricted_size,
     restricted_sumset,
     sumset,
+    _set_masks,
     _sumset_masks,
 )
 
-from helpers import naive_double, naive_restricted
+from helpers import QUERY_SEEDS, naive_double, naive_restricted, query_sets
 
 small_sets = st.sets(st.integers(min_value=0, max_value=160), min_size=2, max_size=16)
 
@@ -286,3 +289,44 @@ def test_reflect_involution_preserves_sizes(values):
     assert reflect(r).elements == ns.elements
     assert restricted_size(r.elements) == restricted_size(ns.elements)
     assert double_size(r.elements) == double_size(ns.elements)
+
+
+# ---------------------------------------------------------------------------
+# the per-set context
+
+
+def test_context_masks_match_naive_oracles():
+    # every normalized set with k <= 7 and l <= 14: the one head sweep
+    # gives the set's two sumsets and its head's restricted sumset
+    seen_k = set()
+    for l in range(1, 15):
+        for k in range(2, min(7, l + 1) + 1):
+            for interior in combinations(range(1, l), k - 2):
+                t = (0, *interior, l)
+                if gcd(*t) != 1:
+                    continue
+                ns = NormalizedSet(t)
+                assert ns._masks is None
+                double, restricted, head_reach = _set_masks(ns)
+                assert set(elements_of(double)) == naive_double(t)
+                assert set(elements_of(restricted)) == naive_restricted(t)
+                assert set(elements_of(head_reach)) == naive_restricted(t[:-1])
+                assert _set_masks(ns) is ns._masks
+                seen_k.add(k)
+    assert seen_k == set(range(2, 8))
+
+
+@pytest.mark.parametrize("seed", QUERY_SEEDS)
+def test_context_leaves_identity_alone(seed):
+    for raw in query_sets(seed):
+        ns = normalize(IntegerSet(raw))[0]
+        fresh = NormalizedSet(ns.elements)
+        profile(ns)
+        assert ns._masks is not None and fresh._masks is None
+        assert ns == fresh and fresh == ns and ns != IntegerSet(ns.elements)
+        assert hash(ns) == hash(fresh) == hash(ns.mask)
+        assert repr(ns) == repr(fresh) == f"NormalizedSet({format_set_literal(ns)})"
+        # a pickle carries the carrier only
+        assert pickle.dumps(ns) == pickle.dumps(fresh)
+        with pytest.raises(AttributeError):
+            ns.extra = 1

@@ -1,18 +1,26 @@
 """Structural checkers: exceptional sets, gap patterns, witnesses, splits."""
 
+import pickle
+import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sumset_lab import bounds, core, structure
+from sumset_lab.bounds import evaluate_bounds
 from sumset_lab.core import (
     IntegerSet,
     NormalizedSet,
     SetDomainError,
     double_mask,
     mask_of,
+    normalize,
+    profile,
+    reflect,
     restricted_size,
 )
 from sumset_lab.families import gen_mod3_wide
@@ -34,7 +42,13 @@ from sumset_lab.structure import (
     witness_profile,
 )
 
-from helpers import enumerate_bruteforce
+from helpers import (
+    QUERY_SEEDS,
+    benchmark_queries,
+    enumerate_bruteforce,
+    naive_witnesses,
+    query_sets,
+)
 
 GEN6 = NormalizedSet((0, 1, 3, 4, 7, 10))
 # k=13 set whose window misses a distance-3 pair (found by search, frozen)
@@ -432,3 +446,101 @@ def test_structure_checks_depend_only_on_the_head(case):
     first = head_checks(head + (l1,))
     assert first["dense"]
     assert first == head_checks(head + (l2,))
+
+
+# ---------------------------------------------------------------------------
+# one context per set: built once, shared, never seen from outside
+
+
+def _witness_pair(t) -> tuple[int, int]:
+    wits = naive_witnesses(t)
+    return (wits[0], wits[1]) if len(wits) == 2 else (0, 1)
+
+
+def _split_pos(t) -> int:
+    k = len(t)
+    fast = [i for i in range(1, k - 2) if t[i] >= 2 * i]
+    return fast[-1] + 1 if fast else 1
+
+
+# every public function that takes one normalized set, with the other
+# arguments it needs computed without the library
+PER_SET = {
+    "profile": profile,
+    "evaluate_bounds": evaluate_bounds,
+    "exceptional_profile": exceptional_profile,
+    "check_exceptional_points": check_exceptional_points,
+    "exceptional_growth_ok": exceptional_growth_ok,
+    "tail_pair_counts_ok": lambda a: [
+        tail_pair_counts_ok(a, b, u) for b in range(2, a.k - 2) for u in range(1, b + 1)],
+    "gap_patterns": gap_patterns,
+    "matches_consecutive_exception": matches_consecutive_exception,
+    "diff3_exception_case": diff3_exception_case,
+    "top_gap_structure": top_gap_structure,
+    "witness_profile": witness_profile,
+    "decompose": lambda a: decompose(a, *_witness_pair(a.elements)),
+    "find_admissible_split": find_admissible_split,
+    "split_at": lambda a: split_at(a, _split_pos(a.elements)),
+}
+
+
+@pytest.mark.parametrize("seed", QUERY_SEEDS)
+def test_public_functions_agree_in_any_order_on_one_set(seed):
+    rng = random.Random(seed)
+    names = list(PER_SET)
+    for raw in query_sets(seed):
+        ns = normalize(IntegerSet(raw))[0]
+        alone = {name: _outcome(fn, NormalizedSet(ns.elements)) for name, fn in PER_SET.items()}
+        rng.shuffle(names)
+        shared = {name: _outcome(PER_SET[name], ns) for name in names}
+        assert shared == alone, (ns, names)
+
+
+@pytest.mark.parametrize("seed", QUERY_SEEDS)
+def test_every_constructor_starts_with_an_empty_context(seed):
+    for raw in query_sets(seed):
+        ns = normalize(IntegerSet(raw))[0]
+        assert ns._masks is None and ns._head is None
+        profile(ns)
+        if has_dense_prefix(ns):
+            exceptional_profile(ns)
+            assert ns._head is not None
+        assert ns._masks is not None
+        built = [
+            NormalizedSet(IntegerSet(ns.elements)),
+            NormalizedSet(ns),
+            reflect(ns),
+            NormalizedSet._from_trusted(ns.elements, ns.mask),
+            pickle.loads(pickle.dumps(ns)),
+        ]
+        s = _outcome(find_admissible_split, ns)
+        if isinstance(s, int):
+            built.append(split_at(ns, s).right_shifted)
+        for b in built:
+            assert type(b) is NormalizedSet and b._masks is None and b._head is None
+        assert built[0] == built[1] == built[3] == built[4] == ns
+
+
+@pytest.mark.parametrize("seed", QUERY_SEEDS)
+def test_analyze_pipeline_sweeps_each_set_once(seed, monkeypatch):
+    # the benchmark's analyze query: one sweep of the set's head, plus
+    # split_at's own sweeps, which exist to test the masks
+    queries = benchmark_queries()
+    lab = SimpleNamespace(core=core, bounds=bounds, structure=structure, verify=None)
+    sweep = core._sumset_masks
+    sweeps = []
+
+    def counted(mask, elements):
+        sweeps.append(mask)
+        return sweep(mask, elements)
+
+    monkeypatch.setattr(core, "_sumset_masks", counted)
+    for raw in query_sets(seed):
+        sweeps.clear()
+        out = queries.run_query(lab, ("analyze", raw))
+        pipeline = len(sweeps)
+        sweeps.clear()
+        if "split" in out:
+            ns = out["ns"]
+            split_at(NormalizedSet(ns.elements), out["split"].s)
+        assert pipeline - len(sweeps) == 1, raw
