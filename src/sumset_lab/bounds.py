@@ -155,8 +155,9 @@ def narrow_window_bound(k: int, l: int) -> int:
 
     Under this hypothesis the floor is broken: {0,1,4,5,6,9,10} (k = 7,
     l = 10 = 2k - 4) has |2^A| = 13 < 14, so the bound report lists it as
-    unmet.  Whether the hypothesis or the label is wrong is open
-    (ROADMAP item 3); until then the bound keeps its stated form.
+    unmet.  Whether the hypothesis or the label is wrong is open (the
+    ROADMAP item "certificates that check themselves"); until then the
+    bound keeps its stated form.
     """
     _require_dimensions(k, l, k_floor=5)
     if not 2 * k - 4 <= l <= 2 * k - 3:

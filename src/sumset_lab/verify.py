@@ -42,16 +42,17 @@ planned nodes.  No cell is walked in part.
 
 The mirror A -> l - A keeps a set's gcd, span and restricted size, so a
 walked cell closed under it needs only the sets with a_1 + a_{k-2} <= l.
-Those are the cells whose constraints are gcd_one and the two that read
-only the top: the conjecture and span 2k-3 floor cells,
-classify_extremal's and the witness cells.  Such a cell caps every
-position from a_1 on at what a_{k-2} <= l - a_1 leaves it, adds each
-finding's mirror unless a_1 + a_{k-2} = l (there the mirror is walked
-too), and hands the sorted findings over in stream order.  A cell that
-prunes must find a set exactly when it finds its mirror, as the witness
-cells do: the mirror maps a set's witnesses W to l - W.  The
-dense-prefix, theorem 1 and structure cells cap low or interior
-positions: they are walked whole.
+Every cell the span walker walks is closed: its constraints are gcd_one
+and the two that read only the top.  Those are the conjecture and span
+2k-3 floor cells, classify_extremal's and the witness cells; the walker
+refuses any other.  Such a cell caps every position from a_1 on at what
+a_{k-2} <= l - a_1 leaves it, adds each finding's mirror unless a_1 +
+a_{k-2} = l (there the mirror is walked too), and hands the sorted
+findings over in stream order.  A cell that prunes must find a set
+exactly when it finds its mirror, as the witness cells do: the mirror
+maps a set's witnesses W to l - W.  The theorem 1, theorem 2 and
+structure cells cap low or interior positions, which the mirror moves:
+they run as rows over their heads.
 
 One driver path splits a sweep's budget evenly among its cells, runs
 its tasks in order (in a process pool when ``jobs > 1``) and sums their
@@ -72,13 +73,16 @@ lemma's inclusion-exclusion in the masks, with the right half read from
 the head.  Only a head the bounds leave, a few per cent on a
 correct walk, loops its tops, each top costing one shift-or and one
 popcount, with no call per set; that loop alone records findings.
-Theorem 1 and the structure sweep run their cells as rows.  Every
+Theorems 1 and 2 and the structure sweep run their cells as rows.  Every
 structural check reads only k and the head, and so do theorem 1's split
 position and, below s = k-2, its left half and overlap identity, which
-no sum with the top can reach.  The conjecture and theorems 2 and 3
-share one cell function, which walks with the Freiman-Lev floor
-``freiman_lev_bound(k, l)`` and returns the sets below and on it; each
-of the three drivers judges those sets in its merge.  On top of the
+no sum with the top can reach.  Theorem 2's row and the structure row
+share one per-head floor step, and theorem 2's head walk also cuts a
+prefix once the same floor bound, plus the head elements still to come,
+passes 3k-7.  The conjecture and theorem 3 share one cell function,
+which walks with the Freiman-Lev floor ``freiman_lev_bound(k, l)`` and
+returns the sets below and on it, as theorem 2's row does; each of the
+three drivers judges those sets in its merge.  On top of the
 driver path sit five certificate drivers, each adding only its own
 merge:
 
@@ -370,10 +374,9 @@ def _walk_span(
 
     ``prune(mask, r)``, if given, is asked about each prefix (its
     elements with the top, and their restricted mask) that the bound
-    does not prune and, in a halved cell, that the walked half holds.
-    When it returns true, the leaves below the prefix are not visited:
-    the caller promises that ``on_leaf`` would do nothing on any of
-    them.
+    does not prune and that the walked half holds.  When it returns
+    true, the leaves below the prefix are not visited: the caller
+    promises that ``on_leaf`` would do nothing on any of them.
 
     The walk counts no node and takes no budget: :func:`_run_task`
     counts the cell from its plan and decides whether it is walked.
@@ -383,23 +386,29 @@ def _walk_span(
     larger than every sum already present: a set's restricted size is at
     least the prefix's plus the number of elements still to come.
 
-    A cell closed under the mirror A -> l - A is walked in half.  The
-    mirror keeps gcd, span and restricted size (2^(l-A) = 2l - 2^A), and
-    maps a_1 + a_{k-2} < l to a sum above l.  A cell is closed when its
-    constraints are among ``_MIRROR_CLOSED``.  With a ``prune`` the
-    caller also promises that ``on_leaf`` acts on a set exactly when it
-    acts on the set's mirror, so the mirror of a set the prune cuts is
-    one that ``on_leaf`` would ignore too.  Such a cell walks only the
-    sets with a_{k-2} <= l - a_1: once a_1 = v is placed, each later
-    position j is capped at l - v - (k-2-j), so whole subtrees go.  Each
-    finding with a_1 + a_{k-2} < l also gives its mirror's tuple, mask
-    and restricted mask, with the same n; a finding on the tie
-    a_1 + a_{k-2} = l has its mirror walked too (or is its own mirror),
-    and is not mirrored.  The findings are held, sorted and handed to
-    ``on_leaf`` in stream order, so ``on_leaf`` acts on the sets it
-    would act on in a whole walk, in the same order.
+    Every cell is walked in half, so a query must be closed under the
+    mirror A -> l - A, its constraints among ``_MIRROR_CLOSED``, and
+    have k >= 3; any other is refused.  The mirror keeps gcd, span and
+    restricted size (2^(l-A) = 2l - 2^A), and maps a_1 + a_{k-2} < l to
+    a sum above l.  With a ``prune`` the caller also promises that
+    ``on_leaf`` acts on a set exactly when it acts on the set's mirror,
+    so the mirror of a set the prune cuts is one that ``on_leaf`` would
+    ignore too.  The walk visits only the sets with a_{k-2} <= l - a_1:
+    once a_1 = v is placed, each later position j is capped at
+    l - v - (k-2-j), so whole subtrees go.  Each finding with a_1 +
+    a_{k-2} < l also gives its mirror's tuple, mask and restricted mask,
+    with the same n; a finding on the tie a_1 + a_{k-2} = l has its
+    mirror walked too (or is its own mirror), and is not mirrored.  The
+    findings are held, sorted and handed to ``on_leaf`` in stream order,
+    so ``on_leaf`` acts on the sets it would act on in a whole walk, in
+    the same order.
     """
     k, l = query.k, query.l_max
+    if k < 3 or not _MIRROR_CLOSED.issuperset(query.constraints):
+        raise SetDomainError(
+            f"the span walker walks a cell in half: it needs k >= 3 and constraints "
+            f"among {sorted(_MIRROR_CLOSED)}, got k={k} and {list(query.constraints)}"
+        )
     lo, hi, his = _caps(query)
     if lo > hi:
         return  # the constraints rule the top out: no set streams
@@ -411,29 +420,23 @@ def _walk_span(
     # the elements on the current root-to-node path; the leaf's tuple
     path = [0] * k
     path[last] = l
-    halve = k >= 3 and _MIRROR_CLOSED.issuperset(query.constraints)
     caps = list(his)
+    # a_1 + (k-3) <= a_{k-2} <= l - a_1
+    caps[1] = min(his[1], (l - k + 3) // 2)
     held: list[tuple[tuple[int, ...], int, int, int]] = []
-    if halve:
-        # a_1 + (k-3) <= a_{k-2} <= l - a_1
-        caps[1] = min(his[1], (l - k + 3) // 2)
-
-    def hold(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
-        held.append((tup, mask, r, n))
-        if tup[1] + tup[-2] < l:
-            mirror = tuple(l - x for x in reversed(tup))
-            held.append((mirror, _mirror_bits(mask, l), _mirror_bits(r, 2 * l), n))
-
-    hand = hold if halve else on_leaf
 
     def find(pos: int, prev: int, g: int, mask: int, r: int) -> None:
         if pos == last:
             n = r.bit_count()
             if (not need_gcd or g == 1) and n <= bound:
-                hand(tuple(path), mask, r, n)
+                tup = tuple(path)
+                held.append((tup, mask, r, n))
+                if tup[1] + tup[-2] < l:
+                    mirror = tuple(l - x for x in reversed(tup))
+                    held.append((mirror, _mirror_bits(mask, l), _mirror_bits(r, 2 * l), n))
             return
         lim = lims[pos]
-        lower = halve and pos == 1
+        lower = pos == 1
         for v in range(prev + 1, caps[pos] + 1):
             rv = r | mask << v
             if rv.bit_count() > lim or prune is not None and prune(mask | 1 << v, rv):
@@ -455,6 +458,7 @@ def _walk_row(
     tops: Sequence[int],
     constraints: tuple[str, ...],
     on_head: Callable[[tuple[int, ...], int, list[int], Optional[int], int], None],
+    bound: Optional[int] = None,
 ) -> None:
     """Walk the heads of the detached-top cells (k, l), k >= 3 and l in
     ``tops``, in lexicographic order, calling ``on_head(head, head_mask, rs, s,
@@ -465,8 +469,16 @@ def _walk_row(
     call.  Every cell streams every head, so ``on_head`` loops the tops
     itself: with top l the set has restricted mask ``rs[-1] | head_mask
     << l``, one shift-or and one popcount per set, and each cell sees
-    its sets in stream order, as :func:`_walk_span` with bound 2l would
-    hand them.  Like the span walker, it counts nothing.
+    its sets in stream order.  Like the span walker, it counts nothing.
+
+    With a ``bound`` the walk cuts a head prefix a_0..a_p, p <= k-3,
+    once ``_head_floor`` of its masks at the least top is over the bound
+    less the k-2-p head elements still to come: each adds a sum with the
+    top above every sum of the prefix and the top, so no set below the
+    prefix has a restricted size within the bound.  Like the span
+    walker's lookahead, the cut is a fact about masks.  A head itself is
+    never cut: ``on_head`` sees every head whose prefixes pass.  Without
+    a bound the walk cuts nothing and asks nothing per prefix.
 
     ``s`` is theorem 1's split position, one more than the largest i in
     [1, k-3] with a_i >= 2i, or None; ``right_r`` is the restricted mask
@@ -512,9 +524,15 @@ def _walk_row(
     restarts = [min(cap + 1, 2 * pos) for pos, cap in enumerate(caps)]
     path = [0] * last
     rs = [0] * last
+    # the prefix that heads(pos, ...) extends, a_0..a_{pos-1}, is cut once
+    # its floor passes lims[pos]: last - pos head elements are still to come
+    lims = None if bound is None else [bound - (last - pos) for pos in range(last)]
+    l_min = min(tops)
 
     def heads(pos: int, prev: int, mask: int, r: int,
               s: Optional[int], right_mask: int, right_r: int) -> None:
+        if lims is not None and _head_floor(r, mask, l_min) > lims[pos]:
+            return
         cap = caps[pos]
         if pos == last - 1:
             # a_{k-2} completes the head and never restarts the split
@@ -735,7 +753,7 @@ def _detached_top_rows(
 
 
 # ---------------------------------------------------------------------------
-# The Freiman-Lev floor: one cell for the conjecture and theorems 2 and 3
+# The Freiman-Lev floor: one cell for the conjecture and theorem 3
 
 
 def _floor_cells(
@@ -1001,6 +1019,48 @@ def verify_low_second_max(
 # Slow interior growth: floor, equality classification, rigid shape
 
 
+def _floor_tops(
+    k: int, walked: tuple[int, ...], head: tuple[int, ...], head_mask: int, r_head: int,
+    l_min: int, below: dict[int, list], at: dict[int, list],
+) -> None:
+    """The 3k-7 floor on the sets of one dense head, top l in ``walked``:
+    each set under it goes to ``below[l]`` as (tuple, restricted size),
+    each on it to ``at[l]``.  A head whose ``_head_floor`` at the least
+    walked top ``l_min`` is over 3k-7 has neither, and loops no top."""
+    bound = 3 * k - 7
+    if _head_floor(r_head, head_mask, l_min) > bound:
+        return
+    for l in walked:
+        n = (r_head | head_mask << l).bit_count()
+        if n < bound:
+            below[l].append((head + (l,), n))
+        elif n == bound:
+            at[l].append(head + (l,))
+
+
+def _dense_row(
+    k: int, tops: tuple[int, ...], walked: tuple[int, ...], constraints: tuple[str, ...]
+) -> list[dict]:
+    """The findings of the theorem 2 cells (k, l), l in tops, as
+    :func:`_floor_cells` words them: the floor ``bound``, 3k-7 at every
+    detached top, ``below``, the (tuple, restricted size) pairs of the
+    sets under it, and ``at``, the tuples of the sets on it, in stream
+    order.  The head walk cuts a prefix once no head below it can give a
+    set within the floor, and :func:`_floor_tops` settles each head
+    left."""
+    bound = 3 * k - 7
+    below: dict[int, list] = {l: [] for l in tops}
+    at: dict[int, list] = {l: [] for l in tops}
+    l_min = min(walked, default=0)
+
+    def on_head(head: tuple[int, ...], head_mask: int, rs: list[int],
+                _s: Optional[int], _right_r: int) -> None:
+        _floor_tops(k, walked, head, head_mask, rs[-1], l_min, below, at)
+
+    _walk_row(k, walked, constraints, on_head, bound)
+    return [{"bound": bound, "below": below[l], "at": at[l]} for l in tops]
+
+
 def verify_dense_prefix(
     k_max: int = 9,
     k_min: int = 3,
@@ -1023,7 +1083,7 @@ def verify_dense_prefix(
     t0 = time.monotonic()
     rows, top_cap = _detached_top_rows(k_min, k_max, cap)
     results, counts, observations = _sweep(
-        [(_floor_cells, _DENSE, k, (l,)) for k, tops in rows for l in tops], budget, jobs
+        [(_dense_row, _DENSE, k, tops) for k, tops in rows], budget, jobs
     )
     counterexamples: list[str] = []
     missing: list[str] = []
@@ -1193,24 +1253,22 @@ def _structure_row(
     Every check reads only k and the head, the set minus its top l, so
     the row walker builds each head's context and runs its checks once
     (``structure._head_failures``, on the walk's restricted mask of the
-    head), and only the extremal count sees the top.  It counts a head's
-    tops one by one only when ``_head_floor``, a lower bound on every
-    top's restricted size, is at most 3k-7; otherwise none is extremal.
+    head), and only the extremal count sees the top: it is the number of
+    sets on the 3k-7 floor, from theorem 2's per-head floor step
+    :func:`_floor_tops`.  The walk cuts no prefix, as every head is
+    checked.
     """
     from .structure import _head_failures
 
-    extremal_size = 3 * k - 7
-    extremal = dict.fromkeys(tops, 0)
+    below: dict[int, list] = {l: [] for l in tops}
+    at: dict[int, list] = {l: [] for l in tops}
     bad: dict[int, list[str]] = {l: [] for l in tops}
     l_min = min(walked, default=0)
 
     def on_head(head: tuple[int, ...], head_mask: int, rs: list[int],
                 _s: Optional[int], _right_r: int) -> None:
         r_head = rs[-1]
-        if _head_floor(r_head, head_mask, l_min) <= extremal_size:
-            for l in walked:
-                if (r_head | head_mask << l).bit_count() == extremal_size:
-                    extremal[l] += 1
+        _floor_tops(k, walked, head, head_mask, r_head, l_min, below, at)
         fails = _head_failures(head, head_mask, r_head)
         if fails:
             for l in walked:
@@ -1218,7 +1276,7 @@ def _structure_row(
                 bad[l].extend(f"{lit}: {msg}" for msg in fails)
 
     _walk_row(k, walked, constraints, on_head)
-    return [{"extremal": extremal[l], "bad": bad[l]} for l in tops]
+    return [{"extremal": len(at[l]), "bad": bad[l]} for l in tops]
 
 
 def _witness_cell(

@@ -75,12 +75,14 @@ def test_unknown_name_raises_attribute_error():
 
 
 # one task of each kind that a pool worker runs: a theorem 1 row, a
-# structure row, a witness cell (span 2k-3, so the residue laws run) and
-# a floor cell, each with a budget that covers it whole
+# theorem 2 row, a structure row, a witness cell (span 2k-3, so the
+# residue laws run) and a floor cell, each with a budget that covers it
+# whole
 _TASKS = """
 from sumset_lab import verify
 tasks = [
     (verify._low_second_row, verify._LOW_SECOND, 6, (10, 11, 12), 10**6),
+    (verify._dense_row, verify._DENSE, 7, (12, 13), 10**6),
     (verify._structure_row, verify._DENSE, 7, (12, 13), 10**6),
     (verify._witness_cell, ("gcd_one",), 8, (13,), 10**6),
     (verify._floor_cells, ("gcd_one",), 7, (11,), 10**6),

@@ -1,7 +1,7 @@
 """Every driver cell's walker against plain enumeration.
 
 Every cell dict of the five drivers (the floor cell shared by the
-conjecture, dense-prefix and classification sweeps, and the theorem 1,
+conjecture and classification sweeps, and the theorem 1, theorem 2,
 structure and witness cells), run by the task runner that counts each
 cell and decides whether it is walked, and every classify_extremal
 result, must equal what a plain ``enumerate_tuples`` loop with the
@@ -11,16 +11,20 @@ cuts short (the enumerator raises) is skipped: it counts no node and no
 set, finds nothing, records its planned nodes, and classify_extremal
 raises at the node past its budget.  The walker itself must hand each
 leaf the element tuple and restricted mask of its set, and its
-lookahead prune must hold on every prefix of a set.  A cell closed
-under the mirror A -> l - A, walked in half, must hand over the same
-leaves in the same order, mirrored findings included.  Each cell must
+lookahead prune must hold on every prefix of a set.  Every cell it
+walks is closed under the mirror A -> l - A and walked in half: it must
+hand over the same leaves in the same order, mirrored findings
+included, and refuse a cell that is not closed.  Each cell must
 also match at the budgets around its planned node count, where the
 walker switches between walking the cell whole and skipping it.  A
-theorem 1 or structure row, whose walked cells share one walk over
-their heads, must give each cell the dict a lone cell (a row with one
-top) gives.  Theorem 1's split check, made once per head below
-s = k-2 and once per top at it, must read ``split_at``'s halves off the
-walk, and record the message ``split_at`` gives on every set it fails.
+theorem 1, theorem 2 or structure row, whose walked cells share one
+walk over their heads, must give each cell the dict a lone cell (a row
+with one top) gives; the theorem 2 row's cut of a head prefix must hold
+on every prefix of a dense set.  The halved gcd-1 floor cells, filtered
+to theorem 1's and theorem 2's sets, must find what those rows find.
+Theorem 1's split check, made once per head below s = k-2 and once per
+top at it, must read ``split_at``'s halves off the walk, and record the
+message ``split_at`` gives on every set it fails.
 The bounds by which a row head settles all its tops at once must be at
 most what the naive oracle gives, on every theorem 1 and dense head
 with k <= 10 at every top up to 4k-10, and must settle a head with
@@ -64,6 +68,7 @@ from sumset_lab.verify import (
     enumerate_tuples,
     _walk_span,
     _MIRROR_CLOSED,
+    _dense_row,
     _detached_top_rows,
     _floor_cells,
     _head_floor,
@@ -122,10 +127,12 @@ def plain_walk(k, l, constraints, budget, bound):
 @st.composite
 def walk_cases(draw):
     """(k, l, constraints, bound): bound 2l prunes nothing, a smaller one
-    prunes every subtree whose prefix already exceeds it."""
+    prunes every subtree whose prefix already exceeds it.  The
+    constraints are mirror-closed, as the walker walks every cell in
+    half."""
     k = draw(st.integers(min_value=3, max_value=8))
     l = draw(st.integers(min_value=k - 1, max_value=2 * k + 4))
-    constraints = draw(st.sampled_from([(), ("gcd_one",), DENSE, LOW_SECOND]))
+    constraints = draw(st.sampled_from([(), ("gcd_one",)]))
     bound = draw(st.one_of(st.just(2 * l), st.integers(min_value=0, max_value=2 * l - 1)))
     return k, l, constraints, bound
 
@@ -259,11 +266,23 @@ def closed_under_mirror(constraint):
 def test_walker_halves_only_under_mirror_closed_constraints(constraint):
     # a constraint that caps low or interior positions (the growth and
     # interior caps, or a floor on the second-largest element) is not
-    # closed under A -> l - A, and a cell under it must be walked whole
+    # closed under A -> l - A, and the span walker refuses a cell under it
     assert (constraint in _MIRROR_CLOSED) == closed_under_mirror(constraint)
     assert (constraint in _MIRROR_CLOSED) == (
         constraint not in ("growth_a_i_lt_2i", "interior_lt_2k_minus_4")
     )
+
+
+@pytest.mark.parametrize("k, constraints", [
+    *((5, (c,)) for c in KNOWN_CONSTRAINTS if c not in _MIRROR_CLOSED),
+    (5, DENSE), (5, LOW_SECOND), (2, ()), (2, ("gcd_one",)),
+])
+def test_span_walker_refuses_a_cell_it_cannot_walk_in_half(k, constraints):
+    # a cell under a constraint the mirror moves would be halved wrongly,
+    # and at k = 2 there is no interior a_1 to cap: the walker refuses both
+    query = EnumerationQuery.exact(k, 2 * k + 1, constraints)
+    with pytest.raises(SetDomainError, match="in half"):
+        _walk_span(query, 4 * k, lambda *leaf: pytest.fail("walked a leaf"))
 
 
 @given(gcd_one_sets())
@@ -295,13 +314,14 @@ classification_cells = st.builds(
 )
 
 
-def floor_cell(constraints):
-    """The floor cell under ``constraints`` alone, as a function of (k, l,
-    budget): a task with the one top l, run by the task runner."""
+def floor_cell(fn, constraints):
+    """The floor cell of ``fn`` (``_floor_cells`` or the dense row) under
+    ``constraints`` alone, as a function of (k, l, budget): a task with
+    the one top l, run by the task runner."""
 
     def cell(args):
         k, l, budget = args
-        return _run_task((_floor_cells, constraints, k, (l,), budget))[0]
+        return _run_task((fn, constraints, k, (l,), budget))[0]
 
     return cell
 
@@ -325,30 +345,32 @@ def floor_reference(constraints):
     return reference
 
 
-# the floor cell's constraints in each floor sweep, with that sweep's cells
+# each floor sweep's cell function and constraints, with that sweep's
+# cells: theorem 2's is its dense row, the others walk in half
 FLOOR_SWEEPS = [
-    (("gcd_one",), conjecture_cells()),
-    (DENSE, dense_cells()),
-    (("gcd_one",), classification_cells),
+    (_floor_cells, ("gcd_one",), conjecture_cells()),
+    (_dense_row, DENSE, dense_cells()),
+    (_floor_cells, ("gcd_one",), classification_cells),
 ]
+dense_cell = floor_cell(_dense_row, DENSE)
 
 
 @given(conjecture_cells())
 @settings(max_examples=80, deadline=None)
 def test_conjecture_cell_matches_plain_enumeration(cell):
-    assert floor_cell(("gcd_one",))(cell) == floor_reference(("gcd_one",))(*cell)
+    assert floor_cell(_floor_cells, ("gcd_one",))(cell) == floor_reference(("gcd_one",))(*cell)
 
 
 @given(dense_cells())
 @settings(max_examples=80, deadline=None)
 def test_dense_prefix_cell_matches_plain_enumeration(cell):
-    assert floor_cell(DENSE)(cell) == floor_reference(DENSE)(*cell)
+    assert dense_cell(cell) == floor_reference(DENSE)(*cell)
 
 
 @given(classification_cells)
 @settings(max_examples=60, deadline=None)
 def test_classification_cell_matches_plain_enumeration(cell):
-    assert floor_cell(("gcd_one",))(cell) == floor_reference(("gcd_one",))(*cell)
+    assert floor_cell(_floor_cells, ("gcd_one",))(cell) == floor_reference(("gcd_one",))(*cell)
 
 
 @st.composite
@@ -553,6 +575,7 @@ def detached_rows(draw):
 ROWS = [
     (_structure_row, structure_cell, structure_reference, DENSE),
     (_low_second_row, low_second_cell, low_second_reference, LOW_SECOND),
+    (_dense_row, dense_cell, floor_reference(DENSE), DENSE),
 ]
 
 
@@ -762,8 +785,8 @@ def test_halved_witness_walk_asks_its_prune_about_no_prefix_past_the_mirror_cap(
 # each driver cell with its plain-enumeration reference, its constraints
 # and a strategy for its (k, l), whose drawn budget is not used
 DRIVER_CELLS = [
-    *((floor_cell(constraints), floor_reference(constraints), constraints, cells)
-      for constraints, cells in FLOOR_SWEEPS),
+    *((floor_cell(fn, constraints), floor_reference(constraints), constraints, cells)
+      for fn, constraints, cells in FLOOR_SWEEPS),
     (classify_cell, classify_reference, ("gcd_one",), classify_args()),
     (low_second_cell, low_second_reference, LOW_SECOND, low_second_cells()),
     (structure_cell, structure_reference, DENSE, dense_cells()),
@@ -776,8 +799,8 @@ DRIVER_CELLS = [
 FINDERS = [
     (_floor_cells, ("gcd_one",), lambda k, l: {"bound": freiman_lev_bound(k, l),
                                                "below": [], "at": []}),
-    (_floor_cells, DENSE, lambda k, l: {"bound": freiman_lev_bound(k, l),
-                                        "below": [], "at": []}),
+    (_dense_row, DENSE, lambda k, l: {"bound": freiman_lev_bound(k, l),
+                                      "below": [], "at": []}),
     (_low_second_row, LOW_SECOND, lambda k, l: {"tight": 0, "splits": 0, "bad": []}),
     (_structure_row, DENSE, lambda k, l: {"extremal": 0, "bad": []}),
     (_witness_cell, ("gcd_one",), lambda k, l: {"extremal": 0, "pairs": 0, "bad": [],
@@ -1199,3 +1222,69 @@ def test_per_top_loops_run_only_on_heads_the_bounds_leave(k, low_second, dense, 
                         lambda *a: floors.append(real_floor(*a)) or floors[-1])
     _structure_row(k, tops, tops, DENSE)
     assert sum(f <= 3 * k - 7 for f in floors) == dense
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_row_cut_holds_on_every_prefix_of_a_dense_set(k):
+    # the theorem 2 row cuts a head prefix a_0..a_p once _head_floor of
+    # its masks at the least top, plus the k-2-p head elements still to
+    # come, passes the floor: that sum must be at most |2^A| for every
+    # dense set with a top in [2k-2, 2k+6], on every prefix of its head
+    heads = [t[:-1] for t in enumerate_tuples(EnumerationQuery.exact(k, 2 * k - 2, DENSE))]
+    for head in heads:
+        floors = [_head_floor(mask_of(naive_restricted(head[:p + 1])), mask_of(head[:p + 1]),
+                              2 * k - 2) + (k - 2 - p) for p in range(k - 1)]
+        for l in range(2 * k - 2, 2 * k + 7):
+            assert len(naive_restricted(head + (l,))) >= max(floors)
+
+
+@pytest.mark.parametrize("k, handed, dense_floors", [(9, 118, 301), (10, 196, 682)])
+def test_only_the_theorem_2_row_cuts_head_prefixes(k, handed, dense_floors, monkeypatch):
+    # pinned at the default tops: with the floor as its bound the walk
+    # hands the theorem 2 row 118 of the 429 dense heads at k = 9, and
+    # asks _head_floor about their prefixes too.  The structure and
+    # theorem 1 rows pass no bound: they see every head and ask
+    # _head_floor once per head, never per prefix
+    tops = tuple(range(2 * k - 2, 2 * k + 7))
+    cut, whole = [], []
+    _walk_row(k, tops, DENSE, lambda head, *_: cut.append(head), 3 * k - 7)
+    _walk_row(k, tops, DENSE, lambda head, *_: whole.append(head))
+    assert len(cut) == handed and set(cut) < set(whole)
+    calls = []
+    real_floor = verify._head_floor
+    monkeypatch.setattr(verify, "_head_floor", lambda *a: calls.append(a) or real_floor(*a))
+    n_heads = {}
+    for row_fn, constraints in [(_dense_row, DENSE), (_structure_row, DENSE),
+                                (_low_second_row, LOW_SECOND)]:
+        calls.clear()
+        row_fn(k, tops, tops, constraints)
+        n_heads[row_fn] = len(calls)
+    assert n_heads == {_dense_row: dense_floors, _structure_row: len(whole),
+                       _low_second_row: len(row_heads(k))}
+
+
+def is_dense(t):
+    """Whether a_i < 2i for every interior position i."""
+    return all(t[i] < 2 * i for i in range(1, len(t) - 1))
+
+
+@pytest.mark.parametrize("k, tight", [(3, 0), (4, 0), (5, 3), (6, 6), (7, 9), (8, 9), (9, 8),
+                                      (10, 10)])
+def test_halved_gcd_one_cells_filtered_to_theorems_1_and_2_give_their_rows(k, tight):
+    # a second walker checks the first: the gcd-1 floor cells, walked in
+    # half with their findings' mirrors, hold every theorem 1 and
+    # theorem 2 set.  Kept to a_{k-2} < 2k-4 their tight sets are theorem
+    # 1's, top by top, and none is below the floor; kept to a_i < 2i
+    # their findings are the dense row's
+    tops = tuple(range(2 * k - 2, 2 * k + 7))
+    cells = [_floor_cells(k, (l,), (l,), ("gcd_one",))[0] for l in tops]
+    low = [[t for t in cell["at"] if t[-2] < 2 * k - 4] for cell in cells]
+    assert [t for cell in cells for t, _n in cell["below"] if t[-2] < 2 * k - 4] == []
+    rows = _low_second_row(k, tops, tops, LOW_SECOND)
+    assert [len(at) for at in low] == [row["tight"] for row in rows]
+    extremal = verify.verify_low_second_max(k, k).counts["extremal"]
+    assert sum(map(len, low)) == extremal == tight
+    assert [{"bound": cell["bound"],
+             "below": [(t, n) for t, n in cell["below"] if is_dense(t)],
+             "at": [t for t in cell["at"] if is_dense(t)]} for cell in cells] == (
+        _dense_row(k, tops, tops, DENSE))
