@@ -423,22 +423,6 @@ def require_dense_prefix(a: NormalizedSet) -> None:
             )
 
 
-# The split position lives here for the same reason: the theorem 1 sweep
-# needs it and nothing else of structure, whose find_admissible_split
-# reads it from here.
-
-
-def _split_position(elems: Sequence[int], k: int) -> Optional[int]:
-    """One more than the largest i in [1, k-3] with a_i >= 2i, or None:
-    the split position of ``structure.find_admissible_split``, read from
-    a_1..a_{k-3} of ``elems`` alone, so a head (the set minus its top)
-    gives it too."""
-    for i in range(k - 3, 0, -1):
-        if elems[i] >= 2 * i:
-            return i + 1
-    return None
-
-
 def parse_set_literal(text: str) -> IntegerSet:
     """Parse a brace literal such as "{0, 1, 4, 9}" into an IntegerSet."""
     s = text.strip()

@@ -35,7 +35,6 @@ from .core import (
     NormalizedSet,
     SetDomainError,
     _set_masks,
-    _split_position,
     double_mask,
     elements_of,
     exceptional_mask,
@@ -687,5 +686,8 @@ def find_admissible_split(a: NormalizedSet) -> Optional[int]:
         raise SetDomainError(
             "split search needs a_{k-2} < 2k-4 and a_{k-1} >= 2k-2"
         )
-    return _split_position(elems, k)
+    for i in range(k - 3, 0, -1):
+        if elems[i] >= 2 * i:
+            return i + 1
+    return None
 

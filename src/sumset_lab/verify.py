@@ -64,27 +64,28 @@ constraints, k and a tuple of tops: one top for a floor or witness
 cell, or every detached top of one k for a row.  The function walks the
 tops it is handed and returns only findings, one entry per top.  A
 row's cells stream the same heads (the set minus its top), so its
-walked cells share one walk over the heads.  The row's function runs
-once per head and settles all its tops at once from a few bounds on the
-head's masks, each a fact about masks that holds on any mask: the head's
-sums plus its bits that the least walked top carries past them bound
-every top's restricted size from below, and theorem 1 finds its split
-lemma's inclusion-exclusion in the masks, with the right half read from
-the head.  Only a head the bounds leave, a few per cent on a
-correct walk, loops its tops, each top costing one shift-or and one
-popcount, with no call per set; that loop alone records findings.
-Theorems 1 and 2 and the structure sweep run their cells as rows.  Every
-structural check reads only k and the head, and so do theorem 1's split
-position and, below s = k-2, its left half and overlap identity, which
-no sum with the top can reach.  Theorem 2's row and the structure row
-share one per-head floor step, and theorem 2's head walk also cuts a
-prefix once the same floor bound, plus the head elements still to come,
-passes 3k-7.  The conjecture and theorem 3 share one cell function,
-which walks with the Freiman-Lev floor ``freiman_lev_bound(k, l)`` and
-returns the sets below and on it, as theorem 2's row does; each of the
-three drivers judges those sets in its merge.  On top of the
-driver path sit five certificate drivers, each adding only its own
-merge:
+walked cells share one walk over the heads.  Theorems 1 and 2 and the
+structure sweep run their cells as rows, and the row walk itself runs
+the one 3k-7 floor step of all three: each head settles all its tops
+at once when its sums, plus its bits that the least walked top carries
+past them, are over 3k-7, a fact about masks that holds on any mask.
+Only a head that bound leaves loops its tops, each top costing one
+shift-or and one popcount, with no call per set; that loop alone
+records the sets below and on the floor.  A row may also pass a
+per-head check for what reads more than the floor.  Every structural
+check reads only k and the head, and so do theorem 1's split position
+and, below s = k-2, its left half and overlap identity, which no sum
+with the top can reach: theorem 1's check finds its split lemma's
+inclusion-exclusion in the masks, with the right half read from the
+head, and hands a head it cannot settle to ``structure.split_at``, the
+one per-set split check.  A row with no check is theorem 2's, and its
+head walk also cuts a prefix once the floor bound, plus the head
+elements still to come, passes 3k-7.  The conjecture and theorem 3
+share one cell function, which walks with the Freiman-Lev floor
+``freiman_lev_bound(k, l)`` and returns the sets below and on it, as
+the rows do; each driver judges those sets in its merge.  On top of
+the driver path sit five certificate drivers, each adding only its
+own merge:
 
 * :func:`verify_conjecture` — the conjectured restricted-sumset floor,
   swept over all small sets; sub-threshold cardinalities (k <= 7) are
@@ -457,34 +458,40 @@ def _walk_row(
     k: int,
     tops: Sequence[int],
     constraints: tuple[str, ...],
-    on_head: Callable[[tuple[int, ...], int, list[int], Optional[int], int], None],
-    bound: Optional[int] = None,
-) -> None:
+    check: Optional[Callable[[tuple[int, ...], int, list[int], Optional[int], int], None]] = None,
+) -> tuple[dict[int, list], dict[int, list]]:
     """Walk the heads of the detached-top cells (k, l), k >= 3 and l in
-    ``tops``, in lexicographic order, calling ``on_head(head, head_mask, rs, s,
-    right_r)`` at each.  ``head`` is a set minus its top,
-    ``head_mask`` its bit mask and ``rs[i]`` the restricted mask of its
-    prefix a_0..a_i, which the walk builds as it places a_i; ``rs[-1]``
-    is the head's own.  ``rs`` is the walk's list, valid only during the
-    call.  Every cell streams every head, so ``on_head`` loops the tops
-    itself: with top l the set has restricted mask ``rs[-1] | head_mask
-    << l``, one shift-or and one popcount per set, and each cell sees
-    its sets in stream order.  Like the span walker, it counts nothing.
+    ``tops``, in lexicographic order, and return ``(below, at)``: per
+    top, the (tuple, restricted size) pairs of the sets under the 3k-7
+    floor and the tuples of the sets on it, in stream order.  A head is
+    a set minus its top; every cell streams every head, and with top l
+    the set has restricted mask ``r_head | head_mask << l``, one
+    shift-or and one popcount per set.  Like the span walker, it counts
+    nothing.
 
-    With a ``bound`` the walk cuts a head prefix a_0..a_p, p <= k-3,
-    once ``_head_floor`` of its masks at the least top is over the bound
-    less the k-2-p head elements still to come: each adds a sum with the
-    top above every sum of the prefix and the top, so no set below the
-    prefix has a restricted size within the bound.  Like the span
-    walker's lookahead, the cut is a fact about masks.  A head itself is
-    never cut: ``on_head`` sees every head whose prefixes pass.  Without
-    a bound the walk cuts nothing and asks nothing per prefix.
+    The floor step runs at each head the walk reaches: a head whose
+    ``_head_floor`` at the least top is over 3k-7 has no set within the
+    floor at any top and loops none; any other sorts each top's set
+    into ``below`` or ``at``.  ``check(head, head_mask, rs, s,
+    right_r)``, if given, is called at every head before its floor
+    step.  ``head_mask`` is the
+    head's bit mask and ``rs[i]`` the restricted mask of its prefix
+    a_0..a_i, which the walk builds as it places a_i; ``rs[-1]`` is the
+    head's own.  ``rs`` is the walk's list, valid only during the call.
+
+    The walk cuts head prefixes exactly when no ``check`` is given, as a
+    check must see every head.  It cuts a prefix a_0..a_p, p <= k-3,
+    once ``_head_floor`` of its masks at the least top is over 3k-7 less
+    the k-2-p head elements still to come: each adds a sum with the top
+    above every sum of the prefix and the top, so no set below the
+    prefix has a restricted size within the floor.  Like the span
+    walker's lookahead, the cut is a fact about masks.
 
     ``s`` is theorem 1's split position, one more than the largest i in
     [1, k-3] with a_i >= 2i, or None; ``right_r`` is the restricted mask
     of the right half, the head's elements from a_{s-1} up, or of the
     whole head when s is None.  The right half's mask is ``head_mask >>
-    a_{s-1} << a_{s-1}``, so ``on_head`` derives it, but the walk carries
+    a_{s-1} << a_{s-1}``, so a check derives it, but the walk carries
     it down with s and ``right_r``, to build ``right_r``: placing an a_i
     >= 2i with i <= k-3 restarts them at s = i+1 with a_i alone, and any
     other placement v adds v to the right half, ``right_r | right_mask
@@ -508,8 +515,10 @@ def _walk_row(
     that no head completes.  A row whose lowered caps differ between its
     tops is refused.
     """
+    below: dict[int, list] = {l: [] for l in tops}
+    at: dict[int, list] = {l: [] for l in tops}
     if not tops:
-        return
+        return below, at
     last = k - 1
     caps: Optional[list[int]] = None
     for l in tops:
@@ -524,9 +533,10 @@ def _walk_row(
     restarts = [min(cap + 1, 2 * pos) for pos, cap in enumerate(caps)]
     path = [0] * last
     rs = [0] * last
+    bound = 3 * k - 7
     # the prefix that heads(pos, ...) extends, a_0..a_{pos-1}, is cut once
     # its floor passes lims[pos]: last - pos head elements are still to come
-    lims = None if bound is None else [bound - (last - pos) for pos in range(last)]
+    lims = None if check is not None else [bound - (last - pos) for pos in range(last)]
     l_min = min(tops)
 
     def heads(pos: int, prev: int, mask: int, r: int,
@@ -538,8 +548,19 @@ def _walk_row(
             # a_{k-2} completes the head and never restarts the split
             for v in range(prev + 1, cap + 1):
                 path[pos] = v
-                rs[pos] = r | mask << v
-                on_head(tuple(path), mask | 1 << v, rs, s, right_r | right_mask << v)
+                head_mask = mask | 1 << v
+                r_head = rs[pos] = r | mask << v
+                if check is not None:
+                    check(tuple(path), head_mask, rs, s, right_r | right_mask << v)
+                if _head_floor(r_head, head_mask, l_min) > bound:
+                    continue
+                head = tuple(path)
+                for l in tops:
+                    n = (r_head | head_mask << l).bit_count()
+                    if n < bound:
+                        below[l].append((head + (l,), n))
+                    elif n == bound:
+                        at[l].append(head + (l,))
             return
         low, restart = prev + 1, restarts[pos]
         for v in range(low, restart):
@@ -552,6 +573,7 @@ def _walk_row(
             heads(pos + 1, v, mask | 1 << v, rv, pos + 1, 1 << v, 0)
 
     heads(1, 0, 1, 0, None, 1, 0)
+    return below, at
 
 
 class Certificate:
@@ -850,18 +872,19 @@ def _head_floor(r_head: int, head_mask: int, l_min: int) -> int:
 def _split_settled(k: int, head: tuple[int, ...], head_mask: int, rs: list[int], s: int,
                    right_r: int, l_min: int) -> bool:
     """Whether the walk's masks of a theorem 1 head with split position
-    s show, by the split lemma's inclusion-exclusion, that every top l
-    >= l_min passes the split check of :func:`_low_second_tops`.  The
-    right half's mask is the head's from lo = a_{s-1} up, so with
-    ``right_r`` inside the head's restricted mask each top's right_l =
-    ``right_r | (head_mask >> lo << lo) << l`` lies inside the set's.  For
-    s <= k-3 the left half's restricted mask ``rs[s+1]`` must lie inside
-    the head's too, meet ``right_r`` in the three shared sums and have
-    no bit from lo + l_min up, where every top's sums with the right
-    half lie: it then meets every right_l in the three shared sums, and
-    |2^A| >= |2^left| + |2^right| - 3.  At s = k-2 ``right_r`` must be
-    the shared sum lo + a_{k-2} and the head's bits from lo up those of
-    lo and a_{k-2}: each right_l is then the three shared sums."""
+    s show, by the split lemma's inclusion-exclusion, that every set of
+    the head with a top l >= l_min passes ``structure.split_at``'s two
+    identities.  The right half's mask is the head's from lo = a_{s-1}
+    up, so with ``right_r`` inside the head's restricted mask each top's
+    right_l = ``right_r | (head_mask >> lo << lo) << l`` lies inside the
+    set's.  For s <= k-3 the left half's restricted mask ``rs[s+1]``
+    must lie inside the head's too, meet ``right_r`` in the three shared
+    sums and have no bit from lo + l_min up, where every top's sums with
+    the right half lie: it then meets every right_l in the three shared
+    sums, and |2^A| >= |2^left| + |2^right| - 3.  At s = k-2 ``right_r``
+    must be the shared sum lo + a_{k-2} and the head's bits from lo up
+    those of lo and a_{k-2}: each right_l is then the three shared sums,
+    the overlap with the whole set, and |2^right| = 3."""
     r_head = rs[-1]
     if right_r & ~r_head:
         return False
@@ -877,98 +900,40 @@ def _low_second_row(
     k: int, tops: tuple[int, ...], walked: tuple[int, ...], constraints: tuple[str, ...]
 ) -> list[dict]:
     """The findings of the theorem 1 cells (k, l), l in tops: the 3k-7
-    floor on every set, and split_at's two identities on every set with
-    a split position.  The head walk carries the split position s down
-    with the right half's restricted mask without the top.  A head's
-    tops are settled at once from the walk's masks, by facts about
-    masks, not theorems about sets, so a head they settle passes the
-    per-top checks at every top from the least walked one: the floor,
-    when ``_head_floor`` (the head's sums, plus its bits that any top
-    carries past them) is over 3k-7, and the split checks, when
-    ``_split_settled`` finds the split lemma's inclusion-exclusion in
-    the masks.  The other heads (66 of the 1716 at k = 9, all for the
-    floor) run :func:`_low_second_tops`, the one path that records an
-    entry; past the top a_{k-3} + a_{k-2} the floor bound is exact.
-    Every set with a split position counts in ``splits``."""
-    bound = 3 * k - 7
-    tight = dict.fromkeys(tops, 0)
+    floor on every set, from the row walk's floor step, as
+    :func:`_dense_row` words it (``bound``, ``below``, ``at``), and
+    split_at's two identities on every set with a split position.  The
+    head walk carries the split position s down with the right half's
+    restricted mask without the top, and every head with one counts in
+    ``splits`` at every walked top.  ``_split_settled`` settles the
+    split of all a head's tops at once from the walk's masks, by facts
+    about masks, not theorems about sets; on a correct walk it settles
+    every head.  Each set of a head it leaves goes to ``split_at``
+    (:func:`_split_failure`), whose message ``bad`` records."""
     bad: dict[int, list[str]] = {l: [] for l in tops}
     split_heads = 0
     l_min = min(walked, default=0)
 
-    def on_head(head: tuple[int, ...], head_mask: int, rs: list[int],
-                s: Optional[int], right_r: int) -> None:
+    def check(head: tuple[int, ...], head_mask: int, rs: list[int],
+              s: Optional[int], right_r: int) -> None:
         nonlocal split_heads
-        if s is not None:
-            split_heads += 1
-        if _head_floor(rs[-1], head_mask, l_min) > bound and (
-                s is None or _split_settled(k, head, head_mask, rs, s, right_r, l_min)):
+        if s is None:
             return
-        _low_second_tops(k, walked, head, head_mask, rs, s, right_r, tight, bad)
-
-    _walk_row(k, walked, constraints, on_head)
-    return [{"tight": tight[l], "splits": split_heads if l in walked else 0, "bad": bad[l]}
-            for l in tops]
-
-
-def _low_second_tops(
-    k: int, walked: tuple[int, ...], head: tuple[int, ...], head_mask: int, rs: list[int],
-    s: Optional[int], right_r: int, tight: dict[int, int], bad: dict[int, list[str]],
-) -> None:
-    """Check the sets of one theorem 1 head, top l in ``walked``, adding
-    to ``tight`` and ``bad``: the floor on each set's restricted size,
-    and the split identities.  The right half's mask without the top is
-    the head's from a_{s-1} up, its restricted mask ``right_r``.  For
-    s <= k-3 the left half lies in the head, so its restricted mask is
-    the walk's ``rs[s+1]``, and its sums are at most a_s + a_{s+1} <=
-    (2s-1) + (2k-5) = 2k+2s-6.  Every sum of the top with the right half
-    is at least l + a_{s-1} >= 2k+2s-4, so none of them meets the left
-    half: the overlap identity and |2^left| are checked once per head,
-    and each top costs one popcount for |2^right| and the additive
-    bound.  For s = k-2 the left half is the whole set and its third
-    shared element is the top, so both identities are checked per top.
-    A set that fails is handed to ``structure.split_at``, whose message
-    the entry records (``_split_failure``)."""
-    bound = 3 * k - 7
-    r_head = rs[-1]
-    sizes = [(r_head | head_mask << l).bit_count() for l in walked]
-    if min(sizes) <= bound:
-        for l, n in zip(walked, sizes):
-            if n < bound:
-                bad[l].append(_below_floor(head + (l,), n, bound))
-            elif n == bound:
-                tight[l] += 1
-    if s is None:
-        return
-    lo, hi = head[s - 1], head[s]
-    right_mask = head_mask >> lo << lo
-    if s < k - 2:
-        c = head[s + 1]
-        left_r = rs[s + 1]
-        if left_r & right_r != 1 << lo + hi | 1 << lo + c | 1 << hi + c:
+        split_heads += 1
+        if not _split_settled(k, head, head_mask, rs, s, right_r, l_min):
             for l in walked:
                 bad[l].append(_split_failure(head + (l,), s))
-            return
-        floor = left_r.bit_count() - 3
-        for l, n in zip(walked, sizes):
-            if n < floor + (right_r | right_mask << l).bit_count():
-                bad[l].append(_split_failure(head + (l,), s))
-    else:
-        # the shared sums are a_{k-3} + a_{k-2} and both with the
-        # top; |2^left| = n, so the bound asks |2^right| <= 3
-        fixed = 1 << lo + hi
-        for l in walked:
-            right_l = right_r | right_mask << l
-            overlap = (r_head | head_mask << l) & right_l
-            if overlap != fixed | right_mask << l or right_l.bit_count() > 3:
-                bad[l].append(_split_failure(head + (l,), s))
+
+    below, at = _walk_row(k, walked, constraints, check)
+    return [{"bound": 3 * k - 7, "below": below.get(l, []), "at": at.get(l, []),
+             "splits": split_heads if l in walked else 0, "bad": bad[l]} for l in tops]
 
 
 def _split_failure(tup: tuple[int, ...], s: int) -> str:
-    """The entry of a theorem 1 set whose split check at s failed in the
-    row: ``split_at``'s message, the one source of the identities and
-    their wording.  Raises AssertionError if ``split_at`` passes the
-    set, as then the row and ``split_at`` disagree."""
+    """The entry of a theorem 1 set whose split the row did not settle:
+    ``split_at``'s message, the one source of the identities and their
+    wording.  Raises AssertionError if ``split_at`` passes the set, as
+    then the row and ``split_at`` disagree."""
     from .structure import split_at
 
     try:
@@ -1007,35 +972,18 @@ def verify_low_second_max(
         "constraints": list(_LOW_SECOND),
         "budget": budget,
     }
-    counts["extremal"] = sum(r["tight"] for r in results)
+    counts["extremal"] = sum(len(r["at"]) for r in results)
     counts["splits_validated"] = sum(r["splits"] for r in results)
     return _finalize(
         "low_second_max_floor", query, top_cap, counts, t0,
-        counterexamples=[b for r in results for b in r["bad"]], observations=notes,
+        counterexamples=[_below_floor(tup, n, r["bound"]) for r in results
+                         for tup, n in r["below"]] + [b for r in results for b in r["bad"]],
+        observations=notes,
     )
 
 
 # ---------------------------------------------------------------------------
 # Slow interior growth: floor, equality classification, rigid shape
-
-
-def _floor_tops(
-    k: int, walked: tuple[int, ...], head: tuple[int, ...], head_mask: int, r_head: int,
-    l_min: int, below: dict[int, list], at: dict[int, list],
-) -> None:
-    """The 3k-7 floor on the sets of one dense head, top l in ``walked``:
-    each set under it goes to ``below[l]`` as (tuple, restricted size),
-    each on it to ``at[l]``.  A head whose ``_head_floor`` at the least
-    walked top ``l_min`` is over 3k-7 has neither, and loops no top."""
-    bound = 3 * k - 7
-    if _head_floor(r_head, head_mask, l_min) > bound:
-        return
-    for l in walked:
-        n = (r_head | head_mask << l).bit_count()
-        if n < bound:
-            below[l].append((head + (l,), n))
-        elif n == bound:
-            at[l].append(head + (l,))
 
 
 def _dense_row(
@@ -1045,20 +993,11 @@ def _dense_row(
     :func:`_floor_cells` words them: the floor ``bound``, 3k-7 at every
     detached top, ``below``, the (tuple, restricted size) pairs of the
     sets under it, and ``at``, the tuples of the sets on it, in stream
-    order.  The head walk cuts a prefix once no head below it can give a
-    set within the floor, and :func:`_floor_tops` settles each head
-    left."""
-    bound = 3 * k - 7
-    below: dict[int, list] = {l: [] for l in tops}
-    at: dict[int, list] = {l: [] for l in tops}
-    l_min = min(walked, default=0)
-
-    def on_head(head: tuple[int, ...], head_mask: int, rs: list[int],
-                _s: Optional[int], _right_r: int) -> None:
-        _floor_tops(k, walked, head, head_mask, rs[-1], l_min, below, at)
-
-    _walk_row(k, walked, constraints, on_head, bound)
-    return [{"bound": bound, "below": below[l], "at": at[l]} for l in tops]
+    order.  The row walk's floor step finds them, and with no check the
+    walk cuts a prefix once no head below it can give a set within the
+    floor."""
+    below, at = _walk_row(k, walked, constraints)
+    return [{"bound": 3 * k - 7, "below": below.get(l, []), "at": at.get(l, [])} for l in tops]
 
 
 def verify_dense_prefix(
@@ -1251,32 +1190,26 @@ def _structure_row(
     """The findings of the structure cells (k, l), l in tops, in order.
 
     Every check reads only k and the head, the set minus its top l, so
-    the row walker builds each head's context and runs its checks once
-    (``structure._head_failures``, on the walk's restricted mask of the
-    head), and only the extremal count sees the top: it is the number of
-    sets on the 3k-7 floor, from theorem 2's per-head floor step
-    :func:`_floor_tops`.  The walk cuts no prefix, as every head is
-    checked.
+    the row walk's check builds each head's context and runs its checks
+    once (``structure._head_failures``, on the walk's restricted mask of
+    the head), and only the extremal count sees the top: it is the
+    number of sets on the 3k-7 floor, from the row walk's floor step.
+    The walk cuts no prefix, as every head is checked.
     """
     from .structure import _head_failures
 
-    below: dict[int, list] = {l: [] for l in tops}
-    at: dict[int, list] = {l: [] for l in tops}
     bad: dict[int, list[str]] = {l: [] for l in tops}
-    l_min = min(walked, default=0)
 
-    def on_head(head: tuple[int, ...], head_mask: int, rs: list[int],
-                _s: Optional[int], _right_r: int) -> None:
-        r_head = rs[-1]
-        _floor_tops(k, walked, head, head_mask, r_head, l_min, below, at)
-        fails = _head_failures(head, head_mask, r_head)
+    def check(head: tuple[int, ...], head_mask: int, rs: list[int],
+              _s: Optional[int], _right_r: int) -> None:
+        fails = _head_failures(head, head_mask, rs[-1])
         if fails:
             for l in walked:
                 lit = format_set_literal(head + (l,))
                 bad[l].extend(f"{lit}: {msg}" for msg in fails)
 
-    _walk_row(k, walked, constraints, on_head)
-    return [{"extremal": len(at[l]), "bad": bad[l]} for l in tops]
+    _below, at = _walk_row(k, walked, constraints, check)
+    return [{"extremal": len(at.get(l, [])), "bad": bad[l]} for l in tops]
 
 
 def _witness_cell(
