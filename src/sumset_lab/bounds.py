@@ -4,10 +4,11 @@ Every verdict here is computed in exact arithmetic.  Half-integral
 bounds ride on :class:`fractions.Fraction`; the golden-ratio bound is
 kept symbolically as ``(p + q*sqrt(5)) / 2`` and compared through its
 defining quadratic, so no floating-point rounding can flip a verdict.
-Each non-integral bound has a private integer form (twice the bound, or
-the golden pair ``(p, q)``) holding its formula; the public function and
-:func:`evaluate_bounds` both read it, and the report builds its entries
-from these integers without a Fraction or GoldenValue per call.
+Each bound with a branch has a private integer form (the Freiman bound
+itself, twice the halved-span bound, or the golden pair ``(p, q)``)
+holding its formula; the public function and :func:`evaluate_bounds`
+both read it, and the report builds its entries from these integers
+without a dimension check, a Fraction or a GoldenValue per call.
 
 Throughout, ``k`` is the cardinality of a normalized set and ``l`` its
 largest element, so ``l >= k - 1``.
@@ -108,6 +109,11 @@ def doubling_bound(k: int) -> int:
 def freiman_bound(k: int, l: int) -> int:
     """Floor for |A + A| by span: l + k when l <= 2k - 3, else 3k - 3."""
     _require_dimensions(k, l)
+    return _freiman(k, l)
+
+
+def _freiman(k: int, l: int) -> int:
+    """:func:`freiman_bound` without the dimension check."""
     return l + k if l <= 2 * k - 3 else 3 * k - 3
 
 
@@ -236,10 +242,11 @@ def evaluate_bounds(a: NormalizedSet) -> BoundReport:
     cardinalities are the popcounts of the masks in the set's context
     (``core._set_masks``), which one sweep of the set's head fills for
     the whole analyze pipeline.  Each entry is built from its bound's
-    private integer form, and equals the entry of the public bound
-    function's exact value.
+    integer form, with no dimension check past the one above, and equals
+    the entry of the public bound function's exact value.
     """
-    k, l = a.k, a.l
+    elems = a._elements
+    k, l = len(elems), elems[-1]
     if k < 3:
         raise SetDomainError(f"bound report needs k >= 3, got k={k}")
     double, restricted, _ = _set_masks(a)
@@ -249,19 +256,20 @@ def evaluate_bounds(a: NormalizedSet) -> BoundReport:
 
 def _entries(k: int, l: int, nd: int, nr: int) -> dict[str, BoundEntry]:
     """The report's entries for a k-set with top l, |A + A| = nd and
-    |2^A| = nr."""
+    |2^A| = nr, given k >= 3 and l >= k - 1."""
     p, q = _golden_pair(k, l)
     entries = {
-        "doubling": _x2_entry("double", 2 * doubling_bound(k), nd),
-        "freiman": _x2_entry("double", 2 * freiman_bound(k, l), nd),
+        "doubling": _x2_entry("double", 4 * k - 2, nd),  # 2 * doubling_bound
+        "freiman": _x2_entry("double", 2 * _freiman(k, l), nd),
         "halved_span": _x2_entry("restricted", _halved_span_x2(k, l), nr),
-        # q = k > 0 off the integral branch: irrational, never attained
+        # q = k > 0 off the integral branch: irrational, never attained;
+        # freiman_lev_bound shares that branch, and is 3k - 7 off it
         "golden_ratio": _x2_entry("restricted", p, nr) if not q else BoundEntry(
             "restricted", None, _golden_approx(p, q), _golden_leq(p, q, nr), False),
-        "freiman_lev": _x2_entry("restricted", 2 * freiman_lev_bound(k, l), nr),
+        "freiman_lev": _x2_entry("restricted", 6 * k - 14 if q else p, nr),
     }
-    if k >= 5 and 2 * k - 4 <= l <= 2 * k - 3:
-        entries["narrow_window"] = _x2_entry("restricted", 2 * narrow_window_bound(k, l), nr)
+    if k >= 5 and 2 * k - 4 <= l <= 2 * k - 3:  # narrow_window_bound's hypothesis
+        entries["narrow_window"] = _x2_entry("restricted", 6 * k - 14, nr)
     return entries
 
 
@@ -271,7 +279,7 @@ def is_arithmetic_progression(a: IntegerSet) -> tuple[bool, Optional[int]]:
     Returns ``(True, step)`` for k >= 2, ``(True, None)`` for k == 1,
     and ``(False, None)`` otherwise.
     """
-    elems = a.elements
+    elems = a._elements
     if not elems:
         raise SetDomainError("empty set has no progression structure")
     if len(elems) == 1:
@@ -310,12 +318,12 @@ def is_union_two_aps_same_diff(a: IntegerSet) -> tuple[bool, Optional[int]]:
     ``a``; each lies in [min + d, max], which holds span - d + 1 values,
     so k - 2 <= span - d + 1.
     """
-    elems = a.elements
+    elems = a._elements
     if len(elems) < 2:
         raise SetDomainError("two-progression test needs at least two elements")
     if len(elems) == 2:
         return True, 1
-    mask = a.mask
+    mask = a._mask
     span = elems[-1] - elems[0]
     for d in range(1, span - len(elems) + 4):
         if (mask & ~(mask << d)).bit_count() <= 2:

@@ -180,7 +180,9 @@ class IntegerSet:
         always a plain IntegerSet, also when called on a subclass."""
         if mask < 0:
             raise SetDomainError("mask must be nonnegative")
-        return IntegerSet._from_trusted(elements_of(mask), mask)
+        obj = IntegerSet.__new__(IntegerSet)
+        obj._elements, obj._mask = elements_of(mask), mask
+        return obj
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -250,9 +252,7 @@ class NormalizedSet(IntegerSet):
             raise SetDomainError("a normalized set needs at least two elements")
         if elems[0] != 0:
             raise SetDomainError(f"a normalized set starts at 0, got min {elems[0]}")
-        g = 0
-        for v in elems:
-            g = gcd(g, v)
+        g = gcd(*elems)
         if g != 1:
             raise SetDomainError(f"a normalized set has gcd 1, got gcd {g}")
         self._masks = self._head = None
@@ -300,19 +300,19 @@ def normalize(a: IntegerSet) -> tuple[NormalizedSet, int, int]:
     ``a = {scale * v + offset : v in normalized}``.  Cardinalities of
     sumsets are invariant under this affine change, so every bound and
     classification can be computed on the normalized form.
+
+    The result needs no validation: it is ascending, starts at 0 and has
+    gcd 1.  At scale 1 its mask is the input's shifted down by the offset.
     """
     if len(a) < 2:
         raise SetDomainError("normalization needs at least two elements")
-    offset = a.min
-    shifted = [v - offset for v in a.elements]
-    scale = 0
-    for v in shifted:
-        scale = gcd(scale, v)
-    elems = tuple(v // scale for v in shifted)
-    # ascending, at least two elements, starting at 0, gcd 1 once the gcd
-    # is divided out: everything the validating constructor would check
-    norm = NormalizedSet._from_trusted(elems, mask_of(elems))
-    return norm, offset, scale
+    offset = a._elements[0]
+    shifted = [v - offset for v in a._elements]
+    scale = gcd(*shifted)
+    if scale == 1:
+        return NormalizedSet._from_trusted(tuple(shifted), a._mask >> offset), offset, 1
+    elems = tuple([v // scale for v in shifted])
+    return NormalizedSet._from_trusted(elems, mask_of(elems)), offset, scale
 
 
 def reflect(a: NormalizedSet) -> NormalizedSet:
@@ -362,9 +362,8 @@ def _set_masks(a: NormalizedSet) -> tuple[int, int, int]:
 def profile(a: NormalizedSet) -> SumsetProfile:
     """Compute both sumsets and the low missing-sum window of ``a``."""
     double, restricted, head_reach = _set_masks(a)
-    exceptional = None
-    if a.k >= 3:
-        exceptional = IntegerSet.from_mask(exceptional_mask(head_reach, a.k))
+    k = len(a._elements)
+    exceptional = IntegerSet.from_mask(exceptional_mask(head_reach, k)) if k >= 3 else None
     return SumsetProfile(
         a, IntegerSet.from_mask(double), IntegerSet.from_mask(restricted), exceptional
     )
@@ -397,18 +396,19 @@ def freiman_lev_bound(k: int, l: int) -> int:
 
 def has_dense_prefix(a: NormalizedSet) -> bool:
     """Whether a_i < 2i for i = 1..k-2 and a_{k-1} >= 2k - 2."""
-    elems = a.elements
+    elems = a._elements
     k = len(elems)
-    if k < 3:
+    if k < 3 or elems[-1] < 2 * k - 2:
         return False
-    if elems[-1] < 2 * k - 2:
-        return False
-    return all(elems[i] < 2 * i for i in range(1, k - 1))
+    for i in range(1, k - 1):
+        if elems[i] >= 2 * i:
+            return False
+    return True
 
 
 def require_dense_prefix(a: NormalizedSet) -> None:
     """Raise unless ``a`` is in the detached-top regime."""
-    elems = a.elements
+    elems = a._elements
     k = len(elems)
     if k < 3:
         raise SetDomainError(f"detached-top analysis needs k >= 3, got k={k}")

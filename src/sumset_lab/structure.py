@@ -121,7 +121,7 @@ def _context(a: NormalizedSet) -> _Head:
     h = a._head
     if h is None:
         require_dense_prefix(a)
-        h = a._head = _head(a.elements[:-1], _set_masks(a)[2])
+        h = a._head = _head(a._elements[:-1], _set_masks(a)[2])
     return h
 
 
@@ -140,7 +140,7 @@ def _profile(h: _Head) -> ExceptionalProfile:
         above = reach >> (2 * k - 4)
         d_mask, c_mask = above & offsets, ~above & offsets
     return ExceptionalProfile(
-        b_values=_trusted_set(b_vals),
+        b_values=IntegerSet._from_trusted(b_vals, exceptional_mask(reach, k)),
         m=m,
         d_values=IntegerSet.from_mask(d_mask),
         c_values=IntegerSet.from_mask(c_mask),
@@ -500,11 +500,11 @@ def _witness_mask(mask: int, r: int, l: int) -> int:
 
 def witness_profile(a: NormalizedSet) -> WitnessProfile:
     """Collect all witnesses of ``a``."""
-    top = a.l
-    found = IntegerSet.from_mask(_witness_mask(a.mask, _set_masks(a)[1], top))
+    top = a._elements[-1]
+    found = IntegerSet.from_mask(_witness_mask(a._mask, _set_masks(a)[1], top))
     w1 = w2 = modulus = None
-    if len(found) == 2:
-        w1, w2 = found.elements
+    if len(found._elements) == 2:
+        w1, w2 = found._elements
         modulus = gcd(w2 - w1, top)
     return WitnessProfile(found, w1, w2, modulus)
 
@@ -532,15 +532,21 @@ class Decomposition(NamedTuple):
 
 
 def decompose(a: NormalizedSet, w1: int, w2: int) -> Decomposition:
-    """Decompose a two-witness set into grid and orbits."""
-    wits = witness_profile(a)
+    """Decompose a two-witness set into grid and orbits.
+
+    ``(w1, w2)`` must be the set's witness pair, ascending.  It is checked
+    against the witness mask of the restricted mask in the set's context
+    (``core._set_masks``), so no witness profile is built again, and the
+    result's sets are built from values known to lie in [0, l].
+    """
+    elems = a._elements
+    top = elems[-1]
     if w1 >= w2:
         raise SetDomainError(f"witness pair must be ordered, got ({w1}, {w2})")
-    if wits.values.mask != mask_of((w1, w2)):
+    if _witness_mask(a._mask, _set_masks(a)[1], top) != 1 << w1 | 1 << w2:
         raise SetDomainError(
             f"({w1}, {w2}) is not the witness pair of this set"
         )
-    top = a.l
     m = gcd(w2 - w1, top)
     seeds = tuple(x // 2 for x in (w2, w2 + top) if x % 2 == 0)
     if not seeds:
@@ -556,20 +562,20 @@ def decompose(a: NormalizedSet, w1: int, w2: int) -> Decomposition:
             q, r = divmod(v + x * step, top)
             rows.append((r, q))
         tables[v] = tuple(rows)
-        orbit_vals = sorted({r for r, _q in rows})
-        orbits[v] = IntegerSet(orbit_vals)
+        orbit_vals = tuple(sorted({r for r, _q in rows}))
+        orbits[v] = _trusted_set(orbit_vals)
         union.update(orbit_vals)
-    residues = tuple(u for u in a.elements if u < m and (2 * u - w2) % m != 0)
+    residues = tuple([u for u in elems if u < m and (2 * u - w2) % m != 0])
     union.update(u + h for u in residues for h in range(0, top, m))
     return Decomposition(
         modulus=m,
         seeds=seeds,
         x_max=x_max,
-        grid=IntegerSet(range(0, top, m)),
-        residues=IntegerSet(residues),
+        grid=_trusted_set(tuple(range(0, top, m))),
+        residues=_trusted_set(residues),
         orbits=orbits,
         orbit_tables=tables,
-        reconstructed=union == set(a.elements),
+        reconstructed=union == set(elems),
     )
 
 
@@ -615,7 +621,7 @@ def split_at(a: NormalizedSet, s: int) -> SplitTriple:
     masks that compute the sumsets, not the mathematics.  They stay, as
     part of theorem 1's certified claim and its splits_validated count.
     """
-    elems = a.elements
+    elems, mask = a._elements, a._mask
     k = len(elems)
     if not 1 <= s <= k - 2:
         raise SetDomainError(f"split position must satisfy 1 <= s <= k-2, got s={s}")
@@ -625,17 +631,17 @@ def split_at(a: NormalizedSet, s: int) -> SplitTriple:
             f"split needs a_{s - 1}={2 * s - 2} and a_{s}={2 * s - 1}, got {lo} and {hi}"
         )
     top = elems[-1]
-    r = restricted_mask(a.mask, elems)
+    r = restricted_mask(mask, elems)
     n_full = r.bit_count()
     left = elems[: s + 2]
     right = elems[s - 1 :]
     c = left[-1]
-    left_mask = a.mask & (2 << c) - 1
+    left_mask = mask & (2 << c) - 1
     left_restricted = r if s == k - 2 else restricted_mask(left_mask, left)
     # the right half's sums without the top, then the top's sums with
     # them, as the theorem 1 row builds them once per head for all its
     # tops: both read the head part from the same kernel call
-    right_head_mask = (a.mask ^ 1 << top) >> lo << lo
+    right_head_mask = (mask ^ 1 << top) >> lo << lo
     right_mask = right_head_mask | 1 << top
     right_restricted = restricted_mask(right_head_mask, right[:-1]) | right_head_mask << top
     overlap = left_restricted & right_restricted
@@ -678,7 +684,7 @@ def find_admissible_split(a: NormalizedSet) -> Optional[int]:
     position.  Returns None when every interior element grows slowly,
     in which case the detached-top analysis applies instead.
     """
-    elems = a.elements
+    elems = a._elements
     k = len(elems)
     if k < 3:
         raise SetDomainError(f"split search needs k >= 3, got k={k}")

@@ -117,6 +117,10 @@ GOLDEN = Path(__file__).parent / "golden"
     "7,13,19,31,37",  # denormalized: offset 7, scale 6
     "0,1,3,6,7",  # halved_span (l + 3k - 7) / 2 = 15/2, an odd bound_x2
     "0,1,4,5,6,9,10",  # k = 7, l = 10, |2^A| = 13 < 3k - 7
+    # scale 1 with a nonzero offset: the normalized mask is the input's
+    # shifted down
+    "50,51,53,54,56,60",  # dense prefix, |B| >= 2, gap window, decomposition
+    "20,21,22,26,27,30",  # split at s = 4, two witnesses
 ])
 def test_json_output_matches_golden_file(capsys, command, literal):
     code, out, _ = run(capsys, command, "--json", "{%s}" % literal)

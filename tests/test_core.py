@@ -1,6 +1,7 @@
 """Core kernel: set types, sumsets, normalization, parsing."""
 
 import pickle
+from functools import reduce
 from itertools import combinations
 from math import gcd
 
@@ -289,6 +290,56 @@ def test_reflect_involution_preserves_sizes(values):
     assert reflect(r).elements == ns.elements
     assert restricted_size(r.elements) == restricted_size(ns.elements)
     assert double_size(r.elements) == double_size(ns.elements)
+
+
+def naive_normalize(values) -> tuple[tuple[int, ...], int, int]:
+    """(elements, offset, scale) of the normalized form, by division."""
+    e = sorted(set(values))
+    offset = e[0]
+    scale = reduce(gcd, (v - offset for v in e))
+    return tuple((v - offset) // scale for v in e), offset, scale
+
+
+def assert_normalizes_like_the_oracle(values) -> None:
+    ns, offset, scale = normalize(IntegerSet(values))
+    elems, want_offset, want_scale = naive_normalize(values)
+    assert type(ns) is NormalizedSet
+    assert (ns.elements, offset, scale) == (elems, want_offset, want_scale)
+    assert ns.mask == mask_of(elems) == mask_of(ns.elements)
+    assert ns == NormalizedSet(elems) and ns._masks is None and ns._head is None
+
+
+@pytest.mark.parametrize("seed", QUERY_SEEDS)
+def test_normalize_matches_the_oracle_on_query_sets(seed):
+    scales = set()
+    for raw in query_sets(seed):
+        assert_normalizes_like_the_oracle(raw)
+        scales.add(naive_normalize(raw)[2])
+    assert {1, 2, 3, 4, 5} <= scales
+
+
+@st.composite
+def dilated_sets(draw):
+    """A set of at least two elements, dilated by 1..5 and translated by
+    any offset that keeps it within MAX_ELEMENT."""
+    base = sorted(draw(st.sets(st.integers(min_value=0, max_value=200), min_size=2,
+                               max_size=20)))
+    scale = draw(st.integers(min_value=1, max_value=5))
+    offset = draw(st.integers(min_value=0, max_value=MAX_ELEMENT - scale * base[-1]))
+    return [offset + scale * v for v in base]
+
+
+@given(dilated_sets())
+@settings(max_examples=400, deadline=None)
+def test_normalize_matches_the_oracle(values):
+    assert_normalizes_like_the_oracle(values)
+
+
+def test_normalize_at_the_top_of_the_range():
+    # scale 1 with the largest offsets: the mask is shifted down by it
+    for values in ((MAX_ELEMENT - 1, MAX_ELEMENT), (0, MAX_ELEMENT),
+                   (MAX_ELEMENT - 9, MAX_ELEMENT - 5, MAX_ELEMENT)):
+        assert_normalizes_like_the_oracle(values)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,22 @@ def test_checkers_reject_out_of_regime():
         exceptional_profile(NormalizedSet((0, 1, 4, 5, 6, 9)))
 
 
+@pytest.mark.parametrize("seed", QUERY_SEEDS)
+def test_exceptional_profile_refuses_every_query_set_outside_the_regime(seed):
+    refused = 0
+    for raw in query_sets(seed):
+        ns = normalize(IntegerSet(raw))[0]
+        e, k = ns.elements, ns.k
+        if e[-1] >= 2 * k - 2 and all(e[i] < 2 * i for i in range(1, k - 1)):
+            continue
+        refused += 1
+        profile(ns)  # a filled context does not let it through
+        with pytest.raises(SetDomainError):
+            exceptional_profile(ns)
+        assert ns._head is None
+    assert refused
+
+
 DETACHED_TOP_CHECKERS = {
     "exceptional_profile": exceptional_profile,
     "check_exceptional_points": check_exceptional_points,
@@ -254,6 +270,44 @@ def test_decompose_validates_witness_pair():
         decompose(a, 2, 8)  # not the witness pair
 
 
+@pytest.mark.parametrize("pair", [(8, 3), (3, 3), (8, 8)])
+def test_decompose_refuses_an_unordered_pair(pair):
+    # the witness pair of this set is (3, 8); an unordered pair is refused
+    # by its order, before its values are looked at
+    with pytest.raises(SetDomainError, match="must be ordered"):
+        decompose(NormalizedSet((0, 1, 4, 5, 6, 9)), *pair)
+
+
+@pytest.mark.parametrize("elems, pair", [
+    ((0, 1, 4, 5, 6, 9), (2, 7)),  # two values, both wrong
+    ((0, 1, 4, 5, 6, 9), (0, 3)),  # an element of the set and a witness
+    ((0, 1, 4, 5, 6, 9), (3, 12)),  # a witness and its sum with the top
+    ((0, 1, 3, 4, 7, 10), (5, 6)),  # a set with no witness pair
+])
+def test_decompose_refuses_a_pair_that_is_not_the_witness_pair(elems, pair):
+    with pytest.raises(SetDomainError, match="not the witness pair"):
+        decompose(NormalizedSet(elems), *pair)
+
+
+@pytest.mark.parametrize("seed", QUERY_SEEDS)
+def test_decompose_accepts_only_the_witness_pair_on_query_sets(seed):
+    # every ordered pair of values in [0, l] other than the witness pair
+    # is refused, on the query sets with a witness pair
+    checked = 0
+    for raw in query_sets(seed)[:300]:
+        ns = normalize(IntegerSet(raw))[0]
+        wits = naive_witnesses(ns.elements)
+        if len(wits) != 2:
+            continue
+        checked += 1
+        for w1 in range(ns.l + 1):
+            for w2 in range(w1 + 1, ns.l + 1):
+                if [w1, w2] != wits:
+                    with pytest.raises(SetDomainError, match="not the witness pair"):
+                        decompose(ns, w1, w2)
+    assert checked
+
+
 # ---------------------------------------------------------------------------
 # split machinery
 
@@ -368,6 +422,51 @@ def test_trusted_result_sets_match_validating_constructors(t):
             assert split.right_shifted == ref and hash(split.right_shifted) == hash(ref)
             assert split.right_shifted.elements == ref.elements
             assert split.right_shifted.mask == ref.mask
+
+
+def assert_canonical(s: IntegerSet) -> None:
+    # strictly ascending elements in sync with the mask
+    e = s.elements
+    assert all(x < y for x, y in zip(e, e[1:])), s
+    assert s.mask == mask_of(e), s
+
+
+def result_sets(out: dict) -> dict[str, list[IntegerSet]]:
+    """Every IntegerSet held by one analyze query's result, by kind."""
+    sets = {"normalized": [out["ns"]], "witnesses": [out["witnesses"].values]}
+    prof = out["profile"]
+    sets["profile"] = [prof.double, prof.restricted, prof.exceptional]
+    if "exceptional" in out:
+        ep = out["exceptional"]
+        sets["exceptional_profile"] = [ep.b_values, ep.d_values, ep.c_values]
+    if "gaps" in out:
+        sets["gaps"] = [out["gaps"].missing]
+    dec = out.get("decomposition")
+    if dec is not None:
+        sets["decomposition"] = [dec.grid, dec.residues, *dec.orbits.values()]
+    if "split" in out:
+        split = out["split"]
+        sets["split"] = [split.left, split.right, split.overlap]
+        sets["normalized"].append(split.right_shifted)
+    return sets
+
+
+@pytest.mark.parametrize("seed", QUERY_SEEDS)
+def test_analyze_results_hold_canonical_sets(seed):
+    # the trusted constructors on the analyze path build what the
+    # validating ones would, on every benchmark query set
+    queries = benchmark_queries()
+    lab = SimpleNamespace(core=core, bounds=bounds, structure=structure, verify=None)
+    seen = set()
+    for raw in query_sets(seed):
+        out = queries.run_query(lab, ("analyze", raw))
+        for kind, sets in result_sets(out).items():
+            seen.add(kind)
+            for s in sets:
+                assert_canonical(s)
+                assert type(s) is (NormalizedSet if kind == "normalized" else IntegerSet)
+    assert seen == {"normalized", "witnesses", "profile", "exceptional_profile", "gaps",
+                    "decomposition", "split"}
 
 
 # ---------------------------------------------------------------------------
