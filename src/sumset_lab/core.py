@@ -22,9 +22,12 @@ build no set.
 A normalized set also carries a context, empty when it is built and
 filled on first use by ``_set_masks``: its ``A + A`` mask, its
 restricted mask and the restricted mask of its head (the set minus its
-top ``l``).  One sweep of the head gives all three.  With ``hd`` and
-``hr`` the head's two masks and ``h`` its own mask, the top adds the
-sums ``l + a`` for every head element ``a`` and the double ``2l``, so
+top ``l``).  One sweep of the head gives all three.  ``_exceptional``
+unpacks, once per set, the values in ``[1, 2k-4]`` that the head's
+restricted sums miss, for ``profile`` and the structure checkers alike.
+With ``hd`` and ``hr`` the head's two masks and ``h`` its own mask,
+the top adds the sums ``l + a`` for every head element ``a`` and the
+double ``2l``, so
 
     A + A = hd | h << l | 1 << 2l,    2^A = hr | h << l.
 
@@ -232,13 +235,14 @@ class NormalizedSet(IntegerSet):
     spans ``[0, l]`` and every covering arithmetic progression has
     difference 1.  It never compares equal to a plain IntegerSet.
 
-    Its context (``_masks``, filled by ``_set_masks``, and ``_head``,
-    filled by ``structure._context``) is a cache of values the carrier
-    determines: every constructor leaves it empty, a pickle carries only
-    the carrier, and equality, hashing and ``repr`` ignore it.
+    Its context (``_masks``, filled by ``_set_masks``, ``_b``, filled
+    by ``_exceptional``, and ``_head``, filled by ``structure._context``)
+    is a cache of values the carrier determines: every constructor
+    leaves it empty, a pickle carries only the carrier, and equality,
+    hashing and ``repr`` ignore it.
     """
 
-    __slots__ = ("_masks", "_head")
+    __slots__ = ("_masks", "_b", "_head")
 
     def __init__(self, elements: Iterable[int]):
         if isinstance(elements, IntegerSet):
@@ -255,14 +259,14 @@ class NormalizedSet(IntegerSet):
         g = gcd(*elems)
         if g != 1:
             raise SetDomainError(f"a normalized set has gcd 1, got gcd {g}")
-        self._masks = self._head = None
+        self._masks = self._b = self._head = None
 
     @classmethod
     def _from_trusted(cls, elements: tuple[int, ...], mask: int) -> "NormalizedSet":
         obj = cls.__new__(cls)
         obj._elements = elements
         obj._mask = mask
-        obj._masks = obj._head = None
+        obj._masks = obj._b = obj._head = None
         return obj
 
     def __reduce__(self):
@@ -359,11 +363,20 @@ def _set_masks(a: NormalizedSet) -> tuple[int, int, int]:
     return masks
 
 
+def _exceptional(a: NormalizedSet) -> IntegerSet:
+    """The exceptional set of a k-set ``a``, k >= 3: the values in
+    [1, 2k-4] that the restricted sums of its head miss, unpacked from
+    the set's context on first use and cached on the set."""
+    b = a._b
+    if b is None:
+        b = a._b = IntegerSet.from_mask(exceptional_mask(_set_masks(a)[2], len(a._elements)))
+    return b
+
+
 def profile(a: NormalizedSet) -> SumsetProfile:
     """Compute both sumsets and the low missing-sum window of ``a``."""
-    double, restricted, head_reach = _set_masks(a)
-    k = len(a._elements)
-    exceptional = IntegerSet.from_mask(exceptional_mask(head_reach, k)) if k >= 3 else None
+    double, restricted, _ = _set_masks(a)
+    exceptional = _exceptional(a) if len(a._elements) >= 3 else None
     return SumsetProfile(
         a, IntegerSet.from_mask(double), IntegerSet.from_mask(restricted), exceptional
     )

@@ -25,15 +25,15 @@ grid plus geometric orbits, reconstructed here explicitly.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .core import (
     IntegerSet,
     NormalizedSet,
     SetDomainError,
+    _exceptional,
     _set_masks,
     double_mask,
     elements_of,
@@ -95,33 +95,29 @@ class ExceptionalProfile(NamedTuple):
 
 class _Head(NamedTuple):
     """The head A' of a detached-top k-set (the set minus its top) with
-    what the checkers read of it: its members, its restricted mask and
-    the exceptional values B, ascending."""
+    what the checkers read of it: its bit mask, its restricted mask and
+    the exceptional values B, ascending.  The checks are bit tests on the
+    two masks."""
 
     k: int
-    head: tuple[int, ...]
-    members: frozenset[int]
+    mask: int
     reach: int
     b_vals: tuple[int, ...]
-
-
-def _head(head: tuple[int, ...], reach: int) -> _Head:
-    """The context of ``head`` (restricted mask ``reach``), trusted to be
-    in the regime."""
-    k = len(head) + 1
-    return _Head(k, head, frozenset(head), reach, elements_of(exceptional_mask(reach, k)))
 
 
 def _context(a: NormalizedSet) -> _Head:
     """The head context of ``a``, once ``a`` is checked to be in the regime.
 
-    It is built on first use from the head's restricted mask in the set's
-    context (``core._set_masks``), and cached on the set, so the public
+    It is built on first use from the set's context (``core._set_masks``
+    for the head's restricted mask, ``core._exceptional`` for B, which
+    ``core.profile`` shares), and cached on the set, so the public
     checkers called on one set share one head context and one sweep."""
     h = a._head
     if h is None:
         require_dense_prefix(a)
-        h = a._head = _head(a._elements[:-1], _set_masks(a)[2])
+        elems = a._elements
+        h = a._head = _Head(len(elems), a._mask ^ 1 << elems[-1], _set_masks(a)[2],
+                            _exceptional(a)._elements)
     return h
 
 
@@ -147,6 +143,18 @@ def _profile(h: _Head) -> ExceptionalProfile:
     )
 
 
+def _one_of_each_pair(mask: int, lo: int, s: int) -> bool:
+    """Whether ``mask`` holds exactly one of i and s - i for every i in
+    [lo, s/2] (s/2 itself when s is even): the window [lo, s - lo] of the
+    mask, against its own reversal, covers the window and meets it at
+    most in s/2."""
+    width = s - 2 * lo + 1
+    full = (1 << width) - 1
+    window = mask >> lo & full
+    mirror = int(f"{window:0{width}b}"[::-1], 2)
+    return window | mirror == full and window & mirror == (0 if s % 2 else 1 << s // 2 - lo)
+
+
 def check_exceptional_points(a: NormalizedSet) -> list[str]:
     """Check the pointwise structure forced at every member of B.
 
@@ -160,26 +168,28 @@ def check_exceptional_points(a: NormalizedSet) -> list[str]:
 
 
 def _points(h: _Head) -> list[str]:
-    k, head, head_set, _reach, b_vals = h
+    k, mask, _reach, b_vals = h
     out: list[str] = []
     for b in b_vals:
+        half = b // 2
         if b % 2:
             out.append(f"b={b}: odd")
-        if b in head_set:
+        if mask >> b & 1:
             out.append(f"b={b}: lies in the head set")
-        if b // 2 not in head_set:
-            out.append(f"b={b}: half {b // 2} missing from the head set")
-        prefix = bisect_right(head, b)
-        if prefix != b // 2 + 1:
-            out.append(f"b={b}: prefix count {prefix} != {b // 2 + 1}")
-        for i in range(0, b // 2 + 1):
-            hits = len({i, b - i} & head_set)
-            if hits != 1:
-                out.append(f"b={b}: pair ({i},{b - i}) hit count {hits} != 1")
-        if b < 2 * k - 4:
-            idx = b // 2 + 1
-            if idx >= len(head) or head[idx] != b + 1:
-                out.append(f"b={b}: successor {b + 1} not at position {idx}")
+        if not mask >> half & 1:
+            out.append(f"b={b}: half {half} missing from the head set")
+        # the head's members in [0, b]: b+1 sits at position b/2 + 1
+        # exactly when it is a member and b/2 + 1 of them lie below it
+        prefix = (mask & (2 << b) - 1).bit_count()
+        if prefix != half + 1:
+            out.append(f"b={b}: prefix count {prefix} != {half + 1}")
+        if not _one_of_each_pair(mask, 0, b):
+            for i in range(half + 1):
+                hits = (mask >> i & 1) + (i != b - i and mask >> b - i & 1)
+                if hits != 1:
+                    out.append(f"b={b}: pair ({i},{b - i}) hit count {hits} != 1")
+        if b < 2 * k - 4 and not (mask >> b + 1 & 1 and prefix == half + 1):
+            out.append(f"b={b}: successor {b + 1} not at position {half + 1}")
     return out
 
 
@@ -193,8 +203,12 @@ def exceptional_growth_ok(a: NormalizedSet) -> bool:
 
 
 def _growth_ok(h: _Head) -> bool:
-    seq = (0,) + h.b_vals
-    return all(nxt >= 2 * prev + 2 for prev, nxt in zip(seq, seq[1:]))
+    prev = 0
+    for b in h.b_vals:
+        if b < 2 * prev + 2:
+            return False
+        prev = b
+    return True
 
 
 def tail_pair_counts_ok(a: NormalizedSet, b: int, u: int) -> Optional[bool]:
@@ -210,19 +224,13 @@ def tail_pair_counts_ok(a: NormalizedSet, b: int, u: int) -> Optional[bool]:
 
 
 def _tail_ok(h: _Head, b: int, u: int) -> Optional[bool]:
-    k, head, head_set, reach, b_vals = h
+    # one of each pair {i, s-i} over [b+1, s-b-1] puts the count of
+    # head elements there right too, so the pair test decides alone
+    k, mask, reach, b_vals = h
     if b not in b_vals or not b < k - 2 or not 1 <= u <= b:
         return None
-    if reach >> (2 * k - 4 + u) & 1:
-        return True
-    lo, hi = b + 1, 2 * k - 5 + u - b
-    count = sum(1 for v in head if lo <= v <= hi)
-    if count != k - 2 + u // 2 - b:
-        return False
-    for i in range(b + 1, k - 2 + u // 2 + 1):
-        if len({i, 2 * k - 4 + u - i} & head_set) != 1:
-            return False
-    return True
+    s = 2 * k - 4 + u
+    return bool(reach >> s & 1) or _one_of_each_pair(mask, b + 1, s)
 
 
 class GapPatterns(NamedTuple):
@@ -250,14 +258,10 @@ def _gaps(h: _Head) -> GapPatterns:
     if len(b_vals) < 2:
         raise SetDomainError("gap patterns need at least two exceptional values")
     lo = 2 * k - 3
-    hi = 2 * k - 4 + b_vals[-2]
-    width = hi - lo + 1
-    window_mask = ((1 << width) - 1) << lo
-    miss = window_mask & ~reach
-    rel = miss >> lo
+    rel = ~reach >> lo & (1 << b_vals[-2]) - 1
     return GapPatterns(
-        window=(lo, hi),
-        missing=IntegerSet.from_mask(miss),
+        window=(lo, lo - 1 + b_vals[-2]),
+        missing=IntegerSet.from_mask(rel << lo),
         has_consecutive=bool(rel & rel >> 1),
         has_diff2=bool(rel & rel >> 2),
         has_diff3=bool(rel & rel >> 3),
@@ -277,18 +281,13 @@ def _consecutive(h: _Head) -> bool:
     if len(h.b_vals) != 2:
         return False
     b1, b2 = h.b_vals
-    if b1 % 2:
-        return False
-    target = set(range(0, b1 // 2 + 1)) | set(range(b1 + 1, 3 * b1 // 2 + 2))
-    actual = {v for v in h.head if v <= b2}
-    return actual == target
+    return not b1 % 2 and h.mask & (2 << b2) - 1 == (
+        (1 << b1 // 2 + 1) - 1 | (1 << 3 * b1 // 2 + 2) - (1 << b1 + 1))
 
 
-def _mod_class(residue: int, lo, hi) -> set[int]:
-    """{3i + residue : lo <= i <= hi} with exact rational bounds."""
-    lo_i = ceil(lo) if isinstance(lo, Fraction) else lo
-    hi_i = floor(hi) if isinstance(hi, Fraction) else hi
-    return {3 * i + residue for i in range(lo_i, hi_i + 1)}
+def _thirds(start: int, lo: int, hi: int) -> int:
+    """The mask of {3i + start : lo <= i <= hi}."""
+    return ((1 << 3 * max(hi - lo + 1, 0)) - 1) // 7 << 3 * lo + start
 
 
 def diff3_exception_case(a: NormalizedSet) -> Optional[int]:
@@ -307,52 +306,25 @@ def _diff3_case(h: _Head) -> Optional[int]:
     b_vals = h.b_vals
     if len(b_vals) != 3 or b_vals[0] != 2:
         return None
-    t = b_vals[1]
-    b3 = b_vals[2]
-    F = Fraction
+    t, b3 = b_vals[1], b_vals[2]
+    # each shape as masks of {3i + r} with the exact rational bounds
+    # floored, and ceiled where they start a class
     shapes = [
-        (
-            t % 3 == 2,
-            lambda: _mod_class(0, 0, F(2 * t + 2, 3))
-            | _mod_class(1, 0, F(t - 2, 6))
-            | _mod_class(1, F(t + 1, 3), F(t, 2)),
-        ),
-        (
-            t % 3 == 0,
-            lambda: _mod_class(0, 0, F(t, 6))
-            | _mod_class(1, 0, F(t, 2))
-            | {t + 2 + 3 * i for i in range(t // 3 + 1)},
-        ),
-        (
-            t % 3 == 2,
-            lambda: _mod_class(0, 0, F(t, 2) + 1)
-            | _mod_class(1, 0, F(t - 2, 6))
-            | {t + 3 + 3 * i for i in range((t + 1) // 3 + 1)},
-        ),
-        (
-            t % 3 == 1,
-            lambda: _mod_class(0, 0, F(t + 2, 6))
-            | {t + 3 + 3 * i for i in range((t + 2) // 3 + 1)}
-            | _mod_class(2, 0, F(t, 2)),
-        ),
-        (
-            t % 3 == 0,
-            lambda: _mod_class(0, 0, F(t, 6))
-            | _mod_class(0, F(t, 3) + 1, F(t, 2) + 1)
-            | _mod_class(1, 0, F(2 * t, 3) + 1),
-        ),
-        (
-            t % 3 == 2,
-            lambda: _mod_class(0, 0, F(2 * t + 5, 3))
-            | _mod_class(2, 0, F(t - 2, 6))
-            | _mod_class(2, F(t + 1, 3), F(t, 2)),
-        ),
+        (t % 3 == 2, _thirds(0, 0, (2 * t + 2) // 3) | _thirds(1, 0, (t - 2) // 6)
+         | _thirds(1, (t + 3) // 3, t // 2)),
+        (t % 3 == 0, _thirds(0, 0, t // 6) | _thirds(1, 0, t // 2) | _thirds(t + 2, 0, t // 3)),
+        (t % 3 == 2, _thirds(0, 0, t // 2 + 1) | _thirds(1, 0, (t - 2) // 6)
+         | _thirds(t + 3, 0, (t + 1) // 3)),
+        (t % 3 == 1, _thirds(0, 0, (t + 2) // 6) | _thirds(t + 3, 0, (t + 2) // 3)
+         | _thirds(2, 0, t // 2)),
+        (t % 3 == 0, _thirds(0, 0, t // 6) | _thirds(0, (t + 5) // 3, t // 2 + 1)
+         | _thirds(1, 0, 2 * t // 3 + 1)),
+        (t % 3 == 2, _thirds(0, 0, (2 * t + 5) // 3) | _thirds(2, 0, (t - 2) // 6)
+         | _thirds(2, (t + 3) // 3, t // 2)),
     ]
-    actual = {v for v in h.head if v <= b3}
-    for idx, (applies, build) in enumerate(shapes, start=1):
-        if applies and build() == actual:
-            return idx
-    return None
+    actual = h.mask & (2 << b3) - 1
+    return next((i for i, (applies, shape) in enumerate(shapes, 1)
+                 if applies and shape == actual), None)
 
 
 def offset_count_bound(top_b: int) -> Fraction:
@@ -415,15 +387,14 @@ def _top_gap(h: _Head) -> tuple[bool, Optional[str]]:
     """(both values above the covered window missing, the name of the
     candidate the head and B match or None).  At most one matches: their
     b-pairs differ for k >= 4, and at k = 3 start at 0, never in B."""
-    k, head, _members, reach, b_vals = h
+    k, mask, reach, b_vals = h
     if len(b_vals) < 2:
         raise SetDomainError("top-gap analysis needs at least two exceptional values")
-    top_b = b_vals[-2]
-    gap = not (reach >> (2 * k - 3 + top_b) & 1) and not (reach >> (2 * k - 2 + top_b) & 1)
+    gap = not reach >> 2 * k - 3 + b_vals[-2] & 3
     if len(b_vals) != 2:
         return gap, None
     shape = next((c.name for c in top_gap_candidates(k)
-                  if head == c.head and b_vals == c.b_values), None)
+                  if b_vals == c.b_values and mask == mask_of(c.head)), None)
     return gap, shape
 
 
@@ -435,11 +406,20 @@ def _head_failures(head: tuple[int, ...], head_mask: int, reach: int) -> tuple[s
 
     A head whose B is empty passes every check at once: its restricted
     sums cover [1, 2k-4], so its sumset (0 + 0 too) covers [0, 2k-4],
-    and every other check ranges over B or needs two members of it."""
+    and every other check ranges over B or needs two members of it.
+
+    The checks are the public checkers' bit tests on the two masks, run
+    on one head context.  Only the coverage of [0, 2k-4] by the head's
+    sumset reads the elements, so that it does not rest on ``reach``.
+    The gap flags and the covered offsets come from ``reach`` as
+    ``gap_patterns`` and ``exceptional_profile`` take them, without
+    unpacking a set: the offsets are counted by popcount and held to
+    ``offset_count_bound`` in integers."""
     k = len(head) + 1
-    if not exceptional_mask(reach, k):
+    b_mask = exceptional_mask(reach, k)
+    if not b_mask:
         return ()
-    h = _head(head, reach)
+    h = _Head(k, head_mask, reach, elements_of(b_mask))
     b_vals = h.b_vals
     window = (1 << (2 * k - 3)) - 1
     fails: list[str] = []
@@ -449,24 +429,26 @@ def _head_failures(head: tuple[int, ...], head_mask: int, reach: int) -> tuple[s
     if not _growth_ok(h):
         fails.append("exceptional values grow too slowly")
     for b in b_vals:
-        if b < k - 2:
+        # vacuous unless some 2k-4+u, 1 <= u <= b, is missing
+        if b < k - 2 and ~reach >> 2 * k - 4 & (2 << b) - 2:
             for u in range(1, b + 1):
-                if _tail_ok(h, b, u) is False:
+                if not _tail_ok(h, b, u):
                     fails.append(f"tail pair counts fail at b={b}, u={u}")
     if len(b_vals) >= 2:
-        gp = _gaps(h)
+        top_b = b_vals[-2]
+        # the missing values of gap_patterns' window, from 2k-3 up
+        rel = ~reach >> 2 * k - 3 & (1 << top_b) - 1
         consec_exc = _consecutive(h)
         diff3_case = _diff3_case(h)
-        if gp.has_consecutive and not consec_exc:
+        if rel & rel >> 1 and not consec_exc:
             fails.append("consecutive missing pair without the low shape")
-        if gp.has_diff2:
+        if rel & rel >> 2:
             fails.append("distance-2 missing pair")
-        if gp.has_diff3 and diff3_case is None:
+        if rel & rel >> 3 and diff3_case is None:
             fails.append("distance-3 missing pair without a mod-3 shape")
         if not consec_exc and diff3_case is None:
-            top_b = b_vals[-2]
-            covered = len(_profile(h).d_values)
-            if covered < offset_count_bound(top_b):
+            covered = (reach >> 2 * k - 4 & (2 << top_b) - 2).bit_count()
+            if 2 * covered < top_b + 2 * (top_b // 4):
                 fails.append(f"covered offsets {covered} below the floor for b={top_b}")
         gap, shape = _top_gap(h)
         if gap and shape is None:

@@ -14,16 +14,14 @@ carries the restricted sumset of the prefix down the search, so placing
 a value costs one shift-or and a set's restricted size is one popcount.
 A leaf gets its element tuple, mask and restricted mask from the walk,
 so no cell unpacks or re-validates a set the walk has already built.
-Each cell passes the largest restricted size it reports, and may pass a
-prune predicate on a prefix's masks that holds only when no set below
-the prefix can give a finding.  Each element still to be placed adds a
-sum with the top above every sum already present, so once a prefix's
-restricted size plus the number of elements still to come exceeds that
-bound, or the predicate holds, no set below the prefix is a finding.
-The floor checks prune on the bound; the witness cells prune once a
-prefix has fewer than two candidate witnesses left; the other cells
-that check every set pass 2l, which no restricted sumset inside [0, l]
-reaches.
+Each cell passes the largest restricted size it reports.  Each element
+still to be placed adds a sum with the top above every sum already
+present, so once a prefix's restricted size plus the number of elements
+still to come exceeds that bound, no set below the prefix is a finding.
+The floor checks prune on the bound; the witness cells pass 2l, which
+no restricted sumset inside [0, l] reaches, and ask the walk to cut,
+by a bit test on the masks it carries, each prefix with fewer than two
+candidate witnesses left.
 
 A sweep plans a cell before walking it, by counting, not walking.
 Every named constraint only caps positions, so a cell's nodes are the
@@ -48,9 +46,9 @@ and the two that read only the top.  Those are the conjecture and span
 refuses any other.  Such a cell caps every position from a_1 on at what
 a_{k-2} <= l - a_1 leaves it, adds each finding's mirror unless a_1 +
 a_{k-2} = l (there the mirror is walked too), and hands the sorted
-findings over in stream order.  A cell that prunes must find a set
-exactly when it finds its mirror, as the witness cells do: the mirror
-maps a set's witnesses W to l - W.  The theorem 1, theorem 2 and
+findings over in stream order.  The witness prune keeps that sound:
+the mirror maps a set's witnesses W to l - W, so a witness cell finds a
+set exactly when it finds its mirror.  The theorem 1, theorem 2 and
 structure cells cap low or interior positions, which the mirror moves:
 they run as rows over their heads.
 
@@ -121,6 +119,7 @@ from .core import (
     IntegerSet,
     NormalizedSet,
     SetDomainError,
+    elements_of,
     format_set_literal,
     freiman_lev_bound,
     mask_of,
@@ -313,7 +312,7 @@ def _chains(his: Sequence[int]) -> list[int]:
     return counts
 
 
-def _plan(query: EnumerationQuery) -> tuple[int, int]:
+def _plan(query: EnumerationQuery, memo: Optional[dict] = None) -> tuple[int, int]:
     """The (nodes, gcd-1 sets) that :func:`enumerate_tuples` streams on
     an exact-span, mask-free query with no budget, with the top placed
     first, by counting and without walking.
@@ -325,10 +324,21 @@ def _plan(query: EnumerationQuery) -> tuple[int, int]:
     empty.  A set's gcd is gcd(l, a_1, ..., a_{k-2}), so by Möbius
     inversion over the squarefree divisors d of l the gcd-1 sets are
     the sum of mu(d) times the full chains whose values are all
-    multiples of d, that is, the full chains under the caps his // d."""
+    multiples of d, that is, the full chains under the caps his // d.
+
+    ``memo``, if given, maps caps to their :func:`_chains` counts, and
+    is filled with the caps counted here: the cells of one task share
+    it, as their caps repeat."""
     l = query.l_max
     l_lo, l_hi, his = _caps(query)
-    counts = _chains(his)
+    memo = {} if memo is None else memo
+
+    def chains(caps: tuple[int, ...]) -> list[int]:
+        if caps not in memo:
+            memo[caps] = _chains(caps)
+        return memo[caps]
+
+    counts = chains(tuple(his))
     has_leaf = l_lo <= l_hi
     nodes = sum(counts[1:]) + has_leaf * counts[-1]
     if not has_leaf:
@@ -343,7 +353,7 @@ def _plan(query: EnumerationQuery) -> tuple[int, int]:
             terms += [(d * p, -mu) for d, mu in terms]
             while rest % p == 0:
                 rest //= p
-    sets = sum(mu * _chains([h // d for h in his])[-1] for d, mu in terms)
+    sets = sum(mu * chains(tuple([h // d for h in his]))[-1] for d, mu in terms)
     return nodes, sets
 
 
@@ -362,7 +372,7 @@ def _walk_span(
     query: EnumerationQuery,
     bound: int,
     on_leaf: Callable[[tuple[int, ...], int, int, int], None],
-    prune: Optional[Callable[[int, int], bool]] = None,
+    prune_witnesses: bool = False,
 ) -> None:
     """Walk an exact-span, mask-free query, calling ``on_leaf(tup, mask,
     r, n)`` for each set :func:`enumerate_tuples` streams whose
@@ -373,11 +383,14 @@ def _walk_span(
     set.  With ``gcd_one`` in the query, ``on_leaf`` only sees sets of
     gcd 1.
 
-    ``prune(mask, r)``, if given, is asked about each prefix (its
-    elements with the top, and their restricted mask) that the bound
-    does not prune and that the walked half holds.  When it returns
-    true, the leaves below the prefix are not visited: the caller
-    promises that ``on_leaf`` would do nothing on any of them.
+    With ``prune_witnesses`` the walk also cuts each prefix that the
+    bound leaves and that has fewer than two candidate witnesses: values
+    w in [0, l] outside the prefix (its elements with the top) such that
+    neither w nor w + l is a restricted sum of it, a test on the masks
+    it carries, ``(~(mask | r | r >> l) & (2 << l) - 1).bit_count() <
+    2``.  Each element placed later only removes candidates, so no set
+    below such a prefix has two witnesses: the caller promises that
+    ``on_leaf`` does nothing on a set with fewer than two.
 
     The walk counts no node and takes no budget: :func:`_run_task`
     counts the cell from its plan and decides whether it is walked.
@@ -391,18 +404,17 @@ def _walk_span(
     mirror A -> l - A, its constraints among ``_MIRROR_CLOSED``, and
     have k >= 3; any other is refused.  The mirror keeps gcd, span and
     restricted size (2^(l-A) = 2l - 2^A), and maps a_1 + a_{k-2} < l to
-    a sum above l.  With a ``prune`` the caller also promises that
-    ``on_leaf`` acts on a set exactly when it acts on the set's mirror,
-    so the mirror of a set the prune cuts is one that ``on_leaf`` would
-    ignore too.  The walk visits only the sets with a_{k-2} <= l - a_1:
-    once a_1 = v is placed, each later position j is capped at
-    l - v - (k-2-j), so whole subtrees go.  Each finding with a_1 +
-    a_{k-2} < l also gives its mirror's tuple, mask and restricted mask,
-    with the same n; a finding on the tie a_1 + a_{k-2} = l has its
-    mirror walked too (or is its own mirror), and is not mirrored.  The
-    findings are held, sorted and handed to ``on_leaf`` in stream order,
-    so ``on_leaf`` acts on the sets it would act on in a whole walk, in
-    the same order.
+    a sum above l.  It also maps a set's witnesses W to l - W, so a set
+    and its mirror have as many: the mirror of a set the witness prune
+    cuts is one that ``on_leaf`` would ignore too.  The walk visits only
+    the sets with a_{k-2} <= l - a_1: once a_1 = v is placed, each later
+    position j is capped at l - v - (k-2-j), so whole subtrees go.  Each
+    finding with a_1 + a_{k-2} < l also gives its mirror's tuple, mask
+    and restricted mask, with the same n; a finding on the tie a_1 +
+    a_{k-2} = l has its mirror walked too (or is its own mirror), and is
+    not mirrored.  The findings are held, sorted and handed to
+    ``on_leaf`` in stream order, so ``on_leaf`` acts on the sets it
+    would act on in a whole walk, in the same order.
     """
     k, l = query.k, query.l_max
     if k < 3 or not _MIRROR_CLOSED.issuperset(query.constraints):
@@ -425,6 +437,7 @@ def _walk_span(
     # a_1 + (k-3) <= a_{k-2} <= l - a_1
     caps[1] = min(his[1], (l - k + 3) // 2)
     held: list[tuple[tuple[int, ...], int, int, int]] = []
+    span = (2 << l) - 1
 
     def find(pos: int, prev: int, g: int, mask: int, r: int) -> None:
         if pos == last:
@@ -440,7 +453,9 @@ def _walk_span(
         lower = pos == 1
         for v in range(prev + 1, caps[pos] + 1):
             rv = r | mask << v
-            if rv.bit_count() > lim or prune is not None and prune(mask | 1 << v, rv):
+            # v = 0 + v is in rv, so mask | rv holds the prefix with v
+            if rv.bit_count() > lim or prune_witnesses and (
+                    ~(mask | rv | rv >> l) & span).bit_count() < 2:
                 continue
             path[pos] = v
             if lower:
@@ -683,11 +698,17 @@ def _run_task(task: tuple[_Finder, tuple[str, ...], int, tuple[int, ...], int]) 
     with the findings ``fn`` gives for it.  Only here is a sweep's cell
     counted from its plan and its walk decided.  A cell whose plan fits
     the share ``per`` has the plan's counts; one over it is skipped and
-    counts nothing.  ``fn`` walks the tops that fit and stream a set."""
+    counts nothing.  ``fn`` walks the tops that fit and stream a set.
+
+    The task's cells are planned with one :func:`_chains` memo, which
+    lives only as long as the task: a row's tops under
+    ``growth_a_i_lt_2i`` share their caps, and the caps his // d of the
+    Möbius terms recur across tops."""
     fn, constraints, k, tops, per = task
     cells, walked = [], []
+    memo: dict = {}
     for l in tops:
-        planned, sets = _plan(EnumerationQuery.exact(k, l, constraints))
+        planned, sets = _plan(EnumerationQuery.exact(k, l, constraints), memo)
         fits = planned <= per
         cells.append({"k": k, "l": l, "planned": planned, "nodes": planned if fits else 0,
                       "sets": sets if fits else 0, "truncated": not fits})
@@ -1217,41 +1238,38 @@ def _witness_cell(
 ) -> list[dict]:
     """The findings of the witness cell (k, l), l its task's one top: at
     most two witnesses, and the grid-orbit reconstruction of every
-    two-witness set, with the residue laws at span 2k-3."""
-    from .structure import _witness_mask, decompose, witness_profile
+    two-witness set, with the residue laws at span 2k-3.
+
+    A set with fewer than two witnesses gives neither a finding nor a
+    pair, so the span walk cuts every prefix with fewer than two
+    candidates (its witness prune) and hands over only the sets with two
+    or more.  Each leaf reads its witnesses off the masks the walk hands
+    it, as ``witness_profile`` reads them off the set's context, so no
+    set is swept to find them; ``decompose`` checks a pair on the set's
+    own context."""
+    from .structure import _witness_mask, decompose
 
     (l,) = tops
     extremal = pairs = 0
     bad: list[str] = []
     notes: list[str] = []
 
-    def few_candidates(mask: int, r: int) -> bool:
-        # witness_profile's predicate on the walker's masks: with fewer
-        # than two witnesses a set gives neither a finding nor a pair.
-        # With the top placed, adding elements only removes candidates,
-        # so a prefix with fewer than two has no set below it with two.
-        # A set and its mirror have as many witnesses, W(l - A) = l - W(A),
-        # so the cell is walked in half.
-        return _witness_mask(mask, r, l).bit_count() < 2
-
     def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
         nonlocal extremal, pairs
-        # a leaf of a gcd_one walk: normalized without re-validation
-        ns = NormalizedSet._from_trusted(tup, mask)
-        wp = witness_profile(ns)
-        if len(wp.values) > 2:
+        wits = elements_of(_witness_mask(mask, r, l))
+        if len(wits) > 2:
             bad.append(
-                f"{format_set_literal(tup)}: {len(wp.values)} witnesses "
-                f"{format_set_literal(wp.values)}"
+                f"{format_set_literal(tup)}: {len(wits)} witnesses {format_set_literal(wits)}"
             )
-            return
-        if wp.w1 is None:
             return
         pairs += 1
         if n == 3 * k - 7:
             extremal += 1
+        w1, w2 = wits
+        # a leaf of a gcd_one walk: normalized without re-validation
+        ns = NormalizedSet._from_trusted(tup, mask)
         try:
-            dec = decompose(ns, wp.w1, wp.w2)
+            dec = decompose(ns, w1, w2)
         except SetDomainError as exc:
             notes.append(f"k={k} l={l}: {format_set_literal(tup)} not decomposed ({exc})")
             return
@@ -1264,7 +1282,6 @@ def _witness_cell(
                 bad.append(
                     f"{format_set_literal(tup)}: residue count {len(u_set)} != (m-1)/2 for m={m}"
                 )
-            w2 = wp.w2
             for u1 in range(m):
                 for u2 in range(u1 + 1, m):
                     if (u1 + u2 - w2) % m == 0:
@@ -1275,7 +1292,7 @@ def _witness_cell(
                             )
 
     if walked:
-        _walk_span(EnumerationQuery.exact(k, l, constraints), 2 * l, leaf, few_candidates)
+        _walk_span(EnumerationQuery.exact(k, l, constraints), 2 * l, leaf, prune_witnesses=True)
     return [{"extremal": extremal, "pairs": pairs, "bad": bad, "notes": notes}]
 
 

@@ -5,7 +5,9 @@ it: increasing chains under the caps, and Möbius inversion over the
 divisors of the top.  It must equal the memo over (position, previous
 value, gcd) in ``tests/helpers.py`` on every combination of the named
 constraints, cells whose top range is empty included, and the closed
-forms written out below.
+forms written out below.  The task runner plans a task's cells with one
+memo of chain counts, and must give each cell the counts that planning
+it alone gives.
 """
 
 from itertools import combinations
@@ -13,12 +15,16 @@ from math import comb
 
 import pytest
 
+from sumset_lab import verify
 from sumset_lab.verify import (
     KNOWN_CONSTRAINTS,
     EnumerationQuery,
+    _DENSE,
     _LOW_SECOND,
     _caps,
+    _detached_top_rows,
     _plan,
+    _run_task,
 )
 
 from helpers import memo_plan
@@ -82,3 +88,42 @@ def test_open_region_count_at_k12_is_the_floor_cells_minus_theorem_1():
     assert floor == 21_121_100
     assert low_second == 7 * 92_378 == 7 * comb(19, 10)
     assert floor - low_second == 20_474_454
+
+
+@pytest.mark.parametrize("cap", [None, 30])
+def test_task_plans_equal_lone_cell_plans_on_every_detached_top_box_row(cap, monkeypatch):
+    # the theorem 1, theorem 2 and lemmas boxes for k <= 12: every row
+    # (the lemmas box's structure rows are theorem 2's) and every witness
+    # cell, at a share that walks every cell and at one that skips some.
+    # The task's memo of chain counts changes no count, and spares calls
+    rows, _top_cap = _detached_top_rows(3, 12, cap)
+    tasks = [(constraints, k, tops) for constraints in (_LOW_SECOND, _DENSE)
+             for k, tops in rows]
+    tasks += [(("gcd_one",), k, (l,)) for k in range(8, 13) for l in range(k - 1, 2 * k - 2)]
+    calls = [0]
+    real = verify._chains
+
+    def counted(his):
+        calls[0] += 1
+        return real(his)
+
+    monkeypatch.setattr(verify, "_chains", counted)
+    skipped = 0
+    for per in (10**12, 10**5):
+        for constraints, k, tops in tasks:
+            got = _run_task((lambda k_, tops_, walked, c: [{} for _l in tops_],
+                             constraints, k, tops, per))
+            task_calls, calls[0] = calls[0], 0
+            want = []
+            for l in tops:
+                planned, sets = _plan(EnumerationQuery.exact(k, l, constraints))
+                fits = planned <= per
+                want.append({"k": k, "l": l, "planned": planned, "nodes": planned if fits else 0,
+                             "sets": sets if fits else 0, "truncated": not fits})
+                skipped += not fits
+            assert got == want, (constraints, k)
+            assert task_calls <= calls[0]
+            if len(tops) > 1:
+                assert task_calls < calls[0]
+            calls[0] = 0
+    assert skipped > 0

@@ -10,11 +10,16 @@ in stream order.  A cell whose stream the budget
 cuts short (the enumerator raises) is skipped: it counts no node and no
 set, finds nothing, records its planned nodes, and classify_extremal
 raises at the node past its budget.  The walker itself must hand each
-leaf the element tuple and restricted mask of its set, and its
-lookahead prune must hold on every prefix of a set.  Every cell it
-walks is closed under the mirror A -> l - A and walked in half: it must
-hand over the same leaves in the same order, mirrored findings
-included, and refuse a cell that is not closed.  Each cell must
+leaf the element tuple and restricted mask of its set, its lookahead
+prune must hold on every prefix of a set, and its witness prune must
+cut exactly the prefixes with fewer than two naive candidate witnesses.
+The structure row's head checks, bit tests on the head's masks, must
+give the messages of the frozen tuple-based checks in
+``tests/helpers.py``, on the true restricted masks and on faulted ones.
+Every cell the walker walks is closed under the mirror A -> l - A and
+walked in half: it must hand over the same leaves in the same order,
+mirrored findings included, and refuse a cell that is not closed.  Each
+cell must
 also match at the budgets around its planned node count, where the
 walker switches between walking the cell whole and skipping it.  A
 theorem 1, theorem 2 or structure row, whose walked cells share one
@@ -33,6 +38,9 @@ the row walk's floor step must record a head's sets exactly when its
 floor bound leaves the head.
 """
 
+import re
+import sys
+from contextlib import contextmanager
 from itertools import combinations
 from math import gcd
 
@@ -82,7 +90,7 @@ from sumset_lab.verify import (
     _witness_cell,
 )
 
-from helpers import naive_double, naive_restricted, naive_witnesses
+from helpers import frozen_head_failures, naive_double, naive_restricted, naive_witnesses
 
 DENSE = ("gcd_one", "growth_a_i_lt_2i", "last_ge_2k_minus_2")
 LOW_SECOND = ("gcd_one", "interior_lt_2k_minus_4", "last_ge_2k_minus_2")
@@ -204,38 +212,100 @@ def first_interior(mask):
     return (rest & -rest).bit_length()
 
 
+@contextmanager
+def kept_prefixes(monkeypatch):
+    """Record the prefixes that a span walk keeps, in walk order, each as
+    the mask of its elements with the top: the walk takes the running
+    gcd once for each placement that neither its bound nor its prune
+    cuts, as it descends below it, in the frame that holds the prefix's
+    mask before the placement."""
+    kept: list[int] = []
+    real = verify.gcd
+
+    def recording(g, v):
+        kept.append(sys._getframe(1).f_locals["mask"] | 1 << v)
+        return real(g, v)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "gcd", recording)
+        yield kept
+
+
+def witness_prune_reference(k, l):
+    """(kept, cut): the prefixes that the halved witness walk of a cell
+    (k, l) reaches, by the naive witnesses, each as the mask of its
+    elements with the top.  It reaches every prefix a_0..a_p, 1 <= p <=
+    k-2, under the span caps and the mirror caps a_1 <= (l-k+3)//2 and
+    a_j <= l - a_1 - (k-2-j), whose own prefixes it keeps; it keeps
+    those with two or more candidate witnesses, in walk order, and cuts
+    the others."""
+    kept, cut = [], []
+
+    def extend(prefix):
+        pos = len(prefix)
+        if pos == k - 1:
+            return
+        cap = (l - k + 3) // 2 if pos == 1 else l - prefix[1] - (k - 2 - pos)
+        for v in range(prefix[-1] + 1, min(l - (k - 1 - pos), cap) + 1):
+            if len(naive_witnesses(prefix + (v, l))) >= 2:
+                kept.append(mask_of(prefix + (v, l)))
+                extend(prefix + (v,))
+            else:
+                cut.append(mask_of(prefix + (v, l)))
+
+    extend((0,))
+    return kept, cut
+
+
 @pytest.mark.parametrize("k", range(3, 9))
-def test_halved_walk_with_a_sound_prune_hands_over_every_finding_in_order(k):
-    # a cell under mirror-closed constraints is walked in half even with a
-    # prune, given that the prune is sound (it cuts only prefixes below
-    # which no set is a finding) and that a set is a finding exactly when
-    # its mirror is.  The witness cells' prune and findings are: fewer than
-    # two candidate witnesses left, and two or more witnesses, as
-    # W(l - A) = l - W(A).  Every finding, mirrors included, is handed
-    # over in stream order, and no prefix past a_1 <= (l-k+3)//2 is asked
+def test_halved_walk_with_a_sound_prune_hands_over_every_finding_in_order(k, monkeypatch):
+    # a cell under mirror-closed constraints is walked in half under the
+    # witness prune, as the prune is sound (it cuts only prefixes below
+    # which no set is a finding) and a set is a finding exactly when its
+    # mirror is: two or more witnesses, as W(l - A) = l - W(A).  Every
+    # finding, mirrors included, is handed over in stream order, and the
+    # walk keeps no prefix past a_1 <= (l-k+3)//2: it keeps exactly the
+    # naive reference's prefixes
     findings = mirrored = 0
     for l in range(k - 1, 2 * k + 3):
         for constraints in [(), ("gcd_one",)]:
             query = EnumerationQuery.exact(k, l, constraints)
-            asked, found = [], []
-
-            def prune(mask, r):
-                asked.append(mask)
-                return structure._witness_mask(mask, r, l).bit_count() < 2
+            found = []
 
             def leaf(t, mask, r, n):
                 if len(naive_witnesses(t)) >= 2:
                     found.append((t, mask, r, n))
 
-            _walk_span(query, 2 * l, leaf, prune)
+            with kept_prefixes(monkeypatch) as kept:
+                _walk_span(query, 2 * l, leaf, prune_witnesses=True)
             want = [(t, mask_of(t), r, r.bit_count())
                     for t in enumerate_tuples(query) if len(naive_witnesses(t)) >= 2
                     for r in [mask_of(naive_restricted(t))]]
             assert found == want
-            assert max(map(first_interior, asked)) == (l - k + 3) // 2
+            assert kept == witness_prune_reference(k, l)[0]
+            assert max(map(first_interior, kept), default=0) <= (l - k + 3) // 2
             findings += len(found)
             mirrored += sum(t[1] + t[-2] > l for t, *_ in found)
     assert findings > mirrored > 0
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_witness_walk_cuts_exactly_the_prefixes_with_fewer_than_two_candidates(k, monkeypatch):
+    # on every prefix of every gcd-1 cell with l <= 2k-3, the span of the
+    # witness cells: the walk keeps a prefix exactly when its elements
+    # with the top have two or more naive candidate witnesses, so it cuts
+    # exactly the others among the prefixes it reaches
+    kept_total = cut_total = 0
+    for l in range(k - 1, 2 * k - 2):
+        with kept_prefixes(monkeypatch) as kept:
+            _walk_span(EnumerationQuery.exact(k, l, ("gcd_one",)), 2 * l,
+                       lambda *leaf: None, prune_witnesses=True)
+        want, cut = witness_prune_reference(k, l)
+        assert kept == want, l
+        kept_total += len(kept)
+        cut_total += len(cut)
+    assert (kept_total, cut_total) == {3: (0, 2), 4: (5, 5), 5: (21, 18), 6: (72, 67),
+                                       7: (225, 233), 8: (679, 771), 9: (2025, 2379)}[k]
 
 
 @given(gcd_one_sets())
@@ -560,6 +630,40 @@ def test_head_failures_return_at_once_exactly_on_the_heads_with_empty_b(monkeypa
     assert checked == 1028
 
 
+def test_head_failures_match_the_frozen_tuple_checks_on_every_dense_head():
+    # the bit tests on the head's masks give the messages of the frozen
+    # tuple-based checks, in order, on every dense head with its true
+    # restricted mask, which passes every check, and with that mask
+    # faulted by one bit flip anywhere in [1, 2k-4+b_last], b_last the
+    # largest member of B (0 when B is empty).  The faults reach every
+    # message but the sumset coverage, which reads only the elements
+    faulted = 0
+    kinds: set[str] = set()
+    for head in DENSE_HEADS:
+        k = len(head) + 1
+        mask, reach = mask_of(head), mask_of(naive_restricted(head))
+        b_last = max((b for b in range(1, 2 * k - 3) if not reach >> b & 1), default=0)
+        assert structure._head_failures(head, mask, reach) == frozen_head_failures(head, reach)
+        assert frozen_head_failures(head, reach) == ()
+        for bit in range(1, 2 * k - 3 + b_last):
+            got = structure._head_failures(head, mask, reach ^ 1 << bit)
+            assert got == frozen_head_failures(head, reach ^ 1 << bit), (head, bit)
+            faulted += 1
+            kinds.update(re.sub(r"\d+", "N", msg) for msg in got)
+    assert faulted == 36164
+    assert kinds == {
+        "b=N: odd", "b=N: lies in the head set", "b=N: half N missing from the head set",
+        "b=N: prefix count N != N", "b=N: pair (N,N) hit count N != N",
+        "b=N: successor N not at position N", "exceptional values grow too slowly",
+        "tail pair counts fail at b=N, u=N", "consecutive missing pair without the low shape",
+        "distance-N missing pair", "distance-N missing pair without a mod-N shape",
+        "covered offsets N below the floor for b=N",
+        "double gap above the window without a rigid shape",
+        "rigid shape two_blocks_odd without the double gap",
+        "rigid shape three_blocks_modN without the double gap",
+    }
+
+
 @st.composite
 def detached_rows(draw):
     """(k, tops): a run of consecutive detached tops of one k."""
@@ -761,23 +865,15 @@ def test_every_witness_cell_of_the_sweep_matches_plain_enumeration(k, fault, mon
 
 def test_halved_witness_walk_asks_its_prune_about_no_prefix_past_the_mirror_cap(monkeypatch):
     # every witness cell is mirror-closed, so its walk places a_1 at most
-    # (l-k+3)//2, and the prune is asked about no prefix past it
-    real = verify._walk_span
-    asked = []
-
-    def recording(query, bound, on_leaf, prune):
-        def asking(mask, r):
-            asked.append(mask)
-            return prune(mask, r)
-
-        real(query, bound, on_leaf, asking)
-
-    monkeypatch.setattr(verify, "_walk_span", recording)
+    # (l-k+3)//2: it keeps no prefix past it, and keeps exactly the naive
+    # reference's prefixes, so it reaches every a_1 up to it
     for k in range(4, 10):
         for l in range(k - 1, 2 * k - 2):
-            asked.clear()
-            assert witness_cell((k, l, 10**9)) == witness_reference(k, l, 10**9)
-            assert max(map(first_interior, asked)) == (l - k + 3) // 2
+            with kept_prefixes(monkeypatch) as kept:
+                got = witness_cell((k, l, 10**9))
+            assert got == witness_reference(k, l, 10**9)
+            assert kept == witness_prune_reference(k, l)[0]
+            assert max(map(first_interior, kept), default=0) <= (l - k + 3) // 2
 
 
 # each driver cell with its plain-enumeration reference, its constraints

@@ -46,6 +46,8 @@ from helpers import (
     QUERY_SEEDS,
     benchmark_queries,
     enumerate_bruteforce,
+    frozen_diff3_case,
+    frozen_diff3_shapes,
     naive_witnesses,
     query_sets,
 )
@@ -175,6 +177,26 @@ def test_diff3_case_frozen():
     assert gp.has_diff3 and not gp.has_diff2 and not gp.has_consecutive
     assert diff3_exception_case(DIFF3_13) == 1
     assert diff3_exception_case(GEN6) is None
+
+
+def test_diff3_case_masks_match_the_frozen_shapes():
+    # each distance-3 shape at every t in [3, 60], as the head's members
+    # up to b_3 just above it, and with each value up to b_3 toggled: the
+    # shapes as masks of every third value match the rational-bounded sets
+    seen = set()
+    for t in range(3, 61):
+        for applies, shape in frozen_diff3_shapes(t):
+            if not applies:
+                continue
+            b3 = max(max(shape), t) + 1
+            for toggled in [None, *range(b3 + 1)]:
+                head = tuple(sorted(shape ^ ({toggled} if toggled is not None else set())))
+                b_vals = (2, t, b3)
+                h = structure._Head(len(head) + 1, mask_of(head), 0, b_vals)
+                got = structure._diff3_case(h)
+                assert got == frozen_diff3_case(head, b_vals), (t, head)
+                seen.add(got)
+    assert seen == {None, 1, 2, 3, 4, 5, 6}
 
 
 def test_consecutive_exception_frozen():
@@ -599,7 +621,7 @@ def test_public_functions_agree_in_any_order_on_one_set(seed):
 def test_every_constructor_starts_with_an_empty_context(seed):
     for raw in query_sets(seed):
         ns = normalize(IntegerSet(raw))[0]
-        assert ns._masks is None and ns._head is None
+        assert ns._masks is None and ns._b is None and ns._head is None
         profile(ns)
         if has_dense_prefix(ns):
             exceptional_profile(ns)
@@ -616,7 +638,7 @@ def test_every_constructor_starts_with_an_empty_context(seed):
         if isinstance(s, int):
             built.append(split_at(ns, s).right_shifted)
         for b in built:
-            assert type(b) is NormalizedSet and b._masks is None and b._head is None
+            assert type(b) is NormalizedSet and b._masks is b._b is b._head is None
         assert built[0] == built[1] == built[3] == built[4] == ns
 
 
@@ -643,3 +665,21 @@ def test_analyze_pipeline_sweeps_each_set_once(seed, monkeypatch):
             ns = out["ns"]
             split_at(NormalizedSet(ns.elements), out["split"].s)
         assert pipeline - len(sweeps) == 1, raw
+
+
+@pytest.mark.parametrize("seed", QUERY_SEEDS)
+def test_analyze_pipeline_unpacks_the_exceptional_set_once(seed):
+    # the profile's B, cached in the set's context, is the one the head
+    # context and the exceptional profile read: one unpack per set
+    queries = benchmark_queries()
+    lab = SimpleNamespace(core=core, bounds=bounds, structure=structure, verify=None)
+    dense = 0
+    for raw in query_sets(seed):
+        out = queries.run_query(lab, ("analyze", raw))
+        ns, b = out["ns"], out["profile"].exceptional
+        assert b is ns._b
+        if "exceptional" in out:
+            dense += 1
+            assert structure._context(ns).b_vals is b.elements
+            assert out["exceptional"].b_values.elements is b.elements
+    assert dense > 0
