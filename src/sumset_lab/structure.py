@@ -123,11 +123,7 @@ def _context(a: NormalizedSet) -> _Head:
 
 def exceptional_profile(a: NormalizedSet) -> ExceptionalProfile:
     """Compute B and, when |B| >= 2, the covered/missed offset split."""
-    return _profile(_context(a))
-
-
-def _profile(h: _Head) -> ExceptionalProfile:
-    k, reach, b_vals = h.k, h.reach, h.b_vals
+    k, _mask, reach, b_vals = _context(a)
     m = len(b_vals)
     d_mask = c_mask = 0
     if m >= 2:
@@ -250,11 +246,7 @@ class GapPatterns(NamedTuple):
 
 def gap_patterns(a: NormalizedSet) -> GapPatterns:
     """Scan the window above 2k-4 for close pairs of missing values."""
-    return _gaps(_context(a))
-
-
-def _gaps(h: _Head) -> GapPatterns:
-    k, reach, b_vals = h.k, h.reach, h.b_vals
+    k, _mask, reach, b_vals = _context(a)
     if len(b_vals) < 2:
         raise SetDomainError("gap patterns need at least two exceptional values")
     lo = 2 * k - 3

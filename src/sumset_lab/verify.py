@@ -12,8 +12,8 @@ and walks each cell with one private walker that reaches the sets the
 enumerator streams, in the same order.  It places the top first and
 carries the restricted sumset of the prefix down the search, so placing
 a value costs one shift-or and a set's restricted size is one popcount.
-A leaf gets its element tuple, mask and restricted mask from the walk,
-so no cell unpacks or re-validates a set the walk has already built.
+Each finding carries its element tuple, mask and restricted mask from
+the walk, so no cell unpacks or re-validates a set the walk has built.
 Each cell passes the largest restricted size it reports.  Each element
 still to be placed adds a sum with the top above every sum already
 present, so once a prefix's restricted size plus the number of elements
@@ -32,11 +32,11 @@ the full chains under the caps divided by d, signed by mu(d).  Only
 the task runner counts cells and decides, from the plan, which are
 walked; the walkers count no node, only look for findings and skip
 pruned subtrees outright.  A cell whose planned nodes fit is walked,
-hands its findings to the cell in stream order, and has the counts of
-plain enumeration, so a full certificate matches plain enumeration byte
-for byte.  A cell over its budget is skipped: it walks no node, counts
-no node and no set, finds nothing, is marked truncated and records its
-planned nodes.  No cell is walked in part.
+its walk returns its findings in stream order, and it has the counts
+of plain enumeration, so a full certificate matches plain enumeration
+byte for byte.  A cell over its budget is skipped: it walks no node,
+counts no node and no set, finds nothing, is marked truncated and
+records its planned nodes.  No cell is walked in part.
 
 The mirror A -> l - A keeps a set's gcd, span and restricted size, so a
 walked cell closed under it needs only the sets with a_1 + a_{k-2} <= l.
@@ -45,8 +45,8 @@ and the two that read only the top.  Those are the conjecture and span
 2k-3 floor cells, classify_extremal's and the witness cells; the walker
 refuses any other.  Such a cell caps every position from a_1 on at what
 a_{k-2} <= l - a_1 leaves it, adds each finding's mirror unless a_1 +
-a_{k-2} = l (there the mirror is walked too), and hands the sorted
-findings over in stream order.  The witness prune keeps that sound:
+a_{k-2} = l (there the mirror is walked too), and returns the findings
+sorted into stream order.  The witness prune keeps that sound:
 the mirror maps a set's witnesses W to l - W, so a witness cell finds a
 set exactly when it finds its mirror.  The theorem 1, theorem 2 and
 structure cells cap low or interior positions, which the mirror moves:
@@ -369,19 +369,15 @@ def _mirror_bits(bits: int, top: int) -> int:
 
 
 def _walk_span(
-    query: EnumerationQuery,
-    bound: int,
-    on_leaf: Callable[[tuple[int, ...], int, int, int], None],
-    prune_witnesses: bool = False,
-) -> None:
-    """Walk an exact-span, mask-free query, calling ``on_leaf(tup, mask,
-    r, n)`` for each set :func:`enumerate_tuples` streams whose
-    restricted sumset has n <= bound members, in stream order.  ``tup``
-    is the set's ascending element tuple, ``mask`` its bit mask and
-    ``r`` the mask of its restricted sumset.  Every restricted sum lies
-    in [1, 2l-1], so a bound of 2l calls ``on_leaf`` on every streamed
-    set.  With ``gcd_one`` in the query, ``on_leaf`` only sees sets of
-    gcd 1.
+    query: EnumerationQuery, bound: int, prune_witnesses: bool = False
+) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """Walk an exact-span, mask-free query and return, in stream order,
+    a ``(tup, mask, r, n)`` finding for each set :func:`enumerate_tuples`
+    streams whose restricted sumset has n <= bound members.  ``tup`` is
+    the set's ascending element tuple, ``mask`` its bit mask and ``r``
+    the mask of its restricted sumset.  Every restricted sum lies in
+    [1, 2l-1], so a bound of 2l returns every streamed set.  With
+    ``gcd_one`` in the query, only sets of gcd 1 are returned.
 
     With ``prune_witnesses`` the walk also cuts each prefix that the
     bound leaves and that has fewer than two candidate witnesses: values
@@ -389,8 +385,8 @@ def _walk_span(
     neither w nor w + l is a restricted sum of it, a test on the masks
     it carries, ``(~(mask | r | r >> l) & (2 << l) - 1).bit_count() <
     2``.  Each element placed later only removes candidates, so no set
-    below such a prefix has two witnesses: the caller promises that
-    ``on_leaf`` does nothing on a set with fewer than two.
+    below such a prefix has two witnesses, and the findings are only
+    the sets with two or more.
 
     The walk counts no node and takes no budget: :func:`_run_task`
     counts the cell from its plan and decides whether it is walked.
@@ -405,16 +401,15 @@ def _walk_span(
     have k >= 3; any other is refused.  The mirror keeps gcd, span and
     restricted size (2^(l-A) = 2l - 2^A), and maps a_1 + a_{k-2} < l to
     a sum above l.  It also maps a set's witnesses W to l - W, so a set
-    and its mirror have as many: the mirror of a set the witness prune
-    cuts is one that ``on_leaf`` would ignore too.  The walk visits only
-    the sets with a_{k-2} <= l - a_1: once a_1 = v is placed, each later
-    position j is capped at l - v - (k-2-j), so whole subtrees go.  Each
-    finding with a_1 + a_{k-2} < l also gives its mirror's tuple, mask
-    and restricted mask, with the same n; a finding on the tie a_1 +
-    a_{k-2} = l has its mirror walked too (or is its own mirror), and is
-    not mirrored.  The findings are held, sorted and handed to
-    ``on_leaf`` in stream order, so ``on_leaf`` acts on the sets it
-    would act on in a whole walk, in the same order.
+    and its mirror have as many: the findings under the witness prune
+    are closed under the mirror too.  The walk visits only the sets with
+    a_{k-2} <= l - a_1: once a_1 = v is placed, each later position j is
+    capped at l - v - (k-2-j), so whole subtrees go.  Each finding with
+    a_1 + a_{k-2} < l also gives its mirror's tuple, mask and restricted
+    mask, with the same n; a finding on the tie a_1 + a_{k-2} = l has
+    its mirror walked too (or is its own mirror), and is not mirrored.
+    The findings are sorted into stream order, so they are the findings
+    of a whole walk, in the same order.
     """
     k, l = query.k, query.l_max
     if k < 3 or not _MIRROR_CLOSED.issuperset(query.constraints):
@@ -424,7 +419,7 @@ def _walk_span(
         )
     lo, hi, his = _caps(query)
     if lo > hi:
-        return  # the constraints rule the top out: no set streams
+        return []  # the constraints rule the top out: no set streams
     need_gcd = "gcd_one" in query.constraints
     last = k - 1
     # a prefix ending at pos is pruned once its restricted size passes
@@ -465,8 +460,7 @@ def _walk_span(
 
     find(1, 0, l, 1 | 1 << l, 1 << l)
     held.sort()
-    for tup, mask, r, n in held:
-        on_leaf(tup, mask, r, n)
+    return held
 
 
 def _walk_row(
@@ -615,8 +609,6 @@ class Certificate:
         extremal_sets: Optional[list[str]] = None,
         counts: Optional[dict] = None,
         cap: Optional[int] = None,
-        tool_version: str = TOOL_VERSION,
-        schema_version: int = SCHEMA_VERSION,
         wall_time_ms: int = 0,
     ) -> None:
         self.claim = claim
@@ -629,8 +621,8 @@ class Certificate:
         self.extremal_sets = [] if extremal_sets is None else extremal_sets
         self.counts = {} if counts is None else counts
         self.cap = cap
-        self.tool_version = tool_version
-        self.schema_version = schema_version
+        self.tool_version = TOOL_VERSION
+        self.schema_version = SCHEMA_VERSION
         self.wall_time_ms = wall_time_ms
 
     def to_payload(self) -> dict:
@@ -803,23 +795,15 @@ def _floor_cells(
     k: int, tops: tuple[int, ...], walked: tuple[int, ...], constraints: tuple[str, ...]
 ) -> list[dict]:
     """The findings of the floor cell (k, l), l its task's one top,
-    walked with ``bound = freiman_lev_bound(k, l)``: ``below``, the
-    (tuple, restricted size) pairs of the sets under it, and ``at``, the
-    tuples of the sets on it, in stream order.  The drivers judge them."""
+    walked with ``bound = freiman_lev_bound(k, l)``: the span walk's
+    findings split into ``below``, the (tuple, restricted size) pairs of
+    the sets under the bound, and ``at``, the tuples of the sets on it,
+    each in stream order.  The drivers judge them."""
     (l,) = tops
     bound = freiman_lev_bound(k, l)
-    below: list[tuple[tuple[int, ...], int]] = []
-    at: list[tuple[int, ...]] = []
-
-    def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
-        if n < bound:
-            below.append((tup, n))
-        else:
-            at.append(tup)
-
-    if walked:
-        _walk_span(EnumerationQuery.exact(k, l, constraints), bound, leaf)
-    return [{"bound": bound, "below": below, "at": at}]
+    found = _walk_span(EnumerationQuery.exact(k, l, constraints), bound) if walked else []
+    return [{"bound": bound, "below": [(tup, n) for tup, _m, _r, n in found if n < bound],
+             "at": [tup for tup, _m, _r, n in found if n == bound]}]
 
 
 def _below_floor(tup: Sequence[int], n: int, bound: int) -> str:
@@ -1099,7 +1083,8 @@ def verify_dense_prefix(
 
 def classify_extremal(k: int, l: int, *, budget: int = DEFAULT_BUDGET) -> tuple[NormalizedSet, ...]:
     """All normalized k-sets with span l whose restricted sumset has
-    exactly 3k-7 members, in lexicographic order."""
+    exactly 3k-7 members, in lexicographic order: the findings of one
+    gcd-1 span walk at the bound 3k-7 that sit on it."""
     if k < 4:
         raise SetDomainError(f"classification needs k >= 4, got k={k}")
     query = EnumerationQuery.exact(k, l, ("gcd_one",), budget=budget)
@@ -1108,15 +1093,9 @@ def classify_extremal(k: int, l: int, *, budget: int = DEFAULT_BUDGET) -> tuple[
         raise BudgetExceeded(budget + 1)
     # 3k-7 at every span: for l <= 2k-5 the floor cell's bound is lower
     bound = 3 * k - 7
-    out = []
-
-    def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
-        if n == bound:
-            # a leaf of a gcd_one walk: normalized without re-validation
-            out.append(NormalizedSet._from_trusted(tup, mask))
-
-    _walk_span(query, bound, leaf)
-    return tuple(out)
+    # findings of a gcd_one walk: normalized without re-validation
+    return tuple(NormalizedSet._from_trusted(tup, mask)
+                 for tup, mask, _r, n in _walk_span(query, bound) if n == bound)
 
 
 def verify_span_classification(
@@ -1242,57 +1221,48 @@ def _witness_cell(
 
     A set with fewer than two witnesses gives neither a finding nor a
     pair, so the span walk cuts every prefix with fewer than two
-    candidates (its witness prune) and hands over only the sets with two
-    or more.  Each leaf reads its witnesses off the masks the walk hands
-    it, as ``witness_profile`` reads them off the set's context, so no
-    set is swept to find them; ``decompose`` checks a pair on the set's
-    own context."""
+    candidates (its witness prune) and returns only the sets with two or
+    more.  The loop reads each set's witnesses off the masks the walk
+    returns with it, as ``witness_profile`` reads them off the set's
+    context, so no set is swept to find them.  ``decompose`` checks each
+    pair on the set's own context, a sweep of the set independent of the
+    walk: it is where the walk's restricted mask meets another sweep, and
+    a wrong mask shows as a ``not decomposed`` note."""
     from .structure import _witness_mask, decompose
 
     (l,) = tops
     extremal = pairs = 0
     bad: list[str] = []
     notes: list[str] = []
-
-    def leaf(tup: tuple[int, ...], mask: int, r: int, n: int) -> None:
-        nonlocal extremal, pairs
+    query = EnumerationQuery.exact(k, l, constraints)
+    found = _walk_span(query, 2 * l, prune_witnesses=True) if walked else []
+    for tup, mask, r, n in found:
+        lit = format_set_literal(tup)
         wits = elements_of(_witness_mask(mask, r, l))
         if len(wits) > 2:
-            bad.append(
-                f"{format_set_literal(tup)}: {len(wits)} witnesses {format_set_literal(wits)}"
-            )
-            return
+            bad.append(f"{lit}: {len(wits)} witnesses {format_set_literal(wits)}")
+            continue
         pairs += 1
-        if n == 3 * k - 7:
-            extremal += 1
+        extremal += n == 3 * k - 7
         w1, w2 = wits
-        # a leaf of a gcd_one walk: normalized without re-validation
-        ns = NormalizedSet._from_trusted(tup, mask)
+        # a finding of a gcd_one walk: normalized without re-validation
         try:
-            dec = decompose(ns, w1, w2)
+            dec = decompose(NormalizedSet._from_trusted(tup, mask), w1, w2)
         except SetDomainError as exc:
-            notes.append(f"k={k} l={l}: {format_set_literal(tup)} not decomposed ({exc})")
-            return
+            notes.append(f"k={k} l={l}: {lit} not decomposed ({exc})")
+            continue
         if not dec.reconstructed:
-            bad.append(f"{format_set_literal(tup)}: decomposition does not rebuild the set")
+            bad.append(f"{lit}: decomposition does not rebuild the set")
         if l == 2 * k - 3:
             m = dec.modulus
             u_set = set(dec.residues.elements)
             if len(u_set) != (m - 1) // 2:
-                bad.append(
-                    f"{format_set_literal(tup)}: residue count {len(u_set)} != (m-1)/2 for m={m}"
-                )
+                bad.append(f"{lit}: residue count {len(u_set)} != (m-1)/2 for m={m}")
+            # u1 + u2 = w2 mod m gives each u1 its one partner u2
             for u1 in range(m):
-                for u2 in range(u1 + 1, m):
-                    if (u1 + u2 - w2) % m == 0:
-                        if (u1 in u_set) + (u2 in u_set) != 1:
-                            bad.append(
-                                f"{format_set_literal(tup)}: residue pair ({u1},{u2}) not split "
-                                f"by the half-grid"
-                            )
-
-    if walked:
-        _walk_span(EnumerationQuery.exact(k, l, constraints), 2 * l, leaf, prune_witnesses=True)
+                u2 = (w2 - u1) % m
+                if u1 < u2 and (u1 in u_set) + (u2 in u_set) != 1:
+                    bad.append(f"{lit}: residue pair ({u1},{u2}) not split by the half-grid")
     return [{"extremal": extremal, "pairs": pairs, "bad": bad, "notes": notes}]
 
 

@@ -9,15 +9,16 @@ naive restricted-sumset oracle gives: node and set counts and findings
 in stream order.  A cell whose stream the budget
 cuts short (the enumerator raises) is skipped: it counts no node and no
 set, finds nothing, records its planned nodes, and classify_extremal
-raises at the node past its budget.  The walker itself must hand each
-leaf the element tuple and restricted mask of its set, its lookahead
-prune must hold on every prefix of a set, and its witness prune must
-cut exactly the prefixes with fewer than two naive candidate witnesses.
+raises at the node past its budget.  The walker itself must return
+each finding with the element tuple and restricted mask of its set,
+its lookahead prune must hold on every prefix of a set, and its
+witness prune must cut exactly the prefixes with fewer than two naive
+candidate witnesses.
 The structure row's head checks, bit tests on the head's masks, must
 give the messages of the frozen tuple-based checks in
 ``tests/helpers.py``, on the true restricted masks and on faulted ones.
 Every cell the walker walks is closed under the mirror A -> l - A and
-walked in half: it must hand over the same leaves in the same order,
+walked in half: it must return the same findings in the same order,
 mirrored findings included, and refuse a cell that is not closed.  Each
 cell must
 also match at the budgets around its planned node count, where the
@@ -51,7 +52,7 @@ from hypothesis import strategies as st
 
 from sumset_lab.bounds import freiman_lev_bound
 from sumset_lab.core import (
-    NormalizedSet, SetDomainError, elements_of, mask_of, restricted_mask,
+    IntegerSet, NormalizedSet, SetDomainError, elements_of, mask_of, restricted_mask,
 )
 from sumset_lab import structure, verify
 from sumset_lab.structure import (
@@ -152,17 +153,14 @@ def test_walker_hands_each_leaf_its_elements_and_restricted_mask(case):
     # the walker takes no budget: it walks the whole cell, and the task
     # runner decides whether it is walked
     k, l, constraints, bound = case
-    leaves = []
-
-    def on_leaf(tup, mask, r, n):
+    found = _walk_span(EnumerationQuery.exact(k, l, constraints), bound)
+    assert isinstance(found, list)
+    for tup, mask, r, n in found:
         assert tup == elements_of(mask)
         assert r == restricted_mask(mask, tup)
         assert n == r.bit_count()
-        leaves.append(tup)
-
-    assert _walk_span(EnumerationQuery.exact(k, l, constraints), bound, on_leaf) is None
     _counts, low = plain_walk(k, l, constraints, 10**9, bound)
-    assert leaves == [t for t, _n in low]
+    assert [tup for tup, *_ in found] == [t for t, _n in low]
 
 
 def mirror(tup):
@@ -182,9 +180,7 @@ def test_halved_walk_hands_over_every_leaf_of_plain_enumeration_in_order(k):
             streamed = [(t, mask_of(t), mask_of(naive_restricted(t)))
                         for t in enumerate_tuples(query)]
             for bound in (freiman_lev_bound(k, l), 2 * l):
-                leaves = []
-                _walk_span(query, bound, lambda *leaf: leaves.append(leaf))
-                assert leaves == [
+                assert _walk_span(query, bound) == [
                     (t, m, r, r.bit_count()) for t, m, r in streamed if r.bit_count() <= bound
                 ]
             ties += sum(t[1] + t[-2] == l for t, _m, _r in streamed)
@@ -263,21 +259,15 @@ def test_halved_walk_with_a_sound_prune_hands_over_every_finding_in_order(k, mon
     # witness prune, as the prune is sound (it cuts only prefixes below
     # which no set is a finding) and a set is a finding exactly when its
     # mirror is: two or more witnesses, as W(l - A) = l - W(A).  Every
-    # finding, mirrors included, is handed over in stream order, and the
+    # finding, mirrors included, is returned in stream order, and the
     # walk keeps no prefix past a_1 <= (l-k+3)//2: it keeps exactly the
     # naive reference's prefixes
     findings = mirrored = 0
     for l in range(k - 1, 2 * k + 3):
         for constraints in [(), ("gcd_one",)]:
             query = EnumerationQuery.exact(k, l, constraints)
-            found = []
-
-            def leaf(t, mask, r, n):
-                if len(naive_witnesses(t)) >= 2:
-                    found.append((t, mask, r, n))
-
             with kept_prefixes(monkeypatch) as kept:
-                _walk_span(query, 2 * l, leaf, prune_witnesses=True)
+                found = _walk_span(query, 2 * l, prune_witnesses=True)
             want = [(t, mask_of(t), r, r.bit_count())
                     for t in enumerate_tuples(query) if len(naive_witnesses(t)) >= 2
                     for r in [mask_of(naive_restricted(t))]]
@@ -298,10 +288,12 @@ def test_witness_walk_cuts_exactly_the_prefixes_with_fewer_than_two_candidates(k
     kept_total = cut_total = 0
     for l in range(k - 1, 2 * k - 2):
         with kept_prefixes(monkeypatch) as kept:
-            _walk_span(EnumerationQuery.exact(k, l, ("gcd_one",)), 2 * l,
-                       lambda *leaf: None, prune_witnesses=True)
+            found = _walk_span(EnumerationQuery.exact(k, l, ("gcd_one",)), 2 * l,
+                               prune_witnesses=True)
         want, cut = witness_prune_reference(k, l)
         assert kept == want, l
+        # the prune cuts every set with fewer than two witnesses
+        assert all(len(naive_witnesses(t)) >= 2 for t, *_ in found), l
         kept_total += len(kept)
         cut_total += len(cut)
     assert (kept_total, cut_total) == {3: (0, 2), 4: (5, 5), 5: (21, 18), 6: (72, 67),
@@ -353,7 +345,7 @@ def test_span_walker_refuses_a_cell_it_cannot_walk_in_half(k, constraints):
     # and at k = 2 there is no interior a_1 to cap: the walker refuses both
     query = EnumerationQuery.exact(k, 2 * k + 1, constraints)
     with pytest.raises(SetDomainError, match="in half"):
-        _walk_span(query, 4 * k, lambda *leaf: pytest.fail("walked a leaf"))
+        _walk_span(query, 4 * k)
 
 
 @given(gcd_one_sets())
@@ -838,20 +830,27 @@ def test_witness_cell_matches_plain_enumeration(cell):
     assert witness_cell(cell) == witness_reference(*cell)
 
 
-@pytest.mark.parametrize("fault", [None, "notes", "bad"])
+@pytest.mark.parametrize("fault", [None, "notes", "bad", "residues"])
 @pytest.mark.parametrize("k", [8, 9])
 def test_every_witness_cell_of_the_sweep_matches_plain_enumeration(k, fault, monkeypatch):
     # the lemma sweep's witness cells at k = 8 and 9, each walked in half
     # under its prune, give the reference's dict: counts, and bad and
     # notes in stream order.  These cells find neither, so decompose is
-    # also faulted to refuse every pair (a note each) or to rebuild none
-    # (a bad entry each): the order is then checked on every pair
+    # also faulted to refuse every pair (a note each), to rebuild none
+    # (a bad entry each), or to give the residues below m that are
+    # multiples of 3, which the residue pairs at span 2k-3 split or not
+    # by no law: the cell's one partner per u1 must then list the
+    # reference's residue-pair messages, from its loop over every pair,
+    # in the same order
     real = structure.decompose
 
     def faulted(ns, w1, w2):
         if fault == "notes":
             raise SetDomainError(f"refused ({w1}, {w2})")
-        return real(ns, w1, w2)._replace(reconstructed=False)
+        dec = real(ns, w1, w2)
+        if fault == "residues":
+            return dec._replace(residues=IntegerSet(range(0, dec.modulus, 3)))
+        return dec._replace(reconstructed=False)
 
     if fault is not None:
         monkeypatch.setattr(structure, "decompose", faulted)
@@ -859,8 +858,16 @@ def test_every_witness_cell_of_the_sweep_matches_plain_enumeration(k, fault, mon
     assert cells == [witness_reference(k, l, 10**9) for l in range(k - 1, 2 * k - 2)]
     pairs = sum(cell["pairs"] for cell in cells)
     found = {key: sum(len(cell[key]) for cell in cells) for key in ("bad", "notes")}
+    residue_pairs = sum("residue pair" in msg for cell in cells for msg in cell["bad"])
     assert pairs > 0
-    assert found == {"bad": 0, "notes": 0} if fault is None else found[fault] >= pairs
+    if fault is None:
+        assert found == {"bad": 0, "notes": 0}
+    elif fault == "residues":
+        # span 13 is prime, so every pair at k = 8 has m = 1 and no
+        # residue pair; at k = 9, span 15, m is 3 or 5
+        assert residue_pairs == {8: 0, 9: 22}[k]
+    else:
+        assert found[fault] >= pairs
 
 
 def test_halved_witness_walk_asks_its_prune_about_no_prefix_past_the_mirror_cap(monkeypatch):
