@@ -7,7 +7,9 @@ query), ``classify`` (extremal sets at one (k, span) cell), ``certify``
 (run a verification sweep and emit a certificate).
 
 Exit codes: 0 success/verified, 1 refuted, 2 budget exhausted,
-3 usage error.
+3 usage error, 141 stdout closed by its reader (the shell's status for
+a writer ended by SIGPIPE); a closed stdout ends quietly, with nothing
+on stderr.
 
 A config file (``--config FILE``, ``key=value`` lines, ``#`` comments)
 supplies defaults for ``budget``, ``jobs``, ``cap`` and ``out_dir``;
@@ -52,6 +54,7 @@ EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
+EXIT_PIPE = 141
 
 _CONFIG_KEYS = {"budget": int, "jobs": int, "cap": int, "out_dir": str}
 
@@ -501,7 +504,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config) if args.config else {}
-        return args.func(args, cfg)
+        code = args.func(args, cfg)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's flush at exit writes nothing and prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except BudgetExceeded as exc:
         print(f"sumset-lab: enumeration budget exhausted after {exc.nodes} nodes",
               file=sys.stderr)

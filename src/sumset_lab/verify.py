@@ -1,11 +1,11 @@
 """Exhaustive desk-scale verification with machine-readable certificates.
 
 :func:`enumerate_tuples` is the public streaming API: it yields every
-normalized set matching a query (span range, named constraints, an
-optional membership mask) in lexicographic order of element lists,
-skipping only values that no matching set can hold.  Budget accounting
-counts every candidate value placement; exceeding the budget raises
-:class:`BudgetExceeded`, never a silent partial result.
+normalized set matching a query (span range and named constraints) in
+lexicographic order of element lists, skipping only values that no
+matching set can hold.  Budget accounting counts every candidate value
+placement; exceeding the budget raises :class:`BudgetExceeded`, never a
+silent partial result.
 
 Every certificate driver splits its box into exact-span cells (k, l)
 and walks each cell with one private walker that reaches the sets the
@@ -38,19 +38,18 @@ byte for byte.  A cell over its budget is skipped: it walks no node,
 counts no node and no set, finds nothing, is marked truncated and
 records its planned nodes.  No cell is walked in part.
 
-The mirror A -> l - A keeps a set's gcd, span and restricted size, so a
-walked cell closed under it needs only the sets with a_1 + a_{k-2} <= l.
-Every cell the span walker walks is closed: its constraints are gcd_one
-and the two that read only the top.  Those are the conjecture and span
-2k-3 floor cells, classify_extremal's and the witness cells; the walker
-refuses any other.  Such a cell caps every position from a_1 on at what
-a_{k-2} <= l - a_1 leaves it, adds each finding's mirror unless a_1 +
-a_{k-2} = l (there the mirror is walked too), and returns the findings
-sorted into stream order.  The witness prune keeps that sound:
-the mirror maps a set's witnesses W to l - W, so a witness cell finds a
-set exactly when it finds its mirror.  The theorem 1, theorem 2 and
-structure cells cap low or interior positions, which the mirror moves:
-they run as rows over their heads.
+The span walker walks one kind of cell: the gcd-1 sets of exact span l,
+the paper's hypothesis.  Those are the conjecture and span 2k-3 floor
+cells, classify_extremal's and the witness cells.  The mirror A -> l - A
+keeps a set's gcd, span and restricted size, so it maps such a cell onto
+itself, and the walk needs only the sets with a_1 + a_{k-2} <= l.  It
+caps every position from a_1 on at what a_{k-2} <= l - a_1 leaves it,
+adds each finding's mirror unless a_1 + a_{k-2} = l (there the mirror is
+walked too), and returns the findings sorted into stream order.  The
+witness prune keeps that sound: the mirror maps a set's witnesses W to
+l - W, so a witness cell finds a set exactly when it finds its mirror.
+The theorem 1, theorem 2 and structure cells cap low or interior
+positions, which the mirror moves: they run as rows over their heads.
 
 One driver path splits a sweep's budget evenly among its cells, runs
 its tasks in order (in a process pool when ``jobs > 1``) and sums their
@@ -175,7 +174,6 @@ class _QueryFields(NamedTuple):
     l_min: int
     l_max: int
     constraints: tuple[str, ...]
-    mask: Optional[int]
     budget: int
 
 
@@ -183,8 +181,7 @@ class EnumerationQuery(_QueryFields):
     """One enumeration task: cardinality, span range, named constraints.
 
     Sets are streamed with minimum 0 and maximum in [l_min, l_max].
-    ``mask`` restricts every element to the mask's bits.  ``budget``
-    caps the number of candidate value placements visited.
+    ``budget`` caps the number of candidate value placements visited.
     ``constraints`` is stored sorted and without repeats.
     """
 
@@ -196,7 +193,6 @@ class EnumerationQuery(_QueryFields):
         l_min: int,
         l_max: int,
         constraints: Sequence[str] = (),
-        mask: Optional[int] = None,
         budget: int = DEFAULT_BUDGET,
     ) -> EnumerationQuery:
         if k < 2:
@@ -207,13 +203,11 @@ class EnumerationQuery(_QueryFields):
             raise SetDomainError(f"empty span range [{l_min}, {l_max}]")
         if budget < 1:
             raise SetDomainError("budget must be positive")
-        if mask is not None and mask < 0:
-            raise SetDomainError("mask must be nonnegative")
         normalized = tuple(sorted(set(constraints)))
         for name in normalized:
             if name not in KNOWN_CONSTRAINTS:
                 raise SetDomainError(f"unknown constraint {name!r}")
-        return super().__new__(cls, k, l_min, l_max, normalized, mask, budget)
+        return super().__new__(cls, k, l_min, l_max, normalized, budget)
 
     # _replace builds through _make: keep it validating
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -247,8 +241,9 @@ def _caps(query: EnumerationQuery) -> tuple[int, int, list[int]]:
 def enumerate_tuples(
     query: EnumerationQuery, counter: Optional[list[int]] = None
 ) -> Iterator[tuple[int, ...]]:
-    """Yield ascending element tuples matching the query, in lexicographic
-    order of element lists, starting at 0.
+    """Yield ascending element tuples matching the query's span range and
+    named constraints, in lexicographic order of element lists, starting
+    at 0.
 
     ``counter`` is a shared one-cell node count, so several enumerations
     can draw from one budget, and a caller can read how many nodes a
@@ -260,17 +255,12 @@ def enumerate_tuples(
     l_lo, l_hi, his = _caps(query)
     if counter is None:
         counter = [0]
-    mask = query.mask
-    if mask is not None and not mask & 1:
-        return  # every normalized set holds 0: the mask admits none
     budget = query.budget
     need_gcd = "gcd_one" in query.constraints
 
     def rec(pos: int, prev: int, g: int, chosen: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if pos == k - 1:
             for last in range(max(l_lo, prev + 1), l_hi + 1):
-                if mask is not None and not mask >> last & 1:
-                    continue
                 counter[0] += 1
                 if counter[0] > budget:
                     raise BudgetExceeded(counter[0])
@@ -279,8 +269,6 @@ def enumerate_tuples(
                 yield chosen + (last,)
             return
         for v in range(prev + 1, his[pos] + 1):
-            if mask is not None and not mask >> v & 1:
-                continue
             counter[0] += 1
             if counter[0] > budget:
                 raise BudgetExceeded(counter[0])
@@ -314,8 +302,8 @@ def _chains(his: Sequence[int]) -> list[int]:
 
 def _plan(query: EnumerationQuery, memo: Optional[dict] = None) -> tuple[int, int]:
     """The (nodes, gcd-1 sets) that :func:`enumerate_tuples` streams on
-    an exact-span, mask-free query with no budget, with the top placed
-    first, by counting and without walking.
+    an exact-span query with no budget, with the top placed first, by
+    counting and without walking.
 
     Every named constraint only caps positions, so the placements of
     a_1 .. a_{k-2} are the increasing chains under the caps of
@@ -357,27 +345,22 @@ def _plan(query: EnumerationQuery, memo: Optional[dict] = None) -> tuple[int, in
     return nodes, sets
 
 
-# The constraints that the mirror A -> l - A maps into themselves: the
-# mirror keeps a set's gcd and its top.  growth_a_i_lt_2i and
-# interior_lt_2k_minus_4 cap low or interior positions, which it moves.
-_MIRROR_CLOSED = frozenset({"gcd_one", "last_ge_2k_minus_2", "last_eq_2k_minus_3"})
-
-
 def _mirror_bits(bits: int, top: int) -> int:
     """The mask of {top - x : x in bits}, for bits inside [0, top]."""
     return int(f"{bits:0{top + 1}b}"[::-1], 2)
 
 
 def _walk_span(
-    query: EnumerationQuery, bound: int, prune_witnesses: bool = False
+    k: int, l: int, bound: int, prune_witnesses: bool = False
 ) -> list[tuple[tuple[int, ...], int, int, int]]:
-    """Walk an exact-span, mask-free query and return, in stream order,
-    a ``(tup, mask, r, n)`` finding for each set :func:`enumerate_tuples`
-    streams whose restricted sumset has n <= bound members.  ``tup`` is
-    the set's ascending element tuple, ``mask`` its bit mask and ``r``
-    the mask of its restricted sumset.  Every restricted sum lies in
-    [1, 2l-1], so a bound of 2l returns every streamed set.  With
-    ``gcd_one`` in the query, only sets of gcd 1 are returned.
+    """Walk the gcd-1 cell (k, l), k >= 3, and return, in stream order,
+    a ``(tup, mask, r, n)`` finding for each set that
+    :func:`enumerate_tuples` streams on ``EnumerationQuery.exact(k, l,
+    ("gcd_one",))`` whose restricted sumset has n <= bound members.
+    ``tup`` is the set's ascending element tuple, ``mask`` its bit mask
+    and ``r`` the mask of its restricted sumset.  Every restricted sum
+    lies in [1, 2l-1], so a bound of 2l returns every gcd-1 set of the
+    cell.
 
     With ``prune_witnesses`` the walk also cuts each prefix that the
     bound leaves and that has fewer than two candidate witnesses: values
@@ -396,31 +379,24 @@ def _walk_span(
     larger than every sum already present: a set's restricted size is at
     least the prefix's plus the number of elements still to come.
 
-    Every cell is walked in half, so a query must be closed under the
-    mirror A -> l - A, its constraints among ``_MIRROR_CLOSED``, and
-    have k >= 3; any other is refused.  The mirror keeps gcd, span and
-    restricted size (2^(l-A) = 2l - 2^A), and maps a_1 + a_{k-2} < l to
-    a sum above l.  It also maps a set's witnesses W to l - W, so a set
-    and its mirror have as many: the findings under the witness prune
-    are closed under the mirror too.  The walk visits only the sets with
-    a_{k-2} <= l - a_1: once a_1 = v is placed, each later position j is
-    capped at l - v - (k-2-j), so whole subtrees go.  Each finding with
-    a_1 + a_{k-2} < l also gives its mirror's tuple, mask and restricted
-    mask, with the same n; a finding on the tie a_1 + a_{k-2} = l has
-    its mirror walked too (or is its own mirror), and is not mirrored.
-    The findings are sorted into stream order, so they are the findings
-    of a whole walk, in the same order.
+    The cell is walked in half; k < 3 leaves no interior a_1 to halve
+    on and is refused.  The mirror A -> l - A maps the cell onto itself:
+    it keeps gcd, span and restricted size (2^(l-A) = 2l - 2^A), and
+    maps a_1 + a_{k-2} < l to a sum above l.  It also maps a set's
+    witnesses W to l - W, so a set and its mirror have as many: the
+    findings under the witness prune are closed under the mirror too.
+    The walk visits only the sets with a_{k-2} <= l - a_1: a_1 is capped
+    at (l-k+3)//2, and once a_1 = v is placed, each later position j is
+    capped at l - v - (k-2-j), at or below its span cap, so whole
+    subtrees go.  Each finding with a_1 + a_{k-2} < l also gives its
+    mirror's tuple, mask and restricted mask, with the same n; a finding
+    on the tie a_1 + a_{k-2} = l has its mirror walked too (or is its
+    own mirror), and is not mirrored.  The findings are sorted into
+    stream order, so they are the findings of a whole walk, in the same
+    order.
     """
-    k, l = query.k, query.l_max
-    if k < 3 or not _MIRROR_CLOSED.issuperset(query.constraints):
-        raise SetDomainError(
-            f"the span walker walks a cell in half: it needs k >= 3 and constraints "
-            f"among {sorted(_MIRROR_CLOSED)}, got k={k} and {list(query.constraints)}"
-        )
-    lo, hi, his = _caps(query)
-    if lo > hi:
-        return []  # the constraints rule the top out: no set streams
-    need_gcd = "gcd_one" in query.constraints
+    if k < 3:
+        raise SetDomainError(f"the span walker walks a cell in half: it needs k >= 3, got k={k}")
     last = k - 1
     # a prefix ending at pos is pruned once its restricted size passes
     # lims[pos]: each of the last - 1 - pos elements still to come adds one
@@ -428,16 +404,15 @@ def _walk_span(
     # the elements on the current root-to-node path; the leaf's tuple
     path = [0] * k
     path[last] = l
-    caps = list(his)
-    # a_1 + (k-3) <= a_{k-2} <= l - a_1
-    caps[1] = min(his[1], (l - k + 3) // 2)
+    # a_1 + (k-3) <= a_{k-2} <= l - a_1; placing a_1 sets the caps after it
+    caps = [0, (l - k + 3) // 2] + [0] * (k - 3)
     held: list[tuple[tuple[int, ...], int, int, int]] = []
     span = (2 << l) - 1
 
     def find(pos: int, prev: int, g: int, mask: int, r: int) -> None:
         if pos == last:
             n = r.bit_count()
-            if (not need_gcd or g == 1) and n <= bound:
+            if g == 1 and n <= bound:
                 tup = tuple(path)
                 held.append((tup, mask, r, n))
                 if tup[1] + tup[-2] < l:
@@ -455,7 +430,7 @@ def _walk_span(
             path[pos] = v
             if lower:
                 for j in range(2, last):
-                    caps[j] = min(his[j], l - v - (last - 1 - j))
+                    caps[j] = l - v - (last - 1 - j)
             find(pos + 1, v, gcd(g, v), mask | 1 << v, rv)
 
     find(1, 0, l, 1 | 1 << l, 1 << l)
@@ -794,14 +769,15 @@ def _detached_top_rows(
 def _floor_cells(
     k: int, tops: tuple[int, ...], walked: tuple[int, ...], constraints: tuple[str, ...]
 ) -> list[dict]:
-    """The findings of the floor cell (k, l), l its task's one top,
-    walked with ``bound = freiman_lev_bound(k, l)``: the span walk's
+    """The findings of the floor cell (k, l), l its task's one top: the
+    gcd-1 cell, which its task plans under ``constraints`` = ``gcd_one``,
+    walked with ``bound = freiman_lev_bound(k, l)``.  The span walk's
     findings split into ``below``, the (tuple, restricted size) pairs of
     the sets under the bound, and ``at``, the tuples of the sets on it,
     each in stream order.  The drivers judge them."""
     (l,) = tops
     bound = freiman_lev_bound(k, l)
-    found = _walk_span(EnumerationQuery.exact(k, l, constraints), bound) if walked else []
+    found = _walk_span(k, l, bound) if walked else []
     return [{"bound": bound, "below": [(tup, n) for tup, _m, _r, n in found if n < bound],
              "at": [tup for tup, _m, _r, n in found if n == bound]}]
 
@@ -1084,7 +1060,8 @@ def verify_dense_prefix(
 def classify_extremal(k: int, l: int, *, budget: int = DEFAULT_BUDGET) -> tuple[NormalizedSet, ...]:
     """All normalized k-sets with span l whose restricted sumset has
     exactly 3k-7 members, in lexicographic order: the findings of one
-    gcd-1 span walk at the bound 3k-7 that sit on it."""
+    gcd-1 span walk at the bound 3k-7 that sit on it.  The cell's query
+    validates k, l and the budget, and its plan decides the walk."""
     if k < 4:
         raise SetDomainError(f"classification needs k >= 4, got k={k}")
     query = EnumerationQuery.exact(k, l, ("gcd_one",), budget=budget)
@@ -1095,7 +1072,7 @@ def classify_extremal(k: int, l: int, *, budget: int = DEFAULT_BUDGET) -> tuple[
     bound = 3 * k - 7
     # findings of a gcd_one walk: normalized without re-validation
     return tuple(NormalizedSet._from_trusted(tup, mask)
-                 for tup, mask, _r, n in _walk_span(query, bound) if n == bound)
+                 for tup, mask, _r, n in _walk_span(k, l, bound) if n == bound)
 
 
 def verify_span_classification(
@@ -1217,7 +1194,9 @@ def _witness_cell(
 ) -> list[dict]:
     """The findings of the witness cell (k, l), l its task's one top: at
     most two witnesses, and the grid-orbit reconstruction of every
-    two-witness set, with the residue laws at span 2k-3.
+    two-witness set, with the residue laws at span 2k-3.  The cell is
+    the gcd-1 cell, which its task plans under ``constraints`` =
+    ``gcd_one``, and the span walk walks it.
 
     A set with fewer than two witnesses gives neither a finding nor a
     pair, so the span walk cuts every prefix with fewer than two
@@ -1234,8 +1213,7 @@ def _witness_cell(
     extremal = pairs = 0
     bad: list[str] = []
     notes: list[str] = []
-    query = EnumerationQuery.exact(k, l, constraints)
-    found = _walk_span(query, 2 * l, prune_witnesses=True) if walked else []
+    found = _walk_span(k, l, 2 * l, prune_witnesses=True) if walked else []
     for tup, mask, r, n in found:
         lit = format_set_literal(tup)
         wits = elements_of(_witness_mask(mask, r, l))

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from sumset_lab.cli import main
+from sumset_lab.cli import EXIT_PIPE, main
+from sumset_lab.core import format_set_literal
+from sumset_lab.verify import DEFAULT_BUDGET, EnumerationQuery, enumerate_tuples
 
 
 def run(capsys, *argv):
@@ -203,6 +205,17 @@ def test_enumerate_json_with_range(capsys):
     assert payload["truncated"] is False
     assert payload["query"]["l_min"] == 2 and payload["query"]["l_max"] == 4
     assert "{0,1,2}" in payload["sets"] and "{0,3,4}" in payload["sets"]
+
+
+def test_enumerate_json_query_holds_the_five_query_fields(capsys):
+    code, payload, _ = run_json(capsys, "enumerate", "--k", "5", "--l", "7",
+                                "--constraint", "gcd_one", "--json")
+    assert code == 0
+    assert payload["query"] == {"k": 5, "l_min": 7, "l_max": 7, "constraints": ["gcd_one"],
+                                "budget": DEFAULT_BUDGET}
+    query = EnumerationQuery(5, 7, 7, ("gcd_one",))
+    assert payload["sets"] == [format_set_literal(t) for t in enumerate_tuples(query)]
+    assert payload["sets"]
 
 
 def test_enumerate_budget_marker_and_exit_2(capsys):
@@ -414,16 +427,38 @@ def test_missing_required_flag_exits_3():
     assert exc.value.code == 3
 
 
+def _src_env() -> dict:
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--k", "8", "--l", "13", "--json"],
+    ["families", "--all", "--k", "9", "--json"],
+], ids=["classify", "families"])
+def test_a_closed_stdout_ends_quietly_with_exit_141(argv):
+    # the reader is gone before the command writes, as when `| head -c`
+    # exits early: the write fails, and the command ends with the shell's
+    # status for a writer ended by SIGPIPE and nothing on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "sumset_lab.cli", *argv],
+                             stdout=write_end, stderr=subprocess.PIPE, env=_src_env())
+    finally:
+        os.close(write_end)
+    assert EXIT_PIPE == 141
+    assert (out.returncode, out.stderr) == (141, b"")
+
+
 # ---------------------------------------------------------------------------
 # start-up
 
 
 def _loaded_modules(code: str) -> set[str]:
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run(
         [sys.executable, "-c", code + "; import sys; print(*sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=_src_env(), check=True,
     )
     return set(out.stdout.split())
 

@@ -38,7 +38,7 @@ VALIDATED = (
     GoldenValue(1, 2),
     FamilySpec("two_intervals", 6, theta=7),
     FamilySpec("sporadic", 6),
-    EnumerationQuery(5, 6, 9, ("gcd_one", "last_ge_2k_minus_2", "gcd_one"), mask=0b1011111111),
+    EnumerationQuery(5, 6, 9, ("gcd_one", "last_ge_2k_minus_2", "gcd_one")),
 )
 
 
@@ -81,7 +81,7 @@ def test_validated_records_validate_on_replace():
 def test_enumeration_query_stores_constraints_sorted():
     q = VALIDATED[-1]
     assert q.constraints == ("gcd_one", "last_ge_2k_minus_2")
-    assert q == (5, 6, 9, ("gcd_one", "last_ge_2k_minus_2"), 0b1011111111, q.budget)
+    assert q == (5, 6, 9, ("gcd_one", "last_ge_2k_minus_2"), q.budget)
 
 
 def test_certificates_do_not_share_defaults():

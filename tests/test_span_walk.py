@@ -71,13 +71,11 @@ from sumset_lab.structure import (
     witness_profile,
 )
 from sumset_lab.verify import (
-    KNOWN_CONSTRAINTS,
     BudgetExceeded,
     EnumerationQuery,
     classify_extremal,
     enumerate_tuples,
     _walk_span,
-    _MIRROR_CLOSED,
     _dense_row,
     _detached_top_rows,
     _floor_cells,
@@ -136,15 +134,13 @@ def plain_walk(k, l, constraints, budget, bound):
 
 @st.composite
 def walk_cases(draw):
-    """(k, l, constraints, bound): bound 2l prunes nothing, a smaller one
-    prunes every subtree whose prefix already exceeds it.  The
-    constraints are mirror-closed, as the walker walks every cell in
-    half."""
+    """(k, l, bound): bound 2l prunes nothing, a smaller one prunes every
+    subtree whose prefix already exceeds it.  The walker walks the gcd-1
+    cell (k, l)."""
     k = draw(st.integers(min_value=3, max_value=8))
     l = draw(st.integers(min_value=k - 1, max_value=2 * k + 4))
-    constraints = draw(st.sampled_from([(), ("gcd_one",)]))
     bound = draw(st.one_of(st.just(2 * l), st.integers(min_value=0, max_value=2 * l - 1)))
-    return k, l, constraints, bound
+    return k, l, bound
 
 
 @given(walk_cases())
@@ -152,14 +148,14 @@ def walk_cases(draw):
 def test_walker_hands_each_leaf_its_elements_and_restricted_mask(case):
     # the walker takes no budget: it walks the whole cell, and the task
     # runner decides whether it is walked
-    k, l, constraints, bound = case
-    found = _walk_span(EnumerationQuery.exact(k, l, constraints), bound)
+    k, l, bound = case
+    found = _walk_span(k, l, bound)
     assert isinstance(found, list)
     for tup, mask, r, n in found:
         assert tup == elements_of(mask)
         assert r == restricted_mask(mask, tup)
         assert n == r.bit_count()
-    _counts, low = plain_walk(k, l, constraints, 10**9, bound)
+    _counts, low = plain_walk(k, l, ("gcd_one",), 10**9, bound)
     assert [tup for tup, *_ in found] == [t for t, _n in low]
 
 
@@ -170,21 +166,19 @@ def mirror(tup):
 
 @pytest.mark.parametrize("k", range(3, 9))
 def test_halved_walk_hands_over_every_leaf_of_plain_enumeration_in_order(k):
-    # both constraint sets are mirror-closed and no prune is passed, so
-    # every cell is walked in half and handed its findings' mirrors; the
-    # bound 2l makes every streamed set a finding
+    # no prune is passed, so every gcd-1 cell is walked in half and
+    # handed its findings' mirrors; the bound 2l makes every streamed set
+    # a finding
     ties = self_mirrors = 0
     for l in range(k - 1, 2 * k + 5):
-        for constraints in [(), ("gcd_one",)]:
-            query = EnumerationQuery.exact(k, l, constraints)
-            streamed = [(t, mask_of(t), mask_of(naive_restricted(t)))
-                        for t in enumerate_tuples(query)]
-            for bound in (freiman_lev_bound(k, l), 2 * l):
-                assert _walk_span(query, bound) == [
-                    (t, m, r, r.bit_count()) for t, m, r in streamed if r.bit_count() <= bound
-                ]
-            ties += sum(t[1] + t[-2] == l for t, _m, _r in streamed)
-            self_mirrors += sum(t == mirror(t) for t, _m, _r in streamed)
+        streamed = [(t, mask_of(t), mask_of(naive_restricted(t)))
+                    for t in enumerate_tuples(EnumerationQuery.exact(k, l, ("gcd_one",)))]
+        for bound in (freiman_lev_bound(k, l), 2 * l):
+            assert _walk_span(k, l, bound) == [
+                (t, m, r, r.bit_count()) for t, m, r in streamed if r.bit_count() <= bound
+            ]
+        ties += sum(t[1] + t[-2] == l for t, _m, _r in streamed)
+        self_mirrors += sum(t == mirror(t) for t, _m, _r in streamed)
     # the cells hold sets on the tie a_1 + a_{k-2} = l, which is every
     # set that is its own mirror; for k <= 4 every tie is its own mirror
     assert ties >= self_mirrors > 0
@@ -255,27 +249,26 @@ def witness_prune_reference(k, l):
 
 @pytest.mark.parametrize("k", range(3, 9))
 def test_halved_walk_with_a_sound_prune_hands_over_every_finding_in_order(k, monkeypatch):
-    # a cell under mirror-closed constraints is walked in half under the
-    # witness prune, as the prune is sound (it cuts only prefixes below
-    # which no set is a finding) and a set is a finding exactly when its
-    # mirror is: two or more witnesses, as W(l - A) = l - W(A).  Every
-    # finding, mirrors included, is returned in stream order, and the
-    # walk keeps no prefix past a_1 <= (l-k+3)//2: it keeps exactly the
-    # naive reference's prefixes
+    # a gcd-1 cell is walked in half under the witness prune, as the
+    # prune is sound (it cuts only prefixes below which no set is a
+    # finding) and a set is a finding exactly when its mirror is: two or
+    # more witnesses, as W(l - A) = l - W(A).  Every finding, mirrors
+    # included, is returned in stream order, and the walk keeps no prefix
+    # past a_1 <= (l-k+3)//2: it keeps exactly the naive reference's
+    # prefixes
     findings = mirrored = 0
     for l in range(k - 1, 2 * k + 3):
-        for constraints in [(), ("gcd_one",)]:
-            query = EnumerationQuery.exact(k, l, constraints)
-            with kept_prefixes(monkeypatch) as kept:
-                found = _walk_span(query, 2 * l, prune_witnesses=True)
-            want = [(t, mask_of(t), r, r.bit_count())
-                    for t in enumerate_tuples(query) if len(naive_witnesses(t)) >= 2
-                    for r in [mask_of(naive_restricted(t))]]
-            assert found == want
-            assert kept == witness_prune_reference(k, l)[0]
-            assert max(map(first_interior, kept), default=0) <= (l - k + 3) // 2
-            findings += len(found)
-            mirrored += sum(t[1] + t[-2] > l for t, *_ in found)
+        with kept_prefixes(monkeypatch) as kept:
+            found = _walk_span(k, l, 2 * l, prune_witnesses=True)
+        want = [(t, mask_of(t), r, r.bit_count())
+                for t in enumerate_tuples(EnumerationQuery.exact(k, l, ("gcd_one",)))
+                if len(naive_witnesses(t)) >= 2
+                for r in [mask_of(naive_restricted(t))]]
+        assert found == want
+        assert kept == witness_prune_reference(k, l)[0]
+        assert max(map(first_interior, kept), default=0) <= (l - k + 3) // 2
+        findings += len(found)
+        mirrored += sum(t[1] + t[-2] > l for t, *_ in found)
     assert findings > mirrored > 0
 
 
@@ -288,8 +281,7 @@ def test_witness_walk_cuts_exactly_the_prefixes_with_fewer_than_two_candidates(k
     kept_total = cut_total = 0
     for l in range(k - 1, 2 * k - 2):
         with kept_prefixes(monkeypatch) as kept:
-            found = _walk_span(EnumerationQuery.exact(k, l, ("gcd_one",)), 2 * l,
-                               prune_witnesses=True)
+            found = _walk_span(k, l, 2 * l, prune_witnesses=True)
         want, cut = witness_prune_reference(k, l)
         assert kept == want, l
         # the prune cuts every set with fewer than two witnesses
@@ -314,38 +306,31 @@ def test_the_witnesses_of_the_mirror_are_the_mirrored_witnesses(t):
     assert witness_profile(NormalizedSet(t)).values.elements == tuple(wits)
 
 
-def closed_under_mirror(constraint):
-    """Whether every small cell under ``constraint`` alone holds the
-    mirror of each of its sets."""
+def closed_under_mirror(constraints):
+    """Whether every small cell under ``constraints`` holds the mirror of
+    each of its sets."""
     return all(
         {mirror(t) for t in sets} == sets
         for k in range(3, 9)
         for l in range(k - 1, 2 * k + 3)
-        for sets in [set(enumerate_tuples(EnumerationQuery.exact(k, l, (constraint,))))]
+        for sets in [set(enumerate_tuples(EnumerationQuery.exact(k, l, constraints)))]
     )
 
 
-@pytest.mark.parametrize("constraint", KNOWN_CONSTRAINTS)
-def test_walker_halves_only_under_mirror_closed_constraints(constraint):
-    # a constraint that caps low or interior positions (the growth and
-    # interior caps, or a floor on the second-largest element) is not
-    # closed under A -> l - A, and the span walker refuses a cell under it
-    assert (constraint in _MIRROR_CLOSED) == closed_under_mirror(constraint)
-    assert (constraint in _MIRROR_CLOSED) == (
-        constraint not in ("growth_a_i_lt_2i", "interior_lt_2k_minus_4")
-    )
+def test_every_gcd_one_cell_holds_the_mirror_of_each_of_its_sets():
+    # the fact the span walker rests on: A -> l - A keeps a set's gcd and
+    # its span, so every gcd-1 cell of exact span maps onto itself and is
+    # walked in half.  A constraint that caps low or interior positions
+    # does not: the mirror moves what it caps
+    assert closed_under_mirror(("gcd_one",))
+    assert not closed_under_mirror(DENSE)
+    assert not closed_under_mirror(LOW_SECOND)
 
 
-@pytest.mark.parametrize("k, constraints", [
-    *((5, (c,)) for c in KNOWN_CONSTRAINTS if c not in _MIRROR_CLOSED),
-    (5, DENSE), (5, LOW_SECOND), (2, ()), (2, ("gcd_one",)),
-])
-def test_span_walker_refuses_a_cell_it_cannot_walk_in_half(k, constraints):
-    # a cell under a constraint the mirror moves would be halved wrongly,
-    # and at k = 2 there is no interior a_1 to cap: the walker refuses both
-    query = EnumerationQuery.exact(k, 2 * k + 1, constraints)
+def test_span_walker_refuses_a_cell_it_cannot_walk_in_half():
+    # at k = 2 there is no interior a_1 to cap
     with pytest.raises(SetDomainError, match="in half"):
-        _walk_span(query, 4 * k)
+        _walk_span(2, 5, 8)
 
 
 @given(gcd_one_sets())

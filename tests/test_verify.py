@@ -61,8 +61,6 @@ def test_query_validation():
     with pytest.raises(SetDomainError):
         EnumerationQuery(4, 3, 5, budget=0)
     with pytest.raises(SetDomainError):
-        EnumerationQuery(4, 3, 5, mask=-1)
-    with pytest.raises(SetDomainError):
         EnumerationQuery(4, 3, 5, constraints=("no_such_rule",))
 
 
@@ -76,10 +74,10 @@ def test_query_exact_and_to_dict():
     q = EnumerationQuery.exact(5, 7, ("gcd_one",), budget=123)
     assert (q.l_min, q.l_max) == (7, 7)
     assert q.to_dict() == {
-        "k": 5, "l_min": 7, "l_max": 7, "constraints": ["gcd_one"],
-        "mask": None, "budget": 123,
+        "k": 5, "l_min": 7, "l_max": 7, "constraints": ["gcd_one"], "budget": 123,
     }
     assert EnumerationQuery(2, 1, 1).budget == DEFAULT_BUDGET
+    assert EnumerationQuery._fields == ("k", "l_min", "l_max", "constraints", "budget")
 
 
 # ---------------------------------------------------------------------------
@@ -104,23 +102,6 @@ def test_enumerate_sets_wrapping():
     sets = list(enumerate_sets(q))
     assert [s.elements for s in sets] == [(0, 1, 4), (0, 3, 4)]
     assert sets[0].mask == 0b10011
-
-
-# only even elements allowed outside {1}: keeps 0,1,2,4,6; the same
-# without 0, which every normalized set holds; and three more
-MASKS = (0b1010111, 0b1010110, 0b1111110, 0b1111111, 0b1000001)
-
-
-def test_enumerate_mask_filter():
-    for mask in MASKS:
-        # streamed in lexicographic order of element lists, across the spans
-        want = sorted(t for l in range(2, 7) for t in enumerate_bruteforce(3, l)
-                      if all(mask >> v & 1 for v in t))
-        counter = [0]
-        assert list(enumerate_tuples(EnumerationQuery(3, 2, 6, mask=mask), counter)) == want
-        if not mask & 1:
-            # a mask without 0 admits no set: the enumerator visits no node
-            assert want == [] and counter == [0]
 
 
 BRUTE_GRID = [
