@@ -327,10 +327,22 @@ def test_every_gcd_one_cell_holds_the_mirror_of_each_of_its_sets():
     assert not closed_under_mirror(LOW_SECOND)
 
 
-def test_span_walker_refuses_a_cell_it_cannot_walk_in_half():
-    # at k = 2 there is no interior a_1 to cap
-    with pytest.raises(SetDomainError, match="in half"):
-        _walk_span(2, 5, 8)
+# the ids are those the k = 2 cases had in the earlier, longer table,
+# which also held constraint cases the walker can no longer be handed
+@pytest.mark.parametrize("k, constraints", [
+    pytest.param(2, (), id="2-constraints4"),
+    pytest.param(2, ("gcd_one",), id="2-constraints5"),
+])
+def test_span_walker_refuses_a_cell_it_cannot_walk_in_half(k, constraints):
+    # at k = 2 there is no interior a_1 to cap: the walker refuses every
+    # span, those whose cell holds a set under the constraints included,
+    # rather than return a walk that misses it
+    spans = [l for l in range(1, 2 * k + 2)
+             if any(enumerate_tuples(EnumerationQuery.exact(k, l, constraints)))]
+    assert spans
+    for l in range(1, 2 * k + 2):
+        with pytest.raises(SetDomainError, match="in half"):
+            _walk_span(k, l, 4 * k)
 
 
 @given(gcd_one_sets())
