@@ -25,9 +25,8 @@ grid plus geometric orbits, reconstructed here explicitly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .core import (
     IntegerSet,
@@ -35,7 +34,6 @@ from .core import (
     SetDomainError,
     _exceptional,
     _set_masks,
-    double_mask,
     elements_of,
     exceptional_mask,
     has_dense_prefix,
@@ -43,6 +41,11 @@ from .core import (
     require_dense_prefix,
     restricted_mask,
 )
+
+# fractions (with decimal and numbers) loads only in offset_count_bound,
+# which no library code calls: the sweeps hold the bound in integers
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ExceptionalProfile",
@@ -321,6 +324,8 @@ def _diff3_case(h: _Head) -> Optional[int]:
 
 def offset_count_bound(top_b: int) -> Fraction:
     """Floor for the number of covered offsets: b/2 + floor(b/4)."""
+    from fractions import Fraction
+
     return Fraction(top_b, 2) + top_b // 4
 
 
@@ -396,28 +401,27 @@ def _head_failures(head: tuple[int, ...], head_mask: int, reach: int) -> tuple[s
     when the head has the structure.  The checks read only the head, so
     this holds for every top it takes.
 
-    A head whose B is empty passes every check at once: its restricted
-    sums cover [1, 2k-4], so its sumset (0 + 0 too) covers [0, 2k-4],
-    and every other check ranges over B or needs two members of it.
+    A head whose B is empty passes every check at once: every check
+    ranges over B or needs two members of it.
 
     The checks are the public checkers' bit tests on the two masks, run
-    on one head context.  Only the coverage of [0, 2k-4] by the head's
-    sumset reads the elements, so that it does not rest on ``reach``.
-    The gap flags and the covered offsets come from ``reach`` as
-    ``gap_patterns`` and ``exceptional_profile`` take them, without
-    unpacking a set: the offsets are counted by popcount and held to
-    ``offset_count_bound`` in integers."""
+    on one head context; ``head`` gives only k.  The gap flags and the
+    covered offsets come from ``reach`` as ``gap_patterns`` and
+    ``exceptional_profile`` take them, without unpacking a set: the
+    offsets are counted by popcount and held to ``offset_count_bound``
+    in integers.  The head's sumset is not checked to cover [0, 2k-4]:
+    no head in the regime misses a value there (see below)."""
     k = len(head) + 1
     b_mask = exceptional_mask(reach, k)
     if not b_mask:
         return ()
     h = _Head(k, head_mask, reach, elements_of(b_mask))
     b_vals = h.b_vals
-    window = (1 << (2 * k - 3)) - 1
-    fails: list[str] = []
-    if double_mask(head_mask, head) & window != window:
-        fails.append("head sumset misses part of [0, 2k-4]")
-    fails += _points(h)
+    # the head's sumset covers [0, 2k-4] by pigeonhole: with a_i <= 2i-1,
+    # each x <= 2k-4 has a_0..a_j in [0, x], j = floor((x+1)/2) <= k-2,
+    # so j + 1 head elements, more than (x+1)/2, fall on the j pairs
+    # {a, x-a} with a != x-a and on x/2: some a and x-a both lie in the head
+    fails = _points(h)
     if not _growth_ok(h):
         fails.append("exceptional values grow too slowly")
     for b in b_vals:

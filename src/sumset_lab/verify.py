@@ -362,22 +362,26 @@ def _walk_span(
     lies in [1, 2l-1], so a bound of 2l returns every gcd-1 set of the
     cell.
 
-    With ``prune_witnesses`` the walk also cuts each prefix that the
-    bound leaves and that has fewer than two candidate witnesses: values
-    w in [0, l] outside the prefix (its elements with the top) such that
-    neither w nor w + l is a restricted sum of it, a test on the masks
-    it carries, ``(~(mask | r | r >> l) & (2 << l) - 1).bit_count() <
-    2``.  Each element placed later only removes candidates, so no set
-    below such a prefix has two witnesses, and the findings are only
-    the sets with two or more.
-
-    The walk counts no node and takes no budget: :func:`_run_task`
-    counts the cell from its plan and decides whether it is walked.
-
     The walk prunes on a lookahead bound.  The top is placed first, so
     each element still to be placed adds a sum with the top that is
     larger than every sum already present: a set's restricted size is at
     least the prefix's plus the number of elements still to come.
+
+    With ``prune_witnesses`` the walk instead cuts each prefix that has
+    fewer than two candidate witnesses: values w in [0, l] outside the
+    prefix (its elements with the top) such that neither w nor w + l is
+    a restricted sum of it.  The candidates' mask on the masks the walk
+    carries is ``c = ~(mask | r | r >> l) & (2 << l) - 1``, and the cut
+    is ``not c & c - 1``.  Each element placed later only removes
+    candidates, so no set below such a prefix has two witnesses, and the
+    findings are only the sets with two or more.  This walk cuts on the
+    witness test alone: the witness cells pass the bound 2l, which the
+    lookahead cannot reach, as no restricted sum passes 2l-1.  The leaf
+    still holds each set to ``bound``, so the findings are right for
+    any bound; the size cut was only ever a saving.
+
+    The walk counts no node and takes no budget: :func:`_run_task`
+    counts the cell from its plan and decides whether it is walked.
 
     The cell is walked in half; k < 3 leaves no interior a_1 to halve
     on and is refused.  The mirror A -> l - A maps the cell onto itself:
@@ -398,8 +402,9 @@ def _walk_span(
     if k < 3:
         raise SetDomainError(f"the span walker walks a cell in half: it needs k >= 3, got k={k}")
     last = k - 1
-    # a prefix ending at pos is pruned once its restricted size passes
-    # lims[pos]: each of the last - 1 - pos elements still to come adds one
+    # outside the witness walk, a prefix ending at pos is pruned once its
+    # restricted size passes lims[pos]: each of the last - 1 - pos
+    # elements still to come adds one
     lims = [bound - (last - 1 - pos) for pos in range(last)]
     # the elements on the current root-to-node path; the leaf's tuple
     path = [0] * k
@@ -419,13 +424,23 @@ def _walk_span(
                     mirror = tuple(l - x for x in reversed(tup))
                     held.append((mirror, _mirror_bits(mask, l), _mirror_bits(r, 2 * l), n))
             return
-        lim = lims[pos]
         lower = pos == 1
+        if prune_witnesses:
+            for v in range(prev + 1, caps[pos] + 1):
+                rv = r | mask << v
+                # v = 0 + v is in rv, so mask | rv holds the prefix with v
+                c = ~(mask | rv | rv >> l) & span
+                if c & c - 1:
+                    path[pos] = v
+                    if lower:
+                        for j in range(2, last):
+                            caps[j] = l - v - (last - 1 - j)
+                    find(pos + 1, v, gcd(g, v), mask | 1 << v, rv)
+            return
+        lim = lims[pos]
         for v in range(prev + 1, caps[pos] + 1):
             rv = r | mask << v
-            # v = 0 + v is in rv, so mask | rv holds the prefix with v
-            if rv.bit_count() > lim or prune_witnesses and (
-                    ~(mask | rv | rv >> l) & span).bit_count() < 2:
+            if rv.bit_count() > lim:
                 continue
             path[pos] = v
             if lower:

@@ -476,6 +476,18 @@ _CERTIFY = "import os; from sumset_lab.cli import main; main({!r} + ['--out', os
 _RUN = "from sumset_lab.cli import main; main({!r})"
 
 
+@pytest.mark.parametrize("code", [
+    "import sumset_lab.structure",
+    _CERTIFY.format(["certify", "--theorem", "lemmas", "--k-max", "8"]),
+], ids=["structure", "lemmas"])
+def test_structure_and_the_lemma_sweep_load_neither_fractions_nor_decimal(code):
+    # structure imports Fraction only in offset_count_bound, which the
+    # lemma sweep never calls; fractions would load decimal and numbers
+    loaded = _loaded_modules(code)
+    assert "sumset_lab.structure" in loaded
+    assert not {"fractions", "decimal"} & loaded
+
+
 @pytest.mark.parametrize("code, absent", [
     # the package itself loads no submodule: each export loads on first use
     ("import sumset_lab",

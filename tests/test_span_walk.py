@@ -52,7 +52,8 @@ from hypothesis import strategies as st
 
 from sumset_lab.bounds import freiman_lev_bound
 from sumset_lab.core import (
-    IntegerSet, NormalizedSet, SetDomainError, elements_of, mask_of, restricted_mask,
+    IntegerSet, NormalizedSet, SetDomainError, double_mask, elements_of, mask_of,
+    restricted_mask,
 )
 from sumset_lab import structure, verify
 from sumset_lab.structure import (
@@ -290,6 +291,26 @@ def test_witness_walk_cuts_exactly_the_prefixes_with_fewer_than_two_candidates(k
         cut_total += len(cut)
     assert (kept_total, cut_total) == {3: (0, 2), 4: (5, 5), 5: (21, 18), 6: (72, 67),
                                        7: (225, 233), 8: (679, 771), 9: (2025, 2379)}[k]
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_witness_walk_holds_its_findings_to_a_bound_that_cuts(k):
+    # the witness cells pass the bound 2l, which no set reaches; a smaller
+    # bound, which the witness loop does not cut on, must still leave
+    # exactly the sets with two or more witnesses and |2^A| <= bound, in
+    # stream order.  3k-7 keeps some of them and drops others from k = 6
+    kept = [0] * 4
+    for l in range(k - 1, 2 * k - 2):
+        sets = [(t, mask_of(t), r, r.bit_count())
+                for t in enumerate_tuples(EnumerationQuery.exact(k, l, ("gcd_one",)))
+                if len(naive_witnesses(t)) >= 2
+                for r in [mask_of(naive_restricted(t))]]
+        for i, bound in enumerate((2 * k - 3, 3 * k - 7, 2 * l - 2, 2 * l)):
+            want = [f for f in sets if f[3] <= bound]
+            assert _walk_span(k, l, bound, prune_witnesses=True) == want, (l, bound)
+            kept[i] += len(want)
+    assert kept == {3: [0, 0, 0, 0], 4: [2, 2, 2, 2], 5: [0, 6, 6, 6], 6: [0, 13, 15, 15],
+                    7: [0, 20, 22, 22], 8: [0, 25, 33, 33]}[k]
 
 
 @given(gcd_one_sets())
@@ -604,6 +625,14 @@ def test_head_failures_match_the_public_checkers_on_every_dense_head():
     assert empty_b == 1027
 
 
+def test_every_dense_head_sumset_covers_the_low_window():
+    # _head_failures makes no coverage check: by pigeonhole, a head with
+    # a_i <= 2i-1 has a and x-a in it for every x <= 2k-4
+    for head in DENSE_HEADS:
+        window = (1 << 2 * len(head) - 1) - 1
+        assert double_mask(mask_of(head), head) & window == window, head
+
+
 def test_head_failures_return_at_once_exactly_on_the_heads_with_empty_b(monkeypatch):
     # with the growth check faulted to fail on every head it runs on, a
     # head reports a failure exactly when _head_failures runs its checks:
@@ -625,7 +654,8 @@ def test_head_failures_match_the_frozen_tuple_checks_on_every_dense_head():
     # restricted mask, which passes every check, and with that mask
     # faulted by one bit flip anywhere in [1, 2k-4+b_last], b_last the
     # largest member of B (0 when B is empty).  The faults reach every
-    # message but the sumset coverage, which reads only the elements
+    # message but the sumset coverage, which the frozen checks read off
+    # the elements and which no dense head fails
     faulted = 0
     kinds: set[str] = set()
     for head in DENSE_HEADS:
