@@ -512,10 +512,6 @@ def main(argv=None) -> int:
         # interpreter's flush at exit writes nothing and prints nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except BudgetExceeded as exc:
-        print(f"sumset-lab: enumeration budget exhausted after {exc.nodes} nodes",
-              file=sys.stderr)
-        return EXIT_BUDGET
     except SetDomainError as exc:
         print(f"sumset-lab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

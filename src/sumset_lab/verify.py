@@ -101,7 +101,8 @@ own merge:
   qualifying search spaces.
 
 Certificates serialize to canonical JSON: sorted keys, two-space
-indent, sorted string lists, a single trailing newline.  Reruns are
+indent, string lists that :class:`Certificate` stores sorted and
+without repeats, a single trailing newline.  Reruns are
 byte-identical except for ``wall_time_ms``.
 """
 
@@ -578,96 +579,59 @@ def _walk_row(
 class Certificate:
     """Outcome of one verification run, serializable to canonical JSON.
 
-    ``outcome`` is refuted exactly when ``counterexamples`` is nonempty;
-    ``budget_exhausted`` marks an inconclusive sweep that found nothing.
-    ``observations`` carries out-of-hypothesis findings that are not
-    refutations; ``missing``/``spurious`` detail classification deltas
-    (also folded into ``counterexamples``); ``extremal_sets`` lists
-    equality/classification results when the claim tracks them.
-    Each list and ``counts`` left out is a fresh empty one.
+    The constructor judges the run from its findings: ``outcome`` is
+    ``refuted`` exactly when ``counterexamples`` is nonempty, else
+    ``budget_exhausted`` when ``counts`` says the sweep was truncated,
+    else ``verified``.  ``observations`` carries out-of-hypothesis
+    findings that are not refutations; ``missing``/``spurious`` detail
+    classification deltas (also folded into ``counterexamples``);
+    ``extremal_sets`` lists equality/classification results when the
+    claim tracks them.  Each list is stored sorted and without repeats;
+    a list or ``counts`` left out is a fresh empty one.  Every field
+    after ``query`` is keyword-only.
     """
 
     def __init__(
         self,
         claim: str,
         query: dict,
-        outcome: str,
-        counterexamples: Optional[list[str]] = None,
-        observations: Optional[list[str]] = None,
-        missing: Optional[list[str]] = None,
-        spurious: Optional[list[str]] = None,
-        extremal_sets: Optional[list[str]] = None,
+        *,
+        counterexamples: Sequence[str] = (),
+        observations: Sequence[str] = (),
+        missing: Sequence[str] = (),
+        spurious: Sequence[str] = (),
+        extremal_sets: Sequence[str] = (),
         counts: Optional[dict] = None,
         cap: Optional[int] = None,
         wall_time_ms: int = 0,
     ) -> None:
+        counterexamples = sorted(set(counterexamples))
+        counts = {} if counts is None else counts
+        # assigned in payload order: the payload is the attributes
+        self.schema_version = SCHEMA_VERSION
         self.claim = claim
         self.query = query
-        self.outcome = outcome
-        self.counterexamples = [] if counterexamples is None else counterexamples
-        self.observations = [] if observations is None else observations
-        self.missing = [] if missing is None else missing
-        self.spurious = [] if spurious is None else spurious
-        self.extremal_sets = [] if extremal_sets is None else extremal_sets
-        self.counts = {} if counts is None else counts
+        self.outcome = ("refuted" if counterexamples
+                        else "budget_exhausted" if counts.get("truncated") else "verified")
+        self.counterexamples = counterexamples
+        self.observations = sorted(set(observations))
+        self.missing = sorted(set(missing))
+        self.spurious = sorted(set(spurious))
+        self.extremal_sets = sorted(set(extremal_sets))
+        self.counts = counts
         self.cap = cap
         self.tool_version = TOOL_VERSION
-        self.schema_version = SCHEMA_VERSION
         self.wall_time_ms = wall_time_ms
 
     def to_payload(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "claim": self.claim,
-            "query": self.query,
-            "outcome": self.outcome,
-            "counterexamples": self.counterexamples,
-            "observations": self.observations,
-            "missing": self.missing,
-            "spurious": self.spurious,
-            "extremal_sets": self.extremal_sets,
-            "counts": self.counts,
-            "cap": self.cap,
-            "tool_version": self.tool_version,
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return dict(vars(self))
 
     def to_json(self) -> str:
         return json.dumps(self.to_payload(), sort_keys=True, indent=2) + "\n"
 
 
-def _finalize(
-    claim: str,
-    query: dict,
-    cap: Optional[int],
-    counts: dict,
-    t0: float,
-    *,
-    counterexamples: Sequence[str] = (),
-    observations: Sequence[str] = (),
-    missing: Sequence[str] = (),
-    spurious: Sequence[str] = (),
-    extremal_sets: Sequence[str] = (),
-) -> Certificate:
-    if counterexamples:
-        outcome = "refuted"
-    elif counts["truncated"]:
-        outcome = "budget_exhausted"
-    else:
-        outcome = "verified"
-    return Certificate(
-        claim=claim,
-        query=query,
-        outcome=outcome,
-        counterexamples=sorted(set(counterexamples)),
-        observations=sorted(set(observations)),
-        missing=sorted(set(missing)),
-        spurious=sorted(set(spurious)),
-        extremal_sets=sorted(set(extremal_sets)),
-        counts=counts,
-        cap=cap,
-        wall_time_ms=int((time.monotonic() - t0) * 1000),
-    )
+def _ms_since(t0: float) -> int:
+    return int((time.monotonic() - t0) * 1000)
 
 
 # fn(k, tops, walked, constraints): the findings of each top, walking those in walked
@@ -846,9 +810,9 @@ def verify_conjecture(
         "budget": budget,
     }
     counts["extremal"] = sum(len(r["at"]) for r in results)
-    return _finalize(
-        "freiman_lev_bound", query, l_max, counts, t0,
-        counterexamples=counterexamples, observations=observations,
+    return Certificate(
+        "freiman_lev_bound", query, counterexamples=counterexamples,
+        observations=observations, counts=counts, cap=l_max, wall_time_ms=_ms_since(t0),
     )
 
 
@@ -970,11 +934,11 @@ def verify_low_second_max(
     }
     counts["extremal"] = sum(len(r["at"]) for r in results)
     counts["splits_validated"] = sum(r["splits"] for r in results)
-    return _finalize(
-        "low_second_max_floor", query, top_cap, counts, t0,
+    return Certificate(
+        "low_second_max_floor", query,
         counterexamples=[_below_floor(tup, n, r["bound"]) for r in results
                          for tup, n in r["below"]] + [b for r in results for b in r["bad"]],
-        observations=notes,
+        observations=notes, counts=counts, cap=top_cap, wall_time_ms=_ms_since(t0),
     )
 
 
@@ -1061,10 +1025,10 @@ def verify_dense_prefix(
         "budget": budget,
     }
     counts["extremal"] = len(extremal)
-    return _finalize(
-        "dense_prefix_equality", query, top_cap, counts, t0,
-        counterexamples=counterexamples, observations=observations,
-        missing=missing, spurious=spurious, extremal_sets=extremal,
+    return Certificate(
+        "dense_prefix_equality", query, counterexamples=counterexamples,
+        observations=observations, missing=missing, spurious=spurious,
+        extremal_sets=extremal, counts=counts, cap=top_cap, wall_time_ms=_ms_since(t0),
     )
 
 
@@ -1165,10 +1129,10 @@ def verify_span_classification(
     }
     extremal = [format_set_literal(tup) for r in results for tup in r["at"]]
     counts["extremal"] = len(extremal)
-    return _finalize(
-        "classification_matches_families", query, None, counts, t0,
-        counterexamples=counterexamples, observations=observations,
-        missing=missing, spurious=spurious, extremal_sets=extremal,
+    return Certificate(
+        "classification_matches_families", query, counterexamples=counterexamples,
+        observations=observations, missing=missing, spurious=spurious,
+        extremal_sets=extremal, counts=counts, wall_time_ms=_ms_since(t0),
     )
 
 
@@ -1294,8 +1258,9 @@ def sweep_structure(
     }
     counts["extremal"] = sum(r["extremal"] for r in results)
     counts["witness_pairs"] = sum(r.get("pairs", 0) for r in results)
-    return _finalize(
-        "structure_sweep", query, top_cap, counts, t0,
+    return Certificate(
+        "structure_sweep", query,
         counterexamples=[f"k={r['k']} l={r['l']}: {b}" for r in results for b in r["bad"]],
         observations=notes + [note for r in results for note in r.get("notes", [])],
+        counts=counts, cap=top_cap, wall_time_ms=_ms_since(t0),
     )

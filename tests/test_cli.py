@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from sumset_lab import families
 from sumset_lab.cli import EXIT_PIPE, main
 from sumset_lab.core import format_set_literal
 from sumset_lab.verify import DEFAULT_BUDGET, EnumerationQuery, enumerate_tuples
@@ -321,6 +322,20 @@ def test_certify_budget_exhausted_exit_2(capsys):
                        "--k-max", "7", "--budget", "300")
     assert code == 2
     assert json.loads(out)["outcome"] == "budget_exhausted"
+
+
+def test_certify_refuted_exit_1(capsys, tmp_path, monkeypatch):
+    # theorem 2 judges each equality set's shape in its merge, which reads
+    # dense_extremal_shape from families when it runs
+    monkeypatch.setattr(families, "dense_extremal_shape", lambda ns: False)
+    code, out, _ = run(capsys, "certify", "--theorem", "2", "--k-max", "7")
+    assert code == 1
+    assert json.loads(out)["outcome"] == "refuted"
+    target = tmp_path / "t2.json"
+    code, out, _ = run(capsys, "certify", "--theorem", "2", "--k-max", "7", "--out", str(target))
+    assert code == 1
+    assert out == f"refuted: certificate written to {target}\n"
+    assert json.loads(target.read_text())["outcome"] == "refuted"
 
 
 @pytest.mark.parametrize("argv", [

@@ -85,8 +85,8 @@ def test_enumeration_query_stores_constraints_sorted():
 
 
 def test_certificates_do_not_share_defaults():
-    a = Certificate(claim="a", query={}, outcome="verified")
-    b = Certificate(claim="b", query={}, outcome="verified")
+    a = Certificate(claim="a", query={})
+    b = Certificate(claim="b", query={})
     for name in ("counterexamples", "observations", "missing", "spurious", "extremal_sets"):
         getattr(a, name).append("x")
         assert getattr(b, name) == []

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumset_lab import families
-from sumset_lab.core import SetDomainError
+from sumset_lab import families, structure, verify
+from sumset_lab.core import NormalizedSet, SetDomainError, mask_of
 from sumset_lab.families import extremal_catalog
 from sumset_lab.verify import (
     DEFAULT_BUDGET,
@@ -39,6 +40,9 @@ PAYLOAD_KEYS = [
     "observations", "missing", "spurious", "extremal_sets", "counts",
     "cap", "tool_version", "wall_time_ms",
 ]
+
+
+DEMO_CERTIFICATES = pathlib.Path(__file__).resolve().parents[1] / "demos" / "certificates"
 
 
 def _strip_time(payload: dict) -> dict:
@@ -174,7 +178,7 @@ def test_shared_counter_draws_one_budget():
 
 
 def test_certificate_payload_and_json():
-    cert = Certificate(claim="demo", query={"k": 3}, outcome="verified")
+    cert = Certificate(claim="demo", query={"k": 3})
     payload = cert.to_payload()
     assert list(payload) == PAYLOAD_KEYS
     assert payload["schema_version"] == SCHEMA_VERSION
@@ -184,6 +188,43 @@ def test_certificate_payload_and_json():
     assert json.loads(text) == payload
     # canonical: keys sorted, two-space indent
     assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_certificate_derives_its_outcome():
+    assert Certificate("demo", {}).outcome == "verified"
+    assert Certificate("demo", {}, counts={"truncated": False}).outcome == "verified"
+    assert Certificate("demo", {}, counts={"truncated": True}).outcome == "budget_exhausted"
+    # a counterexample refutes even a truncated sweep
+    cert = Certificate("demo", {}, counterexamples=["{0,1,2}"], counts={"truncated": True})
+    assert cert.outcome == "refuted"
+
+
+def test_certificate_fields_after_the_query_are_keyword_only():
+    # a positional outcome would otherwise pass its letters off as counterexamples
+    with pytest.raises(TypeError):
+        Certificate("demo", {}, "verified")
+
+
+def test_certificate_lists_are_sorted_without_repeats():
+    cert = Certificate(
+        "demo", {}, counterexamples=("b", "a", "b"), observations=["b", "a", "a"],
+        missing=["b", "a"], spurious=("a", "b", "a"), extremal_sets=["b", "b", "a"],
+    )
+    for name in ("counterexamples", "observations", "missing", "spurious", "extremal_sets"):
+        assert getattr(cert, name) == ["a", "b"]
+    assert cert.outcome == "refuted"
+
+
+@pytest.mark.parametrize("path", sorted(DEMO_CERTIFICATES.glob("*.json")), ids=lambda p: p.stem)
+def test_demo_certificate_rebuilds_from_its_own_fields(path):
+    # the outcome and the two versions are the constructor's own; every
+    # other field, given back, gives the file's text
+    text = path.read_text(encoding="utf-8")
+    rest = json.loads(text)
+    for derived in ("outcome", "schema_version", "tool_version"):
+        del rest[derived]
+    cert = Certificate(rest.pop("claim"), rest.pop("query"), **rest)
+    assert cert.to_json() == text
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +351,131 @@ def test_dense_prefix_equality_without_the_rigid_shape_is_refuted(monkeypatch):
     assert [o for o in cert.observations if o.startswith("shape mismatch")] == [
         f"shape mismatch on equality set {lit}" for lit in equality
     ]
+
+
+# ---------------------------------------------------------------------------
+# refutation branches, by fault injection: each driver turns a finding
+# into the counterexample it words
+
+
+def _find_below(monkeypatch, cell, tup):
+    """Patch both walkers so that the cell (k, l) also finds ``tup``, its
+    restricted size one below the cell's floor."""
+    k, l = cell
+    walk_span, walk_row = verify._walk_span, verify._walk_row
+
+    def span(k_, l_, bound, prune_witnesses=False):
+        found = walk_span(k_, l_, bound, prune_witnesses)
+        return found + [(tup, mask_of(tup), 0, bound - 1)] if (k_, l_) == cell else found
+
+    def row(k_, tops, constraints, check=None):
+        below, at = walk_row(k_, tops, constraints, check)
+        if k_ == k and l in below:
+            below[l].append((tup, 3 * k - 8))
+        return below, at
+
+    monkeypatch.setattr(verify, "_walk_span", span)
+    monkeypatch.setattr(verify, "_walk_row", row)
+
+
+def test_a_conjecture_set_below_the_floor_refutes_at_k8_and_is_observed_below(monkeypatch):
+    plain = verify_conjecture(8, 13)
+    _find_below(monkeypatch, (8, 13), (0, 1, 2, 3, 4, 5, 6, 13))
+    _find_below(monkeypatch, (7, 13), (0, 1, 2, 3, 4, 5, 13))
+    cert = verify_conjecture(8, 13)
+    assert plain.outcome == "verified" and cert.outcome == "refuted"
+    assert cert.counterexamples == ["{0,1,2,3,4,5,6,13}"]
+    # k = 7 is below the conjecture's hypothesis: an observation, not a refutation
+    assert set(cert.observations) - set(plain.observations) == {
+        "below-threshold k=7 l=13: {0,1,2,3,4,5,13} has restricted size 13 < 14"
+    }
+
+
+@pytest.mark.parametrize("driver, cell, tup", [
+    (verify_low_second_max, (6, 10), (0, 1, 2, 3, 7, 10)),
+    (verify_dense_prefix, (6, 10), (0, 1, 2, 3, 4, 10)),
+    (verify_span_classification, (6, 9), (0, 1, 2, 3, 4, 9)),
+], ids=["theorem1", "theorem2", "theorem3"])
+def test_a_set_below_the_floor_refutes_the_theorems(monkeypatch, driver, cell, tup):
+    _find_below(monkeypatch, cell, tup)
+    cert = driver(6)
+    assert cert.outcome == "refuted"
+    lit = "{%s}" % ",".join(map(str, tup))
+    assert cert.counterexamples == [f"{lit}: restricted size 10 < 11"]
+
+
+def test_dense_prefix_equality_off_the_mod3_family_is_refuted(monkeypatch):
+    # the driver reads gen_mod3_wide from families when it runs: at k = 7
+    # it then expects a set the sweep does not find, and finds one it
+    # does not expect
+    wide = families.gen_mod3_wide
+    monkeypatch.setattr(families, "gen_mod3_wide",
+                        lambda k: (0, 1, 2, 3, 4, 5, 12) if k == 7 else wide(k))
+    cert = verify_dense_prefix(7)
+    assert cert.outcome == "refuted"
+    assert cert.counterexamples == [
+        "{0,1,2,3,4,5,12}: expected equality set not found at k=7",
+        "{0,1,3,4,6,9,12}: unexpected equality set at k=7",
+    ]
+    assert cert.missing == ["{0,1,3,4,6,9,12}"]
+    assert cert.spurious == ["{0,1,2,3,4,5,12}"]
+
+
+def test_span_classification_off_the_catalog_is_refuted(monkeypatch):
+    # the driver reads extremal_catalog from families when it runs: at
+    # k = 6 the catalog loses its first member and gains a set with
+    # |2^A| = 12 > 3k-7
+    catalog = families.extremal_catalog
+    not_extremal = NormalizedSet((0, 1, 2, 3, 4, 9))
+    monkeypatch.setattr(families, "extremal_catalog",
+                        lambda k: catalog(k)[1:] + (not_extremal,) if k == 6 else catalog(k))
+    cert = verify_span_classification(6)
+    assert cert.outcome == "refuted"
+    assert cert.counterexamples == [
+        "{0,1,2,3,4,9}: cataloged at k=6 but not extremal",
+        "{0,1,2,3,8,9}: extremal at k=6 but not in the catalog",
+    ]
+    assert cert.missing == ["{0,1,2,3,8,9}"]
+    assert cert.spurious == ["{0,1,2,3,4,9}"]
+    # a 54-node share walks the cells k = 4 and 5 and skips k = 6, 195
+    # planned nodes: its catalog entries, the added one too, are spurious
+    # but refute nothing
+    cert = verify_span_classification(6, budget=162)
+    assert cert.outcome == "budget_exhausted"
+    assert "budget: cell k=6 l=9 skipped, 195 planned nodes over its share 54" in cert.observations
+    assert cert.counterexamples == [] and cert.missing == []
+    assert "{0,1,2,3,4,9}" in cert.spurious
+
+
+def test_structure_sweep_records_a_head_failure_at_every_top(monkeypatch):
+    # the structure row reads _head_failures from structure when it runs
+    fails = structure._head_failures
+    monkeypatch.setattr(
+        structure, "_head_failures",
+        lambda head, mask, reach: ("injected failure",) if head == (0, 1, 2, 3, 4)
+        else fails(head, mask, reach),
+    )
+    cert = sweep_structure(6)
+    assert cert.outcome == "refuted"
+    assert cert.counterexamples == [
+        f"k=6 l={l}: {{0,1,2,3,4,{l}}}: injected failure" for l in range(10, 19)
+    ]
+
+
+def test_witness_cell_refutes_a_set_with_more_than_two_witnesses(monkeypatch):
+    # the witness cell reads _witness_mask from structure when it runs;
+    # {0,1,3,4,7,8,9,12} has the witnesses 2 and 6, and gains a third
+    target = mask_of((0, 1, 3, 4, 7, 8, 9, 12))
+    witness_mask = structure._witness_mask
+    monkeypatch.setattr(
+        structure, "_witness_mask",
+        lambda mask, r, l: witness_mask(mask, r, l) | (1 << 10 if mask == target else 0),
+    )
+    cert = sweep_structure(8, 8)
+    assert cert.outcome == "refuted"
+    assert cert.counterexamples == ["k=8 l=12: {0,1,3,4,7,8,9,12}: 3 witnesses {2,6,10}"]
+    # the set counts as no pair: sweep_structure(8) has 33
+    assert cert.counts["witness_pairs"] == 32
 
 
 def test_verify_span_classification_frozen():
