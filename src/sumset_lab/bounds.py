@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import sub
 from typing import NamedTuple, Optional, Union
 
 from .core import (
@@ -317,12 +318,26 @@ def is_union_two_aps_same_diff(a: IntegerSet) -> tuple[bool, Optional[int]]:
     most two runs, at least k - 2 elements v start none, so have v - d in
     ``a``; each lies in [min + d, max], which holds span - d + 1 values,
     so k - 2 <= span - d + 1.
+
+    A set whose neighbour gaps take more than three values is refused
+    before the search.  Let ``a`` be the union of two maximal d-runs.  If
+    both lie in one class mod d, one ends before the other starts, so the
+    gaps are d and the single jump between them.  Otherwise let delta be
+    the difference of their classes mod d, with 0 < delta < d.  Neighbours
+    within one run differ by d.  Where the runs' ranges overlap, each
+    element has an element of the other run less than d away, so the gaps
+    there are delta or d - delta.  Where they do not overlap there is one
+    jump.  So there are at most three gap values.  Every set that passes
+    still runs the search, so the verdict and the smallest d are as
+    without the refusal.
     """
     elems = a._elements
     if len(elems) < 2:
         raise SetDomainError("two-progression test needs at least two elements")
     if len(elems) == 2:
         return True, 1
+    if len(set(map(sub, elems[1:], elems))) > 3:
+        return False, None
     mask = a._mask
     span = elems[-1] - elems[0]
     for d in range(1, span - len(elems) + 4):

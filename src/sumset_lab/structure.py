@@ -494,8 +494,9 @@ class Decomposition(NamedTuple):
     ``seeds`` holds the integral half points of {w2, w2 + l},
     ``grid`` is the multiples of m below l, ``residues`` the elements
     of A below m whose double is not w2 modulo m, and each seed's orbit
-    is {v + x(w2 - w1) mod l : 0 <= x <= x_max} taken with its
-    wrap counts in ``orbit_tables``.  ``reconstructed`` reports whether
+    is {v + x(w2 - w1) mod l : 0 <= x <= x_max}, with
+    x_max = floor((l - m) / 2m), taken with its wrap counts in
+    ``orbit_tables``.  ``reconstructed`` reports whether
     {l}, residues + grid, and the orbits together rebuild A exactly.
     """
 
@@ -516,6 +517,12 @@ def decompose(a: NormalizedSet, w1: int, w2: int) -> Decomposition:
     against the witness mask of the restricted mask in the set's context
     (``core._set_masks``), so no witness profile is built again, and the
     result's sets are built from values known to lie in [0, l].
+
+    The grid, the orbits and the reconstruction are bit masks: since m
+    divides l, the grid's mask is the repunit with period m, and the union
+    is compared with the set's own mask.  An orbit's residues are
+    distinct, because x(w2 - w1) mod l first repeats after l/m > x_max
+    steps.
     """
     elems = a._elements
     top = elems[-1]
@@ -533,27 +540,25 @@ def decompose(a: NormalizedSet, w1: int, w2: int) -> Decomposition:
     step = w2 - w1
     orbits: dict[int, IntegerSet] = {}
     tables: dict[int, tuple[tuple[int, int], ...]] = {}
-    union = {top}
+    union = 1 << top
     for v in seeds:
-        rows = []
-        for x in range(x_max + 1):
-            q, r = divmod(v + x * step, top)
-            rows.append((r, q))
-        tables[v] = tuple(rows)
-        orbit_vals = tuple(sorted({r for r, _q in rows}))
-        orbits[v] = _trusted_set(orbit_vals)
-        union.update(orbit_vals)
-    residues = tuple([u for u in elems if u < m and (2 * u - w2) % m != 0])
-    union.update(u + h for u in residues for h in range(0, top, m))
+        points = range(v, v + (x_max + 1) * step, step)
+        tables[v] = tuple([(x % top, x // top) for x in points])
+        orbit = orbits[v] = _trusted_set(tuple(sorted([x % top for x in points])))
+        union |= orbit._mask
+    residues = _trusted_set(tuple([u for u in elems if u < m and (2 * u - w2) % m != 0]))
+    grid = ((1 << top) - 1) // ((1 << m) - 1)
+    for u in residues._elements:
+        union |= grid << u
     return Decomposition(
         modulus=m,
         seeds=seeds,
         x_max=x_max,
-        grid=_trusted_set(tuple(range(0, top, m))),
-        residues=_trusted_set(residues),
+        grid=IntegerSet._from_trusted(tuple(range(0, top, m)), grid),
+        residues=residues,
         orbits=orbits,
         orbit_tables=tables,
-        reconstructed=union == set(elems),
+        reconstructed=union == a._mask,
     )
 
 
@@ -598,6 +603,8 @@ def split_at(a: NormalizedSet, s: int) -> SplitTriple:
     is inclusion-exclusion inside 2^A.  The checks therefore test the
     masks that compute the sumsets, not the mathematics.  They stay, as
     part of theorem 1's certified claim and its splits_validated count.
+    Once the overlap check has passed, the result's overlap set is built
+    from those three sums, ascending since a_{s-1} < a_s < a_{s+1}.
     """
     elems, mask = a._elements, a._mask
     k = len(elems)
@@ -642,7 +649,7 @@ def split_at(a: NormalizedSet, s: int) -> SplitTriple:
         right=IntegerSet._from_trusted(right, right_mask),
         # starts 0, 1 by the premise a_s = a_{s-1} + 1, so it has gcd 1
         right_shifted=NormalizedSet._from_trusted(shifted, right_mask >> lo),
-        overlap=IntegerSet.from_mask(overlap),
+        overlap=IntegerSet._from_trusted((lo + hi, lo + c, hi + c), overlap),
         k1=len(left),
         k2=len(right),
         card_left=n_left,

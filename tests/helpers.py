@@ -36,6 +36,47 @@ def naive_witnesses(elements) -> list[int]:
             if w not in members and w not in sums and w + top not in sums]
 
 
+def naive_decompose(elements):
+    """The grid-plus-orbit decomposition of a normalized two-witness set,
+    by Python sets, as the fields of ``structure.Decomposition`` with
+    every set an ascending tuple; None when the witness pair has no
+    integral half point.
+
+    With witnesses w1 < w2, top l and m = gcd(w2 - w1, l): the seeds are
+    the integral halves of w2 and w2 + l, the grid the multiples of m
+    below l, the residues the elements below m whose double is not w2
+    mod m, and a seed v's orbit table lists (v + x(w2 - w1) mod l, its
+    quotient) for 0 <= x <= x_max = floor((l - m) / 2m).  The set is
+    reconstructed when {l}, residues + grid and the orbits make it up."""
+    members = set(elements)
+    top = max(members)
+    w1, w2 = naive_witnesses(members)
+    m = gcd(w2 - w1, top)
+    seeds = tuple(x // 2 for x in (w2, w2 + top) if x % 2 == 0)
+    if not seeds:
+        return None
+    x_max = (top - m) // (2 * m)
+    tables = {v: tuple(((v + x * (w2 - w1)) % top, (v + x * (w2 - w1)) // top)
+                       for x in range(x_max + 1))
+              for v in seeds}
+    orbits = {v: {r for r, _q in rows} for v, rows in tables.items()}
+    grid = set(range(0, top, m))
+    residues = {u for u in members if u < m and (2 * u - w2) % m != 0}
+    union = {top} | {u + h for u in residues for h in grid}
+    for orbit in orbits.values():
+        union |= orbit
+    return {
+        "modulus": m,
+        "seeds": seeds,
+        "x_max": x_max,
+        "grid": tuple(sorted(grid)),
+        "residues": tuple(sorted(residues)),
+        "orbits": {v: tuple(sorted(orbit)) for v, orbit in orbits.items()},
+        "orbit_tables": tables,
+        "reconstructed": union == members,
+    }
+
+
 def is_ap(elements) -> bool:
     e = sorted(elements)
     if len(e) <= 1:

@@ -208,6 +208,23 @@ def test_two_ap_frozen_probes():
     assert is_union_two_aps_same_diff(IntegerSet((0, 3, 4, 7, 8, 10, 11, 14, 15)))[0] is False
     ok, d = is_union_two_aps_same_diff(IntegerSet((0, 1, 3, 4, 7, 10)))
     assert ok and d == 3  # {1,4,7,10} and {0,3} share difference 3
+    # {0,5,10,15} and {12,17,22}: gaps 2, 3 and 5, the most the test allows
+    assert is_union_two_aps_same_diff(IntegerSet((0, 5, 10, 12, 15, 17, 22))) == (True, 5)
+    # gaps 1, 2, 3 and 4: refused before any difference is tried
+    assert is_union_two_aps_same_diff(IntegerSet((0, 1, 3, 6, 10))) == (False, None)
+
+
+def test_a_union_of_two_runs_has_at_most_three_gaps():
+    # the argument behind the test's refusal of sets with four or more
+    # distinct neighbour gaps, checked on every union of two d-runs
+    for d in range(1, 7):
+        for s1, s2 in combinations(range(13), 2):
+            for n1 in range(1, 6):
+                for n2 in range(1, 6):
+                    elems = sorted({s1 + i * d for i in range(n1)} | {s2 + j * d for j in range(n2)})
+                    gaps = {y - x for x, y in zip(elems, elems[1:])}
+                    assert len(gaps) <= 3, (d, s1, n1, s2, n2)
+                    assert is_union_two_aps_same_diff(IntegerSet(elems))[0]
 
 
 def _runs(elems, d):

@@ -124,6 +124,10 @@ GOLDEN = Path(__file__).parent / "golden"
     # shifted down
     "50,51,53,54,56,60",  # dense prefix, |B| >= 2, gap window, decomposition
     "20,21,22,26,27,30",  # split at s = 4, two witnesses
+    # decompositions with nonempty residues: modulus 4, rebuilt; and
+    # witnesses 3 and 8, modulus 5, not rebuilt
+    "0,1,4,5,7,8,11,12",
+    "0,2,4,5,7,10",
 ])
 def test_json_output_matches_golden_file(capsys, command, literal):
     code, out, _ = run(capsys, command, "--json", "{%s}" % literal)

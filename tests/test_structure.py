@@ -48,6 +48,7 @@ from helpers import (
     enumerate_bruteforce,
     frozen_diff3_case,
     frozen_diff3_shapes,
+    naive_decompose,
     naive_witnesses,
     query_sets,
 )
@@ -328,6 +329,39 @@ def test_decompose_accepts_only_the_witness_pair_on_query_sets(seed):
                     with pytest.raises(SetDomainError, match="not the witness pair"):
                         decompose(ns, w1, w2)
     assert checked
+
+
+def test_decompose_matches_the_set_based_reference():
+    # every two-witness gcd-1 set with 3 <= k <= 8 and k-1 <= l <= 2k+2:
+    # all eight fields equal the reference's, each set with its mask, and
+    # a pair one off the witness pair is refused
+    seen = {True: 0, False: 0, None: 0}
+    for k in range(3, 9):
+        for l in range(k - 1, 2 * k + 3):
+            for t in enumerate_bruteforce(k, l, ("gcd_one",)):
+                wits = naive_witnesses(t)
+                if len(wits) != 2:
+                    continue
+                w1, w2 = wits
+                a = NormalizedSet(t)
+                want = naive_decompose(t)
+                if want is None:
+                    seen[None] += 1
+                    with pytest.raises(SetDomainError, match="no integral half point"):
+                        decompose(a, w1, w2)
+                else:
+                    seen[want["reconstructed"]] += 1
+                    got = decompose(a, w1, w2)._asdict()
+                    for name in ("grid", "residues"):
+                        got[name] = (got[name].elements, got[name].mask)
+                        want[name] = (want[name], mask_of(want[name]))
+                    got["orbits"] = {v: (o.elements, o.mask) for v, o in got["orbits"].items()}
+                    want["orbits"] = {v: (o, mask_of(o)) for v, o in want["orbits"].items()}
+                    assert got == want, t
+                with pytest.raises(SetDomainError,
+                                   match=rf"^\({w1}, {w2 + 1}\) is not the witness pair of this set$"):
+                    decompose(a, w1, w2 + 1)
+    assert seen == {True: 78, False: 9232, None: 3208}
 
 
 # ---------------------------------------------------------------------------
