@@ -412,10 +412,13 @@ def _cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
         if out_dir and not os.path.isabs(out):
             out = os.path.join(out_dir, out)
         parent = os.path.dirname(out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            if parent:
+                os.makedirs(parent, exist_ok=True)
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SetDomainError(f"cannot write certificate to {out}: {exc}") from None
         print(f"{cert.outcome}: certificate written to {out}")
     else:
         sys.stdout.write(text)
@@ -438,7 +441,9 @@ def build_parser() -> _Parser:
     readout.add_argument("--json", action="store_true", help="emit JSON")
     budgeted = _Parser(add_help=False)
     budgeted.add_argument("--budget", type=int, metavar="NODES", default=None,
-                          help="enumeration node budget")
+                          help="enumeration node budget: the planned nodes of the "
+                               "unpruned enumeration, so a cell can be refused "
+                               "for nodes its pruned walk never visits")
 
     parser = _Parser(
         prog="sumset-lab",

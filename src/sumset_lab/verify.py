@@ -25,16 +25,18 @@ candidate witnesses left.
 
 A sweep plans a cell before walking it, by counting, not walking.
 Every named constraint only caps positions, so a cell's nodes are the
-increasing prefixes under its caps, one running sum per position, plus
-a leaf per full chain when the top range is not empty.  Its gcd-1 sets
-come by Möbius inversion over the squarefree divisors d of the top l:
-the full chains under the caps divided by d, signed by mu(d).  Only
-the task runner counts cells and decides, from the plan, which are
-walked; the walkers count no node, only look for findings and skip
-pruned subtrees outright.  A cell whose planned nodes fit is walked,
-its walk returns its findings in stream order, and it has the counts
-of plain enumeration, so a full certificate matches plain enumeration
-byte for byte.  A cell over its budget is skipped: it walks no node,
+increasing prefixes under its caps, plus a leaf per full chain when the
+top range is not empty.  Where the caps rise by at most one per
+position, only the last cap binds, and the prefixes of each length are
+a binomial; otherwise (the growth caps 2i-1) they are one running sum
+per position.  Its gcd-1 sets come by Möbius inversion over the
+squarefree divisors d of the top l: the full chains under the caps
+divided by d, signed by mu(d).  Only the task runner counts cells and
+decides, from the plan, which are walked; the walkers count no node,
+only look for findings and skip pruned subtrees outright.  A cell
+whose planned nodes fit is walked, its walk returns its findings in
+stream order, and it has the counts of plain enumeration, so a full
+certificate matches plain enumeration byte for byte.  A cell over its budget is skipped: it walks no node,
 counts no node and no set, finds nothing, is marked truncated and
 records its planned nodes.  No cell is walked in part.
 
@@ -48,6 +50,9 @@ adds each finding's mirror unless a_1 + a_{k-2} = l (there the mirror is
 walked too), and returns the findings sorted into stream order.  The
 witness prune keeps that sound: the mirror maps a set's witnesses W to
 l - W, so a witness cell finds a set exactly when it finds its mirror.
+The walk places a_1 in its own loop, which sets the caps after it once
+per value, and carries no running gcd: it takes one gcd per leaf, of
+the leaf's elements.
 The theorem 1, theorem 2 and structure cells cap low or interior
 positions, which the mirror moves: they run as rows over their heads.
 
@@ -111,7 +116,7 @@ from __future__ import annotations
 import json
 import time
 from itertools import accumulate
-from math import gcd
+from math import comb, gcd
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
@@ -289,10 +294,19 @@ def enumerate_sets(
 def _chains(his: Sequence[int]) -> list[int]:
     """counts[p], p from 0 to len(his) - 1: the increasing chains
     0 < a_1 < ... < a_p with every a_j <= his[j], for caps his[1:] of
-    at least 0 (those of :func:`_caps` are at least 1).  The chains of
-    one length ending at v are those of the length before ending below
-    v, so each row of counts by end value is the running sum of the row
+    at least 0 (those of :func:`_caps` are at least 1).
+
+    Where the caps his[1:] rise by at most one per position, only the
+    last cap binds: a_j <= a_p - (p-j) <= his[p] - (p-j) <= his[j], so
+    the chains of length p are the p-subsets of [1, his[p]].  The span
+    caps rise by one, the interior cap holds them flat, and the caps
+    his // d of the Möbius terms rise by at most one where his does.
+    Otherwise (the growth caps 2i-1 rise by two) the chains of one
+    length ending at v are those of the length before ending below v,
+    so each row of counts by end value is the running sum of the row
     before, shifted one up and cut at the position's cap."""
+    if all(b - a <= 1 for a, b in zip(his[1:], his[2:])):
+        return [1] + [comb(h, p) for p, h in enumerate(his[1:], 1)]
     row, counts = [1], [1]  # the empty chain ends at a_0 = 0
     for cap in his[1:]:
         below = list(accumulate(row))
@@ -381,6 +395,10 @@ def _walk_span(
     still holds each set to ``bound``, so the findings are right for
     any bound; the size cut was only ever a saving.
 
+    The gcd is taken once per leaf, of the leaf's elements, and not
+    carried down the walk: far fewer leaves are reached than values are
+    placed.
+
     The walk counts no node and takes no budget: :func:`_run_task`
     counts the cell from its plan and decides whether it is walked.
 
@@ -393,12 +411,13 @@ def _walk_span(
     The walk visits only the sets with a_{k-2} <= l - a_1: a_1 is capped
     at (l-k+3)//2, and once a_1 = v is placed, each later position j is
     capped at l - v - (k-2-j), at or below its span cap, so whole
-    subtrees go.  Each finding with a_1 + a_{k-2} < l also gives its
-    mirror's tuple, mask and restricted mask, with the same n; a finding
-    on the tie a_1 + a_{k-2} = l has its mirror walked too (or is its
-    own mirror), and is not mirrored.  The findings are sorted into
-    stream order, so they are the findings of a whole walk, in the same
-    order.
+    subtrees go.  a_1 has its own loop, which sets those caps once per
+    value of a_1 and descends from position 2.  Each finding with
+    a_1 + a_{k-2} < l also gives its mirror's tuple, mask and restricted
+    mask, with the same n; a finding on the tie a_1 + a_{k-2} = l has
+    its mirror walked too (or is its own mirror), and is not mirrored.
+    The findings are sorted into stream order, so they are the findings
+    of a whole walk, in the same order.
     """
     if k < 3:
         raise SetDomainError(f"the span walker walks a cell in half: it needs k >= 3, got k={k}")
@@ -410,22 +429,22 @@ def _walk_span(
     # the elements on the current root-to-node path; the leaf's tuple
     path = [0] * k
     path[last] = l
-    # a_1 + (k-3) <= a_{k-2} <= l - a_1; placing a_1 sets the caps after it
-    caps = [0, (l - k + 3) // 2] + [0] * (k - 3)
+    # the caps from position 2 on, which a_1 + (k-3) <= a_{k-2} <= l - a_1
+    # sets once per value of a_1
+    caps = [0] * last
     held: list[tuple[tuple[int, ...], int, int, int]] = []
     span = (2 << l) - 1
 
-    def find(pos: int, prev: int, g: int, mask: int, r: int) -> None:
+    def find(pos: int, prev: int, mask: int, r: int) -> None:
         if pos == last:
             n = r.bit_count()
-            if g == 1 and n <= bound:
+            if n <= bound and gcd(*path) == 1:
                 tup = tuple(path)
                 held.append((tup, mask, r, n))
                 if tup[1] + tup[-2] < l:
                     mirror = tuple(l - x for x in reversed(tup))
                     held.append((mirror, _mirror_bits(mask, l), _mirror_bits(r, 2 * l), n))
             return
-        lower = pos == 1
         if prune_witnesses:
             for v in range(prev + 1, caps[pos] + 1):
                 rv = r | mask << v
@@ -433,10 +452,7 @@ def _walk_span(
                 c = ~(mask | rv | rv >> l) & span
                 if c & c - 1:
                     path[pos] = v
-                    if lower:
-                        for j in range(2, last):
-                            caps[j] = l - v - (last - 1 - j)
-                    find(pos + 1, v, gcd(g, v), mask | 1 << v, rv)
+                    find(pos + 1, v, mask | 1 << v, rv)
             return
         lim = lims[pos]
         for v in range(prev + 1, caps[pos] + 1):
@@ -444,12 +460,22 @@ def _walk_span(
             if rv.bit_count() > lim:
                 continue
             path[pos] = v
-            if lower:
-                for j in range(2, last):
-                    caps[j] = l - v - (last - 1 - j)
-            find(pos + 1, v, gcd(g, v), mask | 1 << v, rv)
+            find(pos + 1, v, mask | 1 << v, rv)
 
-    find(1, 0, l, 1 | 1 << l, 1 << l)
+    # a_1 in its own loop, with find's cut, then the caps it sets
+    mask, r = 1 | 1 << l, 1 << l
+    for v in range(1, (l - k + 3) // 2 + 1):
+        rv = r | mask << v
+        if prune_witnesses:
+            c = ~(mask | rv | rv >> l) & span
+            if not c & c - 1:
+                continue
+        elif rv.bit_count() > lims[1]:
+            continue
+        path[1] = v
+        for j in range(2, last):
+            caps[j] = l - v - (last - 1 - j)
+        find(2, v, mask | 1 << v, rv)
     held.sort()
     return held
 

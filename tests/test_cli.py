@@ -307,6 +307,23 @@ def test_certify_out_file(capsys, tmp_path):
     assert payload["claim"] == "classification_matches_families"
 
 
+@pytest.mark.parametrize("where", ["a directory", "under a regular file"])
+def test_certify_out_unwritable_exits_3(capsys, tmp_path, where):
+    # exit 1 means refuted: a certificate that cannot be written is a
+    # usage error, reported in one line, as an unreadable --config is
+    if where == "a directory":
+        target = tmp_path
+    else:
+        (tmp_path / "plain").write_text("")
+        target = tmp_path / "plain" / "t3.json"
+    code, out, err = run(capsys, "certify", "--theorem", "3", "--k-max", "5",
+                         "--out", str(target))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"sumset-lab: error: cannot write certificate to {target}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_certify_lemmas_and_theorem_choices(capsys):
     code, out, _ = run(capsys, "certify", "--theorem", "lemmas", "--k-max", "5")
     assert code == 0

@@ -5,12 +5,15 @@ it: increasing chains under the caps, and Möbius inversion over the
 divisors of the top.  It must equal the memo over (position, previous
 value, gcd) in ``tests/helpers.py`` on every combination of the named
 constraints, cells whose top range is empty included, and the closed
-forms written out below.  The task runner plans a task's cells with one
+forms written out below.  Its chain counts, binomials where the caps
+rise by at most one per position, must equal the running sums on
+random caps.  The task runner plans a task's cells with one
 memo of chain counts, and must give each cell the counts that planning
 it alone gives.
 """
 
-from itertools import combinations
+import random
+from itertools import accumulate, combinations
 from math import comb
 
 import pytest
@@ -63,14 +66,50 @@ def test_plan_equals_the_memo_on_every_cell(constraints):
     assert bool(leafless) == bool(rule_out)
 
 
-@pytest.mark.parametrize("k", range(3, 13))
+@pytest.mark.parametrize("k", range(3, 17))
 def test_gcd_one_cells_match_their_closed_forms(k):
     # the span cap at position p of a prefix of length p is l-k+1+p, and
     # a chain whose values are multiples of d is one of l/d - 1 values
-    for l in range(k - 1, 2 * k + 9):
+    for l in range(k - 1, max(2 * k + 9, 4 * k + 1)):
         nodes = sum(comb(l - k + 1 + p, p) for p in range(1, k - 1)) + comb(l - 1, k - 2)
         sets = sum(mobius(d) * comb(l // d - 1, k - 2) for d in range(1, l + 1) if l % d == 0)
         assert _plan(EnumerationQuery.exact(k, l, ("gcd_one",))) == (nodes, sets), l
+
+
+def running_sum_chains(his):
+    """The chains under the caps by running sums alone: the row of
+    chain counts by end value, for each position, from the row before."""
+    row, counts = [1], [1]
+    for cap in his[1:]:
+        below = list(accumulate(row))
+        row = [0, *below[:cap]] + [below[-1]] * (cap - len(below))
+        counts.append(sum(row))
+    return counts
+
+
+def test_chains_binomials_equal_the_running_sums_on_random_caps():
+    # _chains counts by binomials where the caps his[1:] rise by at most
+    # one per position, and by running sums otherwise; both must give
+    # the running sums' counts, and on short caps the brute count
+    rng = random.Random(35)
+    seen = set()
+    for _ in range(4000):
+        steps = rng.choice([(0, 1), (-1, 0, 1), (-2, 1), (1, 2), (0, 2)])
+        his = [rng.randint(-3, 3), rng.randint(0, 4)]
+        for _ in range(rng.randint(0, 9)):
+            his.append(max(0, his[-1] + rng.choice(steps)))
+        got = verify._chains(his)
+        assert got == running_sum_chains(his), his
+        if len(his) <= 7:
+            brute = [sum(all(a <= h for a, h in zip(chain, his[1:]))
+                         for chain in combinations(range(1, max(his[1:p + 1]) + 1), p))
+                     if p else 1 for p in range(len(his))]
+            assert got == brute, his
+        rises = [b - a for a, b in zip(his[1:], his[2:])]
+        seen.add("steps <= 1" if max(rises, default=0) <= 1 else "a step of 2")
+        seen |= {"a cap below p" for p, h in enumerate(his) if 0 < p and h < p}
+        seen |= {"a negative position-0 cap"} if his[0] < 0 else set()
+    assert seen == {"steps <= 1", "a step of 2", "a cap below p", "a negative position-0 cap"}
 
 
 @pytest.mark.parametrize("k", range(3, 14))

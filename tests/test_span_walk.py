@@ -204,22 +204,24 @@ def first_interior(mask):
 
 
 @contextmanager
-def kept_prefixes(monkeypatch):
+def kept_prefixes():
     """Record the prefixes that a span walk keeps, in walk order, each as
-    the mask of its elements with the top: the walk takes the running
-    gcd once for each placement that neither its bound nor its prune
-    cuts, as it descends below it, in the frame that holds the prefix's
-    mask before the placement."""
+    the mask of its elements with the top: the walk descends into its
+    ``find`` once for each placement that neither its bound nor its
+    prune cuts, handing it that mask.  A profile hook sees each call."""
     kept: list[int] = []
-    real = verify.gcd
+    outer = sys.getprofile()
 
-    def recording(g, v):
-        kept.append(sys._getframe(1).f_locals["mask"] | 1 << v)
-        return real(g, v)
+    def recording(frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "find" and code.co_filename == verify.__file__:
+            kept.append(frame.f_locals["mask"])
 
-    with monkeypatch.context() as patch:
-        patch.setattr(verify, "gcd", recording)
+    sys.setprofile(recording)
+    try:
         yield kept
+    finally:
+        sys.setprofile(outer)
 
 
 def witness_prune_reference(k, l):
@@ -249,7 +251,7 @@ def witness_prune_reference(k, l):
 
 
 @pytest.mark.parametrize("k", range(3, 9))
-def test_halved_walk_with_a_sound_prune_hands_over_every_finding_in_order(k, monkeypatch):
+def test_halved_walk_with_a_sound_prune_hands_over_every_finding_in_order(k):
     # a gcd-1 cell is walked in half under the witness prune, as the
     # prune is sound (it cuts only prefixes below which no set is a
     # finding) and a set is a finding exactly when its mirror is: two or
@@ -259,7 +261,7 @@ def test_halved_walk_with_a_sound_prune_hands_over_every_finding_in_order(k, mon
     # prefixes
     findings = mirrored = 0
     for l in range(k - 1, 2 * k + 3):
-        with kept_prefixes(monkeypatch) as kept:
+        with kept_prefixes() as kept:
             found = _walk_span(k, l, 2 * l, prune_witnesses=True)
         want = [(t, mask_of(t), r, r.bit_count())
                 for t in enumerate_tuples(EnumerationQuery.exact(k, l, ("gcd_one",)))
@@ -274,14 +276,14 @@ def test_halved_walk_with_a_sound_prune_hands_over_every_finding_in_order(k, mon
 
 
 @pytest.mark.parametrize("k", range(3, 10))
-def test_witness_walk_cuts_exactly_the_prefixes_with_fewer_than_two_candidates(k, monkeypatch):
+def test_witness_walk_cuts_exactly_the_prefixes_with_fewer_than_two_candidates(k):
     # on every prefix of every gcd-1 cell with l <= 2k-3, the span of the
     # witness cells: the walk keeps a prefix exactly when its elements
     # with the top have two or more naive candidate witnesses, so it cuts
     # exactly the others among the prefixes it reaches
     kept_total = cut_total = 0
     for l in range(k - 1, 2 * k - 2):
-        with kept_prefixes(monkeypatch) as kept:
+        with kept_prefixes() as kept:
             found = _walk_span(k, l, 2 * l, prune_witnesses=True)
         want, cut = witness_prune_reference(k, l)
         assert kept == want, l
@@ -897,13 +899,13 @@ def test_every_witness_cell_of_the_sweep_matches_plain_enumeration(k, fault, mon
         assert found[fault] >= pairs
 
 
-def test_halved_witness_walk_asks_its_prune_about_no_prefix_past_the_mirror_cap(monkeypatch):
+def test_halved_witness_walk_asks_its_prune_about_no_prefix_past_the_mirror_cap():
     # every witness cell is mirror-closed, so its walk places a_1 at most
     # (l-k+3)//2: it keeps no prefix past it, and keeps exactly the naive
     # reference's prefixes, so it reaches every a_1 up to it
     for k in range(4, 10):
         for l in range(k - 1, 2 * k - 2):
-            with kept_prefixes(monkeypatch) as kept:
+            with kept_prefixes() as kept:
                 got = witness_cell((k, l, 10**9))
             assert got == witness_reference(k, l, 10**9)
             assert kept == witness_prune_reference(k, l)[0]
