@@ -39,6 +39,7 @@ from .core import (
 from .verify import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    Certificate,
     EnumerationQuery,
     KNOWN_CONSTRAINTS,
     classify_extremal,
@@ -387,7 +388,39 @@ def _cmd_classify(args: argparse.Namespace, cfg: dict) -> int:
 _THEOREM_CHOICES = ("1", "2", "3", "conjecture", "lemmas")
 
 
-def _cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
+def _claim_out(out: str) -> list[str]:
+    """Refuse an unwritable certificate path before the sweep walks a
+    cell: make ``out``'s missing parent directories and open it to
+    append, which creates it empty and leaves an existing file as it
+    was.  Returns the paths made, innermost first, which
+    :func:`_unclaim` removes when the query is refused."""
+    made = [] if os.path.lexists(out) else [out]
+    parent = os.path.dirname(out)
+    while parent and not os.path.lexists(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
+    try:
+        if os.path.dirname(out):
+            os.makedirs(os.path.dirname(out), exist_ok=True)
+        with open(out, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        _unclaim(made)
+        raise SetDomainError(f"cannot write certificate to {out}: {exc}") from None
+    return made
+
+
+def _unclaim(made: list[str]) -> None:
+    """Remove the paths that :func:`_claim_out` made, innermost first."""
+    for path in made:
+        try:
+            (os.rmdir if os.path.isdir(path) else os.remove)(path)
+        except OSError:
+            pass
+
+
+def _certify(args: argparse.Namespace, cfg: dict) -> Certificate:
+    """Run the sweep that ``certify`` names and return its certificate."""
     budget = _setting(args, cfg, "budget", DEFAULT_BUDGET)
     jobs = _setting(args, cfg, "jobs", 1)
     cap = _setting(args, cfg, "cap", None)
@@ -396,25 +429,32 @@ def _cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
     if args.theorem == "conjecture":
         if k_min is not None:
             raise SetDomainError("the conjecture sweep always starts at k=3; drop --k-min")
-        cert = verify_conjecture(k_max, cap, **kw)
-    elif args.theorem == "3":
+        return verify_conjecture(k_max, cap, **kw)
+    if args.theorem == "3":
         if args.cap is not None:
             raise SetDomainError("theorem 3 sweeps the span 2k-3 only; drop --cap")
-        cert = verify_span_classification(k_max, 4 if k_min is None else k_min, **kw)
-    else:
-        driver = {"1": verify_low_second_max, "2": verify_dense_prefix,
-                  "lemmas": sweep_structure}[args.theorem]
-        cert = driver(k_max, 3 if k_min is None else k_min, cap=cap, **kw)
-    text = cert.to_json()
+        return verify_span_classification(k_max, 4 if k_min is None else k_min, **kw)
+    driver = {"1": verify_low_second_max, "2": verify_dense_prefix,
+              "lemmas": sweep_structure}[args.theorem]
+    return driver(k_max, 3 if k_min is None else k_min, cap=cap, **kw)
+
+
+def _cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
     out = args.out
+    made: list[str] = []
     if out is not None:
         out_dir = cfg.get("out_dir")
         if out_dir and not os.path.isabs(out):
             out = os.path.join(out_dir, out)
-        parent = os.path.dirname(out)
+        made = _claim_out(out)
+    try:
+        cert = _certify(args, cfg)
+    except BaseException:
+        _unclaim(made)
+        raise
+    text = cert.to_json()
+    if out is not None:
         try:
-            if parent:
-                os.makedirs(parent, exist_ok=True)
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:

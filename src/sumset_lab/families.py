@@ -362,9 +362,13 @@ _TOP_PAIR_SPORADIC: tuple[tuple[int, ...], ...] = (
 
 
 def top_pair_catalog(k: int) -> tuple[NormalizedSet, ...]:
-    """The asserted complete list of extremal span-(2k-3) sets whose
-    second-largest element is 2k-4 while a_{k-3} stays below 2k-6:
-    the top-pair interval family plus the listed sporadics at k."""
+    """The top-pair interval family plus the listed sporadics at k:
+    the extremal span-(2k-3) sets whose second-largest element is 2k-4
+    while a_{k-3} stays below 2k-6, except ``gen_four_step(k)``.  At
+    even k that set lies in the regime too, and is left out here as it
+    has its own family.  With it, the list is the whole regime for
+    4 <= k <= 12, where the tests check it against
+    ``verify.classify_extremal``; past k = 12 it is unchecked."""
     members = [top_pair_family(k)]
     members += [NormalizedSet(e) for e in _TOP_PAIR_SPORADIC if len(e) == k]
     return tuple(sorted(members, key=lambda s: s.elements))

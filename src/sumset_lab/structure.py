@@ -20,7 +20,14 @@ head (``_head_failures``).
 The *witness* regime concerns any normalized set: a witness is a value
 ``w <= a_{k-1}`` outside A such that neither ``w`` nor ``w + a_{k-1}``
 is a restricted sum.  Sets with two witnesses decompose into a modular
-grid plus geometric orbits, reconstructed here explicitly.
+grid plus geometric orbits, reconstructed here explicitly.  Every
+witness obeys the gap law: with l = a_{k-1} and j elements of A below
+it, ``2j - 2 <= w <= l - 2k + 2j + 2``.  Below w, 0 pairs with w and
+each other value a with w - a; above w, l pairs with w and each other
+value x with w + l - x.  Neither w nor w + l is a restricted sum, so no
+pair lies inside A: j <= floor(w/2) + 1 and k - j <= floor((l-w)/2) + 1.
+So a set with l <= 2k-5 has no witness, and the witness walk of
+``verify`` cuts on the law.
 """
 
 from __future__ import annotations
@@ -461,6 +468,12 @@ class WitnessProfile(NamedTuple):
     w nor w + a_{k-1} is a sum of two distinct elements of A.  When
     exactly two witnesses w1 < w2 exist, ``modulus`` is
     gcd(w2 - w1, a_{k-1}).
+
+    Each witness w with j elements of A below it lies in [2j - 2,
+    a_{k-1} - 2k + 2j + 2] (the gap law of the module docstring): the
+    pairs {a, w - a} below w and {x, w + a_{k-1} - x} above it each
+    hold at most one element of A.  So ``values`` is empty whenever
+    a_{k-1} <= 2k - 5.
     """
 
     values: IntegerSet

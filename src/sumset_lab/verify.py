@@ -20,8 +20,10 @@ present, so once a prefix's restricted size plus the number of elements
 still to come exceeds that bound, no set below the prefix is a finding.
 The floor checks prune on the bound; the witness cells pass 2l, which
 no restricted sumset inside [0, l] reaches, and ask the walk to cut,
-by a bit test on the masks it carries, each prefix with fewer than two
-candidate witnesses left.
+by a few bit operations on the masks it carries, each prefix with fewer
+than two candidate witnesses left: values that no set below the prefix
+can exclude, and that the gap law (a witness with j elements below it
+lies in [2j-2, l-2k+2j+2]) still allows.
 
 A sweep plans a cell before walking it, by counting, not walking.
 Every named constraint only caps positions, so a cell's nodes are the
@@ -383,17 +385,41 @@ def _walk_span(
     least the prefix's plus the number of elements still to come.
 
     With ``prune_witnesses`` the walk instead cuts each prefix that has
-    fewer than two candidate witnesses: values w in [0, l] outside the
-    prefix (its elements with the top) such that neither w nor w + l is
-    a restricted sum of it.  The candidates' mask on the masks the walk
-    carries is ``c = ~(mask | r | r >> l) & (2 << l) - 1``, and the cut
-    is ``not c & c - 1``.  Each element placed later only removes
-    candidates, so no set below such a prefix has two witnesses, and the
-    findings are only the sets with two or more.  This walk cuts on the
-    witness test alone: the witness cells pass the bound 2l, which the
-    lookahead cannot reach, as no restricted sum passes 2l-1.  The leaf
-    still holds each set to ``bound``, so the findings are right for
-    any bound; the size cut was only ever a saving.
+    fewer than two candidate witnesses, and the findings are only the
+    sets with two or more.  A witness of a set A is a value w in [0, l]
+    outside A such that neither w nor w + l is a restricted sum.  With j
+    elements of A below it, a witness obeys the gap law
+
+        2j - 2 <= w <= l - 2k + 2j + 2.
+
+    Below w, 0 pairs with w, which is outside A, and each other value a
+    pairs with w - a.  No pair lies inside A, as w is no restricted sum,
+    so j <= floor(w/2) + 1.  Above w, l pairs with w and each other
+    value x with w + l - x, so likewise k - j <= floor((l-w)/2) + 1.  For
+    l <= 2k-5 the window is empty for every j: no set of the cell has a
+    witness, and the walk returns no finding without walking.
+
+    A candidate of a prefix a_0..a_p is a value outside it (and the top)
+    such that neither it nor its sum with l is a restricted sum of the
+    prefix with the top, and that the law allows.  Every set below the
+    prefix has the same j prefix elements below a value w < a_p, so w
+    must lie in that j's window; the walk carries the mask of these
+    values, adding each value it passes.  A value w > a_p has j >= p + 1
+    elements below it, at most w - a_p - 1 of them above a_p, so it must
+    reach max(a_p + 1, 2p, 2a_p - 2p + 1 - (l - 2k + 3)); at l = 2k-4,
+    where each window is the one value 2j-2, it must also be even.  Both
+    rules are exactly the law: some j in [p + 1, p + w - a_p] puts w in
+    its window.  The cell's table holds these masks by position and a_p.
+    The candidates' mask is ``c = ~(rv | rv >> l) & allowed`` on the
+    prefix's restricted mask rv, as ``allowed`` holds no element of the
+    prefix, and the cut is ``not c & c - 1``.  Each element placed later
+    only removes candidates, and each witness of a set below the prefix
+    is one of them, so no set below a cut prefix has two witnesses.  At
+    a full set the candidates are exactly its witnesses.  This walk cuts
+    on the witness test alone: the witness cells pass the bound 2l,
+    which the lookahead cannot reach, as no restricted sum passes 2l-1.
+    The leaf still holds each set to ``bound``, so the findings are
+    right for any bound; the size cut was only ever a saving.
 
     The gcd is taken once per leaf, of the leaf's elements, and not
     carried down the walk: far fewer leaves are reached than values are
@@ -421,11 +447,9 @@ def _walk_span(
     """
     if k < 3:
         raise SetDomainError(f"the span walker walks a cell in half: it needs k >= 3, got k={k}")
+    if prune_witnesses and l <= 2 * k - 5:
+        return []
     last = k - 1
-    # outside the witness walk, a prefix ending at pos is pruned once its
-    # restricted size passes lims[pos]: each of the last - 1 - pos
-    # elements still to come adds one
-    lims = [bound - (last - 1 - pos) for pos in range(last)]
     # the elements on the current root-to-node path; the leaf's tuple
     path = [0] * k
     path[last] = l
@@ -433,49 +457,83 @@ def _walk_span(
     # sets once per value of a_1
     caps = [0] * last
     held: list[tuple[tuple[int, ...], int, int, int]] = []
-    span = (2 << l) - 1
 
-    def find(pos: int, prev: int, mask: int, r: int) -> None:
-        if pos == last:
-            n = r.bit_count()
-            if n <= bound and gcd(*path) == 1:
-                tup = tuple(path)
-                held.append((tup, mask, r, n))
-                if tup[1] + tup[-2] < l:
-                    mirror = tuple(l - x for x in reversed(tup))
-                    held.append((mirror, _mirror_bits(mask, l), _mirror_bits(r, 2 * l), n))
-            return
-        if prune_witnesses:
+    def hold(mask: int, r: int, n: int) -> None:
+        tup = tuple(path)
+        held.append((tup, mask, r, n))
+        if tup[1] + tup[-2] < l:
+            mirror = tuple(l - x for x in reversed(tup))
+            held.append((mirror, _mirror_bits(mask, l), _mirror_bits(r, 2 * l), n))
+
+    mask, r = 1 | 1 << l, 1 << l
+    if prune_witnesses:
+        # wins[j]: the window [2j-2, l-2k+2j+2], inside [0, l-2] for
+        # 1 <= j <= k-2; ups[pos][v]: the values in [max(v+1, 2pos,
+        # 2v-2pos+1-(l-2k+3)), l-1], which a witness above a_pos = v
+        # reaches, even ones only at l = 2k-4
+        wins = [0] + [(2 << l - 2 * k + 2 * j + 2) - (1 << 2 * j - 2) for j in range(1, last)]
+        parity = ((4 << l) - 1) // 3 if l == 2 * k - 4 else -1
+        ups = [[(1 << l) - (1 << lo) & parity if lo < l else 0
+                for v in range(l + 1)
+                for lo in [max(v + 1, 2 * pos, 2 * v - 2 * pos + 2 * k - 2 - l)]]
+               for pos in range(last)]
+
+        # ``ok`` is the mask of the values below prev that lie in their
+        # windows; the loop adds each v it passes, which has pos
+        # elements below it
+        def find(pos: int, prev: int, mask: int, r: int, ok: int) -> None:
+            if pos == last:
+                n = r.bit_count()
+                if n <= bound and gcd(*path) == 1:
+                    hold(mask, r, n)
+                return
+            win, up = wins[pos], ups[pos]
             for v in range(prev + 1, caps[pos] + 1):
                 rv = r | mask << v
-                # v = 0 + v is in rv, so mask | rv holds the prefix with v
-                c = ~(mask | rv | rv >> l) & span
+                c = ~(rv | rv >> l) & (ok | up[v])
                 if c & c - 1:
                     path[pos] = v
-                    find(pos + 1, v, mask | 1 << v, rv)
-            return
-        lim = lims[pos]
-        for v in range(prev + 1, caps[pos] + 1):
-            rv = r | mask << v
-            if rv.bit_count() > lim:
-                continue
-            path[pos] = v
-            find(pos + 1, v, mask | 1 << v, rv)
+                    find(pos + 1, v, mask | 1 << v, rv, ok)
+                ok |= win & 1 << v
 
-    # a_1 in its own loop, with find's cut, then the caps it sets
-    mask, r = 1 | 1 << l, 1 << l
-    for v in range(1, (l - k + 3) // 2 + 1):
-        rv = r | mask << v
-        if prune_witnesses:
-            c = ~(mask | rv | rv >> l) & span
-            if not c & c - 1:
+        # a_1 in its own loop, with find's cut, then the caps it sets
+        ok, win, up = 0, wins[1], ups[1]
+        for v in range(1, (l - k + 3) // 2 + 1):
+            rv = r | mask << v
+            c = ~(rv | rv >> l) & (ok | up[v])
+            if c & c - 1:
+                path[1] = v
+                caps[2:] = range(l - v - k + 4, l - v + 1)
+                find(2, v, mask | 1 << v, rv, ok)
+            ok |= win & 1 << v
+    else:
+        # a prefix ending at pos is pruned once its restricted size passes
+        # lims[pos]: each of the last - 1 - pos elements still to come
+        # adds one
+        lims = [bound - (last - 1 - pos) for pos in range(last)]
+
+        def find(pos: int, prev: int, mask: int, r: int) -> None:
+            if pos == last:
+                n = r.bit_count()
+                if n <= bound and gcd(*path) == 1:
+                    hold(mask, r, n)
+                return
+            lim = lims[pos]
+            for v in range(prev + 1, caps[pos] + 1):
+                rv = r | mask << v
+                if rv.bit_count() > lim:
+                    continue
+                path[pos] = v
+                find(pos + 1, v, mask | 1 << v, rv)
+
+        # a_1 in its own loop, with find's cut, then the caps it sets
+        for v in range(1, (l - k + 3) // 2 + 1):
+            rv = r | mask << v
+            if rv.bit_count() > lims[1]:
                 continue
-        elif rv.bit_count() > lims[1]:
-            continue
-        path[1] = v
-        for j in range(2, last):
-            caps[j] = l - v - (last - 1 - j)
-        find(2, v, mask | 1 << v, rv)
+            path[1] = v
+            caps[2:] = range(l - v - k + 4, l - v + 1)
+            find(2, v, mask | 1 << v, rv)
     held.sort()
     return held
 
@@ -1206,12 +1264,17 @@ def _witness_cell(
     A set with fewer than two witnesses gives neither a finding nor a
     pair, so the span walk cuts every prefix with fewer than two
     candidates (its witness prune) and returns only the sets with two or
-    more.  The loop reads each set's witnesses off the masks the walk
-    returns with it, as ``witness_profile`` reads them off the set's
-    context, so no set is swept to find them.  ``decompose`` checks each
-    pair on the set's own context, a sweep of the set independent of the
-    walk: it is where the walk's restricted mask meets another sweep, and
-    a wrong mask shows as a ``not decomposed`` note."""
+    more.  A candidate must obey the gap law: a witness with j elements
+    below it lies in [2j-2, l-2k+2j+2], as the pairs {a, w-a} below it
+    and {x, w+l-x} above it each hold at most one element.  The window
+    is empty for l <= 2k-5, so there the walk returns no finding without
+    walking the cell; at l = 2k-4 it is the one value 2j-2.  The loop
+    reads each set's witnesses off the masks the walk returns with it,
+    as ``witness_profile`` reads them off the set's context, so no set
+    is swept to find them.  ``decompose`` checks each pair on the set's
+    own context, a sweep of the set independent of the walk: it is where
+    the walk's restricted mask meets another sweep, and a wrong mask
+    shows as a ``not decomposed`` note."""
     from .structure import _witness_mask, decompose
 
     (l,) = tops

@@ -324,6 +324,48 @@ def test_certify_out_unwritable_exits_3(capsys, tmp_path, where):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("where", ["a directory", "under a regular file"])
+def test_certify_refuses_an_unwritable_out_before_the_sweep(capsys, tmp_path, monkeypatch, where):
+    # the path is tried before the driver runs, so a box of any size is
+    # refused at once, with the same one-line error
+    from sumset_lab import cli
+
+    def sweep(*_args, **_kw):
+        raise AssertionError("the sweep ran before --out was tried")
+
+    monkeypatch.setattr(cli, "verify_span_classification", sweep)
+    if where == "a directory":
+        target = tmp_path
+    else:
+        (tmp_path / "plain").write_text("")
+        target = tmp_path / "plain" / "sub" / "t3.json"
+    code, out, err = run(capsys, "certify", "--theorem", "3", "--k-max", "5",
+                         "--out", str(target))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"sumset-lab: error: cannot write certificate to {target}: ")
+    assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if where == "a directory" else ["plain"])
+
+
+def test_certify_refused_query_leaves_no_file_behind(capsys, tmp_path):
+    # --out is claimed before the sweep; a query the driver refuses
+    # removes the file and the directories made for it, and leaves a file
+    # that was there as it was
+    fresh = tmp_path / "certs" / "deep" / "c.json"
+    old = tmp_path / "old.json"
+    old.write_text("kept")
+    for target in (fresh, old):
+        for argv in (["--theorem", "conjecture", "--k-max", "5", "--k-min", "4"],
+                     ["--theorem", "3", "--k-max", "5", "--cap", "9"],
+                     ["--theorem", "lemmas", "--k-max", "2"]):
+            code, out, err = run(capsys, "certify", *argv, "--out", str(target))
+            assert code == 3, argv
+            assert out == "" and err.startswith("sumset-lab: error: "), argv
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"], argv
+            assert old.read_text() == "kept"
+
+
 def test_certify_lemmas_and_theorem_choices(capsys):
     code, out, _ = run(capsys, "certify", "--theorem", "lemmas", "--k-max", "5")
     assert code == 0

@@ -203,18 +203,18 @@ def test_top_pair_catalog_counts():
             assert restricted_size(s.elements) == 3 * k - 7
 
 
-@pytest.mark.parametrize("k", range(4, 9))
+@pytest.mark.parametrize("k", range(4, 13))
 def test_top_pair_catalog_covers_regime(k):
-    """Enumerated extremal sets with second-largest 2k-4 and third-largest
-    below 2k-6 are exactly the top-pair catalog, plus the four-step set at
-    even k (which the catalog omits because it is already a named family)."""
-    from sumset_lab.verify import EnumerationQuery, enumerate_sets
+    """The extremal span-(2k-3) sets with second-largest 2k-4 and
+    third-largest below 2k-6, read off classify_extremal, are exactly the
+    top-pair catalog, plus the four-step set at even k (which the catalog
+    omits because it is already a named family)."""
+    from sumset_lab.verify import classify_extremal
 
     found = set()
-    for s in enumerate_sets(EnumerationQuery.exact(k, 2 * k - 3, ("gcd_one",))):
+    for s in classify_extremal(k, 2 * k - 3):
         e = s.elements
-        if restricted_size(e) != 3 * k - 7:
-            continue
+        assert restricted_size(e) == 3 * k - 7
         if e[k - 2] == 2 * k - 4 and e[k - 3] < 2 * k - 6:
             found.add(e)
     expected = {s.elements for s in top_pair_catalog(k)}

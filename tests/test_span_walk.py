@@ -13,7 +13,8 @@ raises at the node past its budget.  The walker itself must return
 each finding with the element tuple and restricted mask of its set,
 its lookahead prune must hold on every prefix of a set, and its
 witness prune must cut exactly the prefixes with fewer than two naive
-candidate witnesses.
+candidate witnesses that the gap law allows; every naive witness must
+obey that law.
 The structure row's head checks, bit tests on the head's masks, must
 give the messages of the frozen tuple-based checks in
 ``tests/helpers.py``, on the true restricted masks and on faulted ones.
@@ -224,15 +225,32 @@ def kept_prefixes():
         sys.setprofile(outer)
 
 
-def witness_prune_reference(k, l):
+def in_window(prefix, k, l, w):
+    """Whether the gap law lets w be a witness of a k-set with top l below
+    the prefix a_0..a_p (the top not among them): some count j of
+    elements below w puts w in [2j-2, l-2k+2j+2].  j counts the prefix
+    elements below w, plus as many of the values between a_p and w as a
+    set below the prefix may hold, when w is above a_p."""
+    below = sum(a < w for a in prefix)
+    free = max(0, w - prefix[-1] - 1)
+    return any(2 * j - 2 <= w <= l - 2 * k + 2 * j + 2 for j in range(below, below + free + 1))
+
+
+def witness_prune_reference(k, l, law=True):
     """(kept, cut): the prefixes that the halved witness walk of a cell
     (k, l) reaches, by the naive witnesses, each as the mask of its
     elements with the top.  It reaches every prefix a_0..a_p, 1 <= p <=
     k-2, under the span caps and the mirror caps a_1 <= (l-k+3)//2 and
     a_j <= l - a_1 - (k-2-j), whose own prefixes it keeps; it keeps
     those with two or more candidate witnesses, in walk order, and cuts
-    the others."""
+    the others.  A candidate is a naive witness of the prefix with the
+    top that, with ``law``, the gap law allows (``in_window``); without
+    it, every such witness is one, as before the walk cut by the law.
+    With the law, a cell with l <= 2k-5 reaches no prefix: there no
+    value lies in any window, and the walk returns at once."""
     kept, cut = [], []
+    if law and l <= 2 * k - 5:
+        return kept, cut
 
     def extend(prefix):
         pos = len(prefix)
@@ -240,11 +258,14 @@ def witness_prune_reference(k, l):
             return
         cap = (l - k + 3) // 2 if pos == 1 else l - prefix[1] - (k - 2 - pos)
         for v in range(prefix[-1] + 1, min(l - (k - 1 - pos), cap) + 1):
-            if len(naive_witnesses(prefix + (v, l))) >= 2:
-                kept.append(mask_of(prefix + (v, l)))
-                extend(prefix + (v,))
+            grown = prefix + (v,)
+            candidates = [w for w in naive_witnesses(grown + (l,))
+                          if not law or in_window(grown, k, l, w)]
+            if len(candidates) >= 2:
+                kept.append(mask_of(grown + (l,)))
+                extend(grown)
             else:
-                cut.append(mask_of(prefix + (v, l)))
+                cut.append(mask_of(grown + (l,)))
 
     extend((0,))
     return kept, cut
@@ -279,20 +300,45 @@ def test_halved_walk_with_a_sound_prune_hands_over_every_finding_in_order(k):
 def test_witness_walk_cuts_exactly_the_prefixes_with_fewer_than_two_candidates(k):
     # on every prefix of every gcd-1 cell with l <= 2k-3, the span of the
     # witness cells: the walk keeps a prefix exactly when its elements
-    # with the top have two or more naive candidate witnesses, so it cuts
-    # exactly the others among the prefixes it reaches
+    # with the top have two or more naive candidate witnesses that the gap
+    # law allows, so it cuts exactly the others among the prefixes it
+    # reaches.  Each prefix it keeps the rule without the law keeps too
     kept_total = cut_total = 0
     for l in range(k - 1, 2 * k - 2):
         with kept_prefixes() as kept:
             found = _walk_span(k, l, 2 * l, prune_witnesses=True)
         want, cut = witness_prune_reference(k, l)
         assert kept == want, l
+        assert set(kept) <= set(witness_prune_reference(k, l, law=False)[0]), l
         # the prune cuts every set with fewer than two witnesses
         assert all(len(naive_witnesses(t)) >= 2 for t, *_ in found), l
         kept_total += len(kept)
         cut_total += len(cut)
-    assert (kept_total, cut_total) == {3: (0, 2), 4: (5, 5), 5: (21, 18), 6: (72, 67),
-                                       7: (225, 233), 8: (679, 771), 9: (2025, 2379)}[k]
+    # without the law the walk kept and cut (0, 2), (5, 5), (21, 18),
+    # (72, 67), (225, 233), (679, 771) and (2025, 2379)
+    assert (kept_total, cut_total) == {3: (0, 2), 4: (4, 3), 5: (14, 12), 6: (51, 50),
+                                       7: (130, 169), 8: (367, 559), 9: (981, 1608)}[k]
+
+
+def test_every_witness_lies_in_the_window_of_the_gap_law():
+    # a witness w of a k-set A with 0 and top l, with j elements of A
+    # below it, lies in [2j-2, l-2k+2j+2]: below w no pair {a, w-a} lies
+    # in A, nor above it a pair {x, w+l-x}.  So no set with l <= 2k-5 has
+    # a witness, and at l = 2k-4 every witness is even.  Every set, of
+    # any gcd, with 3 <= k <= 8 and k-1 <= l <= 2k+2
+    sets = witnesses = 0
+    for k in range(3, 9):
+        for l in range(k - 1, 2 * k + 3):
+            for interior in combinations(range(1, l), k - 2):
+                elems = (0, *interior, l)
+                wits = naive_witnesses(elems)
+                for w in wits:
+                    j = sum(a < w for a in elems)
+                    assert 2 * j - 2 <= w <= l - 2 * k + 2 * j + 2, (elems, w)
+                assert l >= 2 * k - 4 or not wits, elems
+                sets += 1
+                witnesses += len(wits)
+    assert (sets, witnesses) == (42477, 98614)
 
 
 @pytest.mark.parametrize("k", range(3, 9))
