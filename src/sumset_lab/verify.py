@@ -458,13 +458,6 @@ def _walk_span(
     caps = [0] * last
     held: list[tuple[tuple[int, ...], int, int, int]] = []
 
-    def hold(mask: int, r: int, n: int) -> None:
-        tup = tuple(path)
-        held.append((tup, mask, r, n))
-        if tup[1] + tup[-2] < l:
-            mirror = tuple(l - x for x in reversed(tup))
-            held.append((mirror, _mirror_bits(mask, l), _mirror_bits(r, 2 * l), n))
-
     mask, r = 1 | 1 << l, 1 << l
     if prune_witnesses:
         # wins[j]: the window [2j-2, l-2k+2j+2], inside [0, l-2] for
@@ -485,7 +478,11 @@ def _walk_span(
             if pos == last:
                 n = r.bit_count()
                 if n <= bound and gcd(*path) == 1:
-                    hold(mask, r, n)
+                    tup = tuple(path)
+                    held.append((tup, mask, r, n))
+                    if tup[1] + tup[-2] < l:
+                        mirror = tuple(l - x for x in reversed(tup))
+                        held.append((mirror, _mirror_bits(mask, l), _mirror_bits(r, 2 * l), n))
                 return
             win, up = wins[pos], ups[pos]
             for v in range(prev + 1, caps[pos] + 1):
@@ -516,7 +513,11 @@ def _walk_span(
             if pos == last:
                 n = r.bit_count()
                 if n <= bound and gcd(*path) == 1:
-                    hold(mask, r, n)
+                    tup = tuple(path)
+                    held.append((tup, mask, r, n))
+                    if tup[1] + tup[-2] < l:
+                        mirror = tuple(l - x for x in reversed(tup))
+                        held.append((mirror, _mirror_bits(mask, l), _mirror_bits(r, 2 * l), n))
                 return
             lim = lims[pos]
             for v in range(prev + 1, caps[pos] + 1):
