@@ -395,13 +395,13 @@ def _claim_out(out: str) -> list[str]:
     was.  Returns the paths made, innermost first, which
     :func:`_unclaim` removes when the query is refused."""
     made = [] if os.path.lexists(out) else [out]
-    parent = os.path.dirname(out)
+    directory = parent = os.path.dirname(out)
     while parent and not os.path.lexists(parent):
         made.append(parent)
         parent = os.path.dirname(parent)
     try:
-        if os.path.dirname(out):
-            os.makedirs(os.path.dirname(out), exist_ok=True)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
         with open(out, "a", encoding="utf-8"):
             pass
     except OSError as exc:

@@ -314,8 +314,6 @@ def test_witness_walk_cuts_exactly_the_prefixes_with_fewer_than_two_candidates(k
         assert all(len(naive_witnesses(t)) >= 2 for t, *_ in found), l
         kept_total += len(kept)
         cut_total += len(cut)
-    # without the law the walk kept and cut (0, 2), (5, 5), (21, 18),
-    # (72, 67), (225, 233), (679, 771) and (2025, 2379)
     assert (kept_total, cut_total) == {3: (0, 2), 4: (4, 3), 5: (14, 12), 6: (51, 50),
                                        7: (130, 169), 8: (367, 559), 9: (981, 1608)}[k]
 
