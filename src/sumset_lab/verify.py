@@ -12,8 +12,11 @@ and walks each cell with one private walker that reaches the sets the
 enumerator streams, in the same order.  It places the top first and
 carries the restricted sumset of the prefix down the search, so placing
 a value costs one shift-or and a set's restricted size is one popcount.
-Each finding carries its element tuple, mask and restricted mask from
-the walk, so no cell unpacks or re-validates a set the walk has built.
+Each finding a walk lists carries its element tuple, mask and
+restricted mask from the walk, so no cell unpacks or re-validates a set
+the walk has built.  A set that a driver only counts is counted at the
+walk's leaf and never built: the conjecture's cells list the sets below
+the floor and count those on it.
 Each cell passes the largest restricted size it reports.  Each element
 still to be placed adds a sum with the top above every sum already
 present, so once a prefix's restricted size plus the number of elements
@@ -84,12 +87,13 @@ inclusion-exclusion in the masks, with the right half read from the
 head, and hands a head it cannot settle to ``structure.split_at``, the
 one per-set split check.  A row with no check is theorem 2's, and its
 head walk also cuts a prefix once the floor bound, plus the head
-elements still to come, passes 3k-7.  The conjecture and theorem 3
-share one cell function, which walks with the Freiman-Lev floor
-``freiman_lev_bound(k, l)`` and returns the sets below and on it, as
-the rows do; each driver judges those sets in its merge.  On top of
-the driver path sit five certificate drivers, each adding only its
-own merge:
+elements still to come, passes 3k-7.  The conjecture's and theorem 3's
+cells walk with the Freiman-Lev floor ``freiman_lev_bound(k, l)``.
+Theorem 3's returns the sets below and on it, as the rows do; the
+conjecture's returns the sets below it and the number on it, the only
+thing its merge reads of those.  Each driver judges its sets in its
+merge.  On top of the driver path sit five certificate drivers, each
+adding only its own merge:
 
 * :func:`verify_conjecture` — the conjectured restricted-sumset floor,
   swept over all small sets; sub-threshold cardinalities (k <= 7) are
@@ -368,16 +372,25 @@ def _mirror_bits(bits: int, top: int) -> int:
 
 
 def _walk_span(
-    k: int, l: int, bound: int, prune_witnesses: bool = False
-) -> list[tuple[tuple[int, ...], int, int, int]]:
-    """Walk the gcd-1 cell (k, l), k >= 3, and return, in stream order,
-    a ``(tup, mask, r, n)`` finding for each set that
-    :func:`enumerate_tuples` streams on ``EnumerationQuery.exact(k, l,
-    ("gcd_one",))`` whose restricted sumset has n <= bound members.
-    ``tup`` is the set's ascending element tuple, ``mask`` its bit mask
-    and ``r`` the mask of its restricted sumset.  Every restricted sum
-    lies in [1, 2l-1], so a bound of 2l returns every gcd-1 set of the
-    cell.
+    k: int, l: int, bound: int, prune_witnesses: bool = False, keep: Optional[int] = None
+) -> tuple[list[tuple[tuple[int, ...], int, int, int]], int]:
+    """Walk the gcd-1 cell (k, l), k >= 3, and return ``(findings,
+    tallied)``.  The findings are, in stream order, a ``(tup, mask, r,
+    n)`` finding for each set that :func:`enumerate_tuples` streams on
+    ``EnumerationQuery.exact(k, l, ("gcd_one",))`` whose restricted
+    sumset has n <= bound members.  ``tup`` is the set's ascending
+    element tuple, ``mask`` its bit mask and ``r`` the mask of its
+    restricted sumset.  Every restricted sum lies in [1, 2l-1], so a
+    bound of 2l returns every gcd-1 set of the cell.
+
+    ``keep``, which defaults to ``bound``, lets the floor walk count
+    sets instead of listing them: it lists only the findings with n <=
+    keep, and ``tallied`` is the number of the cell's sets with keep < n
+    <= bound, for which it builds no tuple and no mask.  A walked set
+    adds 1 to the tally, or 2 when a_1 + a_{k-2} < l: its mirror (see
+    below) is another set of the cell, with the same n, that the halved
+    walk does not visit.  The witness walk lists every finding and
+    tallies nothing.
 
     The walk prunes on a lookahead bound.  The top is placed first, so
     each element still to be placed adds a sum with the top that is
@@ -438,17 +451,20 @@ def _walk_span(
     at (l-k+3)//2, and once a_1 = v is placed, each later position j is
     capped at l - v - (k-2-j), at or below its span cap, so whole
     subtrees go.  a_1 has its own loop, which sets those caps once per
-    value of a_1 and descends from position 2.  Each finding with
+    value of a_1 and descends from position 2.  Each listed finding with
     a_1 + a_{k-2} < l also gives its mirror's tuple, mask and restricted
-    mask, with the same n; a finding on the tie a_1 + a_{k-2} = l has
-    its mirror walked too (or is its own mirror), and is not mirrored.
+    mask, with the same n, as each tallied one adds its mirror's 1; a
+    set on the tie a_1 + a_{k-2} = l has its mirror walked too (or is
+    its own mirror), and is not mirrored.
     The findings are sorted into stream order, so they are the findings
     of a whole walk, in the same order.
     """
     if k < 3:
         raise SetDomainError(f"the span walker walks a cell in half: it needs k >= 3, got k={k}")
     if prune_witnesses and l <= 2 * k - 5:
-        return []
+        return [], 0
+    if keep is None:
+        keep = bound
     last = k - 1
     # the elements on the current root-to-node path; the leaf's tuple
     path = [0] * k
@@ -457,6 +473,7 @@ def _walk_span(
     # sets once per value of a_1
     caps = [0] * last
     held: list[tuple[tuple[int, ...], int, int, int]] = []
+    tallied = 0
 
     mask, r = 1 | 1 << l, 1 << l
     if prune_witnesses:
@@ -510,9 +527,13 @@ def _walk_span(
         lims = [bound - (last - 1 - pos) for pos in range(last)]
 
         def find(pos: int, prev: int, mask: int, r: int) -> None:
+            nonlocal tallied
             if pos == last:
                 n = r.bit_count()
                 if n <= bound and gcd(*path) == 1:
+                    if n > keep:
+                        tallied += 1 + (path[1] + path[-2] < l)
+                        return
                     tup = tuple(path)
                     held.append((tup, mask, r, n))
                     if tup[1] + tup[-2] < l:
@@ -536,7 +557,7 @@ def _walk_span(
             caps[2:] = range(l - v - k + 4, l - v + 1)
             find(2, v, mask | 1 << v, rv)
     held.sort()
-    return held
+    return held, tallied
 
 
 def _walk_row(
@@ -838,12 +859,27 @@ def _floor_cells(
     walked with ``bound = freiman_lev_bound(k, l)``.  The span walk's
     findings split into ``below``, the (tuple, restricted size) pairs of
     the sets under the bound, and ``at``, the tuples of the sets on it,
-    each in stream order.  The drivers judge them."""
+    each in stream order.  Theorem 3 judges them."""
     (l,) = tops
     bound = freiman_lev_bound(k, l)
-    found = _walk_span(k, l, bound) if walked else []
+    found = _walk_span(k, l, bound)[0] if walked else []
     return [{"bound": bound, "below": [(tup, n) for tup, _m, _r, n in found if n < bound],
              "at": [tup for tup, _m, _r, n in found if n == bound]}]
+
+
+def _conjecture_cell(
+    k: int, tops: tuple[int, ...], walked: tuple[int, ...], constraints: tuple[str, ...]
+) -> list[dict]:
+    """The findings of the conjecture's floor cell (k, l), l its task's
+    one top: :func:`_floor_cells`' ``bound`` and ``below``, and in place
+    of ``at`` the number ``tight`` of the sets on the bound, as the
+    conjecture reads only that number.  The span walk keeps the sets up
+    to one below the bound and tallies those on it, mirrors included,
+    without building their tuples and masks."""
+    (l,) = tops
+    bound = freiman_lev_bound(k, l)
+    below, tight = _walk_span(k, l, bound, keep=bound - 1) if walked else ([], 0)
+    return [{"bound": bound, "below": [(tup, n) for tup, _m, _r, n in below], "tight": tight}]
 
 
 def _below_floor(tup: Sequence[int], n: int, bound: int) -> str:
@@ -861,7 +897,9 @@ def verify_conjecture(
     normalized set with 3 <= k <= k_max and span at most l_max.
 
     The conjecture's hypothesis starts at k = 8; violations at k <= 7
-    are recorded as observations, never refutations.
+    are recorded as observations, never refutations.  ``extremal``
+    counts the sets on the floor: each cell's walk tallies them at its
+    leaves, mirrors included, and builds none of them.
     """
     t0 = time.monotonic()
     if k_max < 3:
@@ -873,7 +911,7 @@ def verify_conjecture(
             f"conjecture sweep needs l_max >= 2*k_max-4 = {2 * k_max - 4}, got {l_max}"
         )
     results, counts, observations = _sweep(
-        [(_floor_cells, ("gcd_one",), k, (l,))
+        [(_conjecture_cell, ("gcd_one",), k, (l,))
          for k in range(3, k_max + 1) for l in range(k - 1, l_max + 1)],
         budget, jobs,
     )
@@ -894,7 +932,7 @@ def verify_conjecture(
         "constraints": ["gcd_one"],
         "budget": budget,
     }
-    counts["extremal"] = sum(len(r["at"]) for r in results)
+    counts["extremal"] = sum(r["tight"] for r in results)
     return Certificate(
         "freiman_lev_bound", query, counterexamples=counterexamples,
         observations=observations, counts=counts, cap=l_max, wall_time_ms=_ms_since(t0),
@@ -1136,7 +1174,7 @@ def classify_extremal(k: int, l: int, *, budget: int = DEFAULT_BUDGET) -> tuple[
     bound = 3 * k - 7
     # findings of a gcd_one walk: normalized without re-validation
     return tuple(NormalizedSet._from_trusted(tup, mask)
-                 for tup, mask, _r, n in _walk_span(k, l, bound) if n == bound)
+                 for tup, mask, _r, n in _walk_span(k, l, bound)[0] if n == bound)
 
 
 def verify_span_classification(
@@ -1282,7 +1320,7 @@ def _witness_cell(
     extremal = pairs = 0
     bad: list[str] = []
     notes: list[str] = []
-    found = _walk_span(k, l, 2 * l, prune_witnesses=True) if walked else []
+    found = _walk_span(k, l, 2 * l, prune_witnesses=True)[0] if walked else []
     for tup, mask, r, n in found:
         lit = format_set_literal(tup)
         wits = elements_of(_witness_mask(mask, r, l))

@@ -76,8 +76,8 @@ def test_unknown_name_raises_attribute_error():
 
 # one task of each kind that a pool worker runs: a theorem 1 row, a
 # theorem 2 row, a structure row, a witness cell (span 2k-3, so the
-# residue laws run) and a floor cell, each with a budget that covers it
-# whole
+# residue laws run), theorem 3's floor cell and the conjecture's, each
+# with a budget that covers it whole
 _TASKS = """
 from sumset_lab import verify
 tasks = [
@@ -86,6 +86,7 @@ tasks = [
     (verify._structure_row, verify._DENSE, 7, (12, 13), 10**6),
     (verify._witness_cell, ("gcd_one",), 8, (13,), 10**6),
     (verify._floor_cells, ("gcd_one",), 7, (11,), 10**6),
+    (verify._conjecture_cell, ("gcd_one",), 7, (11,), 10**6),
 ]
 """
 

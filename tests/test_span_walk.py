@@ -1,8 +1,8 @@
 """Every driver cell's walker against plain enumeration.
 
-Every cell dict of the five drivers (the floor cell shared by the
-conjecture and classification sweeps, and the theorem 1, theorem 2,
-structure and witness cells), run by the task runner that counts each
+Every cell dict of the five drivers (the conjecture's floor cell, the
+classification sweep's, and the theorem 1, theorem 2, structure and
+witness cells), run by the task runner that counts each
 cell and decides whether it is walked, and every classify_extremal
 result, must equal what a plain ``enumerate_tuples`` loop with the
 naive restricted-sumset oracle gives: node and set counts and findings
@@ -80,6 +80,7 @@ from sumset_lab.verify import (
     _walk_span,
     _dense_row,
     _detached_top_rows,
+    _conjecture_cell,
     _floor_cells,
     _head_floor,
     _low_second_row,
@@ -151,8 +152,8 @@ def test_walker_hands_each_leaf_its_elements_and_restricted_mask(case):
     # the walker takes no budget: it walks the whole cell, and the task
     # runner decides whether it is walked
     k, l, bound = case
-    found = _walk_span(k, l, bound)
-    assert isinstance(found, list)
+    found, tallied = _walk_span(k, l, bound)
+    assert isinstance(found, list) and tallied == 0
     for tup, mask, r, n in found:
         assert tup == elements_of(mask)
         assert r == restricted_mask(mask, tup)
@@ -176,9 +177,9 @@ def test_halved_walk_hands_over_every_leaf_of_plain_enumeration_in_order(k):
         streamed = [(t, mask_of(t), mask_of(naive_restricted(t)))
                     for t in enumerate_tuples(EnumerationQuery.exact(k, l, ("gcd_one",)))]
         for bound in (freiman_lev_bound(k, l), 2 * l):
-            assert _walk_span(k, l, bound) == [
+            assert _walk_span(k, l, bound) == ([
                 (t, m, r, r.bit_count()) for t, m, r in streamed if r.bit_count() <= bound
-            ]
+            ], 0)
         ties += sum(t[1] + t[-2] == l for t, _m, _r in streamed)
         self_mirrors += sum(t == mirror(t) for t, _m, _r in streamed)
     # the cells hold sets on the tie a_1 + a_{k-2} = l, which is every
@@ -283,7 +284,7 @@ def test_halved_walk_with_a_sound_prune_hands_over_every_finding_in_order(k):
     findings = mirrored = 0
     for l in range(k - 1, 2 * k + 3):
         with kept_prefixes() as kept:
-            found = _walk_span(k, l, 2 * l, prune_witnesses=True)
+            found, _tallied = _walk_span(k, l, 2 * l, prune_witnesses=True)
         want = [(t, mask_of(t), r, r.bit_count())
                 for t in enumerate_tuples(EnumerationQuery.exact(k, l, ("gcd_one",)))
                 if len(naive_witnesses(t)) >= 2
@@ -306,7 +307,7 @@ def test_witness_walk_cuts_exactly_the_prefixes_with_fewer_than_two_candidates(k
     kept_total = cut_total = 0
     for l in range(k - 1, 2 * k - 2):
         with kept_prefixes() as kept:
-            found = _walk_span(k, l, 2 * l, prune_witnesses=True)
+            found, _tallied = _walk_span(k, l, 2 * l, prune_witnesses=True)
         want, cut = witness_prune_reference(k, l)
         assert kept == want, l
         assert set(kept) <= set(witness_prune_reference(k, l, law=False)[0]), l
@@ -353,7 +354,7 @@ def test_witness_walk_holds_its_findings_to_a_bound_that_cuts(k):
                 for r in [mask_of(naive_restricted(t))]]
         for i, bound in enumerate((2 * k - 3, 3 * k - 7, 2 * l - 2, 2 * l)):
             want = [f for f in sets if f[3] <= bound]
-            assert _walk_span(k, l, bound, prune_witnesses=True) == want, (l, bound)
+            assert _walk_span(k, l, bound, prune_witnesses=True) == (want, 0), (l, bound)
             kept[i] += len(want)
     assert kept == {3: [0, 0, 0, 0], 4: [2, 2, 2, 2], 5: [0, 6, 6, 6], 6: [0, 13, 15, 15],
                     7: [0, 20, 22, 22], 8: [0, 25, 33, 33]}[k]
@@ -472,6 +473,15 @@ def floor_reference(constraints):
     return reference
 
 
+def conjecture_reference(k, l, budget):
+    """The conjecture's floor cell by plain enumeration: the floor
+    cell's dict, with the number ``tight`` of the sets on the bound in
+    place of their tuples."""
+    cell = floor_reference(("gcd_one",))(k, l, budget)
+    at = cell.pop("at")
+    return {**cell, "tight": len(at)}
+
+
 # each floor sweep's cell function and constraints, with that sweep's
 # cells: theorem 2's is its dense row, the others walk in half
 FLOOR_SWEEPS = [
@@ -485,7 +495,38 @@ dense_cell = floor_cell(_dense_row, DENSE)
 @given(conjecture_cells())
 @settings(max_examples=80, deadline=None)
 def test_conjecture_cell_matches_plain_enumeration(cell):
+    # the conjecture's cell counts the sets on the floor that the floor
+    # cell lists
     assert floor_cell(_floor_cells, ("gcd_one",))(cell) == floor_reference(("gcd_one",))(*cell)
+    assert floor_cell(_conjecture_cell, ("gcd_one",))(cell) == conjecture_reference(*cell)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_conjecture_walk_lists_the_sets_below_the_floor_and_tallies_those_on_it(k):
+    # on every conjecture cell, at the Freiman-Lev floor: the walk that
+    # keeps n <= keep lists exactly the full walk's findings with n <=
+    # keep, and its tally counts the others, as the full walk and plain
+    # enumeration count them.  A walked set with a_1 + a_{k-2} < l
+    # counts its mirror too, which the halved walk does not visit: from
+    # k = 5 on, some sets on the floor are listed only as such mirrors,
+    # so a tally that drops the mirror's 1 is short
+    reference = floor_reference(("gcd_one",))
+    tight = mirrored = 0
+    for l in range(k - 1, 2 * k + 5):
+        bound = freiman_lev_bound(k, l)
+        full, none = _walk_span(k, l, bound)
+        assert none == 0
+        for keep in (bound - 2, bound - 1, bound):
+            listed, tallied = _walk_span(k, l, bound, keep=keep)
+            assert listed == [f for f in full if f[3] <= keep], (l, keep)
+            assert tallied == sum(keep < f[3] for f in full), (l, keep)
+        on = [t for t, _m, _r, n in full if n == bound]
+        assert _walk_span(k, l, bound, keep=bound - 1)[1] == len(on) == len(
+            reference(k, l, 10**9)["at"])
+        tight += len(on)
+        mirrored += sum(t[1] + t[-2] > l for t in on)
+    assert (tight, mirrored) == {3: (0, 0), 4: (22, 0), 5: (75, 18), 6: (163, 37),
+                                 7: (211, 54), 8: (394, 89)}[k]
 
 
 @given(dense_cells())
@@ -961,6 +1002,8 @@ def test_halved_witness_walk_asks_its_prune_about_no_prefix_past_the_mirror_cap(
 DRIVER_CELLS = [
     *((floor_cell(fn, constraints), floor_reference(constraints), constraints, cells)
       for fn, constraints, cells in FLOOR_SWEEPS),
+    (floor_cell(_conjecture_cell, ("gcd_one",)), conjecture_reference, ("gcd_one",),
+     conjecture_cells()),
     (classify_cell, classify_reference, ("gcd_one",), classify_args()),
     (low_second_cell, low_second_reference, LOW_SECOND, low_second_cells()),
     (structure_cell, structure_reference, DENSE, dense_cells()),
@@ -973,6 +1016,8 @@ DRIVER_CELLS = [
 FINDERS = [
     (_floor_cells, ("gcd_one",), lambda k, l: {"bound": freiman_lev_bound(k, l),
                                                "below": [], "at": []}),
+    (_conjecture_cell, ("gcd_one",), lambda k, l: {"bound": freiman_lev_bound(k, l),
+                                                   "below": [], "tight": 0}),
     (_dense_row, DENSE, lambda k, l: {"bound": freiman_lev_bound(k, l),
                                       "below": [], "at": []}),
     (_low_second_row, LOW_SECOND, lambda k, l: {"bound": 3 * k - 7, "below": [], "at": [],
@@ -1009,7 +1054,8 @@ def test_task_runner_walks_exactly_the_tops_that_fit_and_stream_a_set(k, data):
     # each cell function finds nothing on a top it is not handed
     detached = (2 * k - 2, 2 * k + 1)
     for cell_fn, cell_constraints, empty in FINDERS:
-        row = detached[:1] if cell_fn in (_floor_cells, _witness_cell) else detached
+        one_top = cell_fn in (_floor_cells, _conjecture_cell, _witness_cell)
+        row = detached[:1] if one_top else detached
         assert cell_fn(k, row, (), cell_constraints) == [empty(k, l) for l in row]
 
 

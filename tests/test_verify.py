@@ -364,9 +364,11 @@ def _find_below(monkeypatch, cell, tup):
     k, l = cell
     walk_span, walk_row = verify._walk_span, verify._walk_row
 
-    def span(k_, l_, bound, prune_witnesses=False):
-        found = walk_span(k_, l_, bound, prune_witnesses)
-        return found + [(tup, mask_of(tup), 0, bound - 1)] if (k_, l_) == cell else found
+    def span(k_, l_, bound, *args, **kwargs):
+        found, tallied = walk_span(k_, l_, bound, *args, **kwargs)
+        if (k_, l_) == cell:
+            found = found + [(tup, mask_of(tup), 0, bound - 1)]
+        return found, tallied
 
     def row(k_, tops, constraints, check=None):
         below, at = walk_row(k_, tops, constraints, check)
