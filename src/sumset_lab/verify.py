@@ -12,11 +12,12 @@ and walks each cell with one private walker that reaches the sets the
 enumerator streams, in the same order.  It places the top first and
 carries the restricted sumset of the prefix down the search, so placing
 a value costs one shift-or and a set's restricted size is one popcount.
-Each finding a walk lists carries its element tuple, mask and
-restricted mask from the walk, so no cell unpacks or re-validates a set
-the walk has built.  A set that a driver only counts is counted at the
-walk's leaf and never built: the conjecture's cells list the sets below
-the floor and count those on it.
+Each finding a walk lists is its element tuple and restricted size,
+and no cell re-validates a set the walk has built.  The masks stay
+inside the walk: a cell that needs a set's masks reads them from the
+set's own context (``core._set_masks``).  A set that a driver only
+counts is counted at the walk's leaf and never built: the conjecture's
+cells list the sets below the floor and count those on it.
 Each cell passes the largest restricted size it reports.  Each element
 still to be placed adds a sum with the top above every sum already
 present, so once a prefix's restricted size plus the number of elements
@@ -51,13 +52,14 @@ cells, classify_extremal's and the witness cells.  The mirror A -> l - A
 keeps a set's gcd, span and restricted size, so it maps such a cell onto
 itself, and the walk needs only the sets with a_1 + a_{k-2} <= l.  It
 caps every position from a_1 on at what a_{k-2} <= l - a_1 leaves it,
-adds each finding's mirror unless a_1 + a_{k-2} = l (there the mirror is
-walked too), and returns the findings sorted into stream order.  The
-witness prune keeps that sound: the mirror maps a set's witnesses W to
-l - W, so a witness cell finds a set exactly when it finds its mirror.
-The walk places a_1 in its own loop, which sets the caps after it once
-per value, and carries no running gcd: it takes one gcd per leaf, of
-the leaf's elements.
+adds each finding's mirror after the walk unless a_1 + a_{k-2} = l
+(there the mirror is walked too), and returns the findings sorted into
+stream order.  The witness prune keeps that sound: the mirror maps a
+set's witnesses W to l - W, so a witness cell finds a set exactly when
+it finds its mirror.  The floor walk places a_1 in its own loop, the
+witness walk in its own ``find``; either sets the caps after a_1 once
+per value.  The walk carries no running gcd: it takes one gcd per leaf,
+of the leaf's elements.
 The theorem 1, theorem 2 and structure cells cap low or interior
 positions, which the mirror moves: they run as rows over their heads.
 
@@ -127,9 +129,11 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
 from .core import (
+    MAX_ELEMENT,
     IntegerSet,
     NormalizedSet,
     SetDomainError,
+    _set_masks,
     elements_of,
     format_set_literal,
     freiman_lev_bound,
@@ -292,7 +296,11 @@ def enumerate_tuples(
 def enumerate_sets(
     query: EnumerationQuery, counter: Optional[list[int]] = None
 ) -> Iterator[IntegerSet]:
-    """Like :func:`enumerate_tuples`, wrapped as IntegerSets."""
+    """Like :func:`enumerate_tuples`, wrapped as IntegerSets.  A query
+    whose ``l_max`` passes ``MAX_ELEMENT`` is refused, as
+    :class:`IntegerSet` refuses the sets it could stream."""
+    if query.l_max > MAX_ELEMENT:
+        raise SetDomainError(f"element {query.l_max} exceeds the supported maximum {MAX_ELEMENT}")
     for tup in enumerate_tuples(query, counter):
         yield IntegerSet._from_trusted(tup, mask_of(tup))
 
@@ -366,27 +374,23 @@ def _plan(query: EnumerationQuery, memo: Optional[dict] = None) -> tuple[int, in
     return nodes, sets
 
 
-def _mirror_bits(bits: int, top: int) -> int:
-    """The mask of {top - x : x in bits}, for bits inside [0, top]."""
-    return int(f"{bits:0{top + 1}b}"[::-1], 2)
-
-
 def _walk_span(
     k: int, l: int, bound: int, prune_witnesses: bool = False, keep: Optional[int] = None
-) -> tuple[list[tuple[tuple[int, ...], int, int, int]], int]:
+) -> tuple[list[tuple[tuple[int, ...], int]], int]:
     """Walk the gcd-1 cell (k, l), k >= 3, and return ``(findings,
-    tallied)``.  The findings are, in stream order, a ``(tup, mask, r,
-    n)`` finding for each set that :func:`enumerate_tuples` streams on
+    tallied)``.  The findings are, in stream order, a ``(tup, n)``
+    finding for each set that :func:`enumerate_tuples` streams on
     ``EnumerationQuery.exact(k, l, ("gcd_one",))`` whose restricted
-    sumset has n <= bound members.  ``tup`` is the set's ascending
-    element tuple, ``mask`` its bit mask and ``r`` the mask of its
-    restricted sumset.  Every restricted sum lies in [1, 2l-1], so a
-    bound of 2l returns every gcd-1 set of the cell.
+    sumset has n <= bound members, ``tup`` being the set's ascending
+    element tuple.  Every restricted sum lies in [1, 2l-1], so a bound
+    of 2l returns every gcd-1 set of the cell.  The masks stay inside
+    the walk: a caller that needs a set's masks reads them from the
+    set's own context (``core._set_masks``).
 
     ``keep``, which defaults to ``bound``, lets the floor walk count
     sets instead of listing them: it lists only the findings with n <=
     keep, and ``tallied`` is the number of the cell's sets with keep < n
-    <= bound, for which it builds no tuple and no mask.  A walked set
+    <= bound, for which it builds no tuple.  A walked set
     adds 1 to the tally, or 2 when a_1 + a_{k-2} < l: its mirror (see
     below) is another set of the cell, with the same n, that the halved
     walk does not visit.  The witness walk lists every finding and
@@ -450,12 +454,14 @@ def _walk_span(
     The walk visits only the sets with a_{k-2} <= l - a_1: a_1 is capped
     at (l-k+3)//2, and once a_1 = v is placed, each later position j is
     capped at l - v - (k-2-j), at or below its span cap, so whole
-    subtrees go.  a_1 has its own loop, which sets those caps once per
-    value of a_1 and descends from position 2.  Each listed finding with
-    a_1 + a_{k-2} < l also gives its mirror's tuple, mask and restricted
-    mask, with the same n, as each tallied one adds its mirror's 1; a
-    set on the tie a_1 + a_{k-2} = l has its mirror walked too (or is
-    its own mirror), and is not mirrored.
+    subtrees go.  The floor walk places a_1 in its own loop, which sets
+    those caps once per value of a_1 and descends from position 2; the
+    witness walk places it in its own ``find``, which sets them on
+    reaching position 2.  Once the walk is done, each listed finding
+    with a_1 + a_{k-2} < l adds its mirror's tuple, with the same n, as
+    each tallied one adds its mirror's 1; a set on the tie a_1 + a_{k-2}
+    = l has its mirror walked too (or is its own mirror), and is not
+    mirrored.
     The findings are sorted into stream order, so they are the findings
     of a whole walk, in the same order.
     """
@@ -463,16 +469,15 @@ def _walk_span(
         raise SetDomainError(f"the span walker walks a cell in half: it needs k >= 3, got k={k}")
     if prune_witnesses and l <= 2 * k - 5:
         return [], 0
-    if keep is None:
-        keep = bound
+    keep = bound if keep is None else keep
     last = k - 1
     # the elements on the current root-to-node path; the leaf's tuple
     path = [0] * k
     path[last] = l
-    # the caps from position 2 on, which a_1 + (k-3) <= a_{k-2} <= l - a_1
-    # sets once per value of a_1
-    caps = [0] * last
-    held: list[tuple[tuple[int, ...], int, int, int]] = []
+    # the caps by position: a_1's, and from position 2 on those that
+    # a_1 + (k-3) <= a_{k-2} <= l - a_1 sets once per value of a_1
+    caps = [0, (l - k + 3) // 2] + [0] * (k - 3)
+    held: list[tuple[tuple[int, ...], int]] = []
     tallied = 0
 
     mask, r = 1 | 1 << l, 1 << l
@@ -495,12 +500,10 @@ def _walk_span(
             if pos == last:
                 n = r.bit_count()
                 if n <= bound and gcd(*path) == 1:
-                    tup = tuple(path)
-                    held.append((tup, mask, r, n))
-                    if tup[1] + tup[-2] < l:
-                        mirror = tuple(l - x for x in reversed(tup))
-                        held.append((mirror, _mirror_bits(mask, l), _mirror_bits(r, 2 * l), n))
+                    held.append((tuple(path), n))
                 return
+            if pos == 2:
+                caps[2:] = range(l - prev - k + 4, l - prev + 1)
             win, up = wins[pos], ups[pos]
             for v in range(prev + 1, caps[pos] + 1):
                 rv = r | mask << v
@@ -510,16 +513,7 @@ def _walk_span(
                     find(pos + 1, v, mask | 1 << v, rv, ok)
                 ok |= win & 1 << v
 
-        # a_1 in its own loop, with find's cut, then the caps it sets
-        ok, win, up = 0, wins[1], ups[1]
-        for v in range(1, (l - k + 3) // 2 + 1):
-            rv = r | mask << v
-            c = ~(rv | rv >> l) & (ok | up[v])
-            if c & c - 1:
-                path[1] = v
-                caps[2:] = range(l - v - k + 4, l - v + 1)
-                find(2, v, mask | 1 << v, rv, ok)
-            ok |= win & 1 << v
+        find(1, 0, mask, r, 0)
     else:
         # a prefix ending at pos is pruned once its restricted size passes
         # lims[pos]: each of the last - 1 - pos elements still to come
@@ -534,11 +528,7 @@ def _walk_span(
                     if n > keep:
                         tallied += 1 + (path[1] + path[-2] < l)
                         return
-                    tup = tuple(path)
-                    held.append((tup, mask, r, n))
-                    if tup[1] + tup[-2] < l:
-                        mirror = tuple(l - x for x in reversed(tup))
-                        held.append((mirror, _mirror_bits(mask, l), _mirror_bits(r, 2 * l), n))
+                    held.append((tuple(path), n))
                 return
             lim = lims[pos]
             for v in range(prev + 1, caps[pos] + 1):
@@ -548,14 +538,17 @@ def _walk_span(
                 path[pos] = v
                 find(pos + 1, v, mask | 1 << v, rv)
 
-        # a_1 in its own loop, with find's cut, then the caps it sets
-        for v in range(1, (l - k + 3) // 2 + 1):
+        # a_1 in its own loop, with find's cut, then the caps it sets;
+        # placed in find, as in the witness walk, it measured 1.02x slower
+        # on verify_conjecture(11, 26) and 1.03x on sweep_structure(11)
+        for v in range(1, caps[1] + 1):
             rv = r | mask << v
             if rv.bit_count() > lims[1]:
                 continue
             path[1] = v
             caps[2:] = range(l - v - k + 4, l - v + 1)
             find(2, v, mask | 1 << v, rv)
+    held += [(tuple(l - x for x in reversed(tup)), n) for tup, n in held if tup[1] + tup[-2] < l]
     held.sort()
     return held, tallied
 
@@ -857,14 +850,14 @@ def _floor_cells(
     """The findings of the floor cell (k, l), l its task's one top: the
     gcd-1 cell, which its task plans under ``constraints`` = ``gcd_one``,
     walked with ``bound = freiman_lev_bound(k, l)``.  The span walk's
-    findings split into ``below``, the (tuple, restricted size) pairs of
-    the sets under the bound, and ``at``, the tuples of the sets on it,
-    each in stream order.  Theorem 3 judges them."""
+    (tuple, restricted size) findings split, as they come, into
+    ``below``, the findings under the bound, and ``at``, the tuples of
+    the sets on it, each in stream order.  Theorem 3 judges them."""
     (l,) = tops
     bound = freiman_lev_bound(k, l)
     found = _walk_span(k, l, bound)[0] if walked else []
-    return [{"bound": bound, "below": [(tup, n) for tup, _m, _r, n in found if n < bound],
-             "at": [tup for tup, _m, _r, n in found if n == bound]}]
+    return [{"bound": bound, "below": [f for f in found if f[1] < bound],
+             "at": [tup for tup, n in found if n == bound]}]
 
 
 def _conjecture_cell(
@@ -873,13 +866,14 @@ def _conjecture_cell(
     """The findings of the conjecture's floor cell (k, l), l its task's
     one top: :func:`_floor_cells`' ``bound`` and ``below``, and in place
     of ``at`` the number ``tight`` of the sets on the bound, as the
-    conjecture reads only that number.  The span walk keeps the sets up
-    to one below the bound and tallies those on it, mirrors included,
-    without building their tuples and masks."""
+    conjecture reads only that number.  The span walk lists the sets up
+    to one below the bound, which are ``below`` as they come, and
+    tallies those on it, mirrors included, without building their
+    tuples."""
     (l,) = tops
     bound = freiman_lev_bound(k, l)
     below, tight = _walk_span(k, l, bound, keep=bound - 1) if walked else ([], 0)
-    return [{"bound": bound, "below": [(tup, n) for tup, _m, _r, n in below], "tight": tight}]
+    return [{"bound": bound, "below": below, "tight": tight}]
 
 
 def _below_floor(tup: Sequence[int], n: int, bound: int) -> str:
@@ -1162,19 +1156,23 @@ def verify_dense_prefix(
 def classify_extremal(k: int, l: int, *, budget: int = DEFAULT_BUDGET) -> tuple[NormalizedSet, ...]:
     """All normalized k-sets with span l whose restricted sumset has
     exactly 3k-7 members, in lexicographic order: the findings of one
-    gcd-1 span walk at the bound 3k-7 that sit on it.  The cell's query
-    validates k, l and the budget, and its plan decides the walk."""
+    gcd-1 span walk at the bound 3k-7 that sit on it, each set built
+    with its mask from its tuple.  The cell's query validates k, l and
+    the budget, and its plan decides the walk; a span past
+    ``MAX_ELEMENT`` is refused, as :class:`NormalizedSet` refuses its
+    sets."""
     if k < 4:
         raise SetDomainError(f"classification needs k >= 4, got k={k}")
-    query = EnumerationQuery.exact(k, l, ("gcd_one",), budget=budget)
-    if _plan(query)[0] > budget:
+    if l > MAX_ELEMENT:
+        raise SetDomainError(f"element {l} exceeds the supported maximum {MAX_ELEMENT}")
+    if _plan(EnumerationQuery.exact(k, l, ("gcd_one",), budget=budget))[0] > budget:
         # not walked: the enumerator raises at the node past the budget
         raise BudgetExceeded(budget + 1)
     # 3k-7 at every span: for l <= 2k-5 the floor cell's bound is lower
     bound = 3 * k - 7
     # findings of a gcd_one walk: normalized without re-validation
-    return tuple(NormalizedSet._from_trusted(tup, mask)
-                 for tup, mask, _r, n in _walk_span(k, l, bound)[0] if n == bound)
+    return tuple(NormalizedSet._from_trusted(tup, mask_of(tup))
+                 for tup, n in _walk_span(k, l, bound)[0] if n == bound)
 
 
 def verify_span_classification(
@@ -1308,31 +1306,31 @@ def _witness_cell(
     and {x, w+l-x} above it each hold at most one element.  The window
     is empty for l <= 2k-5, so there the walk returns no finding without
     walking the cell; at l = 2k-4 it is the one value 2j-2.  The loop
-    reads each set's witnesses off the masks the walk returns with it,
-    as ``witness_profile`` reads them off the set's context, so no set
-    is swept to find them.  ``decompose`` checks each pair on the set's
-    own context, a sweep of the set independent of the walk: it is where
-    the walk's restricted mask meets another sweep, and a wrong mask
-    shows as a ``not decomposed`` note."""
+    reads each set's witnesses and restricted size off the set's own
+    context (``core._set_masks``), as ``witness_profile`` does: one
+    sweep of the set, independent of the walk, which ``decompose`` then
+    reads too, as it is cached on the set.  So the walk's claim is
+    checked: a set without exactly two witnesses is ``bad``."""
     from .structure import _witness_mask, decompose
 
     (l,) = tops
     extremal = pairs = 0
     bad: list[str] = []
     notes: list[str] = []
-    found = _walk_span(k, l, 2 * l, prune_witnesses=True)[0] if walked else []
-    for tup, mask, r, n in found:
+    for tup, _n in (_walk_span(k, l, 2 * l, prune_witnesses=True)[0] if walked else []):
         lit = format_set_literal(tup)
-        wits = elements_of(_witness_mask(mask, r, l))
-        if len(wits) > 2:
+        # a finding of a gcd_one walk: normalized without re-validation
+        ns = NormalizedSet._from_trusted(tup, mask_of(tup))
+        r = _set_masks(ns)[1]
+        wits = elements_of(_witness_mask(ns._mask, r, l))
+        if len(wits) != 2:
             bad.append(f"{lit}: {len(wits)} witnesses {format_set_literal(wits)}")
             continue
         pairs += 1
-        extremal += n == 3 * k - 7
+        extremal += r.bit_count() == 3 * k - 7
         w1, w2 = wits
-        # a finding of a gcd_one walk: normalized without re-validation
         try:
-            dec = decompose(NormalizedSet._from_trusted(tup, mask), w1, w2)
+            dec = decompose(ns, w1, w2)
         except SetDomainError as exc:
             notes.append(f"k={k} l={l}: {lit} not decomposed ({exc})")
             continue

@@ -10,7 +10,7 @@ import pytest
 
 from sumset_lab import families
 from sumset_lab.cli import EXIT_PIPE, main
-from sumset_lab.core import format_set_literal
+from sumset_lab.core import MAX_ELEMENT, format_set_literal
 from sumset_lab.verify import DEFAULT_BUDGET, EnumerationQuery, enumerate_tuples
 
 
@@ -281,6 +281,13 @@ def test_classify_budget_exhaustion(capsys):
     code, out, _ = run(capsys, "classify", "--k", "6", "--l", "9", "--budget", "5")
     assert code == 2
     assert out == "# truncated: enumeration budget exhausted after 6 nodes\n"
+
+
+def test_classify_past_the_supported_maximum_exits_3(capsys):
+    code, out, err = run(capsys, "classify", "--k", "4", "--l", str(MAX_ELEMENT + 1))
+    assert (code, out) == (3, "")
+    assert err == (f"sumset-lab: error: element {MAX_ELEMENT + 1} exceeds the supported "
+                   f"maximum {MAX_ELEMENT}\n")
 
 
 # ---------------------------------------------------------------------------

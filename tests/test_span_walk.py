@@ -10,11 +10,13 @@ in stream order.  A cell whose stream the budget
 cuts short (the enumerator raises) is skipped: it counts no node and no
 set, finds nothing, records its planned nodes, and classify_extremal
 raises at the node past its budget.  The walker itself must return
-each finding with the element tuple and restricted mask of its set,
+each finding with the element tuple and restricted size of its set,
 its lookahead prune must hold on every prefix of a set, and its
 witness prune must cut exactly the prefixes with fewer than two naive
 candidate witnesses that the gap law allows; every naive witness must
-obey that law.
+obey that law.  A witness cell must read each set's witnesses and
+restricted size off the set's own sweep, so that it names a handed
+set without two witnesses and ignores a wrong size from the walk.
 The structure row's head checks, bit tests on the head's masks, must
 give the messages of the frozen tuple-based checks in
 ``tests/helpers.py``, on the true restricted masks and on faulted ones.
@@ -77,6 +79,7 @@ from sumset_lab.verify import (
     EnumerationQuery,
     classify_extremal,
     enumerate_tuples,
+    sweep_structure,
     _walk_span,
     _dense_row,
     _detached_top_rows,
@@ -154,12 +157,10 @@ def test_walker_hands_each_leaf_its_elements_and_restricted_mask(case):
     k, l, bound = case
     found, tallied = _walk_span(k, l, bound)
     assert isinstance(found, list) and tallied == 0
-    for tup, mask, r, n in found:
-        assert tup == elements_of(mask)
-        assert r == restricted_mask(mask, tup)
-        assert n == r.bit_count()
+    for tup, n in found:
+        assert n == restricted_mask(mask_of(tup), tup).bit_count()
     _counts, low = plain_walk(k, l, ("gcd_one",), 10**9, bound)
-    assert [tup for tup, *_ in found] == [t for t, _n in low]
+    assert [tup for tup, _n in found] == [t for t, _n in low]
 
 
 def mirror(tup):
@@ -174,14 +175,12 @@ def test_halved_walk_hands_over_every_leaf_of_plain_enumeration_in_order(k):
     # a finding
     ties = self_mirrors = 0
     for l in range(k - 1, 2 * k + 5):
-        streamed = [(t, mask_of(t), mask_of(naive_restricted(t)))
+        streamed = [(t, len(naive_restricted(t)))
                     for t in enumerate_tuples(EnumerationQuery.exact(k, l, ("gcd_one",)))]
         for bound in (freiman_lev_bound(k, l), 2 * l):
-            assert _walk_span(k, l, bound) == ([
-                (t, m, r, r.bit_count()) for t, m, r in streamed if r.bit_count() <= bound
-            ], 0)
-        ties += sum(t[1] + t[-2] == l for t, _m, _r in streamed)
-        self_mirrors += sum(t == mirror(t) for t, _m, _r in streamed)
+            assert _walk_span(k, l, bound) == ([(t, n) for t, n in streamed if n <= bound], 0)
+        ties += sum(t[1] + t[-2] == l for t, _n in streamed)
+        self_mirrors += sum(t == mirror(t) for t, _n in streamed)
     # the cells hold sets on the tie a_1 + a_{k-2} = l, which is every
     # set that is its own mirror; for k <= 4 every tie is its own mirror
     assert ties >= self_mirrors > 0
@@ -210,14 +209,18 @@ def kept_prefixes():
     """Record the prefixes that a span walk keeps, in walk order, each as
     the mask of its elements with the top: the walk descends into its
     ``find`` once for each placement that neither its bound nor its
-    prune cuts, handing it that mask.  A profile hook sees each call."""
+    prune cuts, handing it that mask.  A profile hook sees each call.
+    The witness walk's root call, whose mask holds only 0 and the top,
+    places a_1 and keeps no prefix, so it is skipped."""
     kept: list[int] = []
     outer = sys.getprofile()
 
     def recording(frame, event, _arg):
         code = frame.f_code
         if event == "call" and code.co_name == "find" and code.co_filename == verify.__file__:
-            kept.append(frame.f_locals["mask"])
+            mask = frame.f_locals["mask"]
+            if mask.bit_count() > 2:
+                kept.append(mask)
 
     sys.setprofile(recording)
     try:
@@ -285,10 +288,9 @@ def test_halved_walk_with_a_sound_prune_hands_over_every_finding_in_order(k):
     for l in range(k - 1, 2 * k + 3):
         with kept_prefixes() as kept:
             found, _tallied = _walk_span(k, l, 2 * l, prune_witnesses=True)
-        want = [(t, mask_of(t), r, r.bit_count())
+        want = [(t, len(naive_restricted(t)))
                 for t in enumerate_tuples(EnumerationQuery.exact(k, l, ("gcd_one",)))
-                if len(naive_witnesses(t)) >= 2
-                for r in [mask_of(naive_restricted(t))]]
+                if len(naive_witnesses(t)) >= 2]
         assert found == want
         assert kept == witness_prune_reference(k, l)[0]
         assert max(map(first_interior, kept), default=0) <= (l - k + 3) // 2
@@ -348,12 +350,11 @@ def test_witness_walk_holds_its_findings_to_a_bound_that_cuts(k):
     # stream order.  3k-7 keeps some of them and drops others from k = 6
     kept = [0] * 4
     for l in range(k - 1, 2 * k - 2):
-        sets = [(t, mask_of(t), r, r.bit_count())
+        sets = [(t, len(naive_restricted(t)))
                 for t in enumerate_tuples(EnumerationQuery.exact(k, l, ("gcd_one",)))
-                if len(naive_witnesses(t)) >= 2
-                for r in [mask_of(naive_restricted(t))]]
+                if len(naive_witnesses(t)) >= 2]
         for i, bound in enumerate((2 * k - 3, 3 * k - 7, 2 * l - 2, 2 * l)):
-            want = [f for f in sets if f[3] <= bound]
+            want = [f for f in sets if f[1] <= bound]
             assert _walk_span(k, l, bound, prune_witnesses=True) == (want, 0), (l, bound)
             kept[i] += len(want)
     assert kept == {3: [0, 0, 0, 0], 4: [2, 2, 2, 2], 5: [0, 6, 6, 6], 6: [0, 13, 15, 15],
@@ -518,9 +519,9 @@ def test_conjecture_walk_lists_the_sets_below_the_floor_and_tallies_those_on_it(
         assert none == 0
         for keep in (bound - 2, bound - 1, bound):
             listed, tallied = _walk_span(k, l, bound, keep=keep)
-            assert listed == [f for f in full if f[3] <= keep], (l, keep)
-            assert tallied == sum(keep < f[3] for f in full), (l, keep)
-        on = [t for t, _m, _r, n in full if n == bound]
+            assert listed == [f for f in full if f[1] <= keep], (l, keep)
+            assert tallied == sum(keep < f[1] for f in full), (l, keep)
+        on = [t for t, n in full if n == bound]
         assert _walk_span(k, l, bound, keep=bound - 1)[1] == len(on) == len(
             reference(k, l, 10**9)["at"])
         tight += len(on)
@@ -982,6 +983,53 @@ def test_every_witness_cell_of_the_sweep_matches_plain_enumeration(k, fault, mon
         assert residue_pairs == {8: 0, 9: 22}[k]
     else:
         assert found[fault] >= pairs
+
+
+def hand_witness_cell(monkeypatch, cell, change):
+    """Patch the span walk so that the witness walk of the cell (k, l)
+    hands over ``change(findings)`` in place of its findings."""
+    walk_span = verify._walk_span
+
+    def span(k, l, bound, *args, **kwargs):
+        found, tallied = walk_span(k, l, bound, *args, **kwargs)
+        if (k, l) == cell and kwargs.get("prune_witnesses"):
+            found = change(found)
+        return found, tallied
+
+    monkeypatch.setattr(verify, "_walk_span", span)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_witness_cell_names_a_handed_set_without_two_witnesses(count, monkeypatch):
+    # the cell counts each set's witnesses on the set's own sweep, not on
+    # the walk's word: a set of the cell with 0 or 1 naive witnesses that
+    # the walk hands over is bad, worded as a set with too many, and
+    # refutes the sweep.  Nothing else in the cell changes
+    k, l = 8, 13
+    tup = next(t for t in enumerate_tuples(EnumerationQuery.exact(k, l, ("gcd_one",)))
+               if len(naive_witnesses(t)) == count)
+    hand_witness_cell(monkeypatch, (k, l),
+                      lambda found: sorted(found + [(tup, len(naive_restricted(tup)))]))
+    message = f"{lit(tup)}: {count} witnesses {lit(naive_witnesses(tup))}"
+    cell = witness_cell((k, l, 10**9))
+    assert cell["bad"] == [message]
+    assert {**cell, "bad": []} == witness_reference(k, l, 10**9)
+    cert = sweep_structure(k)
+    assert cert.outcome == "refuted"
+    assert cert.counterexamples == [f"k={k} l={l}: {message}"]
+
+
+def test_witness_cell_reads_the_restricted_size_off_the_set(monkeypatch):
+    # extremal counts the pairs on the 3k-7 floor by the set's own sweep:
+    # a walk that moves each finding's n across the floor (at l = 13, 22
+    # of the 30 pairs sit on it) leaves the cell as the reference has it
+    k, l = 8, 13
+    floor = 3 * k - 7
+    hand_witness_cell(monkeypatch, (k, l),
+                      lambda found: [(t, floor + (n == floor)) for t, n in found])
+    cell = witness_cell((k, l, 10**9))
+    assert cell == witness_reference(k, l, 10**9)
+    assert (cell["pairs"], cell["extremal"]) == (30, 22)
 
 
 def test_halved_witness_walk_asks_its_prune_about_no_prefix_past_the_mirror_cap():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumset_lab import families, structure, verify
-from sumset_lab.core import NormalizedSet, SetDomainError, mask_of
+from sumset_lab.core import MAX_ELEMENT, NormalizedSet, SetDomainError, mask_of
 from sumset_lab.families import extremal_catalog
 from sumset_lab.verify import (
     DEFAULT_BUDGET,
@@ -106,6 +106,19 @@ def test_enumerate_sets_wrapping():
     sets = list(enumerate_sets(q))
     assert [s.elements for s in sets] == [(0, 1, 4), (0, 3, 4)]
     assert sets[0].mask == 0b10011
+
+
+def test_enumerate_sets_refuses_a_top_past_the_supported_maximum():
+    # the sets are built without validation, so the query is checked as
+    # IntegerSet checks its elements, in core's words; the plain tuples
+    # of enumerate_tuples are still streamed
+    query = EnumerationQuery.exact(3, MAX_ELEMENT + 1)
+    with pytest.raises(SetDomainError,
+                       match=f"element {MAX_ELEMENT + 1} exceeds the supported maximum"):
+        next(enumerate_sets(query))
+    assert next(enumerate_tuples(query)) == (0, 1, MAX_ELEMENT + 1)
+    assert next(enumerate_sets(query._replace(l_min=MAX_ELEMENT, l_max=MAX_ELEMENT))).elements \
+        == (0, 1, MAX_ELEMENT)
 
 
 BRUTE_GRID = [
@@ -367,7 +380,7 @@ def _find_below(monkeypatch, cell, tup):
     def span(k_, l_, bound, *args, **kwargs):
         found, tallied = walk_span(k_, l_, bound, *args, **kwargs)
         if (k_, l_) == cell:
-            found = found + [(tup, mask_of(tup), 0, bound - 1)]
+            found = found + [(tup, bound - 1)]
         return found, tallied
 
     def row(k_, tops, constraints, check=None):
@@ -494,6 +507,61 @@ def test_verify_span_classification_frozen():
     ]
 
 
+def _every_cell(cells, walks):
+    """The observation of a sweep whose budget skips all its cells."""
+    return f"budget: {cells} of {cells} cells skipped; --budget {walks} walks every cell"
+
+
+# the counts of the larger boxes that the CI workflow also pins on the
+# certificates of the installed entry point, read here in process: the
+# sweep, the counts it must give, and its number of observations or one
+# observation it must make.  A one-node share skips every cell of the
+# k = 12 boxes, so only their plans run, and each names the budget that
+# walks every cell
+PINNED_COUNTS = [
+    pytest.param(lambda: sweep_structure(11),
+                 {"enumerated": 187092, "extremal": 108, "witness_pairs": 260}, None,
+                 id="lemmas-k11"),
+    pytest.param(lambda: sweep_structure(12),
+                 {"enumerated": 690972, "extremal": 136, "witness_pairs": 454}, None,
+                 id="lemmas-k12"),
+    pytest.param(lambda: verify_conjecture(9, 22),
+                 {"enumerated": 598247, "nodes": 1481160, "extremal": 1946}, 18,
+                 id="conjecture-k9-cap22"),
+    pytest.param(lambda: verify_conjecture(9, 22, budget=200000),
+                 {"enumerated": 7895, "nodes": 20860, "extremal": 680}, 47,
+                 id="conjecture-k9-cap22-budget200000"),
+    pytest.param(lambda: verify_conjecture(11, 26),
+                 {"enumerated": 10961892, "nodes": 27598828, "extremal": 5415}, 26,
+                 id="conjecture-k11-cap26"),
+    pytest.param(lambda: verify_dense_prefix(9, cap=30),
+                 {"enumerated": 9963, "nodes": 24634, "extremal": 3}, None,
+                 id="theorem2-k9-cap30"),
+    pytest.param(lambda: verify_low_second_max(12),
+                 {"enumerated": 1129284, "extremal": 54, "splits_validated": 915867}, None,
+                 id="theorem1-k12"),
+    pytest.param(lambda: verify_low_second_max(9, cap=30),
+                 {"enumerated": 37055, "extremal": 35, "splits_validated": 27092}, None,
+                 id="theorem1-k9-cap30"),
+    pytest.param(lambda: verify_conjecture(12, 28, budget=225),
+                 {"nodes": 0}, _every_cell(225, 4850863650), id="conjecture-k12-plan"),
+    pytest.param(lambda: sweep_structure(12, budget=135),
+                 {"nodes": 0}, _every_cell(135, 72558585), id="lemmas-k12-plan"),
+    pytest.param(lambda: verify_low_second_max(12, budget=90),
+                 {"nodes": 0}, _every_cell(90, 40220910), id="theorem1-k12-plan"),
+]
+
+
+@pytest.mark.parametrize("sweep, counts, observations", PINNED_COUNTS)
+def test_the_counts_of_the_larger_boxes_stay_pinned(sweep, counts, observations):
+    cert = sweep()
+    assert {field: cert.counts[field] for field in counts} == counts
+    if isinstance(observations, int):
+        assert len(cert.observations) == observations
+    elif observations is not None:
+        assert observations in cert.observations
+
+
 def test_verify_span_classification_validation():
     with pytest.raises(SetDomainError):
         verify_span_classification(3)
@@ -518,6 +586,17 @@ def test_classify_extremal_matches_catalog():
     assert len(got) == 13
     with pytest.raises(SetDomainError):
         classify_extremal(3, 3)
+
+
+def test_classify_extremal_refuses_a_span_past_the_supported_maximum():
+    # its sets are built without validation: NormalizedSet refuses their
+    # top, and so does classify_extremal, in core's words
+    top = MAX_ELEMENT + 1
+    message = f"element {top} exceeds the supported maximum {MAX_ELEMENT}"
+    with pytest.raises(SetDomainError, match=message):
+        NormalizedSet((0, 1, top - 1, top))
+    with pytest.raises(SetDomainError, match=message):
+        classify_extremal(4, top)
 
 
 def test_driver_budget_exhaustion():
