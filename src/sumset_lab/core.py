@@ -144,6 +144,12 @@ class IntegerSet:
     Keeps the ascending element tuple and the bit mask in sync.  Empty
     sets are allowed (several derived sets, such as the low missing-sum
     window, can be empty); most kernels require more.
+
+    Only external input is held to ``MAX_ELEMENT``: the constructor
+    refuses a larger element.  A derived set is not: a sumset of sets
+    within ``MAX_ELEMENT`` may reach 2·``MAX_ELEMENT``, and
+    :func:`sumset` and :func:`restricted_sumset` return it as it is, so
+    its elements need not pass this constructor again.
     """
 
     __slots__ = ("_elements", "_mask")
@@ -282,7 +288,8 @@ class NormalizedSet(IntegerSet):
 
 
 def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:
-    """Full pair sumset {x + y : x in a, y in b}."""
+    """Full pair sumset {x + y : x in a, y in b}.  A derived set, not
+    held to ``MAX_ELEMENT``: it may reach 2·``MAX_ELEMENT``."""
     if not len(a) or not len(b):
         raise SetDomainError("sumset of an empty set is undefined")
     if len(a) < len(b):
@@ -291,7 +298,8 @@ def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:
 
 
 def restricted_sumset(a: IntegerSet) -> IntegerSet:
-    """Sums of two distinct elements of a."""
+    """Sums of two distinct elements of a.  A derived set, not held to
+    ``MAX_ELEMENT``: it may reach 2·``MAX_ELEMENT`` - 1."""
     if len(a) < 2:
         raise SetDomainError("restricted sumset needs at least two elements")
     return IntegerSet.from_mask(restricted_mask(a.mask, a.elements))

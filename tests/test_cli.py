@@ -573,35 +573,60 @@ def test_structure_and_the_lemma_sweep_load_neither_fractions_nor_decimal(code):
     assert not {"fractions", "decimal"} & loaded
 
 
-@pytest.mark.parametrize("code, absent", [
+_ROWS, _COMMANDS = "sumset_lab._rows", "sumset_lab._commands"
+
+
+@pytest.mark.parametrize("code, present, absent", [
     # the package itself loads no submodule: each export loads on first use
-    ("import sumset_lab",
+    ("import sumset_lab", set(),
      {"sumset_lab.core", "sumset_lab.bounds", "sumset_lab.structure",
-      "sumset_lab.families", "sumset_lab.verify", "sumset_lab.cli"}),
+      "sumset_lab.families", "sumset_lab.verify", "sumset_lab.cli", _ROWS, _COMMANDS}),
     # the floor sweeps read only core's floor, and theorem 1 its split
     # position (structure's split_at runs only on a set that fails);
     # theorems 2 and 3 read families, whose shape check takes its regime
     # test from core.  The parser reads families' kind names only to
-    # check or print --kind.
-    (_CERTIFY.format(["certify", "--theorem", "conjecture", "--k-max", "6"]),
-     {"sumset_lab.structure", "sumset_lab.bounds", "sumset_lab.families"}),
-    (_CERTIFY.format(["certify", "--theorem", "3", "--k-max", "6"]),
-     {"sumset_lab.structure", "sumset_lab.bounds"}),
-    (_CERTIFY.format(["certify", "--theorem", "2", "--k-max", "6"]),
-     {"sumset_lab.structure", "sumset_lab.bounds"}),
-    (_CERTIFY.format(["certify", "--theorem", "1", "--k-max", "6"]),
-     {"sumset_lab.structure", "sumset_lab.bounds", "sumset_lab.families"}),
-    (_CERTIFY.format(["certify", "--theorem", "lemmas", "--k-max", "8"]),
-     {"sumset_lab.bounds", "sumset_lab.families"}),
-    (_RUN.format(["enumerate", "--k", "5", "--l", "8"]),
-     {"sumset_lab.structure", "sumset_lab.bounds", "sumset_lab.families"}),
-    (_RUN.format(["classify", "--k", "6", "--l", "9"]),
-     {"sumset_lab.structure", "sumset_lab.bounds", "sumset_lab.families"}),
+    # check or print --kind.  Only the row drivers load the row walk,
+    # and no certify process loads the other commands' handlers
+    (_CERTIFY.format(["certify", "--theorem", "conjecture", "--k-max", "6"]), set(),
+     {"sumset_lab.structure", "sumset_lab.bounds", "sumset_lab.families", _ROWS, _COMMANDS}),
+    (_CERTIFY.format(["certify", "--theorem", "3", "--k-max", "6"]), set(),
+     {"sumset_lab.structure", "sumset_lab.bounds", _ROWS, _COMMANDS}),
+    (_CERTIFY.format(["certify", "--theorem", "2", "--k-max", "6"]), {_ROWS},
+     {"sumset_lab.structure", "sumset_lab.bounds", _COMMANDS}),
+    (_CERTIFY.format(["certify", "--theorem", "1", "--k-max", "6"]), {_ROWS},
+     {"sumset_lab.structure", "sumset_lab.bounds", "sumset_lab.families", _COMMANDS}),
+    (_CERTIFY.format(["certify", "--theorem", "lemmas", "--k-max", "8"]), {_ROWS},
+     {"sumset_lab.bounds", "sumset_lab.families", _COMMANDS}),
+    (_RUN.format(["enumerate", "--k", "5", "--l", "8"]), {_COMMANDS},
+     {"sumset_lab.structure", "sumset_lab.bounds", "sumset_lab.families", _ROWS}),
+    (_RUN.format(["classify", "--k", "6", "--l", "9"]), {_COMMANDS},
+     {"sumset_lab.structure", "sumset_lab.bounds", "sumset_lab.families", _ROWS}),
+    (_RUN.format(["compute", "0,1,4"]), {_COMMANDS, "sumset_lab.bounds"},
+     {"sumset_lab.structure", "sumset_lab.families", _ROWS}),
+    (_RUN.format(["families", "--all", "--k", "8"]), {_COMMANDS, "sumset_lab.families"},
+     {"sumset_lab.structure", "sumset_lab.bounds", _ROWS}),
 ], ids=["import", "conjecture", "theorem3", "theorem2", "theorem1", "lemmas", "enumerate",
-        "classify"])
-def test_each_command_loads_only_the_modules_it_calls(code, absent):
+        "classify", "compute", "families"])
+def test_each_command_loads_only_the_modules_it_calls(code, present, absent):
     loaded = {m for m in _loaded_modules(code) if m.startswith("sumset_lab")}
     assert "sumset_lab" in loaded
+    assert present <= loaded, sorted(present - loaded)
     assert not absent & loaded, sorted(absent & loaded)
     if "main(" in code:
         assert {"sumset_lab.cli", "sumset_lab.verify"} <= loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "0,1,4", "--json"],
+    ["enumerate", "--k", "5", "--l", "8", "--json"],
+    ["classify", "--k", "6", "--l", "9", "--json"],
+], ids=["compute", "enumerate", "classify"])
+def test_a_command_run_as_a_module_compiles_the_cli_once(argv):
+    # under -m the CLI runs as __main__: the handlers' module must not
+    # import sumset_lab.cli, which would compile the CLI a second time
+    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "sumset_lab.cli", *argv],
+                         capture_output=True, text=True, env=_src_env(), check=True)
+    imported = {line.rpartition("|")[2].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "sumset_lab._commands" in imported
+    assert "sumset_lab.cli" not in imported

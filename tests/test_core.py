@@ -122,6 +122,16 @@ def test_from_mask_bypasses_range_check():
     assert big.elements == (2 * MAX_ELEMENT,)
 
 
+def test_only_external_input_is_held_to_the_maximum():
+    # a sumset of sets within MAX_ELEMENT may reach 2 * MAX_ELEMENT, and
+    # is returned as it is; the constructor refuses the same elements
+    assert MAX_ELEMENT == 4096
+    assert 4097 in restricted_sumset(NormalizedSet((0, 1, 4096))).elements
+    assert sumset(IntegerSet((0, 4096)), IntegerSet((0, 4096))).elements == (0, 4096, 8192)
+    with pytest.raises(SetDomainError, match="element 4097 exceeds the supported maximum 4096"):
+        IntegerSet((4097,))
+
+
 def test_normalized_set_requirements():
     assert NormalizedSet((0, 2, 3)).k == 3
     with pytest.raises(SetDomainError):

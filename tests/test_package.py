@@ -79,12 +79,12 @@ def test_unknown_name_raises_attribute_error():
 # residue laws run), theorem 3's floor cell and the conjecture's, each
 # with a budget that covers it whole
 _TASKS = """
-from sumset_lab import verify
+from sumset_lab import _rows, verify
 tasks = [
-    (verify._low_second_row, verify._LOW_SECOND, 6, (10, 11, 12), 10**6),
-    (verify._dense_row, verify._DENSE, 7, (12, 13), 10**6),
-    (verify._structure_row, verify._DENSE, 7, (12, 13), 10**6),
-    (verify._witness_cell, ("gcd_one",), 8, (13,), 10**6),
+    (_rows._low_second_row, verify._LOW_SECOND, 6, (10, 11, 12), 10**6),
+    (_rows._dense_row, verify._DENSE, 7, (12, 13), 10**6),
+    (_rows._structure_row, verify._DENSE, 7, (12, 13), 10**6),
+    (_rows._witness_cell, ("gcd_one",), 8, (13,), 10**6),
     (verify._floor_cells, ("gcd_one",), 7, (11,), 10**6),
     (verify._conjecture_cell, ("gcd_one",), 7, (11,), 10**6),
 ]
@@ -93,7 +93,8 @@ tasks = [
 
 def test_sweep_tasks_run_in_a_fresh_interpreter():
     # a worker started fresh (the spawn start method) has loaded only
-    # verify: each task must import what it uses itself
+    # verify and the task's own module: each task must import what it
+    # uses itself
     code = _TASKS + (
         "import sys\n"
         "print(sorted(m for m in sys.modules if m.startswith('sumset_lab')))\n"
@@ -104,7 +105,8 @@ def test_sweep_tasks_run_in_a_fresh_interpreter():
     out = subprocess.run([sys.executable, "-c", code],
                          capture_output=True, text=True, env=env, check=True)
     loaded, fresh = out.stdout.splitlines()
-    assert ast.literal_eval(loaded) == ["sumset_lab", "sumset_lab.core", "sumset_lab.verify"]
+    assert ast.literal_eval(loaded) == ["sumset_lab", "sumset_lab._rows", "sumset_lab.core",
+                                          "sumset_lab.verify"]
     namespace: dict = {}
     exec(_TASKS, namespace)
     here = [verify._run_task(t) for t in namespace["tasks"]]

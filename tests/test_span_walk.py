@@ -58,7 +58,7 @@ from sumset_lab.core import (
     IntegerSet, NormalizedSet, SetDomainError, double_mask, elements_of, mask_of,
     restricted_mask,
 )
-from sumset_lab import structure, verify
+from sumset_lab import _rows, structure, verify
 from sumset_lab.structure import (
     check_exceptional_points,
     diff3_exception_case,
@@ -81,16 +81,18 @@ from sumset_lab.verify import (
     enumerate_tuples,
     sweep_structure,
     _walk_span,
-    _dense_row,
     _detached_top_rows,
     _conjecture_cell,
     _floor_cells,
+    _run_task,
+    _sweep,
+)
+from sumset_lab._rows import (
+    _dense_row,
     _head_floor,
     _low_second_row,
-    _run_task,
     _split_settled,
     _structure_row,
-    _sweep,
     _walk_row,
     _witness_cell,
 )
@@ -988,7 +990,7 @@ def test_every_witness_cell_of_the_sweep_matches_plain_enumeration(k, fault, mon
 def hand_witness_cell(monkeypatch, cell, change):
     """Patch the span walk so that the witness walk of the cell (k, l)
     hands over ``change(findings)`` in place of its findings."""
-    walk_span = verify._walk_span
+    walk_span = _rows._walk_span
 
     def span(k, l, bound, *args, **kwargs):
         found, tallied = walk_span(k, l, bound, *args, **kwargs)
@@ -996,7 +998,7 @@ def hand_witness_cell(monkeypatch, cell, change):
             found = change(found)
         return found, tallied
 
-    monkeypatch.setattr(verify, "_walk_span", span)
+    monkeypatch.setattr(_rows, "_walk_span", span)
 
 
 @pytest.mark.parametrize("count", [0, 1])
@@ -1179,7 +1181,7 @@ def test_split_check_fails_with_the_message_split_at_gives():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(structure, "restricted_mask", faulted_mask)
                 mp.setattr(structure, "split_at", faulted_split)
-                mp.setattr(verify, "_walk_row", faulted_walk)
+                mp.setattr(_rows, "_walk_row", faulted_walk)
                 (got,) = _low_second_row(k, (l,), (l,), LOW_SECOND)
                 want = []
                 for u, _n in plain_sets(k, l, LOW_SECOND, 10**9)[1]:
@@ -1218,7 +1220,7 @@ def test_a_right_half_walked_without_one_element_fails_the_split_check(head):
             return _walk_row(k_, tops, constraints, faulted_check)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(verify, "_walk_row", faulted_walk)
+            mp.setattr(_rows, "_walk_row", faulted_walk)
             with pytest.raises(AssertionError, match=f"{lit(head + (l,))} at s={s}, which"):
                 _low_second_row(k, (l,), (l,), LOW_SECOND)
 
@@ -1456,7 +1458,7 @@ def test_a_faulted_head_mask_reaches_the_per_top_loop(k, kind, monkeypatch):
     l = 2 * k - 2
     holds = (lambda n: n == bound) if kind == "tight" else (lambda n: n < bound)
     streamed = plain_sets(k, l, ("last_ge_2k_minus_2",), 10**9)[1]
-    real_floor = verify._head_floor
+    real_floor = _rows._head_floor
     faults, asked = {}, []
 
     def faulted_floor(r, m, l_min):
@@ -1467,7 +1469,7 @@ def test_a_faulted_head_mask_reaches_the_per_top_loop(k, kind, monkeypatch):
         below, at = _walk_row(k, (l,), ("last_ge_2k_minus_2",))
         return below[l], at[l]
 
-    monkeypatch.setattr(verify, "_head_floor", faulted_floor)
+    monkeypatch.setattr(_rows, "_head_floor", faulted_floor)
     assert walk() == ([(t, n) for t, n in streamed if n < bound],
                       [t for t, n in streamed if n == bound])
     settled = [m for m, f in asked if m.bit_count() == k - 1 and f > bound]
@@ -1501,12 +1503,12 @@ def test_per_top_loops_run_only_on_heads_the_bounds_leave(k, low_second, dense, 
     # goes to split_at
     tops = tuple(range(2 * k - 2, 2 * k + 7))
     floors = []
-    real_floor = verify._head_floor
-    monkeypatch.setattr(verify, "_head_floor",
+    real_floor = _rows._head_floor
+    monkeypatch.setattr(_rows, "_head_floor",
                         lambda *a: floors.append((a[1], real_floor(*a))) or floors[-1][1])
     settled = []
-    real_settled = verify._split_settled
-    monkeypatch.setattr(verify, "_split_settled",
+    real_settled = _rows._split_settled
+    monkeypatch.setattr(_rows, "_split_settled",
                         lambda *a: settled.append(real_settled(*a)) or settled[-1])
     rows = _low_second_row(k, tops, tops, LOW_SECOND)
     looped = [elements_of(m) for m, f in floors if f <= 3 * k - 7]
@@ -1544,8 +1546,8 @@ def test_only_the_theorem_2_row_cuts_head_prefixes(k, handed, dense_floors, monk
     # per prefix
     tops = tuple(range(2 * k - 2, 2 * k + 7))
     calls = []
-    real_floor = verify._head_floor
-    monkeypatch.setattr(verify, "_head_floor", lambda *a: calls.append(a) or real_floor(*a))
+    real_floor = _rows._head_floor
+    monkeypatch.setattr(_rows, "_head_floor", lambda *a: calls.append(a) or real_floor(*a))
     _dense_row(k, tops, tops, DENSE)
     assert len(calls) == dense_floors
     cut = [elements_of(mask) for _r, mask, _l_min in calls if mask.bit_count() == k - 1]
@@ -1568,8 +1570,8 @@ def test_a_split_head_the_bounds_leave_goes_to_split_at(head, monkeypatch):
     # naming the set, as the row and split_at then disagree
     k, tops = len(head) + 1, (12, 13)
     s = find_admissible_split(NormalizedSet(head + tops[:1]))
-    real = verify._split_settled
-    monkeypatch.setattr(verify, "_split_settled",
+    real = _rows._split_settled
+    monkeypatch.setattr(_rows, "_split_settled",
                         lambda k_, head_, *a: head_ != head and real(k_, head_, *a))
     with pytest.raises(AssertionError, match=f"{lit(head + tops[:1])} at s={s}, which split_at"):
         _low_second_row(k, tops, tops, LOW_SECOND)

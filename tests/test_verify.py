@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumset_lab import families, structure, verify
+from sumset_lab import _rows, families, structure, verify
 from sumset_lab.core import MAX_ELEMENT, NormalizedSet, SetDomainError, mask_of
 from sumset_lab.families import extremal_catalog
 from sumset_lab.verify import (
@@ -375,7 +375,7 @@ def _find_below(monkeypatch, cell, tup):
     """Patch both walkers so that the cell (k, l) also finds ``tup``, its
     restricted size one below the cell's floor."""
     k, l = cell
-    walk_span, walk_row = verify._walk_span, verify._walk_row
+    walk_span, walk_row = verify._walk_span, _rows._walk_row
 
     def span(k_, l_, bound, *args, **kwargs):
         found, tallied = walk_span(k_, l_, bound, *args, **kwargs)
@@ -390,7 +390,7 @@ def _find_below(monkeypatch, cell, tup):
         return below, at
 
     monkeypatch.setattr(verify, "_walk_span", span)
-    monkeypatch.setattr(verify, "_walk_row", row)
+    monkeypatch.setattr(_rows, "_walk_row", row)
 
 
 def test_a_conjecture_set_below_the_floor_refutes_at_k8_and_is_observed_below(monkeypatch):
